@@ -568,11 +568,6 @@ def cocyclic_subgroups(group):
     return sorted(out.values(), key=lambda s: s.elements)
 
 
-def cocyclic_with_whole(group):
-    """The extended family: co-cyclic subgroups plus G itself."""
-    return cocyclic_subgroups(group) + [Subgroup.whole(group)]
-
-
 def _index_p_cover_within(group, container_set, H, p):
     """Distinct overgroups L of H inside the given container with [L:H] = p."""
     covers = {}

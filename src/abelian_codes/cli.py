@@ -278,8 +278,6 @@ def _build_parser():
                        help="field spec: p or p^m, e.g. 2 or 2^6")
         p.add_argument("--format", choices=["json", "csv", "md"], default="md")
         p.add_argument("--dimension-cap", type=int, default=DEFAULT_DIMENSION_CAP)
-        p.add_argument("--seed-independent", action="store_true",
-                       help="reserved; all computations are deterministic")
 
     common(sub.add_parser("subgroups", help="list the subgroup lattice"))
     common(sub.add_parser("idempotents", help="dump the primitive idempotents"))

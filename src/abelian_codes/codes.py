@@ -202,11 +202,9 @@ def min_weight_or_bound(code, cap=DEFAULT_DIMENSION_CAP):
     nonzero_scalars = [s for s in ctx.elements() if s != zero]
     vectors = [b.coeffs for b in code.basis]
     best = None
-    singles = []
     for v in vectors:
         for s in nonzero_scalars:
             sv = tuple(ctx.mul(s, c) for c in v)
-            singles.append(sv)
             w = sum(1 for c in sv if c != zero)
             if best is None or w < best:
                 best = w
@@ -336,13 +334,14 @@ def classify(group, ctx, with_distributions=False, dimension_cap=DEFAULT_DIMENSI
         if with_distributions and code.dimension <= dimension_cap:
             dist = weight_distribution(code, dimension_cap)
         records.append(CodeRecord(code, mw, exact, dist))
-    family_size = len(cocyclic_subgroups(group)) + 1
-    family_primitive = len(prims) == family_size
 
     subgroups = {}
     for rec in records:
         H = rec.code.generator.phi_subgroup
         subgroups.setdefault(H.elements, H)
+    # the owner map is onto the extended co-cyclic family, so every family
+    # idempotent is primitive exactly when no two primitives share an owner
+    family_primitive = len(prims) == len(subgroups)
     orbits = subgroup_orbits(group, list(subgroups.values()))
     classes = []
     for orbit in orbits:
@@ -368,9 +367,10 @@ def tau_sweep(groups, ctx):
     against tau(exp G), plus the homocyclic flag.
 
     The class count equals the number of automorphism orbits on the
-    extended co-cyclic family (every family idempotent is a nonzero sum of
-    primitive idempotents, so the owning-subgroup map is onto the family);
-    no idempotents need to be constructed.
+    extended co-cyclic family.  The owning-subgroup map is onto the family
+    by construction: the owner of the orbit of k is annihilator(G, <k>),
+    and every co-cyclic H (and G itself) is the annihilator of a cyclic
+    subgroup.  No idempotents need to be constructed.
     """
     rows = []
     for group in groups:

@@ -322,6 +322,24 @@ class FieldCtx:
     def spec_string(self):
         return str(self.p) if self.m == 1 else "%d^%d" % (self.p, self.m)
 
+    def inv(self, a):
+        if a == self.zero:
+            raise ZeroDivisionError("inverse of zero")
+        return self.pow(a, self.order - 2)
+
+    def pow(self, a, e):
+        """Square-and-multiply over the context's own mul."""
+        if e < 0:
+            a, e = self.inv(a), -e
+        mul = self.mul
+        result = self.one
+        while e:
+            if e & 1:
+                result = mul(result, a)
+            a = mul(a, a)
+            e >>= 1
+        return result
+
     def __eq__(self, other):
         return (
             isinstance(other, FieldCtx)
@@ -437,23 +455,6 @@ class BinaryExtField(FieldCtx):
     def mul(self, a, b):
         return _bmulmod(a, b, self._modint)
 
-    def inv(self, a):
-        if a == 0:
-            raise ZeroDivisionError("inverse of zero")
-        return self.pow(a, self.order - 2)
-
-    def pow(self, a, e):
-        if e < 0:
-            a, e = self.inv(a), -e
-        result = 1
-        base = a
-        while e:
-            if e & 1:
-                result = _bmulmod(result, base, self._modint)
-            base = _bmulmod(base, base, self._modint)
-            e >>= 1
-        return result
-
     def elements(self):
         for coeffs in itertools.product(range(2), repeat=self.m):
             yield self.raw_from_coeffs(coeffs)
@@ -501,16 +502,6 @@ class ExtField(FieldCtx):
 
     def mul(self, a, b):
         return self._ring.mul(a, b)
-
-    def inv(self, a):
-        if a == self.zero:
-            raise ZeroDivisionError("inverse of zero")
-        return self.pow(a, self.order - 2)
-
-    def pow(self, a, e):
-        if e < 0:
-            a, e = self.inv(a), -e
-        return self._ring.pow(a, e)
 
     def elements(self):
         return itertools.product(range(self.p), repeat=self.m)
@@ -570,23 +561,6 @@ class TowerField(FieldCtx):
             for i in range(s + 1):
                 prod[k - s + i] = base.sub(prod[k - s + i], base.mul(lead, self.modulus[i]))
         return tuple(prod[:s])
-
-    def inv(self, a):
-        if a == self.zero:
-            raise ZeroDivisionError("inverse of zero")
-        return self.pow(a, self.order - 2)
-
-    def pow(self, a, e):
-        if e < 0:
-            a, e = self.inv(a), -e
-        result = self.one
-        base = a
-        while e:
-            if e & 1:
-                result = self.mul(result, base)
-            base = self.mul(base, base)
-            e >>= 1
-        return result
 
     def elements(self):
         base_elems = list(self.base.elements())
@@ -787,6 +761,8 @@ def _first_irreducible_over(base, s):
             if k in milestones and k < s:
                 diff = list(cur) + [base.zero] * max(0, 2 - len(cur))
                 diff[1] = base.sub(diff[1], base.one)
+                while diff and diff[-1] == base.zero:
+                    diff.pop()
                 g = pgcd(diff, poly)
                 while g and g[-1] == base.zero:
                     g.pop()

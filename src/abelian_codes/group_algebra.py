@@ -16,6 +16,7 @@ from .abelian_group import (
     GroupElement,
     Subgroup,
     _index_p_cover_within,
+    annihilator,
     cocyclic_subgroups,
     quotient_type,
     sylow_decompose,
@@ -288,7 +289,10 @@ def phi_subgroup(e, family):
     """The unique family member whose idempotent acts as identity on e.
 
     Decided by direct multiplication against every family idempotent, so
-    each call re-checks uniqueness.
+    each call re-checks idempotency and uniqueness.  primitive_idempotents
+    reads the owner off the character kernel instead; this slow route is
+    kept as the independent check of that shortcut (the test oracle) and
+    for callers who want to verify an owner directly.
     """
     if isinstance(e, PrimitiveIdempotent):
         e = e.element
@@ -335,7 +339,9 @@ def primitive_idempotents(group, ctx):
     Characters are partitioned into q-power orbits; each orbit sum is an
     idempotent with coefficients fixed by the q-Frobenius, hence living in
     the base field.  Output is sorted by canonical orbit representative and
-    each entry carries its owning co-cyclic subgroup.
+    each entry carries its owning co-cyclic subgroup: the kernel of the
+    orbit's character, annihilator(G, <rep>), which every character of the
+    orbit shares (q is a unit mod exp G, so <q*k> = <k>).
     """
     _check_char(group, ctx)
     alg = get_algebra(group, ctx)
@@ -372,10 +378,8 @@ def primitive_idempotents(group, ctx):
                     "orbit partition is inconsistent"
                 ) from exc
             coeffs.append(ctx.mul(raw, inv_order))
-        out.append(PrimitiveIdempotent(AlgebraElement(alg, coeffs), rep, None))
-    family = cocyclic_idempotent_family(group, ctx)
-    for ide in out:
-        ide.phi_subgroup = phi_subgroup(ide.element, family)
+        owner = annihilator(group, Subgroup.generated(group, [rep]))
+        out.append(PrimitiveIdempotent(AlgebraElement(alg, coeffs), rep, owner))
     return out
 
 

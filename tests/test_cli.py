@@ -151,3 +151,13 @@ def test_field_extension_spec(capsys):
                  "--format", "json"])
     assert status == 0
     assert json.loads(out)["field"] == "2^2"
+
+
+def test_classify_over_degree_four_tower(capsys):
+    # GF(4) reaches 17th roots of unity only in a degree-4 tower
+    status, out = capture(
+        capsys, ["classify", "--group", "17", "--field", "2^2", "--format", "json"])
+    assert status == 0
+    data = json.loads(out)
+    assert data["field"] == "2^2"
+    assert sum(c["dimension"] for c in data["codes"]) == 17

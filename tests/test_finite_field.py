@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from abelian_codes import (
@@ -13,7 +15,7 @@ from abelian_codes import (
     mul_order,
     splitting_field,
 )
-from abelian_codes.finite_field import poly_is_irreducible
+from abelian_codes.finite_field import _first_irreducible_over, poly_is_irreducible
 
 
 def test_prime_field_basics():
@@ -173,3 +175,31 @@ def test_splitting_field_tower_over_extension():
     assert acc == big.one == one
     with pytest.raises(ArithmeticError):
         restrict(w)
+
+
+def _divides_over(ctx, d, f):
+    """True iff the monic d divides f, both lists of ctx raws low-to-high."""
+    r = list(f)
+    while len(r) >= len(d):
+        lead = r[-1]
+        shift = len(r) - len(d)
+        for i, c in enumerate(d):
+            r[shift + i] = ctx.sub(r[shift + i], ctx.mul(lead, c))
+        r.pop()
+    return all(c == ctx.zero for c in r)
+
+
+def test_tower_modulus_degree_four_over_gf4():
+    # 17 needs degree mul_order(4, 17) = 4 over GF(4); the Frobenius
+    # milestone difference can lose its leading term there
+    F4 = field_make(2, 2)
+    f = _first_irreducible_over(F4, 4)
+    assert len(f) == 5 and f[-1] == F4.one
+    elems = list(F4.elements())
+    for deg in (1, 2):
+        for tail in itertools.product(elems, repeat=deg):
+            assert not _divides_over(F4, list(tail) + [F4.one], f), tail
+    big, embed, restrict = splitting_field(F4, 17)
+    assert big.order == 256
+    w = element_of_order(big, 17)
+    assert w != big.one and big.pow(w, 17) == big.one

@@ -1,4 +1,5 @@
 import itertools
+from math import gcd
 
 import pytest
 
@@ -8,6 +9,7 @@ from abelian_codes import (
     NotCocyclic,
     NotIdempotent,
     Subgroup,
+    abelian_groups_of_order,
     all_subgroups,
     apply_automorphism,
     automorphisms,
@@ -249,6 +251,26 @@ def test_phi_subgroup_of_whole_group_hat():
     G = group_make([9, 3])
     fam = cocyclic_idempotent_family(G, F2)
     assert phi_subgroup(hat(Subgroup.whole(G), F2), fam) == Subgroup.whole(G)
+
+
+@pytest.mark.parametrize("p,m", [(2, 1), (3, 1), (7, 1), (2, 2), (2, 3), (3, 2)])
+def test_kernel_owner_matches_convolution_oracle(p, m):
+    # primitive_idempotents reads the owner off the character kernel;
+    # phi_subgroup finds it by convolving against the whole family
+    ctx = field_make(p, m)
+    for n in range(1, 26):
+        if gcd(n, ctx.order) != 1:
+            continue
+        for G in abelian_groups_of_order(n):
+            fam = cocyclic_idempotent_family(G, ctx)
+            prims = primitive_idempotents(G, ctx)
+            for ide in prims:
+                assert ide.phi_subgroup == phi_subgroup(ide.element, fam), (
+                    G.divisors, ctx, ide.orbit_rep)
+            # the owner map is onto the extended co-cyclic family
+            owners = {ide.phi_subgroup for ide in prims}
+            assert len(owners) == len(cocyclic_subgroups(G)) + 1, (
+                G.divisors, ctx)
 
 
 def test_phi_subgroup_example():
