@@ -38,6 +38,20 @@ def _parse_group(spec):
     return group_make(divisors)
 
 
+def _int_at_least(minimum):
+    def parse(text):
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError("expected an integer, got %r" % text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(
+                "must be at least %d, got %d" % (minimum, value))
+        return value
+
+    return parse
+
+
 def _parse_field(spec):
     try:
         if "^" in spec:
@@ -277,7 +291,8 @@ def _build_parser():
         p.add_argument("--field", required=True, type=_parse_field,
                        help="field spec: p or p^m, e.g. 2 or 2^6")
         p.add_argument("--format", choices=["json", "csv", "md"], default="md")
-        p.add_argument("--dimension-cap", type=int, default=DEFAULT_DIMENSION_CAP)
+        p.add_argument("--dimension-cap", type=_int_at_least(0),
+                       default=DEFAULT_DIMENSION_CAP)
 
     common(sub.add_parser("subgroups", help="list the subgroup lattice"))
     common(sub.add_parser("idempotents", help="dump the primitive idempotents"))
@@ -287,7 +302,7 @@ def _build_parser():
     p_sweep = sub.add_parser(
         "sweep", help="class count vs tau(exponent) over all small groups")
     common(p_sweep, need_group=False)
-    p_sweep.add_argument("--max-order", type=int, default=81)
+    p_sweep.add_argument("--max-order", type=_int_at_least(1), default=81)
     common(sub.add_parser("verify", help="check the built-in reference tables"))
     return parser
 

@@ -9,6 +9,7 @@ the class structure is known exactly.
 
 from __future__ import annotations
 
+from collections import Counter
 from math import gcd
 
 from .abelian_group import (
@@ -141,11 +142,47 @@ def minimal_code(algebra, e):
     return MinimalCode(algebra, ide, basis)
 
 
-def weight_distribution(code, cap=DEFAULT_DIMENSION_CAP):
-    """Exact weight histogram by enumerating all q^dim codewords.
+_LOW_TABLE_MAX = 4096
 
-    Over GF(2) the span is walked in Gray-code order so each step flips a
-    single basis vector.
+
+def _packed_adder(p, s, slots):
+    """Slot-wise sum mod p of two ints packed with s-bit digit slots.
+
+    Over p = 2 that is xor.  Otherwise the even and the odd slots are added
+    in separate lanes, where each digit has 2s bits of room, so a sum up to
+    2p - 2 cannot carry into its neighbour; adding 2^(s+1) - p to every
+    slot sets bit s + 1 exactly where the sum reached p.
+    """
+    if p == 2:
+        return int.__xor__
+    ones = sum(1 << (2 * s * i) for i in range((slots + 1) // 2))
+    even = ones * ((1 << s) - 1)
+    pad = ones * ((1 << (s + 1)) - p)
+
+    def lane(a, b):
+        t = (a & even) + (b & even)
+        return t - ((t + pad) >> (s + 1) & ones) * p
+
+    def add(a, b):
+        return lane(a, b) | lane(a >> s, b >> s) << s
+
+    return add
+
+
+def weight_distribution(code, cap=DEFAULT_DIMENSION_CAP):
+    """Exact weight histogram by enumerating all q^dim codewords once.
+
+    The GF(q)-span of the basis {b_i} is the GF(p)-span of {x^j * b_i},
+    j < m, so every codeword is one GF(p)-combination of m * dim
+    generators.  Each generator is packed into one int: m base-p digits
+    per coordinate (``ctx.coeffs``), one slot of (p-1).bit_length() bits
+    per digit.  The span of the first generators is tabulated once (at
+    most 4096 entries); the others are walked in modular p-ary Gray order
+    on the negated high part nh, where step k adds the negation of the
+    generator numbered v_p(k).  A coordinate of a codeword low - nh is
+    zero exactly when its digits of low and nh agree, so the weight is the
+    number of coordinates of nh ^ low with a nonzero slot, counted over
+    the table in C.  Over GF(2) this is a Gray-code walk with popcounts.
     """
     dim = code.dimension
     if dim > cap:
@@ -153,36 +190,61 @@ def weight_distribution(code, cap=DEFAULT_DIMENSION_CAP):
             "weight enumeration bounded", dimension=dim, cap=cap
         )
     ctx = code.algebra.ctx
-    if _is_gf2(ctx):
-        masks = [_mask_of(b) for b in code.basis]
-        hist = {0: 1}
-        cur = 0
-        for i in range(1, 1 << dim):
-            cur ^= masks[(i & -i).bit_length() - 1]
-            w = cur.bit_count()
-            hist[w] = hist.get(w, 0) + 1
-        return WeightDistribution(hist, dim, ctx.order)
-    elems = list(ctx.elements())
-    zero = ctx.zero
-    scaled = [
-        [[ctx.mul(s, c) for c in row.coeffs] for s in elems] for row in code.basis
-    ]
-    hist = {}
-    width = code.algebra.group.order
+    p, m = ctx.p, ctx.m
+    n = code.algebra.group.order
+    s = (p - 1).bit_length()
+    width = m * s  # bits per coordinate
+    zero, mul, coeffs = ctx.zero, ctx.mul, ctx.coeffs
+    powers = [ctx.raw_from_coeffs([int(i == j) for i in range(m)]) for j in range(m)]
+    gens, negs = [], []
+    for b in code.basis:
+        for a in powers:
+            g = ng = 0
+            for k, c in enumerate(b.coeffs):
+                if c != zero:
+                    for d, digit in enumerate(coeffs(mul(a, c)), k * m):
+                        g |= digit << (d * s)
+                        ng |= (-digit % p) << (d * s)
+            gens.append(g)
+            negs.append(ng)
+    add = _packed_adder(p, s, n * m)
 
-    def rec(d, current):
-        if d == dim:
-            w = sum(1 for c in current if c != zero)
-            hist[w] = hist.get(w, 0) + 1
-            return
-        for si in range(len(elems)):
-            if si == 0:
-                rec(d + 1, current)
-            else:
-                row = scaled[d][si]
-                rec(d + 1, [ctx.add(a, b) for a, b in zip(current, row)])
+    low = 0
+    while low < len(gens) and p ** (low + 1) <= _LOW_TABLE_MAX:
+        low += 1
+    table = [0]
+    for g in gens[:low]:
+        multiple, grown = 0, list(table)
+        for _ in range(p - 1):
+            multiple = add(multiple, g)
+            grown.extend(add(t, multiple) for t in table)
+        table = grown
 
-    rec(0, [zero] * width)
+    starts = sum(1 << (k * width) for k in range(n))  # lowest bit per coordinate
+    if width == 1:
+        def weights(nh):
+            return map(int.bit_count, map(nh.__xor__, table))
+    else:
+        # a coordinate is nonzero iff its low width-1 bits, plus all ones
+        # there, carry into its top bit, or that top bit is already set
+        rest = starts * ((1 << (width - 1)) - 1)
+        tops = starts << (width - 1)
+
+        def weights(nh):
+            xs = list(map(nh.__xor__, table))
+            lifted = map(rest.__add__, map(rest.__and__, xs))
+            return map(int.bit_count, map(tops.__and__, map(int.__or__, lifted, xs)))
+
+    hist = Counter(weights(0))
+    nh = 0
+    negs = negs[low:]
+    for step in range(1, p ** len(negs)):
+        j = 0
+        while step % p == 0:  # step k moves the digit v_p(k)
+            step //= p
+            j += 1
+        nh = add(nh, negs[j])
+        hist.update(weights(nh))
     return WeightDistribution(hist, dim, ctx.order)
 
 
@@ -323,36 +385,42 @@ class ClassificationReport:
 def classify(group, ctx, with_distributions=False, dimension_cap=DEFAULT_DIMENSION_CAP):
     """Compute every minimal code of F_qG, group them into equivalence
     classes by automorphism orbits of the owning subgroups, and compare the
-    class count with tau(exp G)."""
+    class count with tau(exp G).
+
+    Equivalent codes differ by a permutation of coordinates, so they share
+    one weight distribution: it is enumerated once per class (dimension
+    within the cap) and given to every member.  A code above the cap gets
+    its own two-vector bound, which depends on its basis."""
     prims = primitive_idempotents(group, ctx)
     algebra = get_algebra(group, ctx)
-    records = []
-    for ide in prims:
-        code = minimal_code(algebra, ide)
-        mw, exact = min_weight_or_bound(code, dimension_cap)
-        dist = None
-        if with_distributions and code.dimension <= dimension_cap:
-            dist = weight_distribution(code, dimension_cap)
-        records.append(CodeRecord(code, mw, exact, dist))
+    codes = [minimal_code(algebra, ide) for ide in prims]
 
     subgroups = {}
-    for rec in records:
-        H = rec.code.generator.phi_subgroup
-        subgroups.setdefault(H.elements, H)
+    for ide in prims:
+        subgroups.setdefault(ide.phi_subgroup.elements, ide.phi_subgroup)
     # the owner map is onto the extended co-cyclic family, so every family
     # idempotent is primitive exactly when no two primitives share an owner
     family_primitive = len(prims) == len(subgroups)
     orbits = subgroup_orbits(group, list(subgroups.values()))
+    records = []
     classes = []
     for orbit in orbits:
         orbit_keys = {H.elements for H in orbit}
-        members = [
-            rec for rec in records
-            if rec.code.generator.phi_subgroup.elements in orbit_keys
-        ]
-        members.sort(key=lambda r: (
-            r.code.generator.phi_subgroup.elements, r.code.generator.orbit_rep,
-        ))
+        members = sorted(
+            (c for c in codes if c.generator.phi_subgroup.elements in orbit_keys),
+            key=lambda c: (c.generator.phi_subgroup.elements, c.generator.orbit_rep),
+        )
+        if members[0].dimension <= dimension_cap:
+            dist = weight_distribution(members[0], dimension_cap)
+            mw = dist.min_nonzero()
+            shared = dist if with_distributions else None
+            members = [CodeRecord(c, mw, True, shared) for c in members]
+        else:
+            members = [
+                CodeRecord(c, *min_weight_or_bound(c, dimension_cap), None)
+                for c in members
+            ]
+        records.extend(members)
         classes.append(CodeClass(members[0], members))
     classes.sort(key=lambda c: (
         c.representative.code.generator.phi_subgroup.elements,

@@ -161,3 +161,32 @@ def test_classify_over_degree_four_tower(capsys):
     data = json.loads(out)
     assert data["field"] == "2^2"
     assert sum(c["dimension"] for c in data["codes"]) == 17
+
+
+@pytest.mark.parametrize("argv", [
+    ["classify", "--group", "9,3", "--field", "2", "--dimension-cap", "-1"],
+    ["verify", "--group", "9,3", "--field", "2", "--dimension-cap", "-3"],
+    ["sweep", "--field", "2", "--max-order", "-5"],
+    ["sweep", "--field", "2", "--max-order", "0"],
+    ["sweep", "--field", "2", "--max-order", "ten"],
+])
+def test_out_of_range_numbers_are_usage_errors(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        run(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "must be at least" in captured.err or "expected an integer" in captured.err
+
+
+def test_smallest_accepted_numbers(capsys):
+    status, out = capture(capsys, [
+        "classify", "--group", "3", "--field", "2", "--dimension-cap", "0",
+        "--format", "json"])
+    assert status == 0
+    codes = json.loads(out)["codes"]
+    assert [c["min_weight_exact"] for c in codes] == [False, False]
+    status, out = capture(capsys, [
+        "sweep", "--field", "2", "--max-order", "1", "--format", "json"])
+    assert status == 0
+    assert [r["group"] for r in json.loads(out)["rows"]] == ["1"]

@@ -1,12 +1,16 @@
-from math import comb
+from math import comb, gcd
 
 import pytest
+from hypothesis import given, settings, strategies as st
+from weight_oracle import oracle_histogram
 
 from abelian_codes import (
+    AlgebraElement,
     AlgebraMismatch,
     DimensionTooLarge,
     HypothesisFails,
     Subgroup,
+    abelian_groups_of_order,
     automorphisms,
     classify,
     equivalent,
@@ -125,6 +129,94 @@ def test_generic_field_distribution_against_direct_enumeration():
         assert max(dist.histogram) <= G.order
 
 
+# (p, m) of GF(2), GF(3), GF(5), GF(7), GF(4), GF(8), GF(9)
+WEIGHT_FIELDS = [(2, 1), (3, 1), (5, 1), (7, 1), (2, 2), (2, 3), (3, 2)]
+
+
+@pytest.mark.parametrize("p,m", WEIGHT_FIELDS)
+def test_weight_distribution_matches_oracle(p, m):
+    # p = 5, 7 pack digits in 3-bit slots; m > 1 packs m digits per coordinate
+    ctx = field_make(p, m)
+    checked = 0
+    for n in range(1, 26):
+        if gcd(n, ctx.order) != 1:
+            continue
+        for G in abelian_groups_of_order(n):
+            algebra = get_algebra(G, ctx)
+            for ide in primitive_idempotents(G, ctx):
+                code = minimal_code(algebra, ide)
+                if ctx.order ** code.dimension > 2 ** 16:
+                    continue
+                dist = weight_distribution(code)
+                assert dist.histogram == oracle_histogram(code), (
+                    G.divisors, ctx, ide.orbit_rep)
+                assert dist.total == ctx.order ** code.dimension
+                checked += 1
+    assert checked >= 40
+
+
+def _dual_ideal_generator(algebra, e):
+    """1 - e*, where e* is e with every group element g moved to -g."""
+    G, ctx = algebra.group, algebra.ctx
+    coeffs = [ctx.zero] * G.order
+    for g, c in zip(G.elements, e.coeffs):
+        coeffs[G.index_of(G.neg(g))] = ctx.neg(c)
+    identity = G.index_of(G.zero)
+    coeffs[identity] = ctx.add(coeffs[identity], ctx.one)
+    return AlgebraElement(algebra, coeffs)
+
+
+def _poly_mul(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def _macwilliams_transform(hist, n, q):
+    """Coefficients in y of sum_w A_w (1 + (q-1)y)^(n-w) (1 - y)^w, which
+    is |C| times the weight enumerator of the dual code at x = 1."""
+    total = [0] * (n + 1)
+    for w, count in hist.items():
+        term = [1]
+        for _ in range(n - w):
+            term = _poly_mul(term, [1, q - 1])
+        for _ in range(w):
+            term = _poly_mul(term, [1, -1])
+        for i, c in enumerate(term):
+            total[i] += count * c
+    return total
+
+
+@st.composite
+def _group_and_field(draw):
+    p, m = draw(st.sampled_from(WEIGHT_FIELDS))
+    q = p ** m
+    # the dual has dimension at most |G| - 1; keep its span within 2^16 words
+    orders = [n for n in range(1, 16)
+              if gcd(n, q) == 1 and q ** (n - 1) <= 2 ** 16]
+    n = draw(st.sampled_from(orders))
+    return draw(st.sampled_from(abelian_groups_of_order(n))), field_make(p, m)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(case=_group_and_field(), pick=st.integers(min_value=0, max_value=255))
+def test_macwilliams_identity_with_dual_ideal(case, pick):
+    G, ctx = case
+    algebra = get_algebra(G, ctx)
+    prims = primitive_idempotents(G, ctx)
+    code = minimal_code(algebra, prims[pick % len(prims)])
+    dual = minimal_code(
+        algebra, _dual_ideal_generator(algebra, code.generator.element))
+    n, q = G.order, ctx.order
+    assert code.dimension + dual.dimension == n
+    w_code = weight_distribution(code, cap=n).histogram
+    w_dual = weight_distribution(dual, cap=n).histogram
+    expected = _macwilliams_transform(w_code, n, q)
+    assert [q ** code.dimension * w_dual.get(w, 0) for w in range(n + 1)] == expected
+
+
 def test_dimension_cap_raises():
     G = group_make([27, 3])
     by_sub = codes_by_subgroup(G, F2)
@@ -173,14 +265,23 @@ def test_equivalent_rejects_different_algebras(c9xc3):
         equivalent(codes[Subgroup.whole(G)][0], some, auts)
 
 
-def test_equivalent_classes_share_metrics(c9xc3):
-    G, _ = c9xc3
-    report = classify(G, F2, with_distributions=True)
-    for cls in report.classes:
-        dims = {m.dimension for m in cls.members}
-        weights = {m.min_weight for m in cls.members}
-        dists = {tuple(m.distribution.as_pairs()[0]) for m in cls.members}
-        assert len(dims) == 1 and len(weights) == 1 and len(dists) == 1
+def test_equivalent_classes_share_metrics():
+    # classify enumerates one member per class; each member's own basis,
+    # walked by the oracle, must give that same full histogram
+    cases = [([9, 3], 2, 1), ([27, 3], 2, 1), ([23], 3, 1), ([9, 3], 2, 3),
+             ([9, 9], 2, 2)]
+    for divisors, p, m in cases:
+        G = group_make(divisors)
+        report = classify(G, field_make(p, m), with_distributions=True)
+        assert sum(cls.size for cls in report.classes) == len(report.codes)
+        for cls in report.classes:
+            hists = [oracle_histogram(rec.code) for rec in cls.members]
+            assert all(h == hists[0] for h in hists), (divisors, p, m)
+            for rec in cls.members:
+                assert rec.distribution.histogram == hists[0]
+                assert rec.min_weight == min(w for w in hists[0] if w)
+                assert rec.min_weight_exact
+                assert rec.dimension == cls.representative.dimension
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,48 @@
+"""Reference weight enumerator, kept only as a test oracle.
+
+It walks the GF(q)-span of a code's basis directly: a Gray-code walk over
+bitmasks for GF(2), and a plain recursion over every coefficient choice,
+with field elements as indices into an addition table, for any other
+field.  It is slow but shares nothing with the packed kernel in
+``abelian_codes.codes.weight_distribution``.
+"""
+
+
+def oracle_histogram(code):
+    """Weight -> codeword count over the span of ``code.basis``."""
+    ctx = code.algebra.ctx
+    dim = len(code.basis)
+    if ctx.p == 2 and ctx.m == 1:
+        masks = [sum(1 << i for i in b.support) for b in code.basis]
+        hist = {0: 1}
+        cur = 0
+        for i in range(1, 1 << dim):
+            cur ^= masks[(i & -i).bit_length() - 1]
+            w = cur.bit_count()
+            hist[w] = hist.get(w, 0) + 1
+        return dict(sorted(hist.items()))
+    # field elements become indices into one addition table
+    elems = list(ctx.elements())
+    index = {e: i for i, e in enumerate(elems)}
+    add = [[index[ctx.add(a, b)] for b in elems] for a in elems]
+    zero = index[ctx.zero]
+    scaled = [
+        [[index[ctx.mul(s, c)] for c in row.coeffs] for s in elems]
+        for row in code.basis
+    ]
+    hist = {}
+
+    def rec(d, current):
+        if d == dim:
+            w = sum(1 for c in current if c != zero)
+            hist[w] = hist.get(w, 0) + 1
+            return
+        for si in range(len(elems)):
+            if si == 0:
+                rec(d + 1, current)
+            else:
+                row = scaled[d][si]
+                rec(d + 1, [add[a][b] for a, b in zip(current, row)])
+
+    rec(0, [zero] * code.algebra.group.order)
+    return dict(sorted(hist.items()))
