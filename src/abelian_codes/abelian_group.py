@@ -5,6 +5,12 @@ The module provides the subgroup lattice, co-cyclic subgroups, index-p
 covers, character duality, and the automorphism group with its action on
 subgroups.  Everything is deterministic: canonical order is lexicographic
 on exponent tuples.
+
+The element index of an exponent tuple is its mixed-radix position (last
+coordinate fastest), so index order is the canonical order.  Cyclic
+subgroups, annihilators, induced permutations and subgroup orbits are
+computed on indices; a linear map is evaluated on all |G| indices by
+accumulating one axis at a time.
 """
 
 from __future__ import annotations
@@ -179,13 +185,30 @@ def group_make(divisors):
 # subgroups
 # ---------------------------------------------------------------------------
 
-def _cyclic_part(group, g):
-    out = [group.zero]
-    x = g
-    while x != group.zero:
-        out.append(x)
-        x = group.add(x, g)
+def _strides(group):
+    """Index weight of each coordinate: index = sum of exps[i] * strides[i]."""
+    out = []
+    s = 1
+    for d in reversed(group.divisors):
+        out.append(s)
+        s *= d
+    out.reverse()
     return out
+
+
+def _cycle(group, g):
+    """Indices of 0, g, 2g, ..., (o-1)g for the element g of order o."""
+    o = group.element_order(g)
+    cols = [
+        [k * x % d * s for k in range(o)]
+        for x, d, s in zip(g, group.divisors, _strides(group)) if x
+    ]
+    return [sum(t) for t in zip(*cols)] if cols else [0]
+
+
+def _cyclic_part(group, g):
+    elems = group.elements
+    return [elems[i] for i in _cycle(group, g)]
 
 
 def _closure(group, gens):
@@ -225,6 +248,18 @@ class Subgroup:
     def generated(cls, group, gens):
         exps = [g.exps if isinstance(g, GroupElement) else tuple(g) for g in gens]
         return cls(group, _closure(group, exps), _trusted=True)
+
+    @classmethod
+    def _from_indices(cls, group, indices, generators=None):
+        """Trusted subgroup from its element indices in ascending order."""
+        obj = object.__new__(cls)
+        elems = group.elements
+        obj.group = group
+        obj.elements = tuple([elems[i] for i in indices])
+        obj._set = frozenset(obj.elements)
+        obj._generators = generators
+        obj._mask = None
+        return obj
 
     @classmethod
     def trivial(cls, group):
@@ -544,14 +579,37 @@ def quotient_type(group, H):
     return _peel_invariant_factors(group, group.elements, H._set)
 
 
+def _linear_values(group, coeffs, n):
+    """sum_i coeffs[i] * x_i mod n for every element x, in index order."""
+    vals = [0]
+    for c, d in zip(coeffs, group.divisors):
+        vals = [(v + c * x) % n for v in vals for x in range(d)]
+    return vals
+
+
 def cyclic_subgroups(group, nontrivial_only=False):
-    seen = {}
-    for g in group.elements:
-        C = Subgroup.generated(group, [g])
-        seen.setdefault(C.elements, C)
-    out = sorted(seen.values(), key=lambda s: s.elements)
-    if nontrivial_only:
-        out = [C for C in out if C.order > 1]
+    """Every cyclic subgroup once, in canonical order.
+
+    Elements are walked in index order; <g> is built only for an element
+    not already marked as a generator of an earlier <h>, and then all its
+    phi(o) generators are marked.  The unmarked g met first is the
+    canonical least generator of <g>, which is what `generators` returns.
+    """
+    elems = group.elements
+    marked = bytearray(group.order)
+    out = []
+    for i, g in enumerate(elems):
+        if marked[i]:
+            continue
+        cyc = _cycle(group, g)
+        o = len(cyc)
+        for k in range(o):
+            if gcd(k, o) == 1:
+                marked[cyc[k]] = 1
+        if o > 1 or not nontrivial_only:
+            gens = (g,) if o > 1 else ()
+            out.append(Subgroup._from_indices(group, sorted(cyc), gens))
+    out.sort(key=lambda s: s.elements)
     return out
 
 
@@ -674,15 +732,11 @@ def annihilator(group, H):
     n, weights = _pairing_weights(group)
     if n == 1:
         return Subgroup.trivial(group)
-    gens = H.generators
-    ann = [
-        k for k in group.elements
-        if all(
-            sum(ki * w * hi for ki, w, hi in zip(k, weights, h)) % n == 0
-            for h in gens
-        )
-    ]
-    return Subgroup(group, ann, _trusted=True)
+    ann = range(group.order)
+    for h in H.generators:
+        vals = _linear_values(group, [w * x for w, x in zip(weights, h)], n)
+        ann = [i for i in ann if not vals[i]]
+    return Subgroup._from_indices(group, ann)
 
 
 # ---------------------------------------------------------------------------
@@ -792,21 +846,14 @@ def _basis_exps(group, i):
 
 
 def _induced_perm(group, images):
-    elems = group.elements
-    rank = group.rank
-    divisors = group.divisors
-    perm = []
-    seen = set()
-    for e in elems:
-        img = [0] * rank
-        for coeff, gen_img in zip(e, images):
-            if coeff:
-                for j in range(rank):
-                    img[j] = (img[j] + coeff * gen_img[j]) % divisors[j]
-        t = tuple(img)
-        perm.append(group.index_of(t))
-        seen.add(t)
-    if len(seen) != group.order:
+    """Index permutation of the homomorphism e_i -> images[i], or None when
+    it is not a bijection.  Coordinate j of the image is a linear form mod
+    d_j; scaling it by the stride keeps each column an index summand."""
+    perm = [0] * group.order
+    for j, (d, s) in enumerate(zip(group.divisors, _strides(group))):
+        col = _linear_values(group, [img[j] * s for img in images], d * s)
+        perm = [a + b for a, b in zip(perm, col)]
+    if len(set(perm)) != group.order:
         return None
     return tuple(perm)
 
@@ -931,31 +978,28 @@ def power_automorphisms(auts):
 def subgroup_orbits(group, subgroups):
     """Partition a subgroup list by the Aut(G) action; each orbit is sorted
     and led by its lexicographically minimal member."""
-    gens = aut_generators(group)
-    input_keys = {H.elements: H for H in subgroups}
-    remaining = dict(input_keys)
+    perms = [psi.perm for psi in aut_generators(group)]
+    index = group.index_of
+    input_keys = {frozenset(map(index, H.elements)): H for H in subgroups}
+    remaining = set(input_keys)
     orbits = []
-    for H in sorted(input_keys.values(), key=lambda s: s.elements):
-        if H.elements not in remaining:
+    for key in input_keys:
+        if key not in remaining:
             continue
-        closure = {H.elements: H}
-        frontier = [H]
+        closure = {key}
+        frontier = [key]
         while frontier:
             nxt = []
             for K in frontier:
-                for psi in gens:
-                    L = psi.apply_subgroup(K)
-                    if L.elements not in closure:
-                        closure[L.elements] = L
+                for perm in perms:
+                    L = frozenset([perm[i] for i in K])
+                    if L not in closure:
+                        closure.add(L)
                         nxt.append(L)
             frontier = nxt
-        members = sorted(
-            (S for key, S in closure.items() if key in input_keys),
-            key=lambda s: s.elements,
-        )
-        for S in members:
-            remaining.pop(S.elements, None)
-        orbits.append(members)
+        found = closure & remaining
+        remaining -= found
+        orbits.append(sorted((input_keys[k] for k in found), key=lambda s: s.elements))
     orbits.sort(key=lambda orbit: orbit[0].elements)
     return orbits
 

@@ -10,7 +10,6 @@ the class structure is known exactly.
 from __future__ import annotations
 
 from collections import Counter
-from math import gcd
 
 from .abelian_group import (
     Subgroup,
@@ -19,7 +18,6 @@ from .abelian_group import (
 )
 from .errors import (
     AlgebraMismatch,
-    CharDividesOrder,
     DimensionTooLarge,
     DomainError,
     HypothesisFails,
@@ -28,6 +26,7 @@ from .finite_field import divisor_count, euler_phi, factorize, mul_order
 from .group_algebra import (
     AlgebraElement,
     PrimitiveIdempotent,
+    _check_char,
     cocyclic_idempotent,
     get_algebra,
     hat,
@@ -106,7 +105,9 @@ def _element_from_mask(algebra, mask, width):
     return AlgebraElement(algebra, coeffs)
 
 
-def _row_reduce_gf2(rows):
+def _row_reduce_gf2(rows, rank=None):
+    """Reduced row-echelon form of bitmask rows; `rank` as in
+    row_reduce_raw."""
     basis = []
     pivots = []
     for r in rows:
@@ -121,23 +122,37 @@ def _row_reduce_gf2(rows):
                 basis[k] ^= r
         basis.append(r)
         pivots.append(pc)
+        if len(basis) == rank:
+            break
+    if rank is not None and len(basis) < rank:
+        raise AssertionError("rows span %d dimensions, expected %d" % (len(basis), rank))
     order = sorted(range(len(basis)), key=lambda i: pivots[i])
     return [basis[i] for i in order]
 
 
 def minimal_code(algebra, e):
-    """Row-reduce the |G| translates of the generating idempotent."""
-    ide = e if isinstance(e, PrimitiveIdempotent) else PrimitiveIdempotent(e, (), None)
-    element = ide.element
+    """Row-reduce translates of the generating idempotent.
+
+    For a primitive idempotent the reduction stops at the code's dimension,
+    the size of its character orbit, mul_order(q, o(orbit_rep)); the RREF
+    of a row space is unique, so the basis is the one all |G| translates
+    give.  A bare element is reduced over all |G| translates."""
     group = algebra.group
+    if isinstance(e, PrimitiveIdempotent):
+        ide = e
+        rank = mul_order(algebra.ctx.order, group.element_order(e.orbit_rep))
+    else:
+        ide = PrimitiveIdempotent(e, (), None)
+        rank = None
+    translates = (ide.element.translated(g) for g in group.elements)
     if _is_gf2(algebra.ctx):
-        rows = [_mask_of(element.translated(g)) for g in group.elements]
-        basis_masks = _row_reduce_gf2(rows)
+        basis_masks = _row_reduce_gf2(map(_mask_of, translates), rank)
         basis = [_element_from_mask(algebra, m, group.order) for m in basis_masks]
     else:
-        rows = [element.translated(g).coeffs for g in group.elements]
+        rows = (t.coeffs for t in translates)
         basis = [
-            AlgebraElement(algebra, r) for r in row_reduce_raw(rows, algebra.ctx)
+            AlgebraElement(algebra, r)
+            for r in row_reduce_raw(rows, algebra.ctx, rank)
         ]
     return MinimalCode(algebra, ide, basis)
 
@@ -442,11 +457,7 @@ def tau_sweep(groups, ctx):
     """
     rows = []
     for group in groups:
-        if gcd(ctx.order, group.order) != 1:
-            raise CharDividesOrder(
-                "field characteristic divides the group order",
-                group=group.spec_string(),
-            )
+        _check_char(group, ctx)
         members = cocyclic_subgroups(group) + [Subgroup.whole(group)]
         orbits = subgroup_orbits(group, members)
         tau = divisor_count(group.exponent)

@@ -430,19 +430,19 @@ def idempotent_group(e):
 # shared linear algebra over the coefficient field
 # ---------------------------------------------------------------------------
 
-def row_reduce_raw(rows, ctx):
-    """Reduced row-echelon form of a list of raw-coefficient vectors.
+def row_reduce_raw(rows, ctx, rank=None):
+    """Reduced row-echelon form of an iterable of raw-coefficient vectors.
 
     Pivot columns are chosen left to right in group enumeration order, so
-    the resulting basis is deterministic.  Zero rows are dropped.
+    the resulting basis is deterministic.  Zero rows are dropped.  With a
+    known `rank`, rows are read only until the basis reaches it (the RREF
+    of a row space is unique); running out first raises AssertionError.
     """
-    rows = [list(r) for r in rows]
-    if not rows:
-        return []
-    width = len(rows[0])
     basis = []
     pivots = []
     for row in rows:
+        row = list(row)
+        width = len(row)
         for pcol, pivot_row in zip(pivots, basis):
             c = row[pcol]
             if c != ctx.zero:
@@ -465,5 +465,9 @@ def row_reduce_raw(rows, ctx):
                 ]
         basis.append(row)
         pivots.append(pcol)
+        if len(basis) == rank:
+            break
+    if rank is not None and len(basis) < rank:
+        raise AssertionError("rows span %d dimensions, expected %d" % (len(basis), rank))
     order = sorted(range(len(basis)), key=lambda i: pivots[i])
     return [tuple(basis[i]) for i in order]

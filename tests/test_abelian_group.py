@@ -14,6 +14,7 @@ from abelian_codes import (
     abelian_groups_of_order,
     all_subgroups,
     annihilator,
+    aut_generators,
     automorphisms,
     brute_force_automorphisms,
     characters,
@@ -29,6 +30,7 @@ from abelian_codes import (
     subgroup_product,
     sylow_decompose,
 )
+from abelian_codes.abelian_group import _induced_perm
 
 
 def gen(G, *gens):
@@ -419,3 +421,121 @@ def test_abelian_groups_of_order():
         == [(3, 3, 3), (3, 9), (27,)]
     assert len(abelian_groups_of_order(16)) == 5
     assert [g.divisors for g in abelian_groups_of_order(45)] == [(3, 15), (45,)]
+
+
+# ---------------------------------------------------------------------------
+# index paths against the tuple routines they replaced
+# ---------------------------------------------------------------------------
+
+GROUPS_TO_64 = [G for n in range(1, 65) for G in abelian_groups_of_order(n)]
+
+
+def _cyclic_by_adding(G, g):
+    """Elements of <g> by repeated tuple addition."""
+    out = {G.zero}
+    x = g
+    while x != G.zero:
+        out.add(x)
+        x = G.add(x, g)
+    return tuple(sorted(out))
+
+
+def _annihilator_by_scan(G, H):
+    """Exponent tuples k with sum_i k_i (n/d_i) h_i = 0 mod n on H's generators."""
+    n = G.exponent
+    weights = [n // d for d in G.divisors]
+    return tuple(
+        k for k in G.elements
+        if all(sum(ki * w * hi for ki, w, hi in zip(k, weights, h)) % n == 0
+               for h in H.generators)
+    )
+
+
+def _induced_perm_by_element(G, images):
+    """Image of every element as sum_i e_i * images[i], one tuple at a time."""
+    perm = []
+    for e in G.elements:
+        img = [0] * G.rank
+        for coeff, gen_img in zip(e, images):
+            for j in range(G.rank):
+                img[j] = (img[j] + coeff * gen_img[j]) % G.divisors[j]
+        perm.append(G.index_of(tuple(img)))
+    return tuple(perm) if len(set(perm)) == G.order else None
+
+
+def _aut_count(G):
+    """|Aut(G)| from the invariant factors (Hillar and Rhea, 2007): per
+    Sylow component with exponents e_1 <= ... <= e_n, with d_k / c_k the
+    last / first position holding e_k, the product over k of
+    (p^d_k - p^(k-1)) * p^(e_k (n - d_k)) * p^((e_k - 1)(n - c_k + 1))."""
+    out = 1
+    dec = sylow_decompose(G)
+    for p in dec.primes:
+        es = []
+        for d in dec.components[p].divisors:
+            e = 0
+            while d % p == 0:
+                d //= p
+                e += 1
+            es.append(e)
+        n = len(es)
+        for k, ek in enumerate(es, 1):
+            d = max(i for i, e in enumerate(es, 1) if e == ek)
+            c = min(i for i, e in enumerate(es, 1) if e == ek)
+            out *= (p ** d - p ** (k - 1)) * p ** (ek * (n - d)) \
+                * p ** ((ek - 1) * (n - c + 1))
+    return out
+
+
+def _orbit_keys(orbits):
+    return {frozenset(H.elements for H in orbit) for orbit in orbits}
+
+
+def test_cyclic_subgroups_match_closure_by_adding():
+    for G in GROUPS_TO_64:
+        found = cyclic_subgroups(G)
+        keys = [C.elements for C in found]
+        assert keys == sorted(set(keys)), G.divisors
+        assert set(keys) == {_cyclic_by_adding(G, g) for g in G.elements}, G.divisors
+        for C in found:
+            assert C.generators == Subgroup(G, C.elements).generators
+        assert [C.elements for C in cyclic_subgroups(G, nontrivial_only=True)] \
+            == [k for k in keys if len(k) > 1]
+
+
+def test_annihilator_matches_tuple_scan():
+    for G in GROUPS_TO_64:
+        for H in all_subgroups(G):
+            assert annihilator(G, H).elements == _annihilator_by_scan(G, H), (
+                G.divisors, H.generators)
+
+
+def test_induced_perm_matches_per_element_formula():
+    for G in GROUPS_TO_64:
+        for psi in aut_generators(G):
+            assert psi.perm == _induced_perm_by_element(G, psi.images)
+        zero = [G.zero] * G.rank
+        assert _induced_perm(G, zero) == _induced_perm_by_element(G, zero)
+
+
+def test_cocyclic_orbits_match_full_automorphism_group():
+    # |Aut| of the skipped groups (2^4, 2^5, 2^6, 2^3 x 4, 2^3 x 6, 2^3 x 8,
+    # 2^2 x 4^2, 4^3, 2^4 x 4) is 20,160 or more: too many to enumerate here
+    checked = 0
+    for G in GROUPS_TO_64:
+        if _aut_count(G) > 12000:
+            continue
+        auts = automorphisms(G)
+        assert len(auts) == _aut_count(G), G.divisors
+        family = cocyclic_subgroups(G) + [Subgroup.whole(G)]
+        slow = []
+        left = {H.elements: H for H in family}
+        while left:
+            H = left[min(left)]
+            orbit = {psi.apply_subgroup(H).elements for psi in auts}
+            slow.append(frozenset(orbit))
+            for key in orbit:
+                left.pop(key, None)
+        assert _orbit_keys(subgroup_orbits(G, family)) == set(slow), G.divisors
+        checked += 1
+    assert checked == len(GROUPS_TO_64) - 9

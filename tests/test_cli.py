@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -63,6 +64,15 @@ def test_domain_error_record_and_exit_code(capsys):
     assert record["error_code"] == "CharDividesOrder"
     assert record["message"]
     assert isinstance(record["context"], dict)
+
+
+def test_sweep_output_digest(capsys):
+    # sha256 of the stdout before the sweep moved to element indices
+    status, out = capture(
+        capsys, ["sweep", "--field", "2", "--max-order", "243", "--format", "json"])
+    assert status == 0
+    assert hashlib.sha256(out.encode()).hexdigest() \
+        == "7b52fca8f7243e5d47ba415a36912ef70f01cc4c6a8aaef554e6d3457f420940"
 
 
 def test_usage_error_exit_code(capsys):

@@ -7,6 +7,7 @@ from weight_oracle import oracle_histogram
 from abelian_codes import (
     AlgebraElement,
     AlgebraMismatch,
+    CharDividesOrder,
     DimensionTooLarge,
     HypothesisFails,
     Subgroup,
@@ -22,11 +23,13 @@ from abelian_codes import (
     min_weight_or_bound,
     minimal_code,
     primitive_idempotents,
+    sylow_decompose,
     tau_sweep,
     verify_tables,
     weight_distribution,
 )
 from abelian_codes.errors import DomainError
+from abelian_codes.group_algebra import row_reduce_raw
 
 F2 = field_make(2)
 
@@ -217,6 +220,32 @@ def test_macwilliams_identity_with_dual_ideal(case, pick):
     assert [q ** code.dimension * w_dual.get(w, 0) for w in range(n + 1)] == expected
 
 
+@pytest.mark.parametrize("p,m", [(2, 1), (3, 1), (2, 2), (2, 3), (3, 2)])
+def test_early_stopped_basis_matches_full_reduction(p, m):
+    ctx = field_make(p, m)
+    for n in range(1, 26):
+        if gcd(n, ctx.order) != 1:
+            continue
+        for G in abelian_groups_of_order(n):
+            algebra = get_algebra(G, ctx)
+            for ide in primitive_idempotents(G, ctx):
+                full = row_reduce_raw(
+                    [ide.element.translated(g).coeffs for g in G.elements], ctx)
+                code = minimal_code(algebra, ide)
+                assert [b.coeffs for b in code.basis] == full, (
+                    G.divisors, ctx, ide.orbit_rep)
+                bare = minimal_code(algebra, ide.element)
+                assert [b.coeffs for b in bare.basis] == full
+
+
+def test_early_stop_rejects_rank_above_span():
+    ctx = field_make(3)
+    rows = [(1, 0, 0), (2, 0, 0), (0, 1, 0)]
+    assert row_reduce_raw(rows, ctx, 2) == [(1, 0, 0), (0, 1, 0)]
+    with pytest.raises(AssertionError):
+        row_reduce_raw(rows, ctx, 3)
+
+
 def test_dimension_cap_raises():
     G = group_make([27, 3])
     by_sub = codes_by_subgroup(G, F2)
@@ -357,6 +386,29 @@ def test_tau_sweep_agrees_with_full_classification():
         report = classify(G, F2)
         assert row["class_count"] == report.class_count
         assert row["match"] == report.matches_tau
+
+
+def test_tau_sweep_class_count_multiplies_over_sylow_components():
+    groups = [G for n in range(1, 244, 2) for G in abelian_groups_of_order(n)]
+    rows = tau_sweep(groups, F2)
+    assert len(rows) == 158
+    for G, row in zip(groups, rows):
+        dec = sylow_decompose(G)
+        parts = tau_sweep([dec.components[p] for p in dec.primes], F2)
+        product = 1
+        for part in parts:
+            product *= part["class_count"]
+        assert row["class_count"] == product, G.divisors
+
+
+def test_tau_sweep_char_error_record_matches_classify():
+    G = group_make([4, 2])
+    with pytest.raises(CharDividesOrder) as swept:
+        tau_sweep([group_make([3]), G], F2)
+    with pytest.raises(CharDividesOrder) as classified:
+        classify(G, F2)
+    assert set(swept.value.record()["context"]) == {"characteristic", "group_order"}
+    assert swept.value.record() == classified.value.record()
 
 
 def test_tau_sweep_sylow_homocyclic_exception():
