@@ -1,16 +1,17 @@
 """Finite abelian groups in invariant-factor form.
 
-Elements are exponent tuples; subgroups are canonical sorted element sets.
+Elements are exponent tuples at the API.  The element index of an exponent
+tuple is its mixed-radix position (last coordinate fastest), so index order
+is lexicographic order on exponent tuples.  A subgroup's canonical form is
+its ascending tuple of element indices; equality, hashing and ordering use
+it, and its exponent tuples are a derived view.
+
 The module provides the subgroup lattice, co-cyclic subgroups, index-p
 covers, character duality, and the automorphism group with its action on
-subgroups.  Everything is deterministic: canonical order is lexicographic
-on exponent tuples.
-
-The element index of an exponent tuple is its mixed-radix position (last
-coordinate fastest), so index order is the canonical order.  Cyclic
-subgroups, annihilators, induced permutations and subgroup orbits are
-computed on indices; a linear map is evaluated on all |G| indices by
-accumulating one axis at a time.
+subgroups, all computed on indices.  A translation x -> g + x or a linear
+map is evaluated on all |G| indices by accumulating one axis at a time;
+the subgroup generated by a subgroup S and an element g is the union of
+the cosets S, S + g, S + 2g, ...  Everything is deterministic.
 """
 
 from __future__ import annotations
@@ -28,7 +29,9 @@ from .errors import (
 )
 from .finite_field import FieldScalar, element_of_order, euler_phi, factorize, mul_order
 
-_ADD_TABLE_MAX_ORDER = 2048
+# |Aut(G)| above this is refused before the closure starts: it builds one
+# |G|-entry permutation per automorphism, about 3 s at 20,000 for |G| <= 64
+_AUT_ORDER_BOUND = 20000
 
 
 class AbelianGroup:
@@ -37,7 +40,7 @@ class AbelianGroup:
     divisor lists into this form."""
 
     __slots__ = ("divisors", "order", "exponent", "rank", "zero",
-                 "_elements", "_index", "_add_table")
+                 "_elements", "_index")
 
     def __init__(self, divisors):
         divisors = tuple(divisors)
@@ -51,7 +54,6 @@ class AbelianGroup:
         self.zero = (0,) * self.rank
         self._elements = None
         self._index = None
-        self._add_table = None
 
     # -- element bookkeeping --------------------------------------------
 
@@ -78,18 +80,6 @@ class AbelianGroup:
 
     def element_order(self, a):
         return lcm(*(d // gcd(x, d) for x, d in zip(a, self.divisors))) if self.rank else 1
-
-    def add_table(self):
-        """Index-level addition table; cached for small groups."""
-        if self._add_table is None:
-            if self.order > _ADD_TABLE_MAX_ORDER:
-                return None
-            elems = self.elements
-            idx = {e: i for i, e in enumerate(elems)}
-            self._add_table = tuple(
-                tuple(idx[self.add(a, b)] for b in elems) for a in elems
-            )
-        return self._add_table
 
     def element(self, exps):
         return GroupElement(self, tuple(x % d for x, d in zip(exps, self.divisors)))
@@ -206,76 +196,112 @@ def _cycle(group, g):
     return [sum(t) for t in zip(*cols)] if cols else [0]
 
 
-def _cyclic_part(group, g):
-    elems = group.elements
-    return [elems[i] for i in _cycle(group, g)]
+def _orders(group):
+    """Order of every element, in index order."""
+    vals = [1]
+    for d in group.divisors:
+        col = [d // gcd(x, d) for x in range(d)]
+        vals = [lcm(v, c) for v in vals for c in col]
+    return vals
 
 
-def _closure(group, gens):
-    current = {group.zero}
-    for g in gens:
-        cyc = _cyclic_part(group, g)
-        current = {group.add(a, c) for a in current for c in cyc}
-    return current
+def _translation(group, g):
+    """Index of g + x for every element x, in index order."""
+    vals = [0]
+    for x, d, s in zip(g, group.divisors, _strides(group)):
+        col = [(x + k) % d * s for k in range(d)]
+        vals = [v + c for v in vals for c in col]
+    return vals
+
+
+def _join(group, S, g):
+    """Index set of the subgroup generated by the subgroup S (an index set)
+    and the element g: the cosets S, S + g, S + 2g, ... up to the first
+    that returns into S."""
+    t = _translation(group, g)
+    out = set(S)
+    coset = list(out)
+    while True:
+        coset = [t[i] for i in coset]
+        if coset[0] in out:
+            return out
+        out.update(coset)
 
 
 class Subgroup:
-    """A subgroup of a fixed group; equality and ordering use the sorted
-    element tuple (the canonical form)."""
+    """A subgroup of a fixed group; equality and ordering use the ascending
+    tuple of element indices (the canonical form), which orders subgroups
+    exactly as their sorted exponent tuples would."""
 
-    __slots__ = ("group", "elements", "_set", "_generators", "_mask")
+    __slots__ = ("group", "indices", "_set", "_generators", "_mask")
 
     def __init__(self, group, elements, _trusted=False):
-        elems = sorted(set(elements))
+        try:
+            members = frozenset(group.index_of(tuple(e)) for e in elements)
+        except KeyError as exc:
+            raise NotASubgroup("not an element of the group", element=exc.args[0]) from None
+        indices = tuple(sorted(members))
         if not _trusted:
-            es = set(elems)
-            if group.zero not in es:
+            elems = group.elements
+            if 0 not in members:
                 raise NotASubgroup("missing identity")
-            for a in elems:
-                if group.neg(a) not in es:
-                    raise NotASubgroup("not closed under inverses", element=a)
-            for a in elems:
-                for b in elems:
-                    if group.add(a, b) not in es:
-                        raise NotASubgroup("not closed under addition", pair=(a, b))
+            for i in indices:
+                if group.index_of(group.neg(elems[i])) not in members:
+                    raise NotASubgroup("not closed under inverses", element=elems[i])
+            for i in indices:
+                t = _translation(group, elems[i])
+                for j in indices:
+                    if t[j] not in members:
+                        raise NotASubgroup(
+                            "not closed under addition", pair=(elems[i], elems[j]))
         self.group = group
-        self.elements = tuple(elems)
-        self._set = frozenset(elems)
+        self.indices = indices
+        self._set = members
         self._generators = None
         self._mask = None
 
     @classmethod
     def generated(cls, group, gens):
-        exps = [g.exps if isinstance(g, GroupElement) else tuple(g) for g in gens]
-        return cls(group, _closure(group, exps), _trusted=True)
+        span = {0}
+        for g in gens:
+            span = _join(group, span, g.exps if isinstance(g, GroupElement) else tuple(g))
+        return cls._from_indices(group, sorted(span))
 
     @classmethod
     def _from_indices(cls, group, indices, generators=None):
         """Trusted subgroup from its element indices in ascending order."""
         obj = object.__new__(cls)
-        elems = group.elements
         obj.group = group
-        obj.elements = tuple([elems[i] for i in indices])
-        obj._set = frozenset(obj.elements)
+        obj.indices = tuple(indices)
+        obj._set = frozenset(obj.indices)
         obj._generators = generators
         obj._mask = None
         return obj
 
     @classmethod
     def trivial(cls, group):
-        return cls(group, [group.zero], _trusted=True)
+        return cls._from_indices(group, (0,))
 
     @classmethod
     def whole(cls, group):
-        return cls(group, group.elements, _trusted=True)
+        return cls._from_indices(group, range(group.order))
+
+    @property
+    def elements(self):
+        """Exponent tuples of the members, in canonical order."""
+        elems = self.group.elements
+        return tuple([elems[i] for i in self.indices])
 
     @property
     def order(self):
-        return len(self.elements)
+        return len(self.indices)
 
     def __contains__(self, item):
         exps = item.exps if isinstance(item, GroupElement) else tuple(item)
-        return exps in self._set
+        try:
+            return self.group.index_of(exps) in self._set
+        except KeyError:
+            return False
 
     def contains_subgroup(self, other):
         return other._set <= self._set
@@ -284,10 +310,9 @@ class Subgroup:
     def mask(self):
         """Bitmask over canonical element indices; handy for subset tests."""
         if self._mask is None:
-            g = self.group
             m = 0
-            for e in self.elements:
-                m |= 1 << g.index_of(e)
+            for i in self.indices:
+                m |= 1 << i
             self._mask = m
         return self._mask
 
@@ -297,51 +322,47 @@ class Subgroup:
         first element of maximal order outside the current span."""
         if self._generators is None:
             group = self.group
-            span = {group.zero}
+            elems = group.elements
+            orders = _orders(group)
+            span = {0}
             gens = []
-            while len(span) < len(self.elements):
+            while len(span) < len(self.indices):
                 best = None
                 best_order = 0
-                for e in self.elements:
-                    if e in span:
-                        continue
-                    o = group.element_order(e)
-                    if o > best_order:
-                        best, best_order = e, o
+                for i in self.indices:
+                    if i not in span and orders[i] > best_order:
+                        best, best_order = elems[i], orders[i]
                 gens.append(best)
-                cyc = _cyclic_part(group, best)
-                span = {group.add(a, c) for a in span for c in cyc}
+                span = _join(group, span, best)
             self._generators = tuple(gens)
         return self._generators
 
     def extended(self, g):
         """Subgroup generated by this one together with one extra element."""
-        cyc = _cyclic_part(self.group, g)
-        elems = {self.group.add(a, c) for a in self._set for c in cyc}
-        return Subgroup(self.group, elems, _trusted=True)
+        return Subgroup._from_indices(self.group, sorted(_join(self.group, self._set, g)))
 
     def sylow_part(self, p):
         """Elements of p-power order (the p-Sylow subgroup of this subgroup)."""
-        group = self.group
-        elems = [e for e in self.elements if _is_p_power(group.element_order(e), p)]
-        return Subgroup(group, elems, _trusted=True)
+        orders = _orders(self.group)
+        return Subgroup._from_indices(
+            self.group, [i for i in self.indices if _is_p_power(orders[i], p)])
 
     def invariant_factors(self):
         """Abstract isomorphism type of the subgroup itself."""
-        return _peel_invariant_factors(self.group, self.elements, {self.group.zero})
+        return _peel_invariant_factors(self.group, self.indices, {0})
 
     def __eq__(self, other):
         return (
             isinstance(other, Subgroup)
             and self.group == other.group
-            and self.elements == other.elements
+            and self.indices == other.indices
         )
 
     def __hash__(self):
-        return hash((self.group.divisors, self.elements))
+        return hash((self.group.divisors, self.indices))
 
     def __lt__(self, other):
-        return self.elements < other.elements
+        return self.indices < other.indices
 
     def __repr__(self):
         gens = ",".join(repr(list(g)) for g in self.generators)
@@ -358,8 +379,10 @@ def subgroup_product(a, b):
     """The join HK of two subgroups of the same group."""
     if a.group != b.group:
         raise NotASubgroup("subgroups of different groups")
-    elems = {a.group.add(x, y) for x in a._set for y in b._set}
-    return Subgroup(a.group, elems, _trusted=True)
+    span = a._set
+    for g in b.generators:
+        span = _join(a.group, span, g)
+    return Subgroup._from_indices(a.group, sorted(span))
 
 
 # ---------------------------------------------------------------------------
@@ -437,28 +460,16 @@ class SylowDecomposition:
         return out
 
     def merge_subgroup(self, parts):
-        zero = self.group.zero
-        current = {zero}
+        span = {0}
         for p in self.primes:
-            embedded = []
-            for e in parts[p].elements:
-                full = self.merge_element({p: e} | {
-                    pp: self.components[pp].identity for pp in self.primes if pp != p
-                })
-                embedded.append(full.exps)
-            current = {self.group.add(a, b) for a in current for b in embedded}
-        return Subgroup(self.group, current, _trusted=True)
+            others = {pp: self.components[pp].identity for pp in self.primes if pp != p}
+            for g in parts[p].generators:
+                span = _join(self.group, span, self.merge_element({p: g} | others).exps)
+        return Subgroup._from_indices(self.group, sorted(span))
 
     def embed_component(self, p):
         """The Sylow p-subgroup of G itself (as a Subgroup of G)."""
-        comp = self.components[p]
-        elems = []
-        for e in comp.elements:
-            exps = [0] * self.group.rank
-            for i, m, x in zip(self._coords[p], self._mults[p], e):
-                exps[i] = x * m % self.group.divisors[i]
-            elems.append(tuple(exps))
-        return Subgroup(self.group, elems, _trusted=True)
+        return Subgroup.whole(self.group).sylow_part(p)
 
 
 def sylow_decompose(group):
@@ -471,58 +482,26 @@ def sylow_decompose(group):
 
 def _p_group_subgroups(group):
     """All subgroups of a p-group (or the trivial group), breadth-first by
-    index-p extensions <H, g> with p*g in H.
+    index-p covers <H, g> with p*g in H.
 
     Every subgroup is reachable this way: for H < K, any x in K outside H
-    yields g = p^(t-1) * x with p*g in H.  Working with integer index sets
-    keeps the inner loop cheap.
+    yields g = p^(t-1) * x with p*g in H.
     """
     if group.order == 1:
         return [Subgroup.trivial(group)]
     p = min(factorize(group.order))
-    elems = group.elements
-    order = group.order
-    zero_i = group.index_of(group.zero)
-    pmul = [group.index_of(group.scale(p, e)) for e in elems]
-    table = group.add_table()
-    if table is not None:
-        def row_for(gi):
-            return table[gi]
-    else:
-        cache = {}
-
-        def row_for(gi):
-            row = cache.get(gi)
-            if row is None:
-                g = elems[gi]
-                row = tuple(group.index_of(group.add(g, e)) for e in elems)
-                cache[gi] = row
-            return row
-
-    trivial = frozenset([zero_i])
-    seen = {trivial}
-    frontier = [trivial]
+    everything = range(group.order)
+    frontier = [Subgroup.trivial(group)]
+    seen = set(frontier)
     while frontier:
         nxt = []
         for H in frontier:
-            for gi in range(order):
-                if gi in H or pmul[gi] not in H:
-                    continue
-                row = row_for(gi)
-                K = set(H)
-                coset = H
-                for _ in range(p - 1):
-                    coset = {row[i] for i in coset}
-                    K |= coset
-                K = frozenset(K)
+            for K in _index_p_cover_within(group, everything, H, p):
                 if K not in seen:
                     seen.add(K)
                     nxt.append(K)
         frontier = nxt
-    out = [
-        Subgroup(group, [elems[i] for i in s], _trusted=True) for s in seen
-    ]
-    return sorted(out, key=lambda s: s.elements)
+    return sorted(seen)
 
 
 def all_subgroups(group, max_order=4096):
@@ -542,31 +521,30 @@ def all_subgroups(group, max_order=4096):
     for combo in itertools.product(*per_prime):
         parts = {p: S for p, S in combo}
         out.append(dec.merge_subgroup(parts))
-    return sorted(out, key=lambda s: s.elements)
+    return sorted(out)
 
 
 def _peel_invariant_factors(group, universe, start):
-    """Invariant factors of U/S, where U (iterable of exps) is a subgroup of
-    `group` and S <= U.  Repeatedly peels the canonical-first coset of
-    maximal order."""
-    universe = list(universe)
+    """Invariant factors of U/S, where U (ascending indices) is a subgroup
+    of `group` and S <= U (an index set).  Repeatedly peels the
+    canonical-first coset of maximal order.  The order of g mod S is the
+    least k with k*g in S, a divisor of o(g)."""
+    elems = group.elements
+    orders = _orders(group)
     S = set(start)
     out = []
     while len(S) < len(universe):
         best = None
         best_order = 0
-        for g in universe:
-            if g in S:
+        for i in universe:
+            o = orders[i]
+            if i in S or o <= best_order:
                 continue
-            k = 1
-            x = g
-            while x not in S:
-                x = group.add(x, g)
-                k += 1
+            k = next(k for k in range(2, o + 1)
+                     if o % k == 0 and group.index_of(group.scale(k, elems[i])) in S)
             if k > best_order:
-                best, best_order = g, k
-        cyc = _cyclic_part(group, best)
-        S = {group.add(a, c) for a in S for c in cyc}
+                best, best_order = elems[i], k
+        S = _join(group, S, best)
         out.append(best_order)
     out.reverse()
     return tuple(out)
@@ -576,7 +554,7 @@ def quotient_type(group, H):
     """Invariant factors of G/H (empty tuple when H = G)."""
     if not isinstance(H, Subgroup) or H.group != group:
         raise NotASubgroup("H is not a subgroup of G")
-    return _peel_invariant_factors(group, group.elements, H._set)
+    return _peel_invariant_factors(group, range(group.order), H._set)
 
 
 def _linear_values(group, coeffs, n):
@@ -609,7 +587,7 @@ def cyclic_subgroups(group, nontrivial_only=False):
         if o > 1 or not nontrivial_only:
             gens = (g,) if o > 1 else ()
             out.append(Subgroup._from_indices(group, sorted(cyc), gens))
-    out.sort(key=lambda s: s.elements)
+    out.sort()
     return out
 
 
@@ -622,20 +600,25 @@ def cocyclic_subgroups(group):
     out = {}
     for C in cyclic_subgroups(group, nontrivial_only=True):
         H = annihilator(group, C)
-        out.setdefault(H.elements, H)
-    return sorted(out.values(), key=lambda s: s.elements)
+        out.setdefault(H.indices, H)
+    return sorted(out.values())
 
 
-def _index_p_cover_within(group, container_set, H, p):
-    """Distinct overgroups L of H inside the given container with [L:H] = p."""
-    covers = {}
-    for g in container_set:
-        if g in H._set:
+def _index_p_cover_within(group, container, H, p):
+    """Distinct overgroups L = <H, g> with [L:H] = p, over the g outside H
+    with p*g in H in the container (ascending indices).  Every g in L
+    outside H gives the same L, so the members of a cover found are not
+    tried again."""
+    elems = group.elements
+    covers = []
+    tried = set(H._set)
+    for i in container:
+        if i in tried or group.scale(p, elems[i]) not in H:
             continue
-        if group.scale(p, g) in H._set:
-            L = H.extended(g)
-            covers.setdefault(L.elements, L)
-    return sorted(covers.values(), key=lambda s: s.elements)
+        L = H.extended(elems[i])
+        tried |= L._set
+        covers.append(L)
+    return sorted(covers)
 
 
 def sharp(group, H, max_order=4096):
@@ -649,7 +632,7 @@ def sharp(group, H, max_order=4096):
     p = primes[0]
     if H.order == group.order:
         raise HIsWholeGroup("H must be a proper subgroup")
-    covers = _index_p_cover_within(group, group.elements, H, p)
+    covers = _index_p_cover_within(group, range(group.order), H, p)
     if len(covers) != 1:
         raise NotCocyclic(
             "index-p cover is not unique", count=len(covers),
@@ -786,12 +769,8 @@ class Automorphism:
         return GroupElement(self.group, self.apply_exps(g.exps))
 
     def apply_subgroup(self, H):
-        elems = self.group.elements
         perm = self.perm
-        idx = self.group.index_of
-        return Subgroup(
-            self.group, [elems[perm[idx(e)]] for e in H.elements], _trusted=True
-        )
+        return Subgroup._from_indices(self.group, sorted([perm[i] for i in H.indices]))
 
     def compose(self, other):
         """self after other."""
@@ -927,6 +906,23 @@ def aut_generators(group):
     return gens
 
 
+def aut_order(group):
+    """|Aut(G)| from the invariant factors (Hillar and Rhea, 2007): per
+    prime p with exponents e_1 <= ... <= e_n of the p-parts, with d_k / c_k
+    the last / first position holding e_k, the product over k of
+    (p^d_k - p^(k-1)) * p^(e_k (n - d_k)) * p^((e_k - 1)(n - c_k + 1))."""
+    out = 1
+    for p in factorize(group.order):
+        es = [e for e in (factorize(d).get(p, 0) for d in group.divisors) if e]
+        n = len(es)
+        for k, ek in enumerate(es, 1):
+            d = max(i for i, e in enumerate(es, 1) if e == ek)
+            c = min(i for i, e in enumerate(es, 1) if e == ek)
+            out *= (p ** d - p ** (k - 1)) * p ** (ek * (n - d)) \
+                * p ** ((ek - 1) * (n - c + 1))
+    return out
+
+
 def automorphisms(group, max_order=512):
     """Complete Aut(G), as the multiplicative closure of aut_generators.
 
@@ -935,6 +931,11 @@ def automorphisms(group, max_order=512):
     if group.order > max_order:
         raise GroupTooLarge(
             "automorphism enumeration bounded", order=group.order, bound=max_order
+        )
+    count = aut_order(group)
+    if count > _AUT_ORDER_BOUND:
+        raise GroupTooLarge(
+            "automorphism enumeration bounded", aut_order=count, bound=_AUT_ORDER_BOUND
         )
     gens = aut_generators(group)
     ident = Automorphism.identity(group)
@@ -979,8 +980,7 @@ def subgroup_orbits(group, subgroups):
     """Partition a subgroup list by the Aut(G) action; each orbit is sorted
     and led by its lexicographically minimal member."""
     perms = [psi.perm for psi in aut_generators(group)]
-    index = group.index_of
-    input_keys = {frozenset(map(index, H.elements)): H for H in subgroups}
+    input_keys = {H._set: H for H in subgroups}
     remaining = set(input_keys)
     orbits = []
     for key in input_keys:
@@ -999,8 +999,8 @@ def subgroup_orbits(group, subgroups):
             frontier = nxt
         found = closure & remaining
         remaining -= found
-        orbits.append(sorted((input_keys[k] for k in found), key=lambda s: s.elements))
-    orbits.sort(key=lambda orbit: orbit[0].elements)
+        orbits.append(sorted(input_keys[k] for k in found))
+    orbits.sort(key=lambda orbit: orbit[0].indices)
     return orbits
 
 

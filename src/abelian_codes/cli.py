@@ -193,14 +193,14 @@ def _render_idempotents(data, fmt):
 
 
 def _subgroups_dict(group, ctx):
-    cocyclic = {H.elements for H in cocyclic_subgroups(group)}
+    cocyclic = set(cocyclic_subgroups(group))
     entries = []
     for H in all_subgroups(group):
         entries.append({
             "generators": [list(g) for g in H.generators],
             "order": H.order,
             "quotient": list(quotient_type(group, H)),
-            "cocyclic": H.elements in cocyclic,
+            "cocyclic": H in cocyclic,
         })
     return {
         "group": group.spec_string(),

@@ -184,20 +184,57 @@ def _packed_adder(p, s, slots):
     return add
 
 
+def _packing(ctx, n):
+    """How a vector of n raw coefficients is held in one int: m base-p
+    digits per coordinate (``ctx.coeffs``), one slot of (p-1).bit_length()
+    bits per digit.  Returns (pack, add, weights): pack maps a vector to
+    its int, add is the slot-wise sum mod p, and weights maps an iterable
+    of packed ints to their numbers of coordinates with a nonzero digit,
+    counted in C."""
+    p, m = ctx.p, ctx.m
+    s = (p - 1).bit_length()
+    width = m * s  # bits per coordinate
+    zero, coeffs = ctx.zero, ctx.coeffs
+
+    def pack(vector):
+        out = 0
+        for k, c in enumerate(vector):
+            if c != zero:
+                for d, digit in enumerate(coeffs(c), k * m):
+                    out |= digit << (d * s)
+        return out
+
+    starts = sum(1 << (k * width) for k in range(n))  # lowest bit per coordinate
+    if width == 1:
+        def weights(xs):
+            return map(int.bit_count, xs)
+    else:
+        # a coordinate is nonzero iff its low width-1 bits, plus all ones
+        # there, carry into its top bit, or that top bit is already set
+        rest = starts * ((1 << (width - 1)) - 1)
+        tops = starts << (width - 1)
+
+        def weights(xs):
+            xs = list(xs)
+            lifted = map(rest.__add__, map(rest.__and__, xs))
+            return map(int.bit_count, map(tops.__and__, map(int.__or__, lifted, xs)))
+
+    return pack, _packed_adder(p, s, n * m), weights
+
+
 def weight_distribution(code, cap=DEFAULT_DIMENSION_CAP):
     """Exact weight histogram by enumerating all q^dim codewords once.
 
     The GF(q)-span of the basis {b_i} is the GF(p)-span of {x^j * b_i},
     j < m, so every codeword is one GF(p)-combination of m * dim
-    generators.  Each generator is packed into one int: m base-p digits
-    per coordinate (``ctx.coeffs``), one slot of (p-1).bit_length() bits
-    per digit.  The span of the first generators is tabulated once (at
-    most 4096 entries); the others are walked in modular p-ary Gray order
-    on the negated high part nh, where step k adds the negation of the
-    generator numbered v_p(k).  A coordinate of a codeword low - nh is
-    zero exactly when its digits of low and nh agree, so the weight is the
-    number of coordinates of nh ^ low with a nonzero slot, counted over
-    the table in C.  Over GF(2) this is a Gray-code walk with popcounts.
+    generators, each packed into one int (``_packing``).  The span of the
+    first generators is tabulated once (at most 4096 entries); the others
+    are walked in modular p-ary Gray order on the negated high part nh,
+    where step k adds the negation of the generator numbered v_p(k).  A
+    coordinate of a codeword low - nh is zero exactly when its digits of
+    low and nh agree, so the weight is the number of coordinates of
+    nh ^ low with a nonzero slot, counted over the table in C.  Over GF(2)
+    this is a Gray-code walk with popcounts.
     """
     dim = code.dimension
     if dim > cap:
@@ -206,23 +243,15 @@ def weight_distribution(code, cap=DEFAULT_DIMENSION_CAP):
         )
     ctx = code.algebra.ctx
     p, m = ctx.p, ctx.m
-    n = code.algebra.group.order
-    s = (p - 1).bit_length()
-    width = m * s  # bits per coordinate
-    zero, mul, coeffs = ctx.zero, ctx.mul, ctx.coeffs
+    pack, add, weights = _packing(ctx, code.algebra.group.order)
+    mul, neg = ctx.mul, ctx.neg
     powers = [ctx.raw_from_coeffs([int(i == j) for i in range(m)]) for j in range(m)]
     gens, negs = [], []
     for b in code.basis:
         for a in powers:
-            g = ng = 0
-            for k, c in enumerate(b.coeffs):
-                if c != zero:
-                    for d, digit in enumerate(coeffs(mul(a, c)), k * m):
-                        g |= digit << (d * s)
-                        ng |= (-digit % p) << (d * s)
-            gens.append(g)
-            negs.append(ng)
-    add = _packed_adder(p, s, n * m)
+            v = [mul(a, c) for c in b.coeffs]
+            gens.append(pack(v))
+            negs.append(pack(map(neg, v)))
 
     low = 0
     while low < len(gens) and p ** (low + 1) <= _LOW_TABLE_MAX:
@@ -235,22 +264,7 @@ def weight_distribution(code, cap=DEFAULT_DIMENSION_CAP):
             grown.extend(add(t, multiple) for t in table)
         table = grown
 
-    starts = sum(1 << (k * width) for k in range(n))  # lowest bit per coordinate
-    if width == 1:
-        def weights(nh):
-            return map(int.bit_count, map(nh.__xor__, table))
-    else:
-        # a coordinate is nonzero iff its low width-1 bits, plus all ones
-        # there, carry into its top bit, or that top bit is already set
-        rest = starts * ((1 << (width - 1)) - 1)
-        tops = starts << (width - 1)
-
-        def weights(nh):
-            xs = list(map(nh.__xor__, table))
-            lifted = map(rest.__add__, map(rest.__and__, xs))
-            return map(int.bit_count, map(tops.__and__, map(int.__or__, lifted, xs)))
-
-    hist = Counter(weights(0))
+    hist = Counter(weights(table))
     nh = 0
     negs = negs[low:]
     for step in range(1, p ** len(negs)):
@@ -259,7 +273,7 @@ def weight_distribution(code, cap=DEFAULT_DIMENSION_CAP):
             step //= p
             j += 1
         nh = add(nh, negs[j])
-        hist.update(weights(nh))
+        hist.update(weights(map(nh.__xor__, table)))
     return WeightDistribution(hist, dim, ctx.order)
 
 
@@ -271,30 +285,21 @@ def min_weight(code, cap=DEFAULT_DIMENSION_CAP):
 def min_weight_or_bound(code, cap=DEFAULT_DIMENSION_CAP):
     """(value, exact): exact minimum when the dimension is within the cap;
     otherwise the minimum over spans of at most two basis vectors, which
-    can only overestimate the true minimum, flagged exact=False."""
+    can only overestimate the true minimum, flagged exact=False.
+
+    weight(s*v_i + t*v_j) = weight(v_i + (t/s)*v_j), so the words v_i and
+    v_i + t*v_j (i < j, t != 0) cover every such span."""
     if code.dimension <= cap:
         return min_weight(code, cap), True
     ctx = code.algebra.ctx
-    zero = ctx.zero
-    nonzero_scalars = [s for s in ctx.elements() if s != zero]
-    vectors = [b.coeffs for b in code.basis]
-    best = None
-    for v in vectors:
-        for s in nonzero_scalars:
-            sv = tuple(ctx.mul(s, c) for c in v)
-            w = sum(1 for c in sv if c != zero)
-            if best is None or w < best:
-                best = w
-    for i in range(len(vectors)):
-        vi = [tuple(ctx.mul(s, c) for c in vectors[i]) for s in nonzero_scalars]
-        for j in range(i + 1, len(vectors)):
-            vj = [tuple(ctx.mul(s, c) for c in vectors[j]) for s in nonzero_scalars]
-            for a in vi:
-                for b in vj:
-                    w = sum(1 for x, y in zip(a, b) if ctx.add(x, y) != zero)
-                    if w < best:
-                        best = w
-    return best, False
+    pack, add, weights = _packing(ctx, code.algebra.group.order)
+    nonzero = [t for t in ctx.elements() if t != ctx.zero]
+    vectors = [pack(b.coeffs) for b in code.basis]
+    multiples = [[pack([ctx.mul(t, c) for c in b.coeffs]) for t in nonzero]
+                 for b in code.basis]
+    sums = [add(v, w) for i, v in enumerate(vectors)
+            for ws in multiples[i + 1:] for w in ws]
+    return min(weights(vectors + sums)), False
 
 
 def equivalent(code1, code2, auts):
@@ -308,10 +313,7 @@ def equivalent(code1, code2, auts):
         raise AlgebraMismatch("codes lack owning subgroups")
     if H1.order != H2.order:
         return False  # bijections preserve subgroup order
-    group = code1.algebra.group
-    idx1 = [group.index_of(e) for e in H1.elements]
-    target = frozenset(group.index_of(e) for e in H2.elements)
-    return any(frozenset(psi.perm[i] for i in idx1) == target for psi in auts)
+    return any(frozenset([psi.perm[i] for i in H1.indices]) == H2._set for psi in auts)
 
 
 # ---------------------------------------------------------------------------
@@ -412,7 +414,7 @@ def classify(group, ctx, with_distributions=False, dimension_cap=DEFAULT_DIMENSI
 
     subgroups = {}
     for ide in prims:
-        subgroups.setdefault(ide.phi_subgroup.elements, ide.phi_subgroup)
+        subgroups.setdefault(ide.phi_subgroup.indices, ide.phi_subgroup)
     # the owner map is onto the extended co-cyclic family, so every family
     # idempotent is primitive exactly when no two primitives share an owner
     family_primitive = len(prims) == len(subgroups)
@@ -420,10 +422,10 @@ def classify(group, ctx, with_distributions=False, dimension_cap=DEFAULT_DIMENSI
     records = []
     classes = []
     for orbit in orbits:
-        orbit_keys = {H.elements for H in orbit}
+        orbit_keys = {H.indices for H in orbit}
         members = sorted(
-            (c for c in codes if c.generator.phi_subgroup.elements in orbit_keys),
-            key=lambda c: (c.generator.phi_subgroup.elements, c.generator.orbit_rep),
+            (c for c in codes if c.generator.phi_subgroup.indices in orbit_keys),
+            key=lambda c: (c.generator.phi_subgroup.indices, c.generator.orbit_rep),
         )
         if members[0].dimension <= dimension_cap:
             dist = weight_distribution(members[0], dimension_cap)
@@ -438,7 +440,7 @@ def classify(group, ctx, with_distributions=False, dimension_cap=DEFAULT_DIMENSI
         records.extend(members)
         classes.append(CodeClass(members[0], members))
     classes.sort(key=lambda c: (
-        c.representative.code.generator.phi_subgroup.elements,
+        c.representative.code.generator.phi_subgroup.indices,
         c.representative.code.generator.orbit_rep,
     ))
     records.sort(key=lambda r: r.code.generator.orbit_rep)
@@ -515,13 +517,13 @@ def _table_rows_rank2(group, ctx, p, n):
                 "dimension": dim,
                 "weight": wt,
             })
-    expected_orbits = [{whole.elements}]
+    expected_orbits = [{whole}]
     for k in range(1, n):
-        expected_orbits.append({prod_subgroup(k).elements})
+        expected_orbits.append({prod_subgroup(k)})
         j_range = range(0, p) if k == 1 else range(1, p)
-        expected_orbits.append({cyc_subgroup(k, j).elements for j in j_range})
-    last = {prod_subgroup(n).elements}
-    last.update(cyc_subgroup(n, j).elements for j in range(1, p))
+        expected_orbits.append({cyc_subgroup(k, j) for j in j_range})
+    last = {prod_subgroup(n)}
+    last.update(cyc_subgroup(n, j) for j in range(1, p))
     expected_orbits.append(last)
     return rows, expected_orbits, 2 * n
 
@@ -659,22 +661,17 @@ def verify_tables(group, ctx, dimension_cap=DEFAULT_DIMENSION_CAP):
 
     subgroups = {}
     for ide in prims:
-        subgroups.setdefault(ide.phi_subgroup.elements, ide.phi_subgroup)
+        subgroups.setdefault(ide.phi_subgroup.indices, ide.phi_subgroup)
     orbits = subgroup_orbits(group, list(subgroups.values()))
     push("classes", "class count", expected_classes, len(orbits))
     if rank2:
         def describe(partition):
             out = []
             for orbit in partition:
-                subs = sorted(orbit)
-                reps = [
-                    [list(g) for g in Subgroup(group, elems, _trusted=True).generators]
-                    for elems in subs
-                ]
-                out.append(reps)
+                out.append([[list(g) for g in H.generators] for H in sorted(orbit)])
             return sorted(out)
 
-        actual_partition = {frozenset(H.elements for H in orbit) for orbit in orbits}
+        actual_partition = {frozenset(orbit) for orbit in orbits}
         expected_partition = {frozenset(o) for o in expected_orbits}
         push(
             "classes", "subgroup orbit partition",
@@ -712,7 +709,7 @@ def homocyclic_factorization(group, ide, ctx):
     for K in candidates_K:
         hatK = hat(K, ctx)
         for h in order_n_elements:
-            if any(group.scale(k, h) in K._set for k in range(1, n)):
+            if any(group.scale(k, h) in K for k in range(1, n)):
                 continue  # <h> meets K, not a complement
             for f in cyclic_prims:
                 embedded = [ctx.zero] * group.order

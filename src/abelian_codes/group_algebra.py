@@ -15,7 +15,9 @@ from math import gcd
 from .abelian_group import (
     GroupElement,
     Subgroup,
+    _cycle,
     _index_p_cover_within,
+    _translation,
     annihilator,
     cocyclic_subgroups,
     quotient_type,
@@ -37,7 +39,7 @@ def get_algebra(group, ctx):
 
 
 class GroupAlgebra:
-    """The pair (G, F_q); owns shared lookup tables for convolution."""
+    """The pair (G, F_q) over which elements are coefficient vectors."""
 
     __slots__ = ("group", "ctx")
 
@@ -50,7 +52,7 @@ class GroupAlgebra:
 
     def one(self):
         coeffs = [self.ctx.zero] * self.group.order
-        coeffs[self.group.index_of(self.group.zero)] = self.ctx.one
+        coeffs[0] = self.ctx.one  # the identity has index 0
         return AlgebraElement(self, coeffs)
 
     def from_raw_coeffs(self, coeffs):
@@ -139,23 +141,14 @@ class AlgebraElement:
         ctx = alg.ctx
         group = alg.group
         res = [ctx.zero] * group.order
-        table = group.add_table()
+        elems = group.elements
         sc, oc = self.coeffs, other.coeffs
-        if table is not None:
-            for i in self.support:
-                a = sc[i]
-                row = table[i]
-                for j in other.support:
-                    k = row[j]
-                    res[k] = ctx.add(res[k], ctx.mul(a, oc[j]))
-        else:
-            elems = group.elements
-            for i in self.support:
-                a = sc[i]
-                ei = elems[i]
-                for j in other.support:
-                    k = group.index_of(group.add(ei, elems[j]))
-                    res[k] = ctx.add(res[k], ctx.mul(a, oc[j]))
+        for i in self.support:
+            a = sc[i]
+            row = _translation(group, elems[i])
+            for j in other.support:
+                k = row[j]
+                res[k] = ctx.add(res[k], ctx.mul(a, oc[j]))
         return AlgebraElement(alg, res)
 
     def scaled(self, scalar):
@@ -169,15 +162,9 @@ class AlgebraElement:
         alg = self.algebra
         group = alg.group
         res = [alg.ctx.zero] * group.order
-        table = group.add_table()
-        if table is not None:
-            row = table[group.index_of(exps)]
-            for j in self.support:
-                res[row[j]] = self.coeffs[j]
-        else:
-            elems = group.elements
-            for j in self.support:
-                res[group.index_of(group.add(exps, elems[j]))] = self.coeffs[j]
+        row = _translation(group, exps)
+        for j in self.support:
+            res[row[j]] = self.coeffs[j]
         return AlgebraElement(alg, res)
 
     def __eq__(self, other):
@@ -233,8 +220,8 @@ def hat(H, ctx):
     alg = get_algebra(group, ctx)
     inv = ctx.inv(ctx.from_int(H.order))
     coeffs = [ctx.zero] * group.order
-    for e in H.elements:
-        coeffs[group.index_of(e)] = inv
+    for i in H.indices:
+        coeffs[i] = inv
     return AlgebraElement(alg, coeffs)
 
 
@@ -268,7 +255,7 @@ def cocyclic_idempotent(group, H, ctx):
         if Hp == Gp:
             factor = hat(Gp, ctx)
         else:
-            covers = _index_p_cover_within(group, Gp.elements, Hp, p)
+            covers = _index_p_cover_within(group, Gp.indices, Hp, p)
             if len(covers) != 1:
                 raise NotCocyclic("index-p cover not unique inside the Sylow component")
             factor = hat(Hp, ctx) - hat(covers[0], ctx)
@@ -280,8 +267,7 @@ def cocyclic_idempotent_family(group, ctx):
     """All pairs (H, e_H) over the co-cyclic subgroups together with G
     itself; pairwise orthogonal and summing to 1."""
     _check_char(group, ctx)
-    members = cocyclic_subgroups(group) + [Subgroup.whole(group)]
-    members.sort(key=lambda s: s.elements)
+    members = sorted(cocyclic_subgroups(group) + [Subgroup.whole(group)])
     return [(H, cocyclic_idempotent(group, H, ctx)) for H in members]
 
 
@@ -378,7 +364,8 @@ def primitive_idempotents(group, ctx):
                     "orbit partition is inconsistent"
                 ) from exc
             coeffs.append(ctx.mul(raw, inv_order))
-        owner = annihilator(group, Subgroup.generated(group, [rep]))
+        cyclic = Subgroup._from_indices(group, sorted(_cycle(group, rep)), (rep,))
+        owner = annihilator(group, cyclic)
         out.append(PrimitiveIdempotent(AlgebraElement(alg, coeffs), rep, owner))
     return out
 
@@ -421,9 +408,8 @@ def idempotent_group(e):
     if isinstance(e, PrimitiveIdempotent):
         e = e.element
     group = e.algebra.group
-    stab = [g for g in group.elements if e.translated(g) == e]
-    N = Subgroup(group, stab, _trusted=True)
-    return quotient_type(group, N)
+    stab = [i for i, g in enumerate(group.elements) if e.translated(g) == e]
+    return quotient_type(group, Subgroup._from_indices(group, stab))
 
 
 # ---------------------------------------------------------------------------

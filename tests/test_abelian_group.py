@@ -1,4 +1,6 @@
 import itertools
+import time
+from functools import lru_cache
 from math import gcd
 
 import pytest
@@ -30,7 +32,12 @@ from abelian_codes import (
     subgroup_product,
     sylow_decompose,
 )
-from abelian_codes.abelian_group import _induced_perm
+from abelian_codes.abelian_group import (
+    _AUT_ORDER_BOUND,
+    _induced_perm,
+    _translation,
+    aut_order,
+)
 
 
 def gen(G, *gens):
@@ -124,8 +131,11 @@ def test_subgroup_validation():
     G = group_make([9, 3])
     with pytest.raises(NotASubgroup):
         Subgroup(G, [(0, 0), (0, 1)])  # not closed
+    with pytest.raises(NotASubgroup):
+        Subgroup(G, [(0, 0), (0, 9)])  # not an element
     H = Subgroup(G, [(0, 0), (0, 3), (0, 6)])
     assert H.order == 3
+    assert (0, 3) in H and (0, 1) not in H and (0, 9) not in H
 
 
 def test_quotient_type_examples():
@@ -289,6 +299,18 @@ def test_automorphisms_bound():
         automorphisms(group_make([1024]), max_order=512)
 
 
+def test_automorphisms_bound_on_aut_order():
+    # both pass the |G| bound; closing 2,2,4,4 took 38 s, and 2^6 would not finish
+    for divisors, count in [([2, 2, 4, 4], 147456), ([2] * 6, 20158709760)]:
+        G = group_make(divisors)
+        assert aut_order(G) == count
+        start = time.perf_counter()
+        with pytest.raises(GroupTooLarge) as exc:
+            automorphisms(G)
+        assert time.perf_counter() - start < 1
+        assert exc.value.context == {"aut_order": count, "bound": _AUT_ORDER_BOUND}
+
+
 def test_power_automorphisms():
     C9 = group_make([9])
     auts = automorphisms(C9)
@@ -430,6 +452,11 @@ def test_abelian_groups_of_order():
 GROUPS_TO_64 = [G for n in range(1, 65) for G in abelian_groups_of_order(n)]
 
 
+@lru_cache(maxsize=None)
+def _subgroups(G):
+    return tuple(all_subgroups(G))
+
+
 def _cyclic_by_adding(G, g):
     """Elements of <g> by repeated tuple addition."""
     out = {G.zero}
@@ -463,30 +490,6 @@ def _induced_perm_by_element(G, images):
     return tuple(perm) if len(set(perm)) == G.order else None
 
 
-def _aut_count(G):
-    """|Aut(G)| from the invariant factors (Hillar and Rhea, 2007): per
-    Sylow component with exponents e_1 <= ... <= e_n, with d_k / c_k the
-    last / first position holding e_k, the product over k of
-    (p^d_k - p^(k-1)) * p^(e_k (n - d_k)) * p^((e_k - 1)(n - c_k + 1))."""
-    out = 1
-    dec = sylow_decompose(G)
-    for p in dec.primes:
-        es = []
-        for d in dec.components[p].divisors:
-            e = 0
-            while d % p == 0:
-                d //= p
-                e += 1
-            es.append(e)
-        n = len(es)
-        for k, ek in enumerate(es, 1):
-            d = max(i for i, e in enumerate(es, 1) if e == ek)
-            c = min(i for i, e in enumerate(es, 1) if e == ek)
-            out *= (p ** d - p ** (k - 1)) * p ** (ek * (n - d)) \
-                * p ** ((ek - 1) * (n - c + 1))
-    return out
-
-
 def _orbit_keys(orbits):
     return {frozenset(H.elements for H in orbit) for orbit in orbits}
 
@@ -505,7 +508,7 @@ def test_cyclic_subgroups_match_closure_by_adding():
 
 def test_annihilator_matches_tuple_scan():
     for G in GROUPS_TO_64:
-        for H in all_subgroups(G):
+        for H in _subgroups(G):
             assert annihilator(G, H).elements == _annihilator_by_scan(G, H), (
                 G.divisors, H.generators)
 
@@ -519,14 +522,16 @@ def test_induced_perm_matches_per_element_formula():
 
 
 def test_cocyclic_orbits_match_full_automorphism_group():
-    # |Aut| of the skipped groups (2^4, 2^5, 2^6, 2^3 x 4, 2^3 x 6, 2^3 x 8,
-    # 2^2 x 4^2, 4^3, 2^4 x 4) is 20,160 or more: too many to enumerate here
+    # |Aut| of the refused groups (2^4, 2^5, 2^6, 2^3 x 4, 2^3 x 6, 2^3 x 8,
+    # 2^2 x 4^2, 4^3, 2^4 x 4) is 20,160 or more, above the enumeration bound
     checked = 0
     for G in GROUPS_TO_64:
-        if _aut_count(G) > 12000:
+        if aut_order(G) > _AUT_ORDER_BOUND:
+            with pytest.raises(GroupTooLarge):
+                automorphisms(G)
             continue
         auts = automorphisms(G)
-        assert len(auts) == _aut_count(G), G.divisors
+        assert len(auts) == aut_order(G), G.divisors
         family = cocyclic_subgroups(G) + [Subgroup.whole(G)]
         slow = []
         left = {H.elements: H for H in family}
@@ -539,3 +544,112 @@ def test_cocyclic_orbits_match_full_automorphism_group():
         assert _orbit_keys(subgroup_orbits(G, family)) == set(slow), G.divisors
         checked += 1
     assert checked == len(GROUPS_TO_64) - 9
+
+
+# ---------------------------------------------------------------------------
+# translations, joins, peels and the lattice against tuple addition
+# ---------------------------------------------------------------------------
+
+def _closure_by_adding(G, gens):
+    """Elements of the span of gens, as sumsets of tuple cycles."""
+    span = {G.zero}
+    for g in gens:
+        span = {G.add(a, c) for a in span for c in _cyclic_by_adding(G, g)}
+    return tuple(sorted(span))
+
+
+def _peel_by_adding(G, universe, start):
+    """Invariant factors of U/S by repeated tuple addition: peel the first
+    element of maximal order mod S, then close S with it."""
+    universe = list(universe)
+    S = set(start)
+    out = []
+    while len(S) < len(universe):
+        best, best_order = None, 0
+        for g in universe:
+            if g in S:
+                continue
+            k, x = 1, g
+            while x not in S:
+                x = G.add(x, g)
+                k += 1
+            if k > best_order:
+                best, best_order = g, k
+        S = {G.add(a, c) for a in S for c in _cyclic_by_adding(G, best)}
+        out.append(best_order)
+    return tuple(reversed(out))
+
+
+def _subgroups_by_add_table(G):
+    """Sorted element tuples of every subgroup: breadth-first index-p
+    extensions over a tuple-built addition table per Sylow component, then
+    tuple sumsets of one embedded component subgroup per prime."""
+    dec = sylow_decompose(G)
+    per_prime = []
+    for p in dec.primes:
+        C = dec.components[p]
+        elems = C.elements
+        index = {e: i for i, e in enumerate(elems)}
+        table = [[index[C.add(a, b)] for b in elems] for a in elems]
+        pmul = [index[C.scale(p, e)] for e in elems]
+        seen = {frozenset([0])}
+        frontier = list(seen)
+        while frontier:
+            nxt = []
+            for H in frontier:
+                for gi in range(C.order):
+                    if gi in H or pmul[gi] not in H:
+                        continue
+                    K, coset = set(H), H
+                    for _ in range(p - 1):
+                        coset = {table[gi][i] for i in coset}
+                        K |= coset
+                    K = frozenset(K)
+                    if K not in seen:
+                        seen.add(K)
+                        nxt.append(K)
+            frontier = nxt
+        identities = {pp: dec.components[pp].identity for pp in dec.primes if pp != p}
+        per_prime.append([
+            [dec.merge_element({p: elems[i]} | identities).exps for i in S] for S in seen
+        ])
+    out = []
+    for combo in itertools.product(*per_prime):
+        span = {G.zero}
+        for part in combo:
+            span = {G.add(a, b) for a in span for b in part}
+        out.append(tuple(sorted(span)))
+    return sorted(out)
+
+
+def test_translation_matches_tuple_addition():
+    for G in GROUPS_TO_64:
+        for g in G.elements:
+            assert _translation(G, g) == [G.index_of(G.add(g, x)) for x in G.elements]
+
+
+def test_all_subgroups_match_add_table_route():
+    for G in GROUPS_TO_64:
+        assert [H.elements for H in _subgroups(G)] == _subgroups_by_add_table(G), G.divisors
+
+
+def test_joins_match_tuple_closure():
+    for G in GROUPS_TO_64:
+        probes = [(0,) * (G.rank - 1) + (1,), (1,) * G.rank] if G.rank else []
+        subs = _subgroups(G)
+        for H, K in zip(subs, subs[1:] + subs[:1]):
+            assert Subgroup.generated(G, H.generators).elements \
+                == _closure_by_adding(G, H.generators) == H.elements
+            for g in probes:
+                cyc = _cyclic_by_adding(G, g)
+                assert H.extended(g).elements \
+                    == tuple(sorted({G.add(a, c) for a in H.elements for c in cyc}))
+            assert subgroup_product(H, K).elements \
+                == tuple(sorted({G.add(a, b) for a in H.elements for b in K.elements}))
+
+
+def test_peels_match_tuple_addition():
+    for G in GROUPS_TO_64:
+        for H in _subgroups(G):
+            assert quotient_type(G, H) == _peel_by_adding(G, G.elements, H.elements)
+            assert H.invariant_factors() == _peel_by_adding(G, H.elements, [G.zero])

@@ -75,6 +75,23 @@ def test_sweep_output_digest(capsys):
         == "7b52fca8f7243e5d47ba415a36912ef70f01cc4c6a8aaef554e6d3457f420940"
 
 
+@pytest.mark.parametrize("argv,digest", [
+    ("subgroups --group 8,4,2 --field 3",
+     "03d7e6fac1ccb5df159eaaf70c6ab7fff6141cbcebde369e06e2644079179be1"),
+    ("idempotents --group 9,3 --field 2",
+     "b3da7382ce61dfa460c309fdb519497a28836ef04b08af65d109681d6267f9db"),
+    ("verify --group 25,5 --field 2",
+     "7cc406e3eec0a9b399ba47f43325cef8c00c79bd5a1bb0c8ce496198504852be"),
+    ("classify --group 9,3 --field 2^2 --with-distributions",
+     "cabb3f6f9e0dc35d2c4de544352022286bb243f2c2a9ed30278023f5785843b4"),
+], ids=["subgroups", "idempotents", "verify", "classify"])
+def test_output_digest(capsys, argv, digest):
+    # sha256 of the stdout before subgroups moved to element indices
+    status, out = capture(capsys, argv.split() + ["--format", "json"])
+    assert status == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_usage_error_exit_code(capsys):
     with pytest.raises(SystemExit) as exc:
         run(["classify", "--group", "9,3"])  # missing --field

@@ -1,8 +1,9 @@
+from functools import lru_cache
 from math import comb, gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
-from weight_oracle import oracle_histogram
+from weight_oracle import oracle_histogram, oracle_two_vector_bound
 
 from abelian_codes import (
     AlgebraElement,
@@ -28,6 +29,7 @@ from abelian_codes import (
     verify_tables,
     weight_distribution,
 )
+from abelian_codes.codes import MinimalCode
 from abelian_codes.errors import DomainError
 from abelian_codes.group_algebra import row_reduce_raw
 
@@ -136,26 +138,52 @@ def test_generic_field_distribution_against_direct_enumeration():
 WEIGHT_FIELDS = [(2, 1), (3, 1), (5, 1), (7, 1), (2, 2), (2, 3), (3, 2)]
 
 
-@pytest.mark.parametrize("p,m", WEIGHT_FIELDS)
-def test_weight_distribution_matches_oracle(p, m):
-    # p = 5, 7 pack digits in 3-bit slots; m > 1 packs m digits per coordinate
+@lru_cache(maxsize=None)
+def _minimal_codes_to_25(p, m):
+    """Every minimal code of every abelian group of order <= 25 coprime to q."""
     ctx = field_make(p, m)
-    checked = 0
+    out = []
     for n in range(1, 26):
         if gcd(n, ctx.order) != 1:
             continue
         for G in abelian_groups_of_order(n):
             algebra = get_algebra(G, ctx)
-            for ide in primitive_idempotents(G, ctx):
-                code = minimal_code(algebra, ide)
-                if ctx.order ** code.dimension > 2 ** 16:
-                    continue
-                dist = weight_distribution(code)
-                assert dist.histogram == oracle_histogram(code), (
-                    G.divisors, ctx, ide.orbit_rep)
-                assert dist.total == ctx.order ** code.dimension
-                checked += 1
+            out.extend(minimal_code(algebra, ide) for ide in primitive_idempotents(G, ctx))
+    return tuple(out)
+
+
+@pytest.mark.parametrize("p,m", WEIGHT_FIELDS)
+def test_weight_distribution_matches_oracle(p, m):
+    # p = 5, 7 pack digits in 3-bit slots; m > 1 packs m digits per coordinate
+    q = p ** m
+    checked = 0
+    for code in _minimal_codes_to_25(p, m):
+        if q ** code.dimension > 2 ** 16:
+            continue
+        dist = weight_distribution(code)
+        assert dist.histogram == oracle_histogram(code), (
+            code.algebra.group.divisors, q, code.generator.orbit_rep)
+        assert dist.total == q ** code.dimension
+        checked += 1
     assert checked >= 40
+
+
+def test_two_vector_bound_reaches_every_pair_and_scalar():
+    # over GF(3) the only word of weight 2 is v1 + 2*v2, a multiplier other
+    # than 1; every basis vector has weight 3
+    algebra = get_algebra(group_make([5]), field_make(3))
+    rows = [(1, 1, 1, 0, 0), (1, 1, 0, 1, 0), (0, 0, 1, 1, 1)]
+    code = MinimalCode(algebra, None, [AlgebraElement(algebra, r) for r in rows])
+    assert min_weight_or_bound(code, cap=0) == (2, False) \
+        == (oracle_two_vector_bound(code), False)
+
+
+@pytest.mark.parametrize("p,m", WEIGHT_FIELDS)
+def test_two_vector_bound_matches_dense_oracle(p, m):
+    # cap=0 sends every code to the packed two-vector bound
+    for code in _minimal_codes_to_25(p, m):
+        assert min_weight_or_bound(code, cap=0) == (oracle_two_vector_bound(code), False), (
+            code.algebra.group.divisors, p ** m, code.generator.orbit_rep)
 
 
 def _dual_ideal_generator(algebra, e):

@@ -2,6 +2,7 @@ import itertools
 from math import gcd
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from abelian_codes import (
     CharDividesOrder,
@@ -392,3 +393,38 @@ def test_idempotent_group_examples():
     assert idempotent_group(a_span) == (3,)
     b_span = [p for p in prims if p.phi_subgroup == gen(G, (1, 0))][0]
     assert idempotent_group(b_span) == (9,)
+
+
+# ---------------------------------------------------------------------------
+# convolution against tuple addition
+# ---------------------------------------------------------------------------
+
+GROUPS_TO_64 = [G for n in range(1, 65) for G in abelian_groups_of_order(n)]
+
+
+def _convolution_by_adding(a, b):
+    """(ab)_x = sum over y + z = x of a_y b_z, indexing each tuple sum."""
+    G, ctx = a.algebra.group, a.algebra.ctx
+    res = [ctx.zero] * G.order
+    for y, ay in zip(G.elements, a.coeffs):
+        for z, bz in zip(G.elements, b.coeffs):
+            k = G.index_of(G.add(y, z))
+            res[k] = ctx.add(res[k], ctx.mul(ay, bz))
+    return tuple(res)
+
+
+@st.composite
+def _two_elements(draw):
+    ctx = field_make(*draw(st.sampled_from([(2, 1), (3, 1), (2, 2)])))
+    G = draw(st.sampled_from(GROUPS_TO_64))
+    scalars = list(ctx.elements())
+    algebra = get_algebra(G, ctx)
+    coeffs = st.lists(st.sampled_from(scalars), min_size=G.order, max_size=G.order)
+    return algebra.from_raw_coeffs(draw(coeffs)), algebra.from_raw_coeffs(draw(coeffs))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(pair=_two_elements())
+def test_convolution_matches_tuple_addition(pair):
+    a, b = pair
+    assert (a * b).coeffs == _convolution_by_adding(a, b)

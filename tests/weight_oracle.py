@@ -46,3 +46,29 @@ def oracle_histogram(code):
 
     rec(0, [zero] * code.algebra.group.order)
     return dict(sorted(hist.items()))
+
+
+def oracle_two_vector_bound(code):
+    """Minimum weight over every s*v_i and s*v_i + t*v_j (i < j; s, t
+    nonzero scalars) of the basis, on dense coefficient tuples."""
+    ctx = code.algebra.ctx
+    zero = ctx.zero
+    nonzero_scalars = [s for s in ctx.elements() if s != zero]
+    vectors = [b.coeffs for b in code.basis]
+    best = None
+    for v in vectors:
+        for s in nonzero_scalars:
+            sv = tuple(ctx.mul(s, c) for c in v)
+            w = sum(1 for c in sv if c != zero)
+            if best is None or w < best:
+                best = w
+    for i in range(len(vectors)):
+        vi = [tuple(ctx.mul(s, c) for c in vectors[i]) for s in nonzero_scalars]
+        for j in range(i + 1, len(vectors)):
+            vj = [tuple(ctx.mul(s, c) for c in vectors[j]) for s in nonzero_scalars]
+            for a in vi:
+                for b in vj:
+                    w = sum(1 for x, y in zip(a, b) if ctx.add(x, y) != zero)
+                    if w < best:
+                        best = w
+    return best
