@@ -606,22 +606,40 @@ def cocyclic_subgroups(group):
 
 def _index_p_cover_within(group, container, H, p):
     """Distinct overgroups L = <H, g> with [L:H] = p, over the g outside H
-    with p*g in H in the container (ascending indices).  Every g in L
-    outside H gives the same L, so the members of a cover found are not
-    tried again."""
+    with p*g in H in the container (ascending indices).  L is the union of
+    the cosets H + k*g, k < p; coordinate j of H + c has the digits
+    (h_j + c_j) mod d_j, a column built once per (j, c_j) and call.  Every
+    g in L outside H gives the same L, so the members of a cover found are
+    not tried again."""
+    strides = _strides(group)
+    digits = list(zip(*H.elements))
+    columns = {}
+
+    def coset(shift):
+        out = [0] * H.order
+        for j, c in enumerate(shift):
+            if (j, c) not in columns:
+                d, s = group.divisors[j], strides[j]
+                columns[j, c] = [(h + c) % d * s for h in digits[j]]
+            out = [a + b for a, b in zip(out, columns[j, c])]
+        return out
+
     elems = group.elements
     covers = []
     tried = set(H._set)
     for i in container:
         if i in tried or group.scale(p, elems[i]) not in H:
             continue
-        L = H.extended(elems[i])
+        members = list(H.indices)
+        for k in range(1, p):
+            members.extend(coset(group.scale(k, elems[i])))
+        L = Subgroup._from_indices(group, sorted(members))
         tried |= L._set
         covers.append(L)
     return sorted(covers)
 
 
-def sharp(group, H, max_order=4096):
+def sharp(group, H):
     """For a co-cyclic subgroup H of a p-group G, the unique L with
     H < L <= G and [L:H] = p."""
     if not isinstance(H, Subgroup) or H.group != group:
@@ -776,13 +794,11 @@ class Automorphism:
         """self after other."""
         if other.group != self.group:
             raise ValueError("automorphisms of different groups")
-        sp, op = self.perm, other.perm
-        perm = tuple(sp[op[i]] for i in range(len(sp)))
+        sp = self.perm
+        perm = tuple([sp[i] for i in other.perm])
         elems = self.group.elements
-        images = tuple(
-            elems[perm[self.group.index_of(_basis_exps(self.group, i))]]
-            for i in range(self.group.rank)
-        )
+        # the canonical generator e_i has index strides[i]
+        images = tuple(elems[perm[s]] for s in _strides(self.group))
         return Automorphism._trusted(self.group, images, perm)
 
     def power_exponent(self):

@@ -10,6 +10,7 @@ the class structure is known exactly.
 from __future__ import annotations
 
 from collections import Counter
+from math import comb
 
 from .abelian_group import (
     Subgroup,
@@ -26,6 +27,7 @@ from .finite_field import divisor_count, euler_phi, factorize, mul_order
 from .group_algebra import (
     AlgebraElement,
     PrimitiveIdempotent,
+    _character_values,
     _check_char,
     cocyclic_idempotent,
     get_algebra,
@@ -39,15 +41,23 @@ DEFAULT_DIMENSION_CAP = 24
 
 class MinimalCode:
     """The ideal F_qG * e for a primitive idempotent e, with a row-reduced
-    basis in group enumeration order."""
+    basis in group enumeration order.
 
-    __slots__ = ("algebra", "generator", "basis", "dimension")
+    ``short`` spans the same code at length |G|/repeat: each of its
+    coordinates stands for ``repeat`` coordinates of the basis, so weights
+    scale by ``repeat``.  For the idempotent of a character of order o it
+    is the cyclic code C_o (length o, repeat |G|/o); otherwise it is the
+    basis itself."""
 
-    def __init__(self, algebra, generator, basis):
+    __slots__ = ("algebra", "generator", "basis", "dimension", "short", "repeat")
+
+    def __init__(self, algebra, generator, basis, short=None, repeat=1):
         self.algebra = algebra
         self.generator = generator
         self.basis = basis
         self.dimension = len(basis)
+        self.short = [b.coeffs for b in basis] if short is None else short
+        self.repeat = repeat
 
     def __repr__(self):
         return "MinimalCode(dim=%d, orbit_rep=%r)" % (
@@ -85,26 +95,6 @@ class WeightDistribution:
         return "WeightDistribution(%r)" % (self.histogram,)
 
 
-def _is_gf2(ctx):
-    return ctx.p == 2 and ctx.m == 1
-
-
-def _mask_of(element):
-    mask = 0
-    for i in element.support:
-        mask |= 1 << i
-    return mask
-
-
-def _element_from_mask(algebra, mask, width):
-    coeffs = [0] * width
-    while mask:
-        low = mask & -mask
-        coeffs[low.bit_length() - 1] = 1
-        mask ^= low
-    return AlgebraElement(algebra, coeffs)
-
-
 def _row_reduce_gf2(rows, rank=None):
     """Reduced row-echelon form of bitmask rows; `rank` as in
     row_reduce_raw."""
@@ -130,31 +120,44 @@ def _row_reduce_gf2(rows, rank=None):
     return [basis[i] for i in order]
 
 
-def minimal_code(algebra, e):
-    """Row-reduce translates of the generating idempotent.
+def _reduce(rows, ctx, width, rank=None):
+    """row_reduce_raw of raw rows of the given width; over GF(2) the rows
+    are reduced as bitmasks."""
+    if ctx.order != 2:
+        return row_reduce_raw(rows, ctx, rank)
+    masks = (sum(c << i for i, c in enumerate(r)) for r in rows)
+    return [tuple(m >> i & 1 for i in range(width))
+            for m in _row_reduce_gf2(masks, rank)]
 
-    For a primitive idempotent the reduction stops at the code's dimension,
-    the size of its character orbit, mul_order(q, o(orbit_rep)); the RREF
-    of a row space is unique, so the basis is the one all |G| translates
-    give.  A bare element is reduced over all |G| translates."""
-    group = algebra.group
-    if isinstance(e, PrimitiveIdempotent):
-        ide = e
-        rank = mul_order(algebra.ctx.order, group.element_order(e.orbit_rep))
-    else:
-        ide = PrimitiveIdempotent(e, (), None)
-        rank = None
-    translates = (ide.element.translated(g) for g in group.elements)
-    if _is_gf2(algebra.ctx):
-        basis_masks = _row_reduce_gf2(map(_mask_of, translates), rank)
-        basis = [_element_from_mask(algebra, m, group.order) for m in basis_masks]
-    else:
-        rows = (t.coeffs for t in translates)
-        basis = [
-            AlgebraElement(algebra, r)
-            for r in row_reduce_raw(rows, algebra.ctx, rank)
-        ]
-    return MinimalCode(algebra, ide, basis)
+
+def minimal_code(algebra, e):
+    """Row-reduced basis of the ideal generated by e.
+
+    For a primitive idempotent of a character of order o the coefficient
+    at g depends only on t(g) in Z_o (``_character_values``), so the ideal
+    is the cyclic code C_o spanned by the shifts of that length-o row,
+    lifted through t.  Its columns are put in the order in which each
+    value of t first appears in G: then the lifted RREF is the RREF of all
+    |G| translates, and the reduction stops at its known dimension
+    mul_order(q, o).  A bare element is reduced over all |G| translates."""
+    group, ctx = algebra.group, algebra.ctx
+    if not isinstance(e, PrimitiveIdempotent):
+        translates = (e.translated(g).coeffs for g in group.elements)
+        basis = _reduce(translates, ctx, group.order)
+        return MinimalCode(algebra, PrimitiveIdempotent(e, (), None),
+                           [AlgebraElement(algebra, b) for b in basis])
+    o, ts = _character_values(group, e.orbit_rep)
+    first = {}
+    for g, t in enumerate(ts):
+        first.setdefault(t, g)
+    columns = list(first)  # values of t by first appearance
+    row = [e.element.coeffs[first[t]] for t in range(o)]
+    shifts = ([row[(t - s) % o] for t in columns] for s in range(o))
+    short = _reduce(shifts, ctx, o, mul_order(ctx.order, o))
+    place = {t: j for j, t in enumerate(columns)}
+    lift = [place[t] for t in ts]
+    basis = [AlgebraElement(algebra, [b[j] for j in lift]) for b in short]
+    return MinimalCode(algebra, e, basis, short, group.order // o)
 
 
 _LOW_TABLE_MAX = 4096
@@ -222,10 +225,11 @@ def _packing(ctx, n):
     return pack, _packed_adder(p, s, n * m), weights
 
 
-def weight_distribution(code, cap=DEFAULT_DIMENSION_CAP):
-    """Exact weight histogram by enumerating all q^dim codewords once.
+def _span_weights(ctx, rows, n):
+    """Weight -> count over the GF(q)-span of independent raw rows of
+    length n, by enumerating every codeword once.
 
-    The GF(q)-span of the basis {b_i} is the GF(p)-span of {x^j * b_i},
+    The GF(q)-span of the rows {b_i} is the GF(p)-span of {x^j * b_i},
     j < m, so every codeword is one GF(p)-combination of m * dim
     generators, each packed into one int (``_packing``).  The span of the
     first generators is tabulated once (at most 4096 entries); the others
@@ -236,20 +240,14 @@ def weight_distribution(code, cap=DEFAULT_DIMENSION_CAP):
     nh ^ low with a nonzero slot, counted over the table in C.  Over GF(2)
     this is a Gray-code walk with popcounts.
     """
-    dim = code.dimension
-    if dim > cap:
-        raise DimensionTooLarge(
-            "weight enumeration bounded", dimension=dim, cap=cap
-        )
-    ctx = code.algebra.ctx
     p, m = ctx.p, ctx.m
-    pack, add, weights = _packing(ctx, code.algebra.group.order)
+    pack, add, weights = _packing(ctx, n)
     mul, neg = ctx.mul, ctx.neg
     powers = [ctx.raw_from_coeffs([int(i == j) for i in range(m)]) for j in range(m)]
     gens, negs = [], []
-    for b in code.basis:
+    for b in rows:
         for a in powers:
-            v = [mul(a, c) for c in b.coeffs]
+            v = [mul(a, c) for c in b]
             gens.append(pack(v))
             negs.append(pack(map(neg, v)))
 
@@ -274,7 +272,65 @@ def weight_distribution(code, cap=DEFAULT_DIMENSION_CAP):
             j += 1
         nh = add(nh, negs[j])
         hist.update(weights(map(nh.__xor__, table)))
-    return WeightDistribution(hist, dim, ctx.order)
+    return hist
+
+
+def _dual_rows(rows, ctx, n):
+    """A basis of the dual of the span of the rows: one vector per free
+    column f of their RREF, 1 at f and minus column f at the pivots."""
+    rref = row_reduce_raw(rows, ctx)
+    pivots = [next(i for i, c in enumerate(r) if c != ctx.zero) for r in rref]
+    out = []
+    for f in sorted(set(range(n)) - set(pivots)):
+        v = [ctx.zero] * n
+        v[f] = ctx.one
+        for pc, r in zip(pivots, rref):
+            v[pc] = ctx.neg(r[f])
+        out.append(v)
+    return out
+
+
+def _macwilliams(dual_hist, n, q, dual_dim):
+    """Weight -> count of a code of length n from the histogram of its
+    dual of dimension dual_dim: A_w = q^-dual_dim * sum_i B_i K_w(i) with
+    the Krawtchouk polynomial
+    K_w(i) = sum_j (-1)^j (q-1)^(w-j) C(i, j) C(n-i, w-j)."""
+    size = q ** dual_dim
+    hist = {}
+    for w in range(n + 1):
+        total = sum(
+            b * sum((-1) ** j * (q - 1) ** (w - j) * comb(i, j) * comb(n - i, w - j)
+                    for j in range(max(0, w - n + i), min(w, i) + 1))
+            for i, b in dual_hist.items())
+        count, rest = divmod(total, size)
+        assert not rest, "MacWilliams sum not divisible by the dual's size"
+        if count:
+            hist[w] = count
+    return hist
+
+
+def weight_distribution(code, cap=DEFAULT_DIMENSION_CAP):
+    """Exact weight histogram of a code of dimension at most the cap.
+
+    The code is taken at its short length n (``MinimalCode.short``), and
+    whichever of it and its dual, of dimension n - dim, is smaller is
+    enumerated (``_span_weights``); a dual's histogram is carried back by
+    the MacWilliams identity.  Weights are then scaled by ``repeat``.
+    """
+    dim = code.dimension
+    if dim > cap:
+        raise DimensionTooLarge(
+            "weight enumeration bounded", dimension=dim, cap=cap
+        )
+    ctx = code.algebra.ctx
+    n = code.algebra.group.order // code.repeat
+    if n - dim < dim:
+        dual = _dual_rows(code.short, ctx, n)
+        hist = _macwilliams(_span_weights(ctx, dual, n), n, ctx.order, len(dual))
+    else:
+        hist = _span_weights(ctx, code.short, n)
+    return WeightDistribution(
+        {w * code.repeat: c for w, c in hist.items()}, dim, ctx.order)
 
 
 def min_weight(code, cap=DEFAULT_DIMENSION_CAP):
@@ -288,18 +344,19 @@ def min_weight_or_bound(code, cap=DEFAULT_DIMENSION_CAP):
     can only overestimate the true minimum, flagged exact=False.
 
     weight(s*v_i + t*v_j) = weight(v_i + (t/s)*v_j), so the words v_i and
-    v_i + t*v_j (i < j, t != 0) cover every such span."""
+    v_i + t*v_j (i < j, t != 0) cover every such span.  They are taken on
+    the short basis, whose weights scale by ``repeat``."""
     if code.dimension <= cap:
         return min_weight(code, cap), True
     ctx = code.algebra.ctx
-    pack, add, weights = _packing(ctx, code.algebra.group.order)
+    pack, add, weights = _packing(ctx, code.algebra.group.order // code.repeat)
     nonzero = [t for t in ctx.elements() if t != ctx.zero]
-    vectors = [pack(b.coeffs) for b in code.basis]
-    multiples = [[pack([ctx.mul(t, c) for c in b.coeffs]) for t in nonzero]
-                 for b in code.basis]
+    vectors = [pack(b) for b in code.short]
+    multiples = [[pack([ctx.mul(t, c) for c in b]) for t in nonzero]
+                 for b in code.short]
     sums = [add(v, w) for i, v in enumerate(vectors)
             for ws in multiples[i + 1:] for w in ws]
-    return min(weights(vectors + sums)), False
+    return min(weights(vectors + sums)) * code.repeat, False
 
 
 def equivalent(code1, code2, auts):
@@ -404,10 +461,11 @@ def classify(group, ctx, with_distributions=False, dimension_cap=DEFAULT_DIMENSI
     classes by automorphism orbits of the owning subgroups, and compare the
     class count with tau(exp G).
 
-    Equivalent codes differ by a permutation of coordinates, so they share
-    one weight distribution: it is enumerated once per class (dimension
-    within the cap) and given to every member.  A code above the cap gets
-    its own two-vector bound, which depends on its basis."""
+    A code's weight distribution depends only on the order o of its
+    character (it is C_o with every coordinate repeated |G|/o times), so
+    it is computed once per distinct o within the cap and shared.  A code
+    above the cap gets its own two-vector bound, which depends on its
+    basis."""
     prims = primitive_idempotents(group, ctx)
     algebra = get_algebra(group, ctx)
     codes = [minimal_code(algebra, ide) for ide in prims]
@@ -421,6 +479,7 @@ def classify(group, ctx, with_distributions=False, dimension_cap=DEFAULT_DIMENSI
     orbits = subgroup_orbits(group, list(subgroups.values()))
     records = []
     classes = []
+    by_order = {}
     for orbit in orbits:
         orbit_keys = {H.indices for H in orbit}
         members = sorted(
@@ -428,7 +487,10 @@ def classify(group, ctx, with_distributions=False, dimension_cap=DEFAULT_DIMENSI
             key=lambda c: (c.generator.phi_subgroup.indices, c.generator.orbit_rep),
         )
         if members[0].dimension <= dimension_cap:
-            dist = weight_distribution(members[0], dimension_cap)
+            o = group.element_order(members[0].generator.orbit_rep)
+            if o not in by_order:
+                by_order[o] = weight_distribution(members[0], dimension_cap)
+            dist = by_order[o]
             mw = dist.min_nonzero()
             shared = dist if with_distributions else None
             members = [CodeRecord(c, mw, True, shared) for c in members]

@@ -850,12 +850,14 @@ def element_of_order(field, n):
         if all(field.pow(w, n // ell) != field.one for ell in prime_divisors):
             found = w
             break
-    # every element of order n is a coprime power of any one of them
+    # every element of order n is a coprime power of any one of them;
+    # walk found^k by a running product
     best = None
     best_key = None
+    cand = field.one
     for k in range(1, n):
+        cand = field.mul(cand, found)
         if gcd(k, n) == 1:
-            cand = field.pow(found, k)
             key = field.lex_key(cand)
             if best_key is None or key < best_key:
                 best, best_key = cand, key

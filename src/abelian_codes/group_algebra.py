@@ -15,10 +15,11 @@ from math import gcd
 from .abelian_group import (
     GroupElement,
     Subgroup,
-    _cycle,
+    _basis_exps,
     _index_p_cover_within,
+    _induced_perm,
+    _linear_values,
     _translation,
-    annihilator,
     cocyclic_subgroups,
     quotient_type,
     sylow_decompose,
@@ -30,7 +31,7 @@ from .errors import (
     NotCocyclic,
     NotIdempotent,
 )
-from .finite_field import FieldScalar, element_of_order, splitting_field
+from .finite_field import FieldScalar, element_of_order, mul_order, splitting_field
 
 
 @lru_cache(maxsize=None)
@@ -301,22 +302,34 @@ def phi_subgroup(e, family):
 # primitive idempotents via q-power character orbits
 # ---------------------------------------------------------------------------
 
-def _character_orbits(group, q):
-    """Orbits of exponent tuples under k -> q*k, with lex-minimal reps."""
-    orbits = []
-    seen = set()
-    for k in group.elements:
-        if k in seen:
-            continue
-        orbit = []
-        cur = k
-        while cur not in seen:
-            seen.add(cur)
-            orbit.append(cur)
-            cur = group.scale(q, cur)
-        orbits.append((min(orbit), orbit))
-    orbits.sort()
-    return orbits
+def _orbit_reps(group, q):
+    """The lex-least member of each orbit of characters under k -> q*k, in
+    order: indices are walked in order, so the first member met of an
+    orbit is its least exponent tuple."""
+    step = _induced_perm(group, [group.scale(q, _basis_exps(group, i))
+                                 for i in range(group.rank)])
+    seen = bytearray(group.order)
+    reps = []
+    for i in range(group.order):
+        if not seen[i]:
+            reps.append(group.elements[i])
+            j = i
+            while not seen[j]:
+                seen[j] = 1
+                j = step[j]
+    return reps
+
+
+def _character_values(group, rep):
+    """(o, t): the order o of rep and, for every element g in index order,
+    t(g) in Z_o with <rep, -g> = t(g) * (n/o) mod n, n = exp G.
+
+    The coefficient at g of the primitive idempotent of rep's orbit
+    depends only on t(g), and t is onto Z_o with every fibre a coset of
+    the kernel annihilator(G, <rep>): the code of that idempotent is the
+    length-o cyclic code C_o with each coordinate repeated |G|/o times."""
+    o = group.element_order(rep)
+    return o, _linear_values(group, [-x * o // d for x, d in zip(rep, group.divisors)], o)
 
 
 def primitive_idempotents(group, ctx):
@@ -324,9 +337,13 @@ def primitive_idempotents(group, ctx):
 
     Characters are partitioned into q-power orbits; each orbit sum is an
     idempotent with coefficients fixed by the q-Frobenius, hence living in
-    the base field.  Output is sorted by canonical orbit representative and
-    each entry carries its owning co-cyclic subgroup: the kernel of the
-    orbit's character, annihilator(G, <rep>), which every character of the
+    the base field.  The coefficient at g of the orbit of rep, of order o,
+    is T_o[t(g)] (``_character_values``) with
+    T_o[t] = (1/|G|) * sum_{j < k} zeta^(t * (n/o) * q^j), k = ord_o(q),
+    so one table per distinct character order serves every orbit.  Output
+    is sorted by canonical orbit representative and each entry carries
+    its owning co-cyclic subgroup: the kernel of the orbit's character,
+    annihilator(G, <rep>) = {g : t(g) = 0}, which every character of the
     orbit shares (q is a unit mod exp G, so <q*k> = <k>).
     """
     _check_char(group, ctx)
@@ -337,25 +354,17 @@ def primitive_idempotents(group, ctx):
     powers = [big.one]
     for _ in range(n - 1):
         powers.append(big.mul(powers[-1], root))
-    weights = [n // d for d in group.divisors]
-    elems = group.elements
-    # pairing vector of -g against each coordinate, reduced mod n
-    pair_vecs = []
-    for g in elems:
-        ng = group.neg(g)
-        pair_vecs.append(tuple(w * x % n for w, x in zip(weights, ng)))
     inv_order = ctx.inv(ctx.from_int(group.order))
     q = ctx.order
-    out = []
-    for rep, orbit in _character_orbits(group, q):
-        coeffs = []
-        for pv in pair_vecs:
-            s = big.zero
-            for k in orbit:
-                idx = 0
-                for ki, wi in zip(k, pv):
-                    idx += ki * wi
-                s = big.add(s, powers[idx % n])
+    tables = {}
+
+    def table(o):
+        k, row = mul_order(q, o), []
+        for t in range(o):
+            s, v = big.zero, t * (n // o)
+            for _ in range(k):
+                s = big.add(s, powers[v])
+                v = v * q % n
             try:
                 raw = restrict(s)
             except ArithmeticError as exc:
@@ -363,10 +372,17 @@ def primitive_idempotents(group, ctx):
                     "character-orbit sum escaped the base field; "
                     "orbit partition is inconsistent"
                 ) from exc
-            coeffs.append(ctx.mul(raw, inv_order))
-        cyclic = Subgroup._from_indices(group, sorted(_cycle(group, rep)), (rep,))
-        owner = annihilator(group, cyclic)
-        out.append(PrimitiveIdempotent(AlgebraElement(alg, coeffs), rep, owner))
+            row.append(ctx.mul(raw, inv_order))
+        return row
+
+    out = []
+    for rep in _orbit_reps(group, q):
+        o, ts = _character_values(group, rep)
+        if o not in tables:
+            tables[o] = table(o)
+        row = tables[o]
+        owner = Subgroup._from_indices(group, [i for i, t in enumerate(ts) if not t])
+        out.append(PrimitiveIdempotent(AlgebraElement(alg, [row[t] for t in ts]), rep, owner))
     return out
 
 

@@ -452,30 +452,45 @@ def test_abelian_groups_of_order():
 GROUPS_TO_64 = [G for n in range(1, 65) for G in abelian_groups_of_order(n)]
 
 
+# The lattice, the tuple sums and the tuple cycles of each group are built
+# once per session and shared by the oracle tests below.
+
 @lru_cache(maxsize=None)
 def _subgroups(G):
     return tuple(all_subgroups(G))
 
 
+@lru_cache(maxsize=None)
+def _sums(G):
+    """G.add(a, b) for every pair of exponent tuples, as _sums(G)[a][b]."""
+    return {a: {b: G.add(a, b) for b in G.elements} for a in G.elements}
+
+
+@lru_cache(maxsize=None)
 def _cyclic_by_adding(G, g):
     """Elements of <g> by repeated tuple addition."""
     out = {G.zero}
     x = g
     while x != G.zero:
         out.add(x)
-        x = G.add(x, g)
+        x = _sums(G)[x][g]
     return tuple(sorted(out))
 
 
-def _annihilator_by_scan(G, H):
-    """Exponent tuples k with sum_i k_i (n/d_i) h_i = 0 mod n on H's generators."""
+@lru_cache(maxsize=None)
+def _pairing_zeros(G, h):
+    """Exponent tuples k with sum_i k_i (n/d_i) h_i = 0 mod n."""
     n = G.exponent
     weights = [n // d for d in G.divisors]
-    return tuple(
+    return frozenset(
         k for k in G.elements
-        if all(sum(ki * w * hi for ki, w, hi in zip(k, weights, h)) % n == 0
-               for h in H.generators)
-    )
+        if sum(ki * w * hi for ki, w, hi in zip(k, weights, h)) % n == 0)
+
+
+def _annihilator_by_scan(G, H):
+    """Exponent tuples k pairing to 0 with every generator of H."""
+    zeros = [_pairing_zeros(G, h) for h in H.generators]
+    return tuple(k for k in G.elements if all(k in z for z in zeros))
 
 
 def _induced_perm_by_element(G, images):
@@ -552,15 +567,17 @@ def test_cocyclic_orbits_match_full_automorphism_group():
 
 def _closure_by_adding(G, gens):
     """Elements of the span of gens, as sumsets of tuple cycles."""
+    add = _sums(G)
     span = {G.zero}
     for g in gens:
-        span = {G.add(a, c) for a in span for c in _cyclic_by_adding(G, g)}
+        span = {add[a][c] for a in span for c in _cyclic_by_adding(G, g)}
     return tuple(sorted(span))
 
 
 def _peel_by_adding(G, universe, start):
     """Invariant factors of U/S by repeated tuple addition: peel the first
     element of maximal order mod S, then close S with it."""
+    add = _sums(G)
     universe = list(universe)
     S = set(start)
     out = []
@@ -571,11 +588,11 @@ def _peel_by_adding(G, universe, start):
                 continue
             k, x = 1, g
             while x not in S:
-                x = G.add(x, g)
+                x = add[x][g]
                 k += 1
             if k > best_order:
                 best, best_order = g, k
-        S = {G.add(a, c) for a in S for c in _cyclic_by_adding(G, best)}
+        S = {add[a][c] for a in S for c in _cyclic_by_adding(G, best)}
         out.append(best_order)
     return tuple(reversed(out))
 
@@ -625,7 +642,7 @@ def _subgroups_by_add_table(G):
 def test_translation_matches_tuple_addition():
     for G in GROUPS_TO_64:
         for g in G.elements:
-            assert _translation(G, g) == [G.index_of(G.add(g, x)) for x in G.elements]
+            assert _translation(G, g) == [G.index_of(_sums(G)[g][x]) for x in G.elements]
 
 
 def test_all_subgroups_match_add_table_route():
@@ -635,6 +652,7 @@ def test_all_subgroups_match_add_table_route():
 
 def test_joins_match_tuple_closure():
     for G in GROUPS_TO_64:
+        add = _sums(G)
         probes = [(0,) * (G.rank - 1) + (1,), (1,) * G.rank] if G.rank else []
         subs = _subgroups(G)
         for H, K in zip(subs, subs[1:] + subs[:1]):
@@ -643,9 +661,9 @@ def test_joins_match_tuple_closure():
             for g in probes:
                 cyc = _cyclic_by_adding(G, g)
                 assert H.extended(g).elements \
-                    == tuple(sorted({G.add(a, c) for a in H.elements for c in cyc}))
+                    == tuple(sorted({add[a][c] for a in H.elements for c in cyc}))
             assert subgroup_product(H, K).elements \
-                == tuple(sorted({G.add(a, b) for a in H.elements for b in K.elements}))
+                == tuple(sorted({add[a][b] for a in H.elements for b in K.elements}))
 
 
 def test_peels_match_tuple_addition():

@@ -217,3 +217,11 @@ def test_smallest_accepted_numbers(capsys):
         "sweep", "--field", "2", "--max-order", "1", "--format", "json"])
     assert status == 0
     assert [r["group"] for r in json.loads(out)["rows"]] == ["1"]
+
+
+def test_classify_with_large_code_dimension_finishes(capsys):
+    # the code of dimension 10 has 7^10 words but a dual of dimension 1
+    status, out = capture(capsys, [
+        "classify", "--group", "11", "--field", "7", "--format", "json"])
+    assert status == 0
+    assert [c["min_weight"] for c in json.loads(out)["codes"]] == [11, 2]

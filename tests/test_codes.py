@@ -1,3 +1,4 @@
+import json
 from functools import lru_cache
 from math import comb, gcd
 
@@ -155,8 +156,9 @@ def _minimal_codes_to_25(p, m):
 @pytest.mark.parametrize("p,m", WEIGHT_FIELDS)
 def test_weight_distribution_matches_oracle(p, m):
     # p = 5, 7 pack digits in 3-bit slots; m > 1 packs m digits per coordinate
+    # the distribution comes from C_o or, when o - k < k, from its dual
     q = p ** m
-    checked = 0
+    checked = duals = 0
     for code in _minimal_codes_to_25(p, m):
         if q ** code.dimension > 2 ** 16:
             continue
@@ -165,7 +167,9 @@ def test_weight_distribution_matches_oracle(p, m):
             code.algebra.group.divisors, q, code.generator.orbit_rep)
         assert dist.total == q ** code.dimension
         checked += 1
+        duals += 2 * code.dimension > code.algebra.group.order // code.repeat
     assert checked >= 40
+    assert duals >= 10
 
 
 def test_two_vector_bound_reaches_every_pair_and_scalar():
@@ -248,8 +252,9 @@ def test_macwilliams_identity_with_dual_ideal(case, pick):
     assert [q ** code.dimension * w_dual.get(w, 0) for w in range(n + 1)] == expected
 
 
-@pytest.mark.parametrize("p,m", [(2, 1), (3, 1), (2, 2), (2, 3), (3, 2)])
+@pytest.mark.parametrize("p,m", WEIGHT_FIELDS)
 def test_early_stopped_basis_matches_full_reduction(p, m):
+    # the basis is reduced at length o and lifted back through t
     ctx = field_make(p, m)
     for n in range(1, 26):
         if gcd(n, ctx.order) != 1:
@@ -264,6 +269,22 @@ def test_early_stopped_basis_matches_full_reduction(p, m):
                     G.divisors, ctx, ide.orbit_rep)
                 bare = minimal_code(algebra, ide.element)
                 assert [b.coeffs for b in bare.basis] == full
+
+
+@pytest.mark.parametrize("o,q", [(11, 7), (17, 3), (19, 3), (23, 5)])
+def test_sum_zero_code_distribution_closed_form(capsys, o, q):
+    # for o prime and q a primitive root mod o, the nontrivial minimal code
+    # of F_q C_o is the sum-zero code, of dimension o - 1 (its dual is the
+    # repetition code)
+    from abelian_codes.cli import run
+
+    assert run(["classify", "--group", str(o), "--field", str(q),
+                "--with-distributions", "--format", "json"]) == 0
+    codes = json.loads(capsys.readouterr().out)["codes"]
+    expected = [[w, comb(o, w) * ((q - 1) ** w + (-1) ** w * (q - 1)) // q]
+                for w in range(o + 1)]
+    assert codes[1]["dimension"] == o - 1
+    assert codes[1]["distribution"] == [pair for pair in expected if pair[1]]
 
 
 def test_early_stop_rejects_rank_above_span():

@@ -1,6 +1,8 @@
 import itertools
+from math import gcd
 
 import pytest
+from dense_oracle import element_of_order_by_pow
 
 from abelian_codes import (
     DegreeMismatch,
@@ -143,6 +145,16 @@ def test_element_of_order_is_deterministic_and_lex_minimal():
         and F64.pow(raw, 3) != F64.one
     ]
     assert min(all_order_9, key=F64.lex_key) == w1
+
+
+@pytest.mark.parametrize("p,m", [(2, 1), (3, 1), (5, 1), (7, 1), (2, 2), (2, 3), (3, 2)])
+def test_element_of_order_matches_pow_loop(p, m):
+    # the running product walks the same coprime powers as field.pow
+    ctx = field_make(p, m)
+    for n in range(1, 28):
+        if gcd(n, ctx.order) == 1:
+            big = splitting_field(ctx, n)[0]
+            assert element_of_order(big, n) == element_of_order_by_pow(big, n), (ctx, n)
 
 
 def test_splitting_field_prime_base():

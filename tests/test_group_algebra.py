@@ -2,6 +2,7 @@ import itertools
 from math import gcd
 
 import pytest
+from dense_oracle import orbit_sum_idempotents
 from hypothesis import given, settings, strategies as st
 
 from abelian_codes import (
@@ -235,6 +236,26 @@ def test_idempotent_acts_on_hats_by_containment():
                 assert prod == p.element
             else:
                 assert prod.is_zero()
+
+
+@pytest.mark.parametrize("p,m", [(2, 1), (3, 1), (5, 1), (7, 1), (2, 2), (2, 3), (3, 2)])
+def test_table_idempotents_match_dense_orbit_sums(p, m):
+    # one coefficient table per character order against |orbit| root
+    # powers summed at every (orbit, g) pair
+    ctx = field_make(p, m)
+    for n in range(1, 26):
+        if gcd(n, ctx.order) != 1:
+            continue
+        for G in abelian_groups_of_order(n):
+            got = [(e.orbit_rep, list(e.element.coeffs))
+                   for e in primitive_idempotents(G, ctx)]
+            assert got == orbit_sum_idempotents(G, ctx), (G.divisors, ctx)
+
+
+def test_table_idempotents_match_dense_orbit_sums_on_9_9_9():
+    G = group_make([9, 9, 9])
+    got = [(e.orbit_rep, list(e.element.coeffs)) for e in primitive_idempotents(G, F2)]
+    assert got == orbit_sum_idempotents(G, F2)
 
 
 def test_coefficients_live_in_base_field():
