@@ -4,6 +4,10 @@ Field contexts are immutable value objects.  Scalars are stored in a compact
 "raw" form (an int for prime fields and binary extensions, a coefficient
 tuple otherwise); the FieldScalar wrapper provides operator syntax on top.
 All arithmetic is exact.
+
+Every field is GF(p^m) over its prime field.  A splitting field over a base
+GF(p^m) is GF(p^(m*s)) built the same way, with the base embedded through a
+root of its modulus (``splitting_field``).
 """
 
 from __future__ import annotations
@@ -96,13 +100,6 @@ def _ptrim(a):
     while a and a[-1] == 0:
         a.pop()
     return a
-
-
-def _peval(poly, x, p):
-    acc = 0
-    for c in reversed(poly):
-        acc = (acc * x + c) % p
-    return acc
 
 
 def _pmod(a, f, p):
@@ -233,7 +230,7 @@ def _rabin_irreducible_gf2(fint):
     cur = 2  # the polynomial x
     for k in range(1, m + 1):
         cur = _bmulmod(cur, cur, fint)
-        if k in milestones and k < m:
+        if (k == 1 or k in milestones) and k < m:
             if _bgcd(cur ^ 2, fint).bit_length() - 1 > 0:
                 return False
     return cur == 2
@@ -247,7 +244,7 @@ def _rabin_irreducible(poly, p):
     cur = x
     for k in range(1, m + 1):
         cur = ring.pow(cur, p)
-        if k in milestones and k < m:
+        if (k == 1 or k in milestones) and k < m:
             diff = list(cur)
             diff[1] = (diff[1] - 1) % p
             g = _pgcd(diff, poly, p)
@@ -259,18 +256,12 @@ def _rabin_irreducible(poly, p):
 def poly_is_irreducible(poly, p):
     """Exact irreducibility test for a monic polynomial over GF(p).
 
-    Degrees <= 3 reduce to a root scan; higher degrees use iterated
-    Frobenius powers and gcd milestones.
+    Rabin's test: f of degree m >= 2 is irreducible iff x^(p^m) = x mod f
+    and gcd(f, x^(p^k) - x) = 1 for every k = m/l, l a prime divisor of m.
+    The gcd also runs at k = 1, where it is 1 exactly when f has no root in
+    GF(p), so most reducible candidates leave after one Frobenius step.
     """
-    m = len(poly) - 1
-    if m == 1:
-        return True
-    if poly[0] == 0:
-        return False
-    for r in range(p):
-        if _peval(poly, r, p) == 0:
-            return False
-    if m <= 3:
+    if len(poly) == 2:  # degree 1
         return True
     if p == 2:
         fint = 0
@@ -507,77 +498,6 @@ class ExtField(FieldCtx):
         return itertools.product(range(self.p), repeat=self.m)
 
 
-class TowerField(FieldCtx):
-    """Degree-s extension of an arbitrary base context.
-
-    Raw scalars are length-s tuples of base raws.  Used internally when a
-    splitting field is needed over a base that is itself an extension.
-    """
-
-    __slots__ = ("base", "p", "m", "s", "order", "modulus", "zero", "one")
-
-    def __init__(self, base, s, modulus):
-        self.base = base
-        self.p = base.p
-        self.s = s
-        self.m = base.m * s
-        self.order = base.order ** s
-        self.modulus = tuple(modulus)  # s+1 base raws, monic
-        self.zero = (base.zero,) * s
-        self.one = (base.one,) + (base.zero,) * (s - 1)
-
-    def from_int(self, k):
-        return (self.base.from_int(k),) + (self.base.zero,) * (self.s - 1)
-
-    def lex_key(self, a):
-        return tuple(self.base.lex_key(c) for c in a)
-
-    def add(self, a, b):
-        badd = self.base.add
-        return tuple(badd(x, y) for x, y in zip(a, b))
-
-    def sub(self, a, b):
-        bsub = self.base.sub
-        return tuple(bsub(x, y) for x, y in zip(a, b))
-
-    def neg(self, a):
-        bneg = self.base.neg
-        return tuple(bneg(x) for x in a)
-
-    def mul(self, a, b):
-        base = self.base
-        s = self.s
-        prod = [base.zero] * (2 * s - 1)
-        for i, ai in enumerate(a):
-            if ai != base.zero:
-                for j, bj in enumerate(b):
-                    if bj != base.zero:
-                        prod[i + j] = base.add(prod[i + j], base.mul(ai, bj))
-        # reduce by the monic modulus
-        for k in range(2 * s - 2, s - 1, -1):
-            lead = prod[k]
-            if lead == base.zero:
-                continue
-            for i in range(s + 1):
-                prod[k - s + i] = base.sub(prod[k - s + i], base.mul(lead, self.modulus[i]))
-        return tuple(prod[:s])
-
-    def elements(self):
-        base_elems = list(self.base.elements())
-        return itertools.product(base_elems, repeat=self.s)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, TowerField)
-            and self.base == other.base
-            and self.s == other.s
-            and self.modulus == other.modulus
-        )
-
-    def __hash__(self):
-        return hash((self.base, self.s, self.modulus))
-
-
 # ---------------------------------------------------------------------------
 # scalars
 # ---------------------------------------------------------------------------
@@ -680,151 +600,81 @@ def field_make(p, m=1, modulus=None):
     return ExtField(p, m, modulus)
 
 
-def _first_irreducible_over(base, s):
-    """Lex-first monic irreducible of degree s over an arbitrary base field,
-    found by scanning coefficient tuples and testing for irreducibility via
-    gcd-free Frobenius milestones (same test as over prime fields, with base
-    arithmetic)."""
-    base_elems = list(base.elements())
+def _modulus_root(ctx, big):
+    """The lex-least root of ctx.modulus in big.
 
-    def is_irred(poly):
-        # poly: list of s+1 base raws, monic
-        if poly[0] == base.zero:
-            return False
-        for r in base_elems:
-            acc = base.zero
-            for c in reversed(poly):
-                acc = base.add(base.mul(acc, r), c)
-            if acc == base.zero:
-                return False
-        if s <= 3:
-            return True
-        # Rabin over the base field
-        def pmod(a):
-            a = list(a)
-            while len(a) - 1 >= s and a:
-                lead = a[-1]
-                if lead == base.zero:
-                    a.pop()
-                    continue
-                shift = len(a) - 1 - s
-                for i in range(s + 1):
-                    a[shift + i] = base.sub(a[shift + i], base.mul(lead, poly[i]))
-                while a and a[-1] == base.zero:
-                    a.pop()
-            return a
-
-        def pmul(a, b):
-            res = [base.zero] * (len(a) + len(b) - 1)
-            for i, ai in enumerate(a):
-                if ai != base.zero:
-                    for j, bj in enumerate(b):
-                        if bj != base.zero:
-                            res[i + j] = base.add(res[i + j], base.mul(ai, bj))
-            return pmod(res)
-
-        def ppow(a, e):
-            result = [base.one]
-            acc = pmod(list(a))
-            while e:
-                if e & 1:
-                    result = pmul(result, acc)
-                acc = pmul(acc, acc)
-                e >>= 1
-            return result
-
-        def pgcd(a, b):
-            a, b = list(a), list(b)
-            while b:
-                inv_lead = base.inv(b[-1])
-                bm = [base.mul(c, inv_lead) for c in b]
-                r = list(a)
-                while len(r) >= len(bm):
-                    lead = r[-1]
-                    if lead == base.zero:
-                        r.pop()
-                        continue
-                    shift = len(r) - len(bm)
-                    for i in range(len(bm)):
-                        r[shift + i] = base.sub(r[shift + i], base.mul(lead, bm[i]))
-                    while r and r[-1] == base.zero:
-                        r.pop()
-                a, b = bm, r
-            return a
-
-        q = base.order
-        milestones = {s // ell for ell in factorize(s)}
-        x = [base.zero, base.one]
-        cur = list(x)
-        for k in range(1, s + 1):
-            cur = ppow(cur, q)
-            if k in milestones and k < s:
-                diff = list(cur) + [base.zero] * max(0, 2 - len(cur))
-                diff[1] = base.sub(diff[1], base.one)
-                while diff and diff[-1] == base.zero:
-                    diff.pop()
-                g = pgcd(diff, poly)
-                while g and g[-1] == base.zero:
-                    g.pop()
-                if len(g) - 1 > 0:
-                    return False
-        while cur and cur[-1] == base.zero:
-            cur.pop()
-        return cur == x
-
-    nonzero = [e for e in base_elems if e != base.zero]
-    for c0 in nonzero:  # zero constant term means divisible by x
-        for tail in itertools.product(base_elems, repeat=s - 1):
-            poly = [c0] + list(tail) + [base.one]
-            if is_irred(poly):
-                return tuple(poly)
-    raise AssertionError("no irreducible polynomial found")  # unreachable
+    The roots lie in the copy of GF(q)* inside big, q = ctx.order, so the
+    powers of one element of order q - 1 meet one of them; the others are
+    its p-power conjugates.
+    """
+    g = element_of_order(big, ctx.order - 1)
+    z = g
+    while True:
+        acc = big.zero
+        for c in reversed(ctx.modulus):
+            acc = big.add(big.mul(acc, z), big.from_int(c))
+        if acc == big.zero:
+            break
+        z = big.mul(z, g)
+    roots = [z]
+    for _ in range(ctx.m - 1):
+        roots.append(big.pow(roots[-1], ctx.p))
+    return min(roots, key=big.lex_key)
 
 
 def splitting_field(ctx, n):
     """Smallest-degree extension of ctx containing primitive n-th roots of 1.
 
-    Returns (field, embed, restrict).  embed maps a ctx raw into the big
-    field; restrict maps a big-field raw back to a ctx raw, raising
+    Returns (field, embed, restrict).  The field is GF(p^(m*s)) from
+    field_make, s = ord_n(q), and the base GF(p^m) embeds through beta, the
+    lex-least root of ctx.modulus there: embed sends the ctx raw with
+    coefficients c_i to sum_i c_i beta^i, which for m = 1 is the constant
+    c_0.  restrict maps a big-field raw back to a ctx raw, raising
     ArithmeticError when the value does not lie in the embedded base copy.
     """
     if n <= 1 or (ctx.order - 1) % n == 0:
         ident = lambda a: a
         return ctx, ident, ident
-    s = mul_order(ctx.order, n)
-    if ctx.m == 1:
-        big = field_make(ctx.p, s)
-        if ctx.p == 2:
-            def embed(a):
-                return a
-
-            def restrict(a):
-                if a >> 1:
-                    raise ArithmeticError("value outside the base field")
-                return a
-        else:
-            zero_tail = (0,) * (s - 1)
-
-            def embed(a):
-                return (a,) + zero_tail
-
-            def restrict(a):
-                if any(a[1:]):
-                    raise ArithmeticError("value outside the base field")
-                return a[0]
-        return big, embed, restrict
-
-    modulus = _first_irreducible_over(ctx, s)
-    big = TowerField(ctx, s, modulus)
-    zero_tail = (ctx.zero,) * (s - 1)
+    p, m = ctx.p, ctx.m
+    big = field_make(p, m * mul_order(ctx.order, n))
+    beta = _modulus_root(ctx, big) if m > 1 else big.one
+    powers = [big.one]  # beta^i, i < m
+    for _ in range(m - 1):
+        powers.append(big.mul(powers[-1], beta))
 
     def embed(a):
-        return (a,) + zero_tail
+        acc = big.zero
+        for ci, b in zip(ctx.coeffs(a), powers):
+            if ci:
+                acc = big.add(acc, big.mul(big.from_int(ci), b))
+        return acc
 
-    def restrict(a):
-        if any(c != ctx.zero for c in a[1:]):
+    # Gauss-Jordan on [digits of beta^i | I]: row i becomes (r_i, t_i), the
+    # r_i in reduced echelon form with pivots in columns pivots[i]; a value
+    # with digits d * r then has beta-coordinates d * t, and d is read off
+    # its pivot digits
+    width = big.m
+    aug = [list(big.coeffs(b)) + [int(i == k) for k in range(m)]
+           for i, b in enumerate(powers)]
+    pivots = []
+    for i in range(m):
+        col = next(j for j in range(width) if aug[i][j])
+        inv = pow(aug[i][col], p - 2, p)
+        row = aug[i] = [x * inv % p for x in aug[i]]
+        for k in range(m):
+            f = aug[k][col]
+            if k != i and f:
+                aug[k] = [(x - f * y) % p for x, y in zip(aug[k], row)]
+        pivots.append(col)
+
+    def restrict(z):
+        digits = big.coeffs(z)
+        a = ctx.raw_from_coeffs([
+            sum(digits[col] * r[width + k] for col, r in zip(pivots, aug))
+            for k in range(m)])
+        if embed(a) != z:
             raise ArithmeticError("value outside the base field")
-        return a[0]
+        return a
 
     return big, embed, restrict
 

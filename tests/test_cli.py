@@ -84,9 +84,13 @@ def test_sweep_output_digest(capsys):
      "7cc406e3eec0a9b399ba47f43325cef8c00c79bd5a1bb0c8ce496198504852be"),
     ("classify --group 9,3 --field 2^2 --with-distributions",
      "cabb3f6f9e0dc35d2c4de544352022286bb243f2c2a9ed30278023f5785843b4"),
-], ids=["subgroups", "idempotents", "verify", "classify"])
+    ("idempotents --group 9,3 --field 2^2",
+     "a95a0ac107ce220d23343f7d385b86d49908a406c692f0bed78e4e0f3de7475f"),
+], ids=["subgroups", "idempotents", "verify", "classify", "idempotents-extension"])
 def test_output_digest(capsys, argv, digest):
-    # sha256 of the stdout before subgroups moved to element indices
+    # sha256 of the stdout before subgroups moved to element indices; the
+    # extension-base idempotents digest is that of GF(4) embedded in
+    # GF(2^(2s)) through the lex-least root of its modulus
     status, out = capture(capsys, argv.split() + ["--format", "json"])
     assert status == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
@@ -181,7 +185,7 @@ def test_field_extension_spec(capsys):
 
 
 def test_classify_over_degree_four_tower(capsys):
-    # GF(4) reaches 17th roots of unity only in a degree-4 tower
+    # GF(4) reaches 17th roots of unity only in GF(4^4)
     status, out = capture(
         capsys, ["classify", "--group", "17", "--field", "2^2", "--format", "json"])
     assert status == 0

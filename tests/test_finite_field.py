@@ -17,7 +17,7 @@ from abelian_codes import (
     mul_order,
     splitting_field,
 )
-from abelian_codes.finite_field import _first_irreducible_over, poly_is_irreducible
+from abelian_codes.finite_field import factorize, poly_is_irreducible
 
 
 def test_prime_field_basics():
@@ -174,44 +174,67 @@ def test_splitting_field_identity_when_roots_present():
     assert embed(F4.one) == F4.one
 
 
-def test_splitting_field_tower_over_extension():
-    # GF(4) needs a degree-2 step for 5th roots of unity (4^2 - 1 = 15)
-    F4 = field_make(2, 2)
-    big, embed, restrict = splitting_field(F4, 5)
-    assert big.order == 16
-    one = embed(F4.one)
-    w = element_of_order(big, 5)
-    acc = big.one
-    for _ in range(5):
-        acc = big.mul(acc, w)
-    assert acc == big.one == one
+@pytest.mark.parametrize("q,n", [(4, 5), (4, 7), (8, 5), (9, 7), (16, 7), (25, 7), (1000003, 7)])
+def test_splitting_field_embedding(q, n):
+    # the base GF(q) embeds into GF(p^(m*s)) through a root of its modulus;
+    # GF(8) already holds the 7th roots of unity, so it is asked for 5th
+    ((p, m),) = factorize(q).items()
+    ctx = field_make(p, m)
+    big, embed, restrict = splitting_field(ctx, n)
+    assert big.order == q ** mul_order(q, n) > q
+    if q < 100:
+        sample = list(ctx.elements())
+    else:
+        sample = [0, 1, 2, 3, q - 1, 123456, 999999]
+    for a in sample:
+        assert restrict(embed(a)) == a
+        for b in sample[:20]:
+            assert embed(ctx.add(a, b)) == big.add(embed(a), embed(b))
+            assert embed(ctx.mul(a, b)) == big.mul(embed(a), embed(b))
     with pytest.raises(ArithmeticError):
-        restrict(w)
-
-
-def _divides_over(ctx, d, f):
-    """True iff the monic d divides f, both lists of ctx raws low-to-high."""
-    r = list(f)
-    while len(r) >= len(d):
-        lead = r[-1]
-        shift = len(r) - len(d)
-        for i, c in enumerate(d):
-            r[shift + i] = ctx.sub(r[shift + i], ctx.mul(lead, c))
-        r.pop()
-    return all(c == ctx.zero for c in r)
+        restrict(element_of_order(big, n))  # a primitive n-th root is not in GF(q)
 
 
 def test_tower_modulus_degree_four_over_gf4():
-    # 17 needs degree mul_order(4, 17) = 4 over GF(4); the Frobenius
-    # milestone difference can lose its leading term there
+    # 17 needs degree mul_order(4, 17) = 4 over GF(4)
     F4 = field_make(2, 2)
-    f = _first_irreducible_over(F4, 4)
-    assert len(f) == 5 and f[-1] == F4.one
-    elems = list(F4.elements())
-    for deg in (1, 2):
-        for tail in itertools.product(elems, repeat=deg):
-            assert not _divides_over(F4, list(tail) + [F4.one], f), tail
     big, embed, restrict = splitting_field(F4, 17)
     assert big.order == 256
     w = element_of_order(big, 17)
     assert w != big.one and big.pow(w, 17) == big.one
+
+
+def _has_monic_divisor(f, p):
+    """True iff some monic polynomial of degree 1..deg(f)//2 divides f over
+    GF(p), found by long division; lists low-to-high."""
+    m = len(f) - 1
+    for deg in range(1, m // 2 + 1):
+        for tail in itertools.product(range(p), repeat=deg):
+            d = list(tail) + [1]
+            r = list(f)
+            while len(r) >= len(d):
+                lead = r[-1]
+                shift = len(r) - len(d)
+                for i, c in enumerate(d):
+                    r[shift + i] = (r[shift + i] - lead * c) % p
+                r.pop()
+            if not any(r):
+                return True
+    return False
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_poly_is_irreducible_matches_trial_division(p):
+    for m in range(1, 5):
+        for tail in itertools.product(range(p), repeat=m):
+            f = list(tail) + [1]
+            assert poly_is_irreducible(f, p) == (not _has_monic_divisor(f, p)), f
+
+
+def test_field_make_large_prime_degree_six():
+    # the root scan over GF(1000003) made this construction hang
+    F = field_make(1000003, 6)
+    assert F.order == 1000003 ** 6
+    assert poly_is_irreducible(list(F.modulus), 1000003)
+    x = F.raw_from_coeffs((0, 1, 0, 0, 0, 0))
+    assert F.pow(x, F.order) == x

@@ -33,6 +33,7 @@ from abelian_codes import (
     quotient_type,
     subgroup_product,
 )
+from abelian_codes.finite_field import factorize
 from abelian_codes.group_algebra import row_reduce_raw
 
 F2 = field_make(2)
@@ -191,11 +192,22 @@ def test_primitive_idempotents_f7_c9_split():
         assert total == eH
 
 
-@pytest.mark.parametrize("divisors,q", [([9, 3], 2), ([9], 7), ([15], 2), ([12], 7)])
+@pytest.mark.parametrize("divisors,q", [
+    ([9, 3], 2), ([9], 7), ([15], 2), ([12], 7),
+    ([9, 3], 4), ([11], 4), ([9], 8), ([13], 9), ([7], 25),
+])
 def test_primitive_idempotents_are_complete_orthogonal(divisors, q):
+    # checked by multiplication in F_qG alone, so the extension bases test
+    # the splitting-field embedding without trusting it
     G = group_make(divisors)
-    ctx = field_make(q)
+    ((p, m),) = factorize(q).items()
+    ctx = field_make(p, m)
     prims = primitive_idempotents(G, ctx)
+    # one primitive idempotent per orbit of k -> q*k on the character group,
+    # which is isomorphic to G
+    orbits = {frozenset(G.scale(pow(q, j, G.exponent), g) for j in range(G.exponent))
+              for g in G.elements}
+    assert len(prims) == len(orbits)
     alg = get_algebra(G, ctx)
     total = alg.zero()
     for p in prims:
