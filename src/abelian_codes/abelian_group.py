@@ -40,7 +40,7 @@ class AbelianGroup:
     divisor lists into this form."""
 
     __slots__ = ("divisors", "order", "exponent", "rank", "zero",
-                 "_elements", "_index")
+                 "_elements", "_index", "_orders")
 
     def __init__(self, divisors):
         divisors = tuple(divisors)
@@ -54,6 +54,7 @@ class AbelianGroup:
         self.zero = (0,) * self.rank
         self._elements = None
         self._index = None
+        self._orders = None
 
     # -- element bookkeeping --------------------------------------------
 
@@ -197,12 +198,14 @@ def _cycle(group, g):
 
 
 def _orders(group):
-    """Order of every element, in index order."""
-    vals = [1]
-    for d in group.divisors:
-        col = [d // gcd(x, d) for x in range(d)]
-        vals = [lcm(v, c) for v in vals for c in col]
-    return vals
+    """Order of every element, in index order; built once per group."""
+    if group._orders is None:
+        vals = [1]
+        for d in group.divisors:
+            col = [d // gcd(x, d) for x in range(d)]
+            vals = [lcm(v, c) for v in vals for c in col]
+        group._orders = vals
+    return group._orders
 
 
 def _translation(group, g):
@@ -216,16 +219,19 @@ def _translation(group, g):
 
 def _join(group, S, g):
     """Index set of the subgroup generated by the subgroup S (an index set)
-    and the element g: the cosets S, S + g, S + 2g, ... up to the first
-    that returns into S."""
-    t = _translation(group, g)
-    out = set(S)
-    coset = list(out)
-    while True:
-        coset = [t[i] for i in coset]
-        if coset[0] in out:
-            return out
-        out.update(coset)
+    and the element g: S and its cosets S + k*g for 0 < k < m, m the least
+    k with k*g in S.  Only those cosets are built, and only along the axes
+    j where g_j != 0: there the index of h + k*g moves by
+    ((h_j + k*g_j) mod d_j - h_j) * stride_j."""
+    cyc = _cycle(group, g)
+    m = next((k for k in range(1, len(cyc)) if cyc[k] in S), len(cyc))
+    new = [h for _ in range(1, m) for h in S]
+    for x, d, s in zip(g, group.divisors, _strides(group)):
+        if x % d:
+            digits = [h // s % d for h in S]
+            step = [((y + k * x) % d - y) * s for k in range(1, m) for y in digits]
+            new = [a + b for a, b in zip(new, step)]
+    return set(S).union(new)
 
 
 class Subgroup:
@@ -327,11 +333,9 @@ class Subgroup:
             span = {0}
             gens = []
             while len(span) < len(self.indices):
-                best = None
-                best_order = 0
-                for i in self.indices:
-                    if i not in span and orders[i] > best_order:
-                        best, best_order = elems[i], orders[i]
+                # max keeps the first of the maximal orders
+                best = elems[max((i for i in self.indices if i not in span),
+                                 key=orders.__getitem__)]
                 gens.append(best)
                 span = _join(group, span, best)
             self._generators = tuple(gens)
@@ -555,6 +559,25 @@ def quotient_type(group, H):
     if not isinstance(H, Subgroup) or H.group != group:
         raise NotASubgroup("H is not a subgroup of G")
     return _peel_invariant_factors(group, range(group.order), H._set)
+
+
+def owner_type(group, k):
+    """Invariant factors of G/<k>: the type of annihilator(G, <k>), owner of
+    the codes of character k, and by the paper's criterion their class key.
+    G/<k> is Z^t modulo the rows of diag(d) and k; as each d_i divides the
+    next, the gcd D_j of its j x j minors is that of d_1...d_j and of
+    k_l d_1...d_(j-1) (l >= j) and k_l d_1...d_j / d_l (l < j), and
+    s_j = D_j / D_(j-1)."""
+    d = group.divisors
+    out = []
+    head = prev = 1  # d_1...d_(j-1) and D_(j-1)
+    for j in range(group.rank):
+        D = gcd(head * d[j], head * gcd(*k[j:]),
+                *(x * head * d[j] // d[l] for l, x in enumerate(k[:j])))
+        if D > prev:
+            out.append(D // prev)
+        head, prev = head * d[j], D
+    return tuple(out)
 
 
 def _linear_values(group, coeffs, n):
@@ -806,19 +829,10 @@ class Automorphism:
         group = self.group
         if group.rank == 0:
             return 1
-        # read r from the last (maximal-order) generator, then verify
-        d_t = group.divisors[-1]
-        img = self.images[-1]
-        base = _basis_exps(group, group.rank - 1)
-        r = None
-        for cand in range(d_t):
-            if group.scale(cand, base) == img:
-                r = cand
-                break
-        if r is None:
-            return None
-        for i in range(group.rank):
-            if group.scale(r, _basis_exps(group, i)) != self.images[i]:
+        # r is read off the image of the last (maximal-order) generator
+        r = self.images[-1][-1]
+        for i, img in enumerate(self.images):
+            if img != group.scale(r, _basis_exps(group, i)):
                 return None
         return r
 
@@ -967,23 +981,6 @@ def automorphisms(group, max_order=512):
                     nxt.append(comp)
         frontier = nxt
     return sorted(found.values(), key=lambda a: a.perm)
-
-
-def brute_force_automorphisms(group):
-    """Reference oracle: enumerate all generator-image tuples whose orders
-    divide the corresponding invariant factors and keep the bijections."""
-    rank = group.rank
-    if rank == 0:
-        return [Automorphism.identity(group)]
-    candidates = []
-    for d in group.divisors:
-        candidates.append([g for g in group.elements if d % group.element_order(g) == 0])
-    out = []
-    for images in itertools.product(*candidates):
-        perm = _induced_perm(group, images)
-        if perm is not None:
-            out.append(Automorphism._trusted(group, images, perm))
-    return sorted(out, key=lambda a: a.perm)
 
 
 def power_automorphisms(auts):

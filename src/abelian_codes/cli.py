@@ -95,6 +95,15 @@ def _md_table(headers, rows):
     return "\n".join(lines) + "\n"
 
 
+def _render_table(data, fmt, headers, rows, head):
+    """data as JSON, or the rows as CSV, or head plus a Markdown table."""
+    if fmt == "json":
+        return _to_json(data)
+    if fmt == "csv":
+        return _csv_block(headers, rows)
+    return head + _md_table(headers, rows)
+
+
 def _fmt_cell(value):
     if isinstance(value, bool):
         return "yes" if value else "no"
@@ -182,14 +191,10 @@ def _idempotents_dict(group, ctx):
 
 
 def _render_idempotents(data, fmt):
-    if fmt == "json":
-        return _to_json(data)
     headers = ["orbit_rep", "phi_subgroup", "support_size", "coeffs"]
     rows = [[_fmt_cell(e[h]) for h in headers] for e in data["idempotents"]]
-    if fmt == "csv":
-        return _csv_block(headers, rows)
     head = "group: %s  field: GF(%s)\n\n" % (data["group"], data["field"])
-    return head + _md_table(headers, rows)
+    return _render_table(data, fmt, headers, rows, head)
 
 
 def _subgroups_dict(group, ctx):
@@ -210,14 +215,10 @@ def _subgroups_dict(group, ctx):
 
 
 def _render_subgroups(data, fmt):
-    if fmt == "json":
-        return _to_json(data)
     headers = ["generators", "order", "quotient", "cocyclic"]
     rows = [[_fmt_cell(e[h]) for h in headers] for e in data["subgroups"]]
-    if fmt == "csv":
-        return _csv_block(headers, rows)
     head = "group: %s  (%d subgroups)\n\n" % (data["group"], len(rows))
-    return head + _md_table(headers, rows)
+    return _render_table(data, fmt, headers, rows, head)
 
 
 def _sweep_dict(ctx, max_order):
@@ -245,32 +246,20 @@ def _sweep_dict(ctx, max_order):
 
 
 def _render_sweep(data, fmt):
-    if fmt == "json":
-        return _to_json(data)
     headers = ["group", "class_count", "tau", "homocyclic", "thm56_match"]
     rows = [[_fmt_cell(e[h]) for h in headers] for e in data["rows"]]
-    if fmt == "csv":
-        return _csv_block(headers, rows)
     head = "field: GF(%s)  max order: %d\n\n" % (data["field"], data["max_order"])
-    return head + _md_table(headers, rows)
+    return _render_table(data, fmt, headers, rows, head)
 
 
 def _render_verify(data, fmt):
-    if fmt == "json":
-        return _to_json(data)
     headers = ["label", "check", "expected", "actual", "pass"]
-    rows = [
-        [_fmt_cell(r["label"]), _fmt_cell(r["check"]),
-         _fmt_cell(r["expected"]), _fmt_cell(r["actual"]), _fmt_cell(r["pass"])]
-        for r in data["rows"]
-    ]
-    if fmt == "csv":
-        return _csv_block(headers, rows)
+    rows = [[_fmt_cell(r[h]) for h in headers] for r in data["rows"]]
     head = "group: %s  field: GF(%s)  table: %s\nall rows pass: %s\n\n" % (
         data["group"], data["field"], data["table"],
         "yes" if data["all_pass"] else "no",
     )
-    return head + _md_table(headers, rows)
+    return _render_table(data, fmt, headers, rows, head)
 
 
 # ---------------------------------------------------------------------------

@@ -9,21 +9,18 @@ the class structure is known exactly.
 
 from __future__ import annotations
 
+import itertools
 from collections import Counter
 from math import comb
 
-from .abelian_group import (
-    Subgroup,
-    cocyclic_subgroups,
-    subgroup_orbits,
-)
+from .abelian_group import Subgroup, owner_type
 from .errors import (
     AlgebraMismatch,
     DimensionTooLarge,
     DomainError,
     HypothesisFails,
 )
-from .finite_field import divisor_count, euler_phi, factorize, mul_order
+from .finite_field import divisor_count, divisors, euler_phi, factorize, mul_order
 from .group_algebra import (
     AlgebraElement,
     PrimitiveIdempotent,
@@ -360,8 +357,10 @@ def min_weight_or_bound(code, cap=DEFAULT_DIMENSION_CAP):
 
 
 def equivalent(code1, code2, auts):
-    """True iff some automorphism carries one owning subgroup to the other;
-    by the orbit correspondence this decides code equivalence."""
+    """True iff some automorphism in auts carries one owning subgroup to
+    the other: G-equivalence when auts = Aut(G).  By the paper's criterion
+    that holds iff the owners are isomorphic (``owner_type``, which
+    classify uses); this search is the independent check."""
     if code1.algebra != code2.algebra:
         raise AlgebraMismatch("codes from different algebras")
     H1 = code1.generator.phi_subgroup
@@ -457,9 +456,12 @@ class ClassificationReport:
 
 
 def classify(group, ctx, with_distributions=False, dimension_cap=DEFAULT_DIMENSION_CAP):
-    """Compute every minimal code of F_qG, group them into equivalence
-    classes by automorphism orbits of the owning subgroups, and compare the
-    class count with tau(exp G).
+    """Compute every minimal code of F_qG, group them into G-equivalence
+    classes, and compare the class count with tau(exp G).
+
+    A code of character k is classed by ``owner_type(group, k)``, the type
+    of G/<k>: by the paper's criterion two minimal codes are G-equivalent
+    exactly when their owning co-cyclic subgroups are isomorphic.
 
     A code's weight distribution depends only on the order o of its
     character (it is C_o with every coordinate repeated |G|/o times), so
@@ -470,22 +472,18 @@ def classify(group, ctx, with_distributions=False, dimension_cap=DEFAULT_DIMENSI
     algebra = get_algebra(group, ctx)
     codes = [minimal_code(algebra, ide) for ide in prims]
 
-    subgroups = {}
-    for ide in prims:
-        subgroups.setdefault(ide.phi_subgroup.indices, ide.phi_subgroup)
     # the owner map is onto the extended co-cyclic family, so every family
     # idempotent is primitive exactly when no two primitives share an owner
-    family_primitive = len(prims) == len(subgroups)
-    orbits = subgroup_orbits(group, list(subgroups.values()))
+    family_primitive = len(prims) == len({ide.phi_subgroup.indices for ide in prims})
+    # in this order each class, and the list of classes, comes out sorted
+    codes.sort(key=lambda c: (c.generator.phi_subgroup.indices, c.generator.orbit_rep))
+    by_type = {}
+    for c in codes:
+        by_type.setdefault(owner_type(group, c.generator.orbit_rep), []).append(c)
     records = []
     classes = []
     by_order = {}
-    for orbit in orbits:
-        orbit_keys = {H.indices for H in orbit}
-        members = sorted(
-            (c for c in codes if c.generator.phi_subgroup.indices in orbit_keys),
-            key=lambda c: (c.generator.phi_subgroup.indices, c.generator.orbit_rep),
-        )
+    for members in by_type.values():
         if members[0].dimension <= dimension_cap:
             o = group.element_order(members[0].generator.orbit_rep)
             if o not in by_order:
@@ -501,10 +499,6 @@ def classify(group, ctx, with_distributions=False, dimension_cap=DEFAULT_DIMENSI
             ]
         records.extend(members)
         classes.append(CodeClass(members[0], members))
-    classes.sort(key=lambda c: (
-        c.representative.code.generator.phi_subgroup.indices,
-        c.representative.code.generator.orbit_rep,
-    ))
     records.sort(key=lambda r: r.code.generator.orbit_rep)
     return ClassificationReport(group, ctx, records, classes, family_primitive)
 
@@ -513,25 +507,24 @@ def tau_sweep(groups, ctx):
     """For each group: the equivalence-class count of its minimal codes
     against tau(exp G), plus the homocyclic flag.
 
-    The class count equals the number of automorphism orbits on the
-    extended co-cyclic family.  The owning-subgroup map is onto the family
-    by construction: the owner of the orbit of k is annihilator(G, <k>),
-    and every co-cyclic H (and G itself) is the annihilator of a cyclic
-    subgroup.  No idempotents need to be constructed.
+    By the paper's criterion the classes are the isomorphism types of the
+    owners annihilator(G, <k>) (G itself for k = 0): the count of distinct
+    ``owner_type(group, k)``.  Scaling each k_i by a unit is an automorphism,
+    so the prod tau(d_i) tuples with each k_i dividing d_i reach every type.
+    No element, subgroup, automorphism or idempotent is built.
     """
     rows = []
     for group in groups:
         _check_char(group, ctx)
-        members = cocyclic_subgroups(group) + [Subgroup.whole(group)]
-        orbits = subgroup_orbits(group, members)
+        reps = itertools.product(*[[c % d for c in divisors(d)] for d in group.divisors])
+        count = len({owner_type(group, k) for k in reps})
         tau = divisor_count(group.exponent)
-        homocyclic = len(set(group.divisors)) <= 1
         rows.append({
             "group": group.spec_string(),
-            "class_count": len(orbits),
+            "class_count": count,
             "tau": tau,
-            "homocyclic": homocyclic,
-            "match": len(orbits) == tau,
+            "homocyclic": len(set(group.divisors)) <= 1,
+            "match": count == tau,
         })
     return rows
 
@@ -647,23 +640,25 @@ def verify_tables(group, ctx, dimension_cap=DEFAULT_DIMENSION_CAP):
             "pass": expected == actual,
         })
 
+    def primitive_root(q_name, m_name, modulus, **context):
+        needed, actual = euler_phi(modulus), mul_order(ctx.order, modulus)
+        result["hypothesis"] = {
+            "statement": "mul_order(%s, %s) == phi(%s)" % (q_name, m_name, m_name),
+            "mul_order": actual,
+            "phi": needed,
+        }
+        if actual != needed:
+            raise HypothesisFails(
+                "%s is not a primitive root modulo %s" % (q_name, m_name),
+                **context, modulus=modulus, order=actual, phi=needed,
+            )
+
     if len(distinct) == 1 and len(factorize(divisors[0])) == 1:
         # homocyclic C_{p^r}^m with p^r a prime power
         (p, r), = factorize(divisors[0]).items()
         m = len(divisors)
         result["table"] = "homocyclic C_{p^r}^m (p=%d, r=%d, m=%d)" % (p, r, m)
-        needed = euler_phi(p ** r)
-        actual_order = mul_order(ctx.order, p ** r) if p ** r > 1 else 1
-        result["hypothesis"] = {
-            "statement": "mul_order(q, p^r) == phi(p^r)",
-            "mul_order": actual_order,
-            "phi": needed,
-        }
-        if actual_order != needed:
-            raise HypothesisFails(
-                "q is not a primitive root modulo p^r",
-                q=ctx.order, modulus=p ** r, order=actual_order, phi=needed,
-            )
+        primitive_root("q", "p^r", p ** r, q=ctx.order)
         rows, expected_classes = _table_rows_homocyclic(group, ctx, p, r, m)
     elif (
         len(divisors) == 2
@@ -678,18 +673,7 @@ def verify_tables(group, ctx, dimension_cap=DEFAULT_DIMENSION_CAP):
             raise HypothesisFails(
                 "this reference table is asserted over GF(2) only", q=ctx.order
             )
-        needed = euler_phi(p ** n)
-        actual_order = mul_order(2, p ** n)
-        result["hypothesis"] = {
-            "statement": "mul_order(2, p^n) == phi(p^n)",
-            "mul_order": actual_order,
-            "phi": needed,
-        }
-        if actual_order != needed:
-            raise HypothesisFails(
-                "2 is not a primitive root modulo p^n",
-                modulus=p ** n, order=actual_order, phi=needed,
-            )
+        primitive_root("2", "p^n", p ** n)
         rows, expected_orbits, expected_classes = _table_rows_rank2(group, ctx, p, n)
     else:
         raise DomainError(
@@ -721,11 +705,10 @@ def verify_tables(group, ctx, dimension_cap=DEFAULT_DIMENSION_CAP):
         mw, exact = min_weight_or_bound(code, dimension_cap)
         push(row["label"], "min weight (exact=%s)" % exact, row["weight"], mw)
 
-    subgroups = {}
+    classes = {}
     for ide in prims:
-        subgroups.setdefault(ide.phi_subgroup.indices, ide.phi_subgroup)
-    orbits = subgroup_orbits(group, list(subgroups.values()))
-    push("classes", "class count", expected_classes, len(orbits))
+        classes.setdefault(owner_type(group, ide.orbit_rep), set()).add(ide.phi_subgroup)
+    push("classes", "class count", expected_classes, len(classes))
     if rank2:
         def describe(partition):
             out = []
@@ -733,7 +716,7 @@ def verify_tables(group, ctx, dimension_cap=DEFAULT_DIMENSION_CAP):
                 out.append([[list(g) for g in H.generators] for H in sorted(orbit)])
             return sorted(out)
 
-        actual_partition = {frozenset(orbit) for orbit in orbits}
+        actual_partition = {frozenset(owners) for owners in classes.values()}
         expected_partition = {frozenset(o) for o in expected_orbits}
         push(
             "classes", "subgroup orbit partition",

@@ -43,6 +43,10 @@ class FieldMismatch(DomainError):
     pass
 
 
+class DegreeTooLarge(DomainError):
+    pass
+
+
 # -- groups ------------------------------------------------------------------
 
 class BadDivisor(DomainError):

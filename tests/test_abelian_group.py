@@ -18,13 +18,13 @@ from abelian_codes import (
     annihilator,
     aut_generators,
     automorphisms,
-    brute_force_automorphisms,
     characters,
     cocyclic_subgroups,
     cyclic_subgroups,
     euler_phi,
     field_make,
     group_make,
+    owner_type,
     power_automorphisms,
     quotient_type,
     sharp,
@@ -288,10 +288,14 @@ def test_automorphism_counts_cyclic_and_klein():
     [4, 4], [3, 15], [2, 6],
 ])
 def test_generator_closure_matches_brute_force(divisors):
+    # every tuple of generator images whose orders divide the invariant
+    # factors, kept when it induces a bijection
     G = group_make(divisors)
     closure = {psi.perm for psi in automorphisms(G)}
-    brute = {psi.perm for psi in brute_force_automorphisms(G)}
-    assert closure == brute
+    candidates = [[g for g in G.elements if d % G.element_order(g) == 0]
+                  for d in G.divisors]
+    perms = (_induced_perm(G, images) for images in itertools.product(*candidates))
+    assert closure == {perm for perm in perms if perm is not None}
 
 
 def test_automorphisms_bound():
@@ -561,6 +565,32 @@ def test_cocyclic_orbits_match_full_automorphism_group():
     assert checked == len(GROUPS_TO_64) - 9
 
 
+def test_owner_type_is_the_type_of_the_annihilator():
+    for G in GROUPS_TO_64:
+        for C in cyclic_subgroups(G):
+            ann = annihilator(G, C).invariant_factors()
+            assert quotient_type(G, C) == ann, (G.divisors, C.generators)
+            for i in C.indices:
+                k = G.elements[i]
+                if G.element_order(k) == C.order:  # k generates C
+                    assert owner_type(G, k) == ann, (G.divisors, k)
+
+
+def test_owner_type_partition_equals_cocyclic_orbits():
+    # the paper's criterion: two owners annihilator(G, <k>) lie in one
+    # Aut(G)-orbit exactly when they are isomorphic
+    groups = [G for n in range(1, 129) for G in abelian_groups_of_order(n)]
+    assert len(groups) == 247
+    for G in groups:
+        by_type = {}
+        for C in cyclic_subgroups(G):
+            k = C.generators[0] if C.generators else G.zero
+            by_type.setdefault(owner_type(G, k), set()).add(annihilator(G, C).elements)
+        family = cocyclic_subgroups(G) + [Subgroup.whole(G)]
+        assert {frozenset(v) for v in by_type.values()} \
+            == _orbit_keys(subgroup_orbits(G, family)), G.divisors
+
+
 # ---------------------------------------------------------------------------
 # translations, joins, peels and the lattice against tuple addition
 # ---------------------------------------------------------------------------
@@ -595,6 +625,17 @@ def _peel_by_adding(G, universe, start):
         S = {add[a][c] for a in S for c in _cyclic_by_adding(G, best)}
         out.append(best_order)
     return tuple(reversed(out))
+
+
+def _generators_by_adding(G, H):
+    """The greedy generating list by tuple closure: the first member of
+    maximal order outside the span, in canonical order."""
+    span = {G.zero}
+    gens = []
+    while len(span) < H.order:
+        gens.append(max((g for g in H.elements if g not in span), key=G.element_order))
+        span = set(_closure_by_adding(G, gens))
+    return tuple(gens)
 
 
 def _subgroups_by_add_table(G):
@@ -664,6 +705,12 @@ def test_joins_match_tuple_closure():
                     == tuple(sorted({add[a][c] for a in H.elements for c in cyc}))
             assert subgroup_product(H, K).elements \
                 == tuple(sorted({add[a][b] for a in H.elements for b in K.elements}))
+
+
+def test_generators_match_greedy_by_adding():
+    for G in GROUPS_TO_64:
+        for H in _subgroups(G):
+            assert H.generators == _generators_by_adding(G, H), (G.divisors, H.indices)
 
 
 def test_peels_match_tuple_addition():

@@ -117,6 +117,15 @@ def test_non_prime_field_is_a_domain_error(capsys):
     assert json.loads(out)["error_code"] == "NonPrimeP"
 
 
+def test_splitting_degree_above_bound_is_a_domain_error(capsys):
+    # ord_4096(3) = 1024: refused before the field is searched for
+    status, out = capture(capsys, ["classify", "--group", "4096", "--field", "3"])
+    assert status == 1
+    record = json.loads(out)
+    assert record["error_code"] == "DegreeTooLarge"
+    assert record["context"]["degree"] == 1024
+
+
 def test_idempotents_dump(capsys):
     status, out = capture(
         capsys, ["idempotents", "--group", "9,3", "--field", "2",

@@ -4,6 +4,7 @@ from math import comb, gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from orbit_oracle import orbit_tau_sweep
 from weight_oracle import oracle_histogram, oracle_two_vector_bound
 
 from abelian_codes import (
@@ -14,6 +15,7 @@ from abelian_codes import (
     HypothesisFails,
     Subgroup,
     abelian_groups_of_order,
+    apply_automorphism,
     automorphisms,
     classify,
     equivalent,
@@ -30,6 +32,7 @@ from abelian_codes import (
     verify_tables,
     weight_distribution,
 )
+from abelian_codes.abelian_group import aut_order
 from abelian_codes.codes import MinimalCode
 from abelian_codes.errors import DomainError
 from abelian_codes.group_algebra import row_reduce_raw
@@ -450,6 +453,14 @@ def test_tau_sweep_class_count_multiplies_over_sylow_components():
         assert row["class_count"] == product, G.divisors
 
 
+def test_tau_sweep_matches_orbit_count_oracle():
+    odd = [G for n in range(1, 244, 2) for G in abelian_groups_of_order(n)]
+    assert tau_sweep(odd, F2) == orbit_tau_sweep(odd, F2)
+    F3 = field_make(3)
+    coprime = [G for n in range(1, 244) if n % 3 for G in abelian_groups_of_order(n)]
+    assert tau_sweep(coprime, F3) == orbit_tau_sweep(coprime, F3)
+
+
 def test_tau_sweep_char_error_record_matches_classify():
     G = group_make([4, 2])
     with pytest.raises(CharDividesOrder) as swept:
@@ -466,6 +477,37 @@ def test_tau_sweep_sylow_homocyclic_exception():
     row = tau_sweep([group_make([3, 15])], F2)[0]
     assert row == {"group": "3,15", "class_count": 4, "tau": 4,
                    "homocyclic": False, "match": True}
+
+
+# ---------------------------------------------------------------------------
+# classes against automorphism images
+# ---------------------------------------------------------------------------
+
+def test_classes_match_automorphism_images_over_extension_fields():
+    # two minimal codes are equivalent iff some automorphism maps one
+    # generating idempotent to the other; every automorphism is applied to
+    # every idempotent (dimension cap 0: no weights are enumerated)
+    skipped = []
+    for ctx, orders in ((field_make(3), [n for n in range(1, 46) if n % 3]),
+                        (field_make(2, 2), range(1, 46, 2)),
+                        (field_make(2, 3), range(1, 46, 2))):
+        for G in (G for n in orders for G in abelian_groups_of_order(n)):
+            if aut_order(G) > 2000:
+                skipped.append((ctx.order, G.divisors))
+                continue
+            report = classify(G, ctx, dimension_cap=0)
+            elements = [r.code.generator.element for r in report.codes]
+            where = {e: i for i, e in enumerate(elements)}
+            auts = automorphisms(G)
+            images = {frozenset(where[apply_automorphism(psi, e)] for psi in auts)
+                      for e in elements}
+            classes = {frozenset(report.codes.index(m) for m in c.members)
+                       for c in report.classes}
+            assert classes == images, (ctx.order, G.divisors)
+            if (ctx.order, G.divisors) == (8, (3, 9)):
+                assert len(elements) == 14 and max(map(len, classes)) == 9
+    assert skipped == [(3, (2, 2, 2, 2)), (3, (2, 2, 2, 2, 2)), (3, (2, 2, 2, 4)),
+                       (4, (3, 3, 3)), (8, (3, 3, 3))]
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ from dense_oracle import element_of_order_by_pow
 
 from abelian_codes import (
     DegreeMismatch,
+    DegreeTooLarge,
     FieldMismatch,
     NonPrimeP,
     NotCoprime,
@@ -17,7 +18,11 @@ from abelian_codes import (
     mul_order,
     splitting_field,
 )
-from abelian_codes.finite_field import factorize, poly_is_irreducible
+from abelian_codes.finite_field import (
+    _SPLITTING_DEGREE_BOUND,
+    factorize,
+    poly_is_irreducible,
+)
 
 
 def test_prime_field_basics():
@@ -193,6 +198,17 @@ def test_splitting_field_embedding(q, n):
             assert embed(ctx.mul(a, b)) == big.mul(embed(a), embed(b))
     with pytest.raises(ArithmeticError):
         restrict(element_of_order(big, n))  # a primitive n-th root is not in GF(q)
+
+
+def test_splitting_field_degree_is_bounded():
+    # ord_4096(3) = 1024; over GF(8) the degree counts over GF(2): 3 * 172
+    for ctx, n, degree in ((field_make(3), 4096, 1024), (field_make(2, 3), 173, 516)):
+        with pytest.raises(DegreeTooLarge) as exc:
+            splitting_field(ctx, n)
+        assert exc.value.context == {"field": ctx.spec_string(), "exponent": n,
+                                     "degree": degree, "bound": _SPLITTING_DEGREE_BOUND}
+    # C_1009 over GF(2) needs degree 504 and still runs
+    assert mul_order(2, 1009) == 504 <= _SPLITTING_DEGREE_BOUND
 
 
 def test_tower_modulus_degree_four_over_gf4():
