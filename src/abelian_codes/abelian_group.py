@@ -412,27 +412,13 @@ class SylowDecomposition:
         self._mults = {}
         self._invs = {}
         for p in self.primes:
-            coords = []
-            comp_divs = []
-            mults = []
-            invs = []
-            for i, d in enumerate(group.divisors):
-                e = 0
-                dd = d
-                while dd % p == 0:
-                    dd //= p
-                    e += 1
-                if e:
-                    pe = p ** e
-                    coords.append(i)
-                    comp_divs.append(pe)
-                    m = d // pe
-                    mults.append(m)
-                    invs.append(pow(m % pe, -1, pe))
-            self.components[p] = AbelianGroup(tuple(comp_divs))
+            coords = [i for i, d in enumerate(group.divisors) if d % p == 0]
+            parts = [p ** factorize(group.divisors[i])[p] for i in coords]
+            mults = [group.divisors[i] // pe for i, pe in zip(coords, parts)]
+            self.components[p] = AbelianGroup(tuple(parts))
             self._coords[p] = coords
             self._mults[p] = mults
-            self._invs[p] = invs
+            self._invs[p] = [pow(m % pe, -1, pe) for m, pe in zip(mults, parts)]
 
     def split_element(self, g):
         exps = g.exps if isinstance(g, GroupElement) else tuple(g)
@@ -518,14 +504,9 @@ def all_subgroups(group, max_order=4096):
     dec = sylow_decompose(group)
     if len(dec.primes) <= 1:
         return _p_group_subgroups(group)
-    per_prime = [
-        [(p, S) for S in _p_group_subgroups(dec.components[p])] for p in dec.primes
-    ]
-    out = []
-    for combo in itertools.product(*per_prime):
-        parts = {p: S for p, S in combo}
-        out.append(dec.merge_subgroup(parts))
-    return sorted(out)
+    per_prime = [_p_group_subgroups(dec.components[p]) for p in dec.primes]
+    return sorted(dec.merge_subgroup(dict(zip(dec.primes, combo)))
+                  for combo in itertools.product(*per_prime))
 
 
 def _peel_invariant_factors(group, universe, start):

@@ -14,6 +14,7 @@ import csv
 import io
 import json
 import sys
+from math import gcd
 
 from .abelian_group import (
     abelian_groups_of_order,
@@ -74,24 +75,15 @@ def _to_json(obj):
 
 def _csv_block(headers, rows):
     buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(headers)
-    for row in rows:
-        writer.writerow(row)
+    csv.writer(buf, lineterminator="\n").writerows([headers, *rows])
     return buf.getvalue()
 
 
 def _md_table(headers, rows):
-    cells = [[str(c) for c in row] for row in rows]
-    widths = [len(h) for h in headers]
-    for row in cells:
-        for i, c in enumerate(row):
-            widths[i] = max(widths[i], len(c))
-    lines = []
-    lines.append("| " + " | ".join(h.ljust(w) for h, w in zip(headers, widths)) + " |")
-    lines.append("|" + "|".join("-" * (w + 2) for w in widths) + "|")
-    for row in cells:
-        lines.append("| " + " | ".join(c.ljust(w) for c, w in zip(row, widths)) + " |")
+    cells = [list(headers)] + [[str(c) for c in row] for row in rows]
+    widths = [max(map(len, column)) for column in zip(*cells)]
+    lines = ["| " + " | ".join(c.ljust(w) for c, w in zip(row, widths)) + " |" for row in cells]
+    lines.insert(1, "|" + "|".join("-" * (w + 2) for w in widths) + "|")
     return "\n".join(lines) + "\n"
 
 
@@ -115,49 +107,25 @@ def _fmt_cell(value):
 def _render_classification(report_dict, fmt):
     if fmt == "json":
         return _to_json(report_dict)
-    code_headers = [
-        "idempotent_ref", "phi_subgroup", "dimension", "min_weight",
-        "min_weight_exact", "distribution",
-    ]
-    code_rows = [
-        [_fmt_cell(entry.get(h, "")) for h in code_headers]
-        for entry in report_dict["codes"]
-    ]
-    class_headers = [
-        "representative", "members", "size", "dimension", "min_weight",
-    ]
-    class_rows = [
-        [_fmt_cell(entry.get(h, "")) for h in class_headers]
-        for entry in report_dict["classes"]
-    ]
-    summary = (
-        "group: %s  field: GF(%s)  class_count: %d  tau: %d  homocyclic: %s  "
-        "thm56_match: %s"
-        % (
-            report_dict["group"], report_dict["field"],
-            report_dict["class_count"], report_dict["tau"],
-            "yes" if report_dict["homocyclic"] else "no",
-            "yes" if report_dict["thm56_match"] else "no",
-        )
-    )
+    code_headers = ["idempotent_ref", "phi_subgroup", "dimension", "min_weight",
+                    "min_weight_exact", "distribution"]
+    class_headers = ["representative", "members", "size", "dimension", "min_weight"]
+    summary_headers = ["group", "field", "class_count", "tau", "homocyclic", "thm56_match"]
+
+    def rows(headers, entries):
+        return [[_fmt_cell(entry.get(h, "")) for h in headers] for entry in entries]
+
+    code_rows = rows(code_headers, report_dict["codes"])
+    class_rows = rows(class_headers, report_dict["classes"])
+    summary = [report_dict[h] for h in summary_headers]
     if fmt == "csv":
-        out = _csv_block(["section"] + code_headers,
-                         [["code"] + r for r in code_rows])
-        out += _csv_block(["section"] + class_headers,
-                          [["class"] + r for r in class_rows])
-        out += _csv_block(
-            ["section", "group", "field", "class_count", "tau", "homocyclic",
-             "thm56_match"],
-            [["summary", report_dict["group"], report_dict["field"],
-              report_dict["class_count"], report_dict["tau"],
-              report_dict["homocyclic"], report_dict["thm56_match"]]],
-        )
-        return out
-    out = summary + "\n\ncodes:\n"
-    out += _md_table(code_headers, code_rows)
-    out += "\nclasses:\n"
-    out += _md_table(class_headers, class_rows)
-    return out
+        return (_csv_block(["section"] + code_headers, [["code"] + r for r in code_rows])
+                + _csv_block(["section"] + class_headers, [["class"] + r for r in class_rows])
+                + _csv_block(["section"] + summary_headers, [["summary"] + summary]))
+    return ("group: %s  field: GF(%s)  class_count: %d  tau: %d  homocyclic: %s  "
+            "thm56_match: %s\n\ncodes:\n" % tuple(map(_fmt_cell, summary))
+            + _md_table(code_headers, code_rows) + "\nclasses:\n"
+            + _md_table(class_headers, class_rows))
 
 
 def _rle(values):
@@ -171,23 +139,13 @@ def _rle(values):
 
 
 def _idempotents_dict(group, ctx):
-    prims = primitive_idempotents(group, ctx)
-    entries = []
-    for ide in prims:
-        coeff_values = [
-            c if isinstance(c, int) else list(c) for c in ide.element.coeffs
-        ]
-        entries.append({
-            "orbit_rep": list(ide.orbit_rep),
-            "phi_subgroup": [list(g) for g in ide.phi_subgroup.generators],
-            "support_size": len(ide.element.support),
-            "coeffs": _rle(coeff_values),
-        })
-    return {
-        "group": group.spec_string(),
-        "field": ctx.spec_string(),
-        "idempotents": entries,
-    }
+    entries = [{
+        "orbit_rep": list(ide.orbit_rep),
+        "phi_subgroup": [list(g) for g in ide.phi_subgroup.generators],
+        "support_size": len(ide.element.support),
+        "coeffs": _rle([c if isinstance(c, int) else list(c) for c in ide.element.coeffs]),
+    } for ide in primitive_idempotents(group, ctx)]
+    return {"group": group.spec_string(), "field": ctx.spec_string(), "idempotents": entries}
 
 
 def _render_idempotents(data, fmt):
@@ -199,19 +157,13 @@ def _render_idempotents(data, fmt):
 
 def _subgroups_dict(group, ctx):
     cocyclic = set(cocyclic_subgroups(group))
-    entries = []
-    for H in all_subgroups(group):
-        entries.append({
-            "generators": [list(g) for g in H.generators],
-            "order": H.order,
-            "quotient": list(quotient_type(group, H)),
-            "cocyclic": H in cocyclic,
-        })
-    return {
-        "group": group.spec_string(),
-        "field": ctx.spec_string(),
-        "subgroups": entries,
-    }
+    entries = [{
+        "generators": [list(g) for g in H.generators],
+        "order": H.order,
+        "quotient": list(quotient_type(group, H)),
+        "cocyclic": H in cocyclic,
+    } for H in all_subgroups(group)]
+    return {"group": group.spec_string(), "field": ctx.spec_string(), "subgroups": entries}
 
 
 def _render_subgroups(data, fmt):
@@ -222,27 +174,12 @@ def _render_subgroups(data, fmt):
 
 
 def _sweep_dict(ctx, max_order):
-    groups = []
-    from math import gcd
-    for n in range(1, max_order + 1):
-        if gcd(n, ctx.order) != 1:
-            continue
-        groups.extend(abelian_groups_of_order(n))
-    rows = tau_sweep(groups, ctx)
-    return {
-        "field": ctx.spec_string(),
-        "max_order": max_order,
-        "rows": [
-            {
-                "group": r["group"],
-                "class_count": r["class_count"],
-                "tau": r["tau"],
-                "homocyclic": r["homocyclic"],
-                "thm56_match": r["match"],
-            }
-            for r in rows
-        ],
-    }
+    groups = [G for n in range(1, max_order + 1) if gcd(n, ctx.order) == 1
+              for G in abelian_groups_of_order(n)]
+    rows = [{"group": r["group"], "class_count": r["class_count"], "tau": r["tau"],
+             "homocyclic": r["homocyclic"], "thm56_match": r["match"]}
+            for r in tau_sweep(groups, ctx)]
+    return {"field": ctx.spec_string(), "max_order": max_order, "rows": rows}
 
 
 def _render_sweep(data, fmt):

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from math import comb
+from math import comb, lcm
 
 from .abelian_group import Subgroup, owner_type
 from .errors import (
@@ -43,18 +43,20 @@ class MinimalCode:
     ``short`` spans the same code at length |G|/repeat: each of its
     coordinates stands for ``repeat`` coordinates of the basis, so weights
     scale by ``repeat``.  For the idempotent of a character of order o it
-    is the cyclic code C_o (length o, repeat |G|/o); otherwise it is the
-    basis itself."""
+    is the cyclic code C_o (length o, repeat |G|/o), and ``row`` is the
+    idempotent's length-o row in Z_o order, whose shifts span C_o;
+    otherwise ``short`` is the basis itself and ``row`` is None."""
 
-    __slots__ = ("algebra", "generator", "basis", "dimension", "short", "repeat")
+    __slots__ = ("algebra", "generator", "basis", "dimension", "short", "repeat", "row")
 
-    def __init__(self, algebra, generator, basis, short=None, repeat=1):
+    def __init__(self, algebra, generator, basis, short=None, repeat=1, row=None):
         self.algebra = algebra
         self.generator = generator
         self.basis = basis
         self.dimension = len(basis)
         self.short = [b.coeffs for b in basis] if short is None else short
         self.repeat = repeat
+        self.row = row
 
     def __repr__(self):
         return "MinimalCode(dim=%d, orbit_rep=%r)" % (
@@ -154,46 +156,27 @@ def minimal_code(algebra, e):
     place = {t: j for j, t in enumerate(columns)}
     lift = [place[t] for t in ts]
     basis = [AlgebraElement(algebra, [b[j] for j in lift]) for b in short]
-    return MinimalCode(algebra, e, basis, short, group.order // o)
+    return MinimalCode(algebra, e, basis, short, group.order // o, row)
 
 
 _LOW_TABLE_MAX = 4096
 
 
-def _packed_adder(p, s, slots):
-    """Slot-wise sum mod p of two ints packed with s-bit digit slots.
-
-    Over p = 2 that is xor.  Otherwise the even and the odd slots are added
-    in separate lanes, where each digit has 2s bits of room, so a sum up to
-    2p - 2 cannot carry into its neighbour; adding 2^(s+1) - p to every
-    slot sets bit s + 1 exactly where the sum reached p.
-    """
-    if p == 2:
-        return int.__xor__
-    ones = sum(1 << (2 * s * i) for i in range((slots + 1) // 2))
-    even = ones * ((1 << s) - 1)
-    pad = ones * ((1 << (s + 1)) - p)
-
-    def lane(a, b):
-        t = (a & even) + (b & even)
-        return t - ((t + pad) >> (s + 1) & ones) * p
-
-    def add(a, b):
-        return lane(a, b) | lane(a >> s, b >> s) << s
-
-    return add
-
-
 def _packing(ctx, n):
     """How a vector of n raw coefficients is held in one int: m base-p
-    digits per coordinate (``ctx.coeffs``), one slot of (p-1).bit_length()
-    bits per digit.  Returns (pack, add, weights): pack maps a vector to
-    its int, add is the slot-wise sum mod p, and weights maps an iterable
-    of packed ints to their numbers of coordinates with a nonzero digit,
-    counted in C."""
+    digits per coordinate (``ctx.coeffs``), one slot per digit of 1 bit
+    over GF(2) and otherwise of 2s bits, s = (p-1).bit_length(), so that
+    a slot-wise sum up to 2p - 2 cannot carry into its neighbour.  Returns
+    (pack, add, weights, width): pack maps a vector to its int; add is the
+    slot-wise sum mod p (xor over GF(2); otherwise adding 2^(s+1) - p to
+    every slot sets bit s + 1 exactly where the sum reached p); weights
+    maps an iterable of packed ints to their numbers of coordinates with a
+    nonzero digit, counted in C; width is the number of bits per
+    coordinate."""
     p, m = ctx.p, ctx.m
     s = (p - 1).bit_length()
-    width = m * s  # bits per coordinate
+    slot = s if p == 2 else 2 * s
+    width = m * slot
     zero, coeffs = ctx.zero, ctx.coeffs
 
     def pack(vector):
@@ -201,8 +184,15 @@ def _packing(ctx, n):
         for k, c in enumerate(vector):
             if c != zero:
                 for d, digit in enumerate(coeffs(c), k * m):
-                    out |= digit << (d * s)
+                    out |= digit << (d * slot)
         return out
+
+    ones = sum(1 << (slot * i) for i in range(n * m))
+    pad = ones * ((1 << (s + 1)) - p)
+
+    def add(a, b):
+        t = a + b
+        return t - ((t + pad) >> (s + 1) & ones) * p
 
     starts = sum(1 << (k * width) for k in range(n))  # lowest bit per coordinate
     if width == 1:
@@ -219,45 +209,51 @@ def _packing(ctx, n):
             lifted = map(rest.__add__, map(rest.__and__, xs))
             return map(int.bit_count, map(tops.__and__, map(int.__or__, lifted, xs)))
 
-    return pack, _packed_adder(p, s, n * m), weights
+    return pack, int.__xor__ if p == 2 else add, weights, width
+
+
+def _p_generators(ctx, rows, pack):
+    """The packed words a * b for each row b and each a of the GF(p)-basis
+    1, x, .., x^(m-1) of GF(q): their GF(p)-span is the rows' GF(q)-span."""
+    m = ctx.m
+    powers = [ctx.raw_from_coeffs([int(i == j) for i in range(m)]) for j in range(m)]
+    return [pack([ctx.mul(a, c) for c in b]) for b in rows for a in powers]
+
+
+def _span_table(gens, add, p):
+    """Every GF(p)-combination of the packed generators, in a fixed order."""
+    table = [0]
+    for g in gens:
+        multiple, grown = 0, list(table)
+        for _ in range(p - 1):
+            multiple = add(multiple, g)
+            grown.extend(add(t, multiple) for t in table)
+        table = grown
+    return table
 
 
 def _span_weights(ctx, rows, n):
     """Weight -> count over the GF(q)-span of independent raw rows of
     length n, by enumerating every codeword once.
 
-    The GF(q)-span of the rows {b_i} is the GF(p)-span of {x^j * b_i},
-    j < m, so every codeword is one GF(p)-combination of m * dim
-    generators, each packed into one int (``_packing``).  The span of the
-    first generators is tabulated once (at most 4096 entries); the others
-    are walked in modular p-ary Gray order on the negated high part nh,
-    where step k adds the negation of the generator numbered v_p(k).  A
-    coordinate of a codeword low - nh is zero exactly when its digits of
+    Every codeword is one GF(p)-combination of the m * dim generators of
+    ``_p_generators``, each packed into one int (``_packing``).  The span
+    of the first generators is tabulated once (at most 4096 entries); the
+    others are walked in modular p-ary Gray order on the negated high part
+    nh, where step k adds the negation of the generator numbered v_p(k).
+    A coordinate of a codeword low - nh is zero exactly when its digits of
     low and nh agree, so the weight is the number of coordinates of
     nh ^ low with a nonzero slot, counted over the table in C.  Over GF(2)
     this is a Gray-code walk with popcounts.
     """
-    p, m = ctx.p, ctx.m
-    pack, add, weights = _packing(ctx, n)
-    mul, neg = ctx.mul, ctx.neg
-    powers = [ctx.raw_from_coeffs([int(i == j) for i in range(m)]) for j in range(m)]
-    gens, negs = [], []
-    for b in rows:
-        for a in powers:
-            v = [mul(a, c) for c in b]
-            gens.append(pack(v))
-            negs.append(pack(map(neg, v)))
-
+    p = ctx.p
+    pack, add, weights, width = _packing(ctx, n)
+    gens = _p_generators(ctx, rows, pack)
+    negs = _p_generators(ctx, ([ctx.neg(c) for c in b] for b in rows), pack)
     low = 0
     while low < len(gens) and p ** (low + 1) <= _LOW_TABLE_MAX:
         low += 1
-    table = [0]
-    for g in gens[:low]:
-        multiple, grown = 0, list(table)
-        for _ in range(p - 1):
-            multiple = add(multiple, g)
-            grown.extend(add(t, multiple) for t in table)
-        table = grown
+    table = _span_table(gens[:low], add, p)
 
     hist = Counter(weights(table))
     nh = 0
@@ -269,6 +265,93 @@ def _span_weights(ctx, rows, n):
             j += 1
         nh = add(nh, negs[j])
         hist.update(weights(map(nh.__xor__, table)))
+    return hist
+
+
+def _coset_weights(ctx, row, k):
+    """Weight -> count over the irreducible cyclic code I spanned by the
+    shifts of the idempotent row (length o, dimension k), from one word per
+    coset of H = {a x^j e : a in GF(q)*, j < o}.
+
+    I is the field F_q[x]/(m) of q^k elements, m the minimal polynomial of
+    x on I; H, of order h = lcm(o, q - 1), keeps weights and acts freely
+    on its units.  So the weights of g(x)^t * row, t < N = (q^k - 1)/h,
+    each count h times once g(x) generates I*/H: for every prime r | N,
+    g^(N/r) mod m is not a * x^j.  g is the first such monic polynomial, by
+    degree and then by its coefficients in product order.  The first k
+    coordinates of a cyclic code are an information set: m is read off
+    them (x^k row = sum_j c_j x^j row), and they are the pivots of the
+    RREF basis b_i of I.  A word w is then sum_i w_i b_i, so g(x) * w is
+    two lookups, keyed on the packed low and high halves of those
+    coordinates, into tables of the combinations of the g(x) * b_i, plus
+    one add.
+    """
+    o, q, p, zero, one, mul, plus = len(row), ctx.order, ctx.p, ctx.zero, ctx.one, ctx.mul, ctx.add
+    info = [[row[(t - j) % o] for j in range(k + 1)] for t in range(k)]
+    c = [r[k] for r in row_reduce_raw(info, ctx)]
+
+    def reduce(w):  # w(x) mod m(x), by x^k = sum_j c_j x^j
+        for d in range(len(w) - 1, k - 1, -1):
+            w[d - k:d] = [plus(a, mul(w[d], b)) for a, b in zip(w[d - k:d], c)]
+        return w[:k]
+
+    def times(u, v):
+        w = [zero] * (2 * k - 1)
+        for i, x in enumerate(u):
+            w[i:i + k] = [plus(a, mul(x, b)) for a, b in zip(w[i:i + k], v)]
+        return reduce(w)
+
+    def power(u, e):
+        r = [one] + [zero] * (k - 1)
+        while e:
+            r, u, e = times(r, u) if e & 1 else r, times(u, u), e >> 1
+        return r
+
+    def normal(v):  # the multiple of v whose first nonzero coefficient is 1
+        s = ctx.inv(next(x for x in v if x != zero))
+        return tuple(mul(s, x) for x in v)
+
+    xj, h_polys = [one] + [zero] * (k - 1), set()  # H mod scalars: the x^j mod m
+    for _ in range(o):
+        h_polys.add(normal(xj))
+        xj = reduce([zero] + xj)
+    h = lcm(o, q - 1)
+    steps = (q ** k - 1) // h
+    elements = list(ctx.elements())
+    for g in (list(cs) + [one] + [zero] * (k - 1 - d)
+              for d in range(k) for cs in itertools.product(elements, repeat=d)):
+        if all(normal(power(g, steps // r)) not in h_polys for r in factorize(steps)):
+            break
+
+    def apply(w):  # g(x) * w
+        out = [zero] * o
+        for j, x in enumerate(g):
+            out = [plus(a, mul(x, b)) for a, b in zip(out, w[o - j:] + w[:o - j])]
+        return out
+
+    basis = _reduce(([row[(t - s) % o] for t in range(o)] for s in range(o)), ctx, o, k)
+    pack, add, weights, width = _packing(ctx, o)
+    keys = _p_generators(ctx, basis, pack)
+    values = _p_generators(ctx, [apply(b) for b in basis], pack)
+    half = (k + 1) // 2
+    low_mask = (1 << half * width) - 1
+    high_mask = (1 << k * width) - 1 ^ low_mask
+
+    def table(part, mask):
+        return {w & mask: v for w, v in zip(_span_table(keys[part], add, p),
+                                            _span_table(values[part], add, p))}
+
+    low = table(slice(None, half * ctx.m), low_mask)
+    high = table(slice(half * ctx.m, None), high_mask)
+    word, hist = pack(row), Counter()
+    for start in range(0, steps, 4096):
+        chunk = []
+        for _ in range(min(4096, steps - start)):
+            chunk.append(word)
+            word = add(low[word & low_mask], high[word & high_mask])
+        hist.update(weights(chunk))
+    hist = Counter({w: h * c for w, c in hist.items()})
+    hist[0] = 1
     return hist
 
 
@@ -306,22 +389,52 @@ def _macwilliams(dual_hist, n, q, dual_dim):
     return hist
 
 
-def weight_distribution(code, cap=DEFAULT_DIMENSION_CAP):
-    """Exact weight histogram of a code of dimension at most the cap.
+_STEP_COST = 4  # one coset-walk step, in enumerated words
+_ENUMERATION_BOUND = 2 ** 25  # words: about 20 s over GF(3)
 
-    The code is taken at its short length n (``MinimalCode.short``), and
-    whichever of it and its dual, of dimension n - dim, is smaller is
-    enumerated (``_span_weights``); a dual's histogram is carried back by
-    the MacWilliams identity.  Weights are then scaled by ``repeat``.
+
+def _route(code):
+    """(walk, work): whether ``weight_distribution`` walks cosets, and the
+    work of its route in enumerated words (a GF(2) word counts a quarter)."""
+    ctx, k = code.algebra.ctx, code.dimension
+    q, n = ctx.order, code.algebra.group.order // code.repeat
+    words = q ** min(k, n - k)
+    if code.row is not None and words > _LOW_TABLE_MAX:
+        work = _STEP_COST * ((q ** k - 1) // lcm(n, q - 1))
+        if work < words:
+            return True, work
+    return False, words >> 2 * (q == 2)
+
+
+def _exact(code, cap):
+    """Whether ``weight_distribution`` admits the code."""
+    return code.dimension <= cap and _route(code)[1] <= _ENUMERATION_BOUND
+
+
+def weight_distribution(code, cap=DEFAULT_DIMENSION_CAP):
+    """Exact weight histogram of a code of dimension k at most the cap.
+
+    The code is taken at its short length n (``MinimalCode.short``) and
+    weights are then scaled by ``repeat``.  The route is fixed: a code from
+    a primitive idempotent with q^min(k, n - k) > _LOW_TABLE_MAX, whose
+    N = (q^k - 1)/lcm(n, q - 1) coset-walk steps cost fewer words
+    (_STEP_COST * N < q^min(k, n - k)), walks one word per coset of shifts
+    times scalars (``_coset_weights``).  Every other code enumerates the
+    smaller of itself and its dual, of dimension n - k (``_span_weights``);
+    a dual's histogram is carried back by the MacWilliams identity.  A code
+    above the cap, or whose route's work exceeds _ENUMERATION_BOUND, raises
+    DimensionTooLarge.
     """
     dim = code.dimension
-    if dim > cap:
-        raise DimensionTooLarge(
-            "weight enumeration bounded", dimension=dim, cap=cap
-        )
+    walk, work = _route(code)
+    if dim > cap or work > _ENUMERATION_BOUND:
+        raise DimensionTooLarge("weight enumeration bounded", dimension=dim, cap=cap,
+                                work=work, bound=_ENUMERATION_BOUND)
     ctx = code.algebra.ctx
     n = code.algebra.group.order // code.repeat
-    if n - dim < dim:
+    if walk:
+        hist = _coset_weights(ctx, code.row, dim)
+    elif n - dim < dim:
         dual = _dual_rows(code.short, ctx, n)
         hist = _macwilliams(_span_weights(ctx, dual, n), n, ctx.order, len(dual))
     else:
@@ -336,17 +449,22 @@ def min_weight(code, cap=DEFAULT_DIMENSION_CAP):
 
 
 def min_weight_or_bound(code, cap=DEFAULT_DIMENSION_CAP):
-    """(value, exact): exact minimum when the dimension is within the cap;
-    otherwise the minimum over spans of at most two basis vectors, which
-    can only overestimate the true minimum, flagged exact=False.
+    """(value, exact): exact minimum when ``weight_distribution`` admits the
+    code; otherwise the minimum over spans of at most two basis vectors,
+    which can only overestimate the true minimum, flagged exact=False.
 
     weight(s*v_i + t*v_j) = weight(v_i + (t/s)*v_j), so the words v_i and
     v_i + t*v_j (i < j, t != 0) cover every such span.  They are taken on
-    the short basis, whose weights scale by ``repeat``."""
-    if code.dimension <= cap:
+    the short basis, whose weights scale by ``repeat``.  That is about
+    (q - 1) * dim^2 words; above _ENUMERATION_BOUND it raises
+    DimensionTooLarge."""
+    if _exact(code, cap):
         return min_weight(code, cap), True
     ctx = code.algebra.ctx
-    pack, add, weights = _packing(ctx, code.algebra.group.order // code.repeat)
+    if (ctx.order - 1) * code.dimension ** 2 > _ENUMERATION_BOUND:
+        raise DimensionTooLarge("two-vector bound bounded", dimension=code.dimension,
+                                field_order=ctx.order, bound=_ENUMERATION_BOUND)
+    pack, add, weights, width = _packing(ctx, code.algebra.group.order // code.repeat)
     nonzero = [t for t in ctx.elements() if t != ctx.zero]
     vectors = [pack(b) for b in code.short]
     multiples = [[pack([ctx.mul(t, c) for c in b]) for t in nonzero]
@@ -414,39 +532,25 @@ class ClassificationReport:
         self.family_primitive = family_primitive
 
     def to_dict(self):
-        def subgroup_gens(H):
-            return [list(g) for g in H.generators]
-
-        def code_entry(rec):
-            entry = {
-                "idempotent_ref": list(rec.code.generator.orbit_rep),
-                "phi_subgroup": subgroup_gens(rec.code.generator.phi_subgroup),
-                "dimension": rec.dimension,
-                "min_weight": rec.min_weight,
-                "min_weight_exact": rec.min_weight_exact,
-            }
+        def entry(rec, **head):  # head, then the record's metrics
+            out = dict(head, dimension=rec.dimension, min_weight=rec.min_weight,
+                       min_weight_exact=rec.min_weight_exact)
             if rec.distribution is not None:
-                entry["distribution"] = rec.distribution.as_pairs()
-            return entry
+                out["distribution"] = rec.distribution.as_pairs()
+            return out
 
-        classes = []
-        for cls in self.classes:
-            rep = cls.representative
-            entry = {
-                "representative": list(rep.code.generator.orbit_rep),
-                "members": [list(m.code.generator.orbit_rep) for m in cls.members],
-                "size": cls.size,
-                "dimension": rep.dimension,
-                "min_weight": rep.min_weight,
-                "min_weight_exact": rep.min_weight_exact,
-            }
-            if rep.distribution is not None:
-                entry["distribution"] = rep.distribution.as_pairs()
-            classes.append(entry)
+        def ref(rec):
+            return list(rec.code.generator.orbit_rep)
+
+        codes = [entry(r, idempotent_ref=ref(r), phi_subgroup=[
+            list(g) for g in r.code.generator.phi_subgroup.generators]) for r in self.codes]
+        classes = [entry(c.representative, representative=ref(c.representative),
+                         members=[ref(m) for m in c.members], size=c.size)
+                   for c in self.classes]
         return {
             "group": self.group.spec_string(),
             "field": self.ctx.spec_string(),
-            "codes": [code_entry(r) for r in self.codes],
+            "codes": codes,
             "classes": classes,
             "class_count": self.class_count,
             "tau": self.tau,
@@ -465,9 +569,12 @@ def classify(group, ctx, with_distributions=False, dimension_cap=DEFAULT_DIMENSI
 
     A code's weight distribution depends only on the order o of its
     character (it is C_o with every coordinate repeated |G|/o times), so
-    it is computed once per distinct o within the cap and shared.  A code
-    above the cap gets its own two-vector bound, which depends on its
-    basis."""
+    it is computed once per distinct o that ``weight_distribution``
+    admits, by its fixed route rule: a coset walk when 4 (q^k - 1)/lcm(o,
+    q - 1) steps cost fewer than the q^min(k, o - k) > 4096 words of
+    enumerating C_o or its dual, else that enumeration.  A code above the
+    cap, or whose route exceeds _ENUMERATION_BOUND, gets its own
+    two-vector bound, which depends on its basis."""
     prims = primitive_idempotents(group, ctx)
     algebra = get_algebra(group, ctx)
     codes = [minimal_code(algebra, ide) for ide in prims]
@@ -484,7 +591,7 @@ def classify(group, ctx, with_distributions=False, dimension_cap=DEFAULT_DIMENSI
     classes = []
     by_order = {}
     for members in by_type.values():
-        if members[0].dimension <= dimension_cap:
+        if _exact(members[0], dimension_cap):
             o = group.element_order(members[0].generator.orbit_rep)
             if o not in by_order:
                 by_order[o] = weight_distribution(members[0], dimension_cap)

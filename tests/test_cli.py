@@ -126,6 +126,37 @@ def test_splitting_degree_above_bound_is_a_domain_error(capsys):
     assert record["context"]["degree"] == 1024
 
 
+@pytest.mark.parametrize("group,field", [("17", "3^2"), ("27", "7")])
+def test_coset_walk_gives_exact_minimum_weights(capsys, group, field):
+    # 9^8 and 7^9 codewords: exact only through one word per coset
+    status, out = capture(
+        capsys, ["classify", "--group", group, "--field", field, "--format", "json"])
+    assert status == 0
+    assert all(c["min_weight_exact"] for c in json.loads(out)["codes"])
+
+
+def test_enumeration_over_bound_reports_the_two_vector_bound(capsys):
+    # the two codes of length 23 and dimension 11 over GF(8) need 5.3e7
+    # coset-walk steps, past the enumeration bound
+    status, out = capture(
+        capsys, ["classify", "--group", "23", "--field", "2^3", "--format", "json"])
+    assert status == 0
+    codes = json.loads(out)["codes"]
+    assert [(c["dimension"], c["min_weight_exact"]) for c in codes] \
+        == [(1, True), (11, False), (11, False)]
+
+
+def test_two_vector_bound_over_bound_is_a_domain_error(capsys):
+    # GF(1000003)^6 has about 1e36 words, and the two-vector bound alone
+    # would pack (q - 1) * 6^2 words
+    status, out = capture(
+        capsys, ["classify", "--group", "13", "--field", "1000003", "--format", "json"])
+    assert status == 1
+    record = json.loads(out)
+    assert record["error_code"] == "DimensionTooLarge"
+    assert record["context"]["dimension"] == 6
+
+
 def test_idempotents_dump(capsys):
     status, out = capture(
         capsys, ["idempotents", "--group", "9,3", "--field", "2",

@@ -26,6 +26,7 @@ from abelian_codes import (
     min_weight,
     min_weight_or_bound,
     minimal_code,
+    mul_order,
     primitive_idempotents,
     sylow_decompose,
     tau_sweep,
@@ -33,7 +34,7 @@ from abelian_codes import (
     weight_distribution,
 )
 from abelian_codes.abelian_group import aut_order
-from abelian_codes.codes import MinimalCode
+from abelian_codes.codes import MinimalCode, _coset_weights, _exact, _span_weights
 from abelian_codes.errors import DomainError
 from abelian_codes.group_algebra import row_reduce_raw
 
@@ -173,6 +174,58 @@ def test_weight_distribution_matches_oracle(p, m):
         duals += 2 * code.dimension > code.algebra.group.order // code.repeat
     assert checked >= 40
     assert duals >= 10
+
+
+def _cyclic_codes(ctx, o):
+    """The minimal codes of F_q C_o whose characters have order o."""
+    G = group_make([o])
+    algebra = get_algebra(G, ctx)
+    return [minimal_code(algebra, ide) for ide in primitive_idempotents(G, ctx)
+            if G.element_order(ide.orbit_rep) == o]
+
+
+@pytest.mark.parametrize("p,m", WEIGHT_FIELDS)
+def test_coset_walk_matches_enumeration(p, m):
+    # the walk is called directly, whichever route weight_distribution takes
+    ctx = field_make(p, m)
+    q = ctx.order
+    checked = 0
+    for o in range(2, 41):
+        if gcd(o, q) != 1 or q ** mul_order(q, o) > 2 ** 16:
+            continue
+        for code in _cyclic_codes(ctx, o):
+            assert _coset_weights(ctx, code.row, code.dimension) \
+                == _span_weights(ctx, code.short, o), (o, q, code.generator.orbit_rep)
+            checked += 1
+    assert checked >= 15
+
+
+@pytest.mark.parametrize("o,p,m", [(17, 3, 2), (27, 7, 1)])
+def test_coset_walk_beyond_enumeration(o, p, m):
+    # 9^8 and 7^9 words: the total and the dual distribution must hold
+    ctx = field_make(p, m)
+    q = ctx.order
+    code = _cyclic_codes(ctx, o)[0]
+    k = code.dimension
+    dist = weight_distribution(code)
+    assert dist.total == q ** k
+    transform = _macwilliams_transform(dist.histogram, o, q)
+    dual = [c // q ** k for c in transform]
+    assert [b * q ** k for b in dual] == transform
+    assert dual[0] == 1 and min(dual) >= 0 and sum(dual) == q ** (o - k)
+
+
+@pytest.mark.parametrize("o,p,m", [(23, 3, 2), (25, 3, 2), (23, 2, 3), (26, 7, 1)])
+def test_codes_over_the_enumeration_bound_get_the_two_vector_bound(o, p, m):
+    ctx = field_make(p, m)
+    G = group_make([o])
+    for rec in classify(G, ctx).codes:
+        over = G.element_order(rec.code.generator.orbit_rep) == o
+        assert rec.min_weight_exact is not over and _exact(rec.code, 24) is not over
+        if over:
+            with pytest.raises(DimensionTooLarge):
+                weight_distribution(rec.code)
+            assert rec.min_weight == oracle_two_vector_bound(rec.code)
 
 
 def test_two_vector_bound_reaches_every_pair_and_scalar():
