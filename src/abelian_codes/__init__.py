@@ -1,88 +1,62 @@
 """Semisimple abelian group algebras, their primitive idempotents and the
-classification of minimal codes up to group-automorphism equivalence."""
+classification of minimal codes up to group-automorphism equivalence.
 
-from .errors import (
-    AlgebraMismatch,
-    BadDivisor,
-    CharDividesOrder,
-    DegreeMismatch,
-    DegreeTooLarge,
-    DimensionTooLarge,
-    DomainError,
-    FieldMismatch,
-    GroupMismatch,
-    GroupTooLarge,
-    HIsWholeGroup,
-    HypothesisFails,
-    NoRootsOfUnity,
-    NoUniqueSubgroup,
-    NonPrimeP,
-    NotASubgroup,
-    NotCocyclic,
-    NotCoprime,
-    NotIdempotent,
-    ReducibleModulus,
-)
-from .finite_field import (
-    FieldCtx,
-    FieldScalar,
-    divisor_count,
-    element_of_order,
-    euler_phi,
-    field_make,
-    mul_order,
-    splitting_field,
-)
-from .abelian_group import (
-    AbelianGroup,
-    Automorphism,
-    Character,
-    GroupElement,
-    Subgroup,
-    abelian_groups_of_order,
-    all_subgroups,
-    annihilator,
-    aut_generators,
-    automorphisms,
-    characters,
-    cocyclic_subgroups,
-    cyclic_subgroups,
-    group_make,
-    owner_type,
-    power_automorphisms,
-    quotient_type,
-    sharp,
-    subgroup_orbits,
-    subgroup_product,
-    sylow_decompose,
-)
-from .group_algebra import (
-    AlgebraElement,
-    GroupAlgebra,
-    PrimitiveIdempotent,
-    apply_automorphism,
-    cocyclic_idempotent,
-    cocyclic_idempotent_family,
-    generator_sum,
-    get_algebra,
-    hat,
-    idempotent_group,
-    phi_subgroup,
-    primitive_idempotents,
-)
-from .codes import (
-    ClassificationReport,
-    MinimalCode,
-    WeightDistribution,
-    classify,
-    equivalent,
-    homocyclic_factorization,
-    min_weight,
-    min_weight_or_bound,
-    minimal_code,
-    tau_sweep,
-    verify_tables,
-    weight_distribution,
-)
+Names load on first use (PEP 562): ``import abelian_codes`` compiles no
+submodule, and ``abelian_codes.field_make`` imports only the modules that
+``finite_field`` needs.
+"""
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+from importlib import import_module
+
+_HOMES = {
+    "errors": (
+        "AlgebraMismatch", "BadDivisor", "CharDividesOrder", "DegreeMismatch",
+        "DegreeTooLarge", "DimensionTooLarge", "DomainError", "FieldMismatch",
+        "GroupMismatch", "GroupTooLarge", "HIsWholeGroup", "HypothesisFails",
+        "NoRootsOfUnity", "NoUniqueSubgroup", "NonPrimeP", "NotASubgroup",
+        "NotCocyclic", "NotCoprime", "NotIdempotent", "ReducibleModulus",
+    ),
+    "finite_field": (
+        "FieldCtx", "FieldScalar", "divisor_count", "element_of_order",
+        "euler_phi", "field_make", "mul_order", "splitting_field",
+    ),
+    "abelian_group": (
+        "AbelianGroup", "Automorphism", "Character", "GroupElement", "Subgroup",
+        "abelian_groups_of_order", "all_subgroups", "annihilator",
+        "aut_generators", "automorphisms", "characters", "cocyclic_subgroups",
+        "cyclic_subgroups", "group_make", "owner_type", "power_automorphisms",
+        "quotient_type", "sharp", "subgroup_orbits", "subgroup_product",
+        "sylow_decompose",
+    ),
+    "group_algebra": (
+        "AlgebraElement", "GroupAlgebra", "PrimitiveIdempotent",
+        "apply_automorphism", "cocyclic_idempotent", "cocyclic_idempotent_family",
+        "generator_sum", "get_algebra", "hat", "idempotent_group", "phi_subgroup",
+        "primitive_idempotents",
+    ),
+    "codes": (
+        "ClassificationReport", "MinimalCode", "WeightDistribution", "classify",
+        "equivalent", "homocyclic_factorization", "min_weight",
+        "min_weight_or_bound", "minimal_code", "tau_sweep", "verify_tables",
+        "weight_distribution",
+    ),
+}
+
+# exported name -> home submodule; a submodule name is its own home
+_HOME = {name: home for home, names in _HOMES.items() for name in (home, *names)}
+
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name):
+    home = _HOME.get(name)
+    if home is None:
+        raise AttributeError("module %r has no attribute %r" % (__name__, name))
+    module = import_module("." + home, __name__)
+    value = module if name == home else getattr(module, name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_HOME))

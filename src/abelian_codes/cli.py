@@ -10,8 +10,6 @@ produce byte-identical output.  Exit status: 0 success, 1 domain error
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import sys
 from math import gcd
@@ -74,6 +72,9 @@ def _to_json(obj):
 
 
 def _csv_block(headers, rows):
+    import csv
+    import io
+
     buf = io.StringIO()
     csv.writer(buf, lineterminator="\n").writerows([headers, *rows])
     return buf.getvalue()

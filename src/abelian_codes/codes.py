@@ -20,7 +20,7 @@ from .errors import (
     DomainError,
     HypothesisFails,
 )
-from .finite_field import divisor_count, divisors, euler_phi, factorize, mul_order
+from .finite_field import divisor_count, divisors, euler_phi, factorize, lex_tuples, mul_order
 from .group_algebra import (
     AlgebraElement,
     PrimitiveIdempotent,
@@ -284,7 +284,8 @@ def _coset_weights(ctx, row, k):
     RREF basis b_i of I.  A word w is then sum_i w_i b_i, so g(x) * w is
     two lookups, keyed on the packed low and high halves of those
     coordinates, into tables of the combinations of the g(x) * b_i, plus
-    one add.
+    one add.  Where the tables would cost more than they save, or outgrow
+    _TABLE_BOUND (``_walk``), each step multiplies by g(x) instead.
     """
     o, q, p, zero, one, mul, plus = len(row), ctx.order, ctx.p, ctx.zero, ctx.one, ctx.mul, ctx.add
     info = [[row[(t - j) % o] for j in range(k + 1)] for t in range(k)]
@@ -317,9 +318,8 @@ def _coset_weights(ctx, row, k):
         xj = reduce([zero] + xj)
     h = lcm(o, q - 1)
     steps = (q ** k - 1) // h
-    elements = list(ctx.elements())
     for g in (list(cs) + [one] + [zero] * (k - 1 - d)
-              for d in range(k) for cs in itertools.product(elements, repeat=d)):
+              for d in range(k) for cs in lex_tuples(ctx.elements, d)):
         if all(normal(power(g, steps // r)) not in h_polys for r in factorize(steps)):
             break
 
@@ -329,27 +329,34 @@ def _coset_weights(ctx, row, k):
             out = [plus(a, mul(x, b)) for a, b in zip(out, w[o - j:] + w[:o - j])]
         return out
 
-    basis = _reduce(([row[(t - s) % o] for t in range(o)] for s in range(o)), ctx, o, k)
     pack, add, weights, width = _packing(ctx, o)
-    keys = _p_generators(ctx, basis, pack)
-    values = _p_generators(ctx, [apply(b) for b in basis], pack)
-    half = (k + 1) // 2
-    low_mask = (1 << half * width) - 1
-    high_mask = (1 << k * width) - 1 ^ low_mask
+    hist = Counter()
+    if not _walk(ctx, o, k)[1]:
+        w = row
+        for _ in range(steps):
+            hist.update(weights([pack(w)]))
+            w = apply(w)
+    else:
+        half = (k + 1) // 2
+        basis = _reduce(([row[(t - s) % o] for t in range(o)] for s in range(o)), ctx, o, k)
+        keys = _p_generators(ctx, basis, pack)
+        values = _p_generators(ctx, [apply(b) for b in basis], pack)
+        low_mask = (1 << half * width) - 1
+        high_mask = (1 << k * width) - 1 ^ low_mask
 
-    def table(part, mask):
-        return {w & mask: v for w, v in zip(_span_table(keys[part], add, p),
-                                            _span_table(values[part], add, p))}
+        def table(part, mask):
+            return {w & mask: v for w, v in zip(_span_table(keys[part], add, p),
+                                                _span_table(values[part], add, p))}
 
-    low = table(slice(None, half * ctx.m), low_mask)
-    high = table(slice(half * ctx.m, None), high_mask)
-    word, hist = pack(row), Counter()
-    for start in range(0, steps, 4096):
-        chunk = []
-        for _ in range(min(4096, steps - start)):
-            chunk.append(word)
-            word = add(low[word & low_mask], high[word & high_mask])
-        hist.update(weights(chunk))
+        low = table(slice(None, half * ctx.m), low_mask)
+        high = table(slice(half * ctx.m, None), high_mask)
+        word = pack(row)
+        for start in range(0, steps, 4096):
+            chunk = []
+            for _ in range(min(4096, steps - start)):
+                chunk.append(word)
+                word = add(low[word & low_mask], high[word & high_mask])
+            hist.update(weights(chunk))
     hist = Counter({w: h * c for w, c in hist.items()})
     hist[0] = 1
     return hist
@@ -390,7 +397,30 @@ def _macwilliams(dual_hist, n, q, dual_dim):
 
 
 _STEP_COST = 4  # one coset-walk step, in enumerated words
+# one product by a coefficient of g(x) in a step without tables, against
+# 0.7 us per enumerated GF(3) word: 0.4-1.8 us over GF(p) (GF(3), GF(5),
+# p ~ 10^5..10^6), 2.2-7.6 us over GF(8) and GF(9)
+_PRODUCT_COST = 2
+_TABLE_BOUND = 2 ** 20  # coset-walk table words: about 190 bytes each
 _ENUMERATION_BOUND = 2 ** 25  # words: about 20 s over GF(3)
+
+
+def _walk(ctx, o, k):
+    """(work, tables) of ``_coset_weights`` on C_o of dimension k.  Each
+    of its N = (q^k - 1)/lcm(o, q - 1) steps is either two lookups in
+    tables of T = q^ceil(k/2) + q^floor(k/2) words, _STEP_COST words a
+    step once T words are built, or about o * k products by g(x), which
+    cost _PRODUCT_COST words each over GF(p) and five times that over an
+    extension.  The tables are built when they cost less than the products
+    they save and hold at most _TABLE_BOUND words."""
+    q = ctx.order
+    steps = (q ** k - 1) // lcm(o, q - 1)
+    half = (k + 1) // 2
+    table = q ** half + q ** (k - half)
+    product = _PRODUCT_COST * o * k * (1 if ctx.m == 1 else 5) * steps
+    if table <= _TABLE_BOUND and table < product:
+        return _STEP_COST * steps + table, True
+    return _STEP_COST * steps + product, False
 
 
 def _route(code):
@@ -400,7 +430,7 @@ def _route(code):
     q, n = ctx.order, code.algebra.group.order // code.repeat
     words = q ** min(k, n - k)
     if code.row is not None and words > _LOW_TABLE_MAX:
-        work = _STEP_COST * ((q ** k - 1) // lcm(n, q - 1))
+        work = _walk(ctx, n, k)[0]
         if work < words:
             return True, work
     return False, words >> 2 * (q == 2)
@@ -418,7 +448,7 @@ def weight_distribution(code, cap=DEFAULT_DIMENSION_CAP):
     weights are then scaled by ``repeat``.  The route is fixed: a code from
     a primitive idempotent with q^min(k, n - k) > _LOW_TABLE_MAX, whose
     N = (q^k - 1)/lcm(n, q - 1) coset-walk steps cost fewer words
-    (_STEP_COST * N < q^min(k, n - k)), walks one word per coset of shifts
+    (``_walk``) than q^min(k, n - k), walks one word per coset of shifts
     times scalars (``_coset_weights``).  Every other code enumerates the
     smaller of itself and its dual, of dimension n - k (``_span_weights``);
     a dual's histogram is carried back by the MacWilliams identity.  A code

@@ -25,9 +25,10 @@ from .errors import (
     ReducibleModulus,
 )
 
-# Splitting fields above this degree over GF(p) are refused before the
-# modulus search: field_make takes 4.2 s at GF(2^256), 0.5 s at GF(2^504),
-# 20 s at GF(2^800), 61 s at GF(2^1024); odd p is slower, GF(3^128) 12 s
+# Fields above this degree over GF(p), splitting fields among them, are
+# refused before the modulus search: field_make takes 4.2 s at GF(2^256),
+# 0.5 s at GF(2^504), 20 s at GF(2^800), 61 s at GF(2^1024); odd p is
+# slower, GF(3^128) 12 s
 _SPLITTING_DEGREE_BOUND = 512
 
 
@@ -35,19 +36,41 @@ _SPLITTING_DEGREE_BOUND = 512
 # elementary number theory
 # ---------------------------------------------------------------------------
 
+# Miller-Rabin to the prime bases 2..41 is exact below this bound, the least
+# strong pseudoprime to all of them (Sorenson and Webster 2015; the bases
+# 2..37 alone are fooled by 318665857834031151167461); above it is_prime
+# falls back to trial division
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_EXACT_BELOW = 3317044064679887385961981
+
+
 def is_prime(n):
     if n < 2:
         return False
-    if n < 4:
+    for b in _MR_BASES:
+        if n % b == 0:
+            return n == b
+    if n >= _MR_EXACT_BELOW:
+        d = 43
+        while d * d <= n:
+            if n % d == 0:
+                return False
+            d += 2
         return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    d, r = n - 1, 0
+    while d % 2 == 0:
+        d, r = d // 2, r + 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(r - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 2
-    return n > 1
+    return True
 
 
 def factorize(n):
@@ -231,6 +254,26 @@ def _bgcd(a, b):
     return a
 
 
+def lex_tuples(elements, d):
+    """The tuples of itertools.product(elements(), repeat=d), in its order,
+    without listing elements() first: an odometer over d fresh iterators,
+    so a scan that stops early never touches more than it yields.
+    elements is a callable returning a new iterator of non-None values."""
+    its = [elements() for _ in range(d)]
+    word = [next(it) for it in its]
+    while True:
+        yield tuple(word)
+        for i in reversed(range(d)):
+            digit = next(its[i], None)
+            if digit is not None:
+                word[i] = digit
+                break
+            its[i] = elements()
+            word[i] = next(its[i])
+        else:
+            return
+
+
 # ---------------------------------------------------------------------------
 # irreducibility
 # ---------------------------------------------------------------------------
@@ -294,7 +337,7 @@ def _first_irreducible(p, m):
     if m == 1:
         return (0, 1)
     for c0 in range(1, p):
-        for tail in itertools.product(range(p), repeat=m - 1):
+        for tail in lex_tuples(range(p).__iter__, m - 1):
             poly = [c0] + list(tail) + [1]
             if poly_is_irreducible(poly, p):
                 return tuple(poly)
@@ -506,7 +549,7 @@ class ExtField(FieldCtx):
         return self._ring.mul(a, b)
 
     def elements(self):
-        return itertools.product(range(self.p), repeat=self.m)
+        return lex_tuples(range(self.p).__iter__, self.m)
 
 
 # ---------------------------------------------------------------------------
@@ -588,12 +631,16 @@ def field_make(p, m=1, modulus=None):
 
     When the modulus is omitted, the lexicographically first irreducible
     monic polynomial of degree m (coefficients read low-to-high) is chosen,
-    so equal inputs always produce identical contexts.
+    so equal inputs always produce identical contexts.  A degree m above
+    _SPLITTING_DEGREE_BOUND raises DegreeTooLarge.
     """
     if not isinstance(p, int) or not is_prime(p):
         raise NonPrimeP("characteristic must be prime", p=p)
     if not isinstance(m, int) or m < 1:
         raise DegreeMismatch("extension degree must be a positive integer", m=m)
+    if m > _SPLITTING_DEGREE_BOUND:
+        raise DegreeTooLarge("field degree bounded", field="%d^%d" % (p, m),
+                             degree=m, bound=_SPLITTING_DEGREE_BOUND)
     if modulus is not None:
         modulus = tuple(int(c) % p for c in modulus)
         if len(modulus) != m + 1 or modulus[-1] != 1:
@@ -609,6 +656,17 @@ def field_make(p, m=1, modulus=None):
     if p == 2:
         return BinaryExtField(m, modulus)
     return ExtField(p, m, modulus)
+
+
+def _small_first(field):
+    """The nonzero elements of the field by largest digit top, each one
+    built directly (digits before the first top are below it): over a
+    large p, lex order would first run through the p - 1 multiples of x,
+    one coset of GF(p)*, on which a power map can be constant."""
+    return (field.raw_from_coeffs(head + (top,) + tail)
+            for top in range(1, field.p) for i in range(field.m)
+            for head in lex_tuples(range(top).__iter__, i)
+            for tail in lex_tuples(range(top + 1).__iter__, field.m - 1 - i))
 
 
 def _modulus_root(ctx, big):
@@ -707,10 +765,8 @@ def element_of_order(field, n):
         )
     cofactor = (field.order - 1) // n
     prime_divisors = sorted(factorize(n))
-    found = None
-    for z in field.elements():
-        if z == field.zero:
-            continue
+    found = None  # any one element of order n gives them all
+    for z in _small_first(field):
         w = field.pow(z, cofactor)
         if w == field.one:
             continue

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import time
 
 import pytest
 
@@ -155,6 +156,48 @@ def test_two_vector_bound_over_bound_is_a_domain_error(capsys):
     record = json.loads(out)
     assert record["error_code"] == "DimensionTooLarge"
     assert record["context"]["dimension"] == 6
+
+
+def test_dimension_one_codes_over_a_huge_field_are_exact(capsys):
+    # 3 | q - 1: each code has dimension 1 and takes N = 1 coset-walk step;
+    # a q-sized candidate list or walk table made this run out of memory
+    start = time.perf_counter()
+    status, out = capture(capsys, [
+        "classify", "--group", "3", "--field", "1000000007^2", "--format", "json"])
+    assert time.perf_counter() - start < 2
+    assert status == 0
+    assert [(c["dimension"], c["min_weight"], c["min_weight_exact"])
+            for c in json.loads(out)["codes"]] == [(1, 3, True)] * 3
+
+
+def test_walk_over_a_huge_field_is_bounded(capsys):
+    # k = 2: the walk tables would hold 2q words, past their bound, so the
+    # walk would step (q + 1)/2 times by g(x), past the work bound
+    start = time.perf_counter()
+    status, out = capture(
+        capsys, ["classify", "--group", "4", "--field", "10000019", "--format", "json"])
+    assert time.perf_counter() - start < 2
+    assert status == 1
+    assert json.loads(out)["error_code"] == "DimensionTooLarge"
+
+
+def test_base_field_degree_above_bound_is_a_domain_error(capsys):
+    # refused before the modulus search, which would not end
+    start = time.perf_counter()
+    status, out = capture(capsys, ["classify", "--group", "3", "--field", "2^100000"])
+    assert time.perf_counter() - start < 1
+    assert status == 1
+    record = json.loads(out)
+    assert record["error_code"] == "DegreeTooLarge"
+    assert record["context"] == {"field": "2^100000", "degree": 100000, "bound": 512}
+
+
+def test_sweep_over_a_mersenne_prime_field(capsys):
+    # 2^61 - 1 is prime; trial division took past 20 s to say so
+    status, out = capture(capsys, [
+        "sweep", "--field", "2305843009213693951", "--max-order", "3", "--format", "json"])
+    assert status == 0
+    assert [r["group"] for r in json.loads(out)["rows"]] == ["1", "2", "3"]
 
 
 def test_idempotents_dump(capsys):

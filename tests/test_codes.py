@@ -34,6 +34,7 @@ from abelian_codes import (
     weight_distribution,
 )
 from abelian_codes.abelian_group import aut_order
+import abelian_codes.codes as codes_module
 from abelian_codes.codes import MinimalCode, _coset_weights, _exact, _span_weights
 from abelian_codes.errors import DomainError
 from abelian_codes.group_algebra import row_reduce_raw
@@ -198,6 +199,16 @@ def test_coset_walk_matches_enumeration(p, m):
                 == _span_weights(ctx, code.short, o), (o, q, code.generator.orbit_rep)
             checked += 1
     assert checked >= 15
+
+
+@pytest.mark.parametrize("o,p,m", [(11, 3, 2), (21, 5, 1), (31, 2, 3), (23, 3, 1), (13, 3, 1)])
+def test_coset_walk_without_tables_matches_enumeration(monkeypatch, o, p, m):
+    # the step by g(x) that replaces the lookup tables over a large field
+    monkeypatch.setattr(codes_module, "_walk", lambda ctx, o, k: (0, False))
+    ctx = field_make(p, m)
+    for code in _cyclic_codes(ctx, o):
+        assert _coset_weights(ctx, code.row, code.dimension) \
+            == _span_weights(ctx, code.short, o), (o, ctx.order, code.generator.orbit_rep)
 
 
 @pytest.mark.parametrize("o,p,m", [(17, 3, 2), (27, 7, 1)])

@@ -1,4 +1,5 @@
 import itertools
+import time
 from math import gcd
 
 import pytest
@@ -21,6 +22,7 @@ from abelian_codes import (
 from abelian_codes.finite_field import (
     _SPLITTING_DEGREE_BOUND,
     factorize,
+    is_prime,
     poly_is_irreducible,
 )
 
@@ -254,3 +256,58 @@ def test_field_make_large_prime_degree_six():
     assert poly_is_irreducible(list(F.modulus), 1000003)
     x = F.raw_from_coeffs((0, 1, 0, 0, 0, 0))
     assert F.pow(x, F.order) == x
+
+
+def test_field_make_large_prime_square_takes_the_first_candidate():
+    # x^2 + 1 is irreducible when p = 3 mod 4, and it is the first
+    # candidate: the search must not list the p digits first
+    start = time.perf_counter()
+    F = field_make(1000000007, 2)
+    assert time.perf_counter() - start < 1
+    assert F.modulus == (1, 0, 1)
+
+
+def test_element_of_order_over_a_large_prime_square():
+    # x has order 4, so no multiple c * x has a power of order 3; the
+    # search must not walk those p candidates first
+    F = field_make(1000000007, 2)
+    w = element_of_order(F, 3)
+    assert w != F.one and F.pow(w, 3) == F.one
+    assert w == min((w, F.mul(w, w)), key=F.lex_key)
+
+
+def test_field_make_degree_is_bounded():
+    with pytest.raises(DegreeTooLarge) as exc:
+        field_make(2, _SPLITTING_DEGREE_BOUND + 1)
+    assert exc.value.context == {"field": "2^513", "degree": 513,
+                                 "bound": _SPLITTING_DEGREE_BOUND}
+    with pytest.raises(DegreeTooLarge):
+        field_make(2, 100000, modulus=(1,) + (0,) * 99999 + (1,))
+
+
+def _is_prime_by_trial_division(n):
+    return n >= 2 and all(n % d for d in range(2, int(n ** 0.5) + 1))
+
+
+def test_is_prime_matches_trial_division():
+    assert [n for n in range(10 ** 5) if is_prime(n)] \
+        == [n for n in range(10 ** 5) if _is_prime_by_trial_division(n)]
+
+
+@pytest.mark.parametrize("n", [
+    561, 1105, 1729, 2465, 2821, 6601, 8911, 41041, 825265, 321197185,
+    5394826801, 232250619601, 9746347772161,  # Carmichael numbers
+    3215031751,  # a strong pseudoprime to the bases 2, 3, 5 and 7
+    3825123056546413051,  # a strong pseudoprime to the bases 2 .. 23
+    318665857834031151167461,  # a strong pseudoprime to the bases 2 .. 37
+    41 ** 16,  # above the Miller-Rabin bound: trial division
+])
+def test_is_prime_rejects_pseudoprimes(n):
+    assert not is_prime(n)
+
+
+def test_is_prime_accepts_a_mersenne_prime_quickly():
+    start = time.perf_counter()
+    assert is_prime(2 ** 61 - 1) and is_prime(2 ** 31 - 1)
+    assert not is_prime(2 ** 61 + 1)
+    assert time.perf_counter() - start < 0.1

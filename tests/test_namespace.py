@@ -1,0 +1,89 @@
+"""The package namespace loads each submodule on first use."""
+
+import json
+import os
+import subprocess
+import sys
+from importlib import import_module
+
+import pytest
+
+import abelian_codes
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SRC = os.path.join(ROOT, "src")
+
+EXPORTS = [
+    "AbelianGroup", "AlgebraElement", "AlgebraMismatch", "Automorphism", "BadDivisor",
+    "CharDividesOrder", "Character", "ClassificationReport", "DegreeMismatch",
+    "DegreeTooLarge", "DimensionTooLarge", "DomainError", "FieldCtx", "FieldMismatch",
+    "FieldScalar", "GroupAlgebra", "GroupElement", "GroupMismatch", "GroupTooLarge",
+    "HIsWholeGroup", "HypothesisFails", "MinimalCode", "NoRootsOfUnity",
+    "NoUniqueSubgroup", "NonPrimeP", "NotASubgroup", "NotCocyclic", "NotCoprime",
+    "NotIdempotent", "PrimitiveIdempotent", "ReducibleModulus", "Subgroup",
+    "WeightDistribution", "abelian_group", "abelian_groups_of_order", "all_subgroups",
+    "annihilator", "apply_automorphism", "aut_generators", "automorphisms",
+    "characters", "classify", "cocyclic_idempotent", "cocyclic_idempotent_family",
+    "cocyclic_subgroups", "codes", "cyclic_subgroups", "divisor_count",
+    "element_of_order", "equivalent", "errors", "euler_phi", "field_make",
+    "finite_field", "generator_sum", "get_algebra", "group_algebra", "group_make",
+    "hat", "homocyclic_factorization", "idempotent_group", "min_weight",
+    "min_weight_or_bound", "minimal_code", "mul_order", "owner_type", "phi_subgroup",
+    "power_automorphisms", "primitive_idempotents", "quotient_type", "sharp",
+    "splitting_field", "subgroup_orbits", "subgroup_product", "sylow_decompose",
+    "tau_sweep", "verify_tables", "weight_distribution",
+]
+SUBMODULES = {"abelian_group", "codes", "errors", "finite_field", "group_algebra"}
+
+
+def _loaded_after(statement):
+    """The abelian_codes submodules a fresh interpreter holds after running
+    the statement."""
+    code = (statement + "\nimport sys, json\n"
+            "print(json.dumps(sorted(n for n in sys.modules"
+            " if n.startswith('abelian_codes.'))))")
+    env = dict(os.environ, PYTHONPATH=SRC)
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    return {n.split(".", 1)[1] for n in json.loads(out)}
+
+
+def test_exports_are_pinned():
+    assert abelian_codes.__all__ == EXPORTS
+    assert set(EXPORTS) <= set(dir(abelian_codes))
+
+
+def test_each_name_is_its_home_object():
+    for name in EXPORTS:
+        home = import_module("abelian_codes." + abelian_codes._HOME[name])
+        value = getattr(abelian_codes, name)
+        if name in SUBMODULES:
+            assert value is home
+        else:
+            assert value is getattr(home, name) and value.__module__ == home.__name__
+
+
+def test_import_loads_no_submodule():
+    assert _loaded_after("import abelian_codes") == set()
+
+
+def test_field_make_loads_only_its_home():
+    assert _loaded_after("from abelian_codes import field_make") \
+        == {"finite_field", "errors"}
+
+
+def test_cli_loads_every_layer():
+    assert _loaded_after("import abelian_codes.cli") >= {
+        "finite_field", "abelian_group", "group_algebra", "codes"}
+
+
+def test_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError):
+        abelian_codes.no_such_name
+
+
+def test_star_import():
+    namespace = {}
+    exec("from abelian_codes import *", namespace)
+    assert set(EXPORTS) <= set(namespace)
+    assert namespace["field_make"] is abelian_codes.field_make
