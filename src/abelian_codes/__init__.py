@@ -11,27 +11,26 @@ from importlib import import_module
 _HOMES = {
     "errors": (
         "AlgebraMismatch", "BadDivisor", "CharDividesOrder", "DegreeMismatch",
-        "DegreeTooLarge", "DimensionTooLarge", "DomainError", "FieldMismatch",
-        "GroupMismatch", "GroupTooLarge", "HIsWholeGroup", "HypothesisFails",
-        "NoRootsOfUnity", "NoUniqueSubgroup", "NonPrimeP", "NotASubgroup",
-        "NotCocyclic", "NotCoprime", "NotIdempotent", "ReducibleModulus",
+        "DegreeTooLarge", "DimensionTooLarge", "DomainError", "GroupMismatch",
+        "GroupTooLarge", "HIsWholeGroup", "HypothesisFails", "NoRootsOfUnity",
+        "NoUniqueSubgroup", "NonPrimeP", "NotASubgroup", "NotCocyclic",
+        "NotCoprime", "NotIdempotent", "ReducibleModulus",
     ),
     "finite_field": (
-        "FieldCtx", "FieldScalar", "divisor_count", "element_of_order",
-        "euler_phi", "field_make", "mul_order", "splitting_field",
+        "FieldCtx", "divisor_count", "element_of_order", "euler_phi",
+        "field_make", "mul_order", "splitting_field",
     ),
     "abelian_group": (
         "AbelianGroup", "Automorphism", "Character", "GroupElement", "Subgroup",
         "abelian_groups_of_order", "all_subgroups", "annihilator",
         "aut_generators", "automorphisms", "characters", "cocyclic_subgroups",
-        "cyclic_subgroups", "group_make", "owner_type", "power_automorphisms",
-        "quotient_type", "sharp", "subgroup_orbits", "subgroup_product",
-        "sylow_decompose",
+        "cyclic_subgroups", "group_make", "owner_type", "quotient_type",
+        "subgroup_orbits", "sylow_decompose",
     ),
     "group_algebra": (
         "AlgebraElement", "GroupAlgebra", "PrimitiveIdempotent",
         "apply_automorphism", "cocyclic_idempotent", "cocyclic_idempotent_family",
-        "generator_sum", "get_algebra", "hat", "idempotent_group", "phi_subgroup",
+        "get_algebra", "hat", "idempotent_group", "phi_subgroup",
         "primitive_idempotents",
     ),
     "codes": (

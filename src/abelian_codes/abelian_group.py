@@ -22,12 +22,10 @@ from math import gcd, lcm, prod
 from .errors import (
     BadDivisor,
     GroupTooLarge,
-    HIsWholeGroup,
     NoRootsOfUnity,
     NotASubgroup,
-    NotCocyclic,
 )
-from .finite_field import FieldScalar, element_of_order, euler_phi, factorize, mul_order
+from .finite_field import element_of_order, euler_phi, factorize, mul_order
 
 # |Aut(G)| above this is refused before the closure starts: it builds one
 # |G|-entry permutation per automorphism, about 3 s at 20,000 for |G| <= 64
@@ -241,25 +239,24 @@ class Subgroup:
 
     __slots__ = ("group", "indices", "_set", "_generators", "_mask")
 
-    def __init__(self, group, elements, _trusted=False):
+    def __init__(self, group, elements):
         try:
             members = frozenset(group.index_of(tuple(e)) for e in elements)
         except KeyError as exc:
             raise NotASubgroup("not an element of the group", element=exc.args[0]) from None
         indices = tuple(sorted(members))
-        if not _trusted:
-            elems = group.elements
-            if 0 not in members:
-                raise NotASubgroup("missing identity")
-            for i in indices:
-                if group.index_of(group.neg(elems[i])) not in members:
-                    raise NotASubgroup("not closed under inverses", element=elems[i])
-            for i in indices:
-                t = _translation(group, elems[i])
-                for j in indices:
-                    if t[j] not in members:
-                        raise NotASubgroup(
-                            "not closed under addition", pair=(elems[i], elems[j]))
+        elems = group.elements
+        if 0 not in members:
+            raise NotASubgroup("missing identity")
+        for i in indices:
+            if group.index_of(group.neg(elems[i])) not in members:
+                raise NotASubgroup("not closed under inverses", element=elems[i])
+        for i in indices:
+            t = _translation(group, elems[i])
+            for j in indices:
+                if t[j] not in members:
+                    raise NotASubgroup(
+                        "not closed under addition", pair=(elems[i], elems[j]))
         self.group = group
         self.indices = indices
         self._set = members
@@ -341,10 +338,6 @@ class Subgroup:
             self._generators = tuple(gens)
         return self._generators
 
-    def extended(self, g):
-        """Subgroup generated by this one together with one extra element."""
-        return Subgroup._from_indices(self.group, sorted(_join(self.group, self._set, g)))
-
     def sylow_part(self, p):
         """Elements of p-power order (the p-Sylow subgroup of this subgroup)."""
         orders = _orders(self.group)
@@ -379,30 +372,20 @@ def _is_p_power(n, p):
     return n == 1
 
 
-def subgroup_product(a, b):
-    """The join HK of two subgroups of the same group."""
-    if a.group != b.group:
-        raise NotASubgroup("subgroups of different groups")
-    span = a._set
-    for g in b.generators:
-        span = _join(a.group, span, g)
-    return Subgroup._from_indices(a.group, sorted(span))
-
-
 # ---------------------------------------------------------------------------
 # Sylow decomposition
 # ---------------------------------------------------------------------------
 
 class SylowDecomposition:
-    """G as the direct product of its Sylow components, with lossless
-    split/merge maps for elements and subgroups.
+    """G as the direct product of its Sylow components, with the maps that
+    merge component elements and subgroups into G.
 
     Per prime p, the abstract component has divisors equal to the p-parts
     of G's invariant factors; coordinate i of G embeds the component
     coordinate via multiplication by d_i / p^{e_i}.
     """
 
-    __slots__ = ("group", "primes", "components", "_coords", "_mults", "_invs")
+    __slots__ = ("group", "primes", "components", "_coords", "_mults")
 
     def __init__(self, group):
         self.group = group
@@ -410,7 +393,6 @@ class SylowDecomposition:
         self.components = {}
         self._coords = {}
         self._mults = {}
-        self._invs = {}
         for p in self.primes:
             coords = [i for i, d in enumerate(group.divisors) if d % p == 0]
             parts = [p ** factorize(group.divisors[i])[p] for i in coords]
@@ -418,19 +400,6 @@ class SylowDecomposition:
             self.components[p] = AbelianGroup(tuple(parts))
             self._coords[p] = coords
             self._mults[p] = mults
-            self._invs[p] = [pow(m % pe, -1, pe) for m, pe in zip(mults, parts)]
-
-    def split_element(self, g):
-        exps = g.exps if isinstance(g, GroupElement) else tuple(g)
-        out = {}
-        for p in self.primes:
-            comp = self.components[p]
-            part = tuple(
-                exps[i] * u % d
-                for i, u, d in zip(self._coords[p], self._invs[p], comp.divisors)
-            )
-            out[p] = comp.element(part)
-        return out
 
     def merge_element(self, parts):
         exps = [0] * self.group.rank
@@ -440,14 +409,6 @@ class SylowDecomposition:
             for i, m, x in zip(self._coords[p], self._mults[p], part_exps):
                 exps[i] = (exps[i] + x * m) % self.group.divisors[i]
         return self.group.element(exps)
-
-    def split_subgroup(self, H):
-        out = {}
-        for p in self.primes:
-            part = H.sylow_part(p)
-            comp_elems = [self.split_element(e)[p].exps for e in part.elements]
-            out[p] = Subgroup(self.components[p], comp_elems, _trusted=True)
-        return out
 
     def merge_subgroup(self, parts):
         span = {0}
@@ -569,7 +530,7 @@ def _linear_values(group, coeffs, n):
     return vals
 
 
-def cyclic_subgroups(group, nontrivial_only=False):
+def cyclic_subgroups(group):
     """Every cyclic subgroup once, in canonical order.
 
     Elements are walked in index order; <g> is built only for an element
@@ -588,9 +549,8 @@ def cyclic_subgroups(group, nontrivial_only=False):
         for k in range(o):
             if gcd(k, o) == 1:
                 marked[cyc[k]] = 1
-        if o > 1 or not nontrivial_only:
-            gens = (g,) if o > 1 else ()
-            out.append(Subgroup._from_indices(group, sorted(cyc), gens))
+        gens = (g,) if o > 1 else ()
+        out.append(Subgroup._from_indices(group, sorted(cyc), gens))
     out.sort()
     return out
 
@@ -602,9 +562,10 @@ def cocyclic_subgroups(group):
     character duality makes this exactly the co-cyclic family.
     """
     out = {}
-    for C in cyclic_subgroups(group, nontrivial_only=True):
-        H = annihilator(group, C)
-        out.setdefault(H.indices, H)
+    for C in cyclic_subgroups(group):
+        if C.order > 1:
+            H = annihilator(group, C)
+            out.setdefault(H.indices, H)
     return sorted(out.values())
 
 
@@ -643,26 +604,6 @@ def _index_p_cover_within(group, container, H, p):
     return sorted(covers)
 
 
-def sharp(group, H):
-    """For a co-cyclic subgroup H of a p-group G, the unique L with
-    H < L <= G and [L:H] = p."""
-    if not isinstance(H, Subgroup) or H.group != group:
-        raise NotASubgroup("H is not a subgroup of G")
-    primes = sorted(factorize(group.order))
-    if len(primes) != 1:
-        raise NotCocyclic("sharp is defined for p-groups", divisors=group.divisors)
-    p = primes[0]
-    if H.order == group.order:
-        raise HIsWholeGroup("H must be a proper subgroup")
-    covers = _index_p_cover_within(group, range(group.order), H, p)
-    if len(covers) != 1:
-        raise NotCocyclic(
-            "index-p cover is not unique", count=len(covers),
-            subgroup=[list(g) for g in H.generators],
-        )
-    return covers[0]
-
-
 # ---------------------------------------------------------------------------
 # characters and duality
 # ---------------------------------------------------------------------------
@@ -690,10 +631,6 @@ class Character:
             return self.ctx.one
         e = sum(k * w * g for k, w, g in zip(self.exps, weights, exps)) % n
         return self._root_powers[e]
-
-    def value(self, g):
-        exps = g.exps if isinstance(g, GroupElement) else tuple(g)
-        return FieldScalar(self.ctx, self.raw_value(exps))
 
     def __eq__(self, other):
         return (
@@ -784,12 +721,6 @@ class Automorphism:
         )
         return cls._trusted(group, images, tuple(range(group.order)))
 
-    def apply_exps(self, exps):
-        return self.group.elements[self.perm[self.group.index_of(tuple(exps))]]
-
-    def apply_element(self, g):
-        return GroupElement(self.group, self.apply_exps(g.exps))
-
     def apply_subgroup(self, H):
         perm = self.perm
         return Subgroup._from_indices(self.group, sorted([perm[i] for i in H.indices]))
@@ -804,18 +735,6 @@ class Automorphism:
         # the canonical generator e_i has index strides[i]
         images = tuple(elems[perm[s]] for s in _strides(self.group))
         return Automorphism._trusted(self.group, images, perm)
-
-    def power_exponent(self):
-        """r with psi(g) = r*g for all g, or None if not a power map."""
-        group = self.group
-        if group.rank == 0:
-            return 1
-        # r is read off the image of the last (maximal-order) generator
-        r = self.images[-1][-1]
-        for i, img in enumerate(self.images):
-            if img != group.scale(r, _basis_exps(group, i)):
-                return None
-        return r
 
     def __eq__(self, other):
         return (
@@ -962,12 +881,6 @@ def automorphisms(group, max_order=512):
                     nxt.append(comp)
         frontier = nxt
     return sorted(found.values(), key=lambda a: a.perm)
-
-
-def power_automorphisms(auts):
-    """The subset of power maps g -> r*g; exactly the automorphisms fixing
-    every subgroup setwise."""
-    return [psi for psi in auts if psi.power_exponent() is not None]
 
 
 def subgroup_orbits(group, subgroups):

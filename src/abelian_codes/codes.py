@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
+from functools import partial
 from math import comb, lcm
 
 from .abelian_group import Subgroup, owner_type
@@ -37,24 +38,21 @@ DEFAULT_DIMENSION_CAP = 24
 
 
 class MinimalCode:
-    """The ideal F_qG * e for a primitive idempotent e, with a row-reduced
-    basis in group enumeration order.
+    """The ideal F_qG * e for a primitive idempotent e of a character of
+    order o, held at length o.
 
-    ``short`` spans the same code at length |G|/repeat: each of its
-    coordinates stands for ``repeat`` coordinates of the basis, so weights
-    scale by ``repeat``.  For the idempotent of a character of order o it
-    is the cyclic code C_o (length o, repeat |G|/o), and ``row`` is the
-    idempotent's length-o row in Z_o order, whose shifts span C_o;
-    otherwise ``short`` is the basis itself and ``row`` is None."""
+    The ideal is the cyclic code C_o with each coordinate repeated
+    ``repeat`` = |G|/o times, so weights scale by ``repeat``.  ``short`` is
+    the row-reduced basis of C_o, and ``row`` is the idempotent's length-o
+    row in Z_o order, whose shifts span C_o."""
 
-    __slots__ = ("algebra", "generator", "basis", "dimension", "short", "repeat", "row")
+    __slots__ = ("algebra", "generator", "dimension", "short", "repeat", "row")
 
-    def __init__(self, algebra, generator, basis, short=None, repeat=1, row=None):
+    def __init__(self, algebra, generator, short, repeat, row):
         self.algebra = algebra
         self.generator = generator
-        self.basis = basis
-        self.dimension = len(basis)
-        self.short = [b.coeffs for b in basis] if short is None else short
+        self.dimension = len(short)
+        self.short = short
         self.repeat = repeat
         self.row = row
 
@@ -130,21 +128,16 @@ def _reduce(rows, ctx, width, rank=None):
 
 
 def minimal_code(algebra, e):
-    """Row-reduced basis of the ideal generated by e.
+    """The minimal code of the primitive idempotent e, at length o.
 
-    For a primitive idempotent of a character of order o the coefficient
-    at g depends only on t(g) in Z_o (``_character_values``), so the ideal
-    is the cyclic code C_o spanned by the shifts of that length-o row,
-    lifted through t.  Its columns are put in the order in which each
-    value of t first appears in G: then the lifted RREF is the RREF of all
-    |G| translates, and the reduction stops at its known dimension
-    mul_order(q, o).  A bare element is reduced over all |G| translates."""
+    For the character of e, of order o, the coefficient at g depends only
+    on t(g) in Z_o (``_character_values``), so the ideal is the cyclic
+    code C_o spanned by the shifts of that length-o row, with coordinate t
+    standing for the |G|/o elements g with t(g) = t.  Its columns are put
+    in the order in which each value of t first appears in G, so the basis
+    read back through t is the RREF of all |G| translates of e; the
+    reduction stops at the known dimension mul_order(q, o)."""
     group, ctx = algebra.group, algebra.ctx
-    if not isinstance(e, PrimitiveIdempotent):
-        translates = (e.translated(g).coeffs for g in group.elements)
-        basis = _reduce(translates, ctx, group.order)
-        return MinimalCode(algebra, PrimitiveIdempotent(e, (), None),
-                           [AlgebraElement(algebra, b) for b in basis])
     o, ts = _character_values(group, e.orbit_rep)
     first = {}
     for g, t in enumerate(ts):
@@ -153,10 +146,7 @@ def minimal_code(algebra, e):
     row = [e.element.coeffs[first[t]] for t in range(o)]
     shifts = ([row[(t - s) % o] for t in columns] for s in range(o))
     short = _reduce(shifts, ctx, o, mul_order(ctx.order, o))
-    place = {t: j for j, t in enumerate(columns)}
-    lift = [place[t] for t in ts]
-    basis = [AlgebraElement(algebra, [b[j] for j in lift]) for b in short]
-    return MinimalCode(algebra, e, basis, short, group.order // o, row)
+    return MinimalCode(algebra, e, short, group.order // o, row)
 
 
 _LOW_TABLE_MAX = 4096
@@ -429,7 +419,7 @@ def _route(code):
     ctx, k = code.algebra.ctx, code.dimension
     q, n = ctx.order, code.algebra.group.order // code.repeat
     words = q ** min(k, n - k)
-    if code.row is not None and words > _LOW_TABLE_MAX:
+    if words > _LOW_TABLE_MAX:
         work = _walk(ctx, n, k)[0]
         if work < words:
             return True, work
@@ -445,15 +435,14 @@ def weight_distribution(code, cap=DEFAULT_DIMENSION_CAP):
     """Exact weight histogram of a code of dimension k at most the cap.
 
     The code is taken at its short length n (``MinimalCode.short``) and
-    weights are then scaled by ``repeat``.  The route is fixed: a code from
-    a primitive idempotent with q^min(k, n - k) > _LOW_TABLE_MAX, whose
-    N = (q^k - 1)/lcm(n, q - 1) coset-walk steps cost fewer words
-    (``_walk``) than q^min(k, n - k), walks one word per coset of shifts
-    times scalars (``_coset_weights``).  Every other code enumerates the
-    smaller of itself and its dual, of dimension n - k (``_span_weights``);
-    a dual's histogram is carried back by the MacWilliams identity.  A code
-    above the cap, or whose route's work exceeds _ENUMERATION_BOUND, raises
-    DimensionTooLarge.
+    weights are then scaled by ``repeat``.  The route is fixed: a code with
+    q^min(k, n - k) > _LOW_TABLE_MAX, whose N = (q^k - 1)/lcm(n, q - 1)
+    coset-walk steps cost fewer words (``_walk``) than q^min(k, n - k),
+    walks one word per coset of shifts times scalars (``_coset_weights``).
+    Every other code enumerates the smaller of itself and its dual, of
+    dimension n - k (``_span_weights``); a dual's histogram is carried back
+    by the MacWilliams identity.  A code above the cap, or whose route's
+    work exceeds _ENUMERATION_BOUND, raises DimensionTooLarge.
     """
     dim = code.dimension
     walk, work = _route(code)
@@ -725,7 +714,7 @@ def _table_rows_homocyclic(group, ctx, p, r, m):
     code and, for i = 1..r, hat(K) * (hat(h^{p^i}) - hat(h^{p^(i-1)})) with
     K the span of the first m-1 coordinates and h the last coordinate;
     dimension p^(i-1)(p-1) and minimum weight 2 p^(r(m-1)+(r-i));
-    r+1 = tau(p^r) classes."""
+    r+1 = tau(p^r) classes, and no expected orbit partition (None)."""
     rows = []
     whole = Subgroup.whole(group)
     rows.append({
@@ -747,7 +736,7 @@ def _table_rows_homocyclic(group, ctx, p, r, m):
             "dimension": p ** (i - 1) * (p - 1),
             "weight": 2 * p ** (r * (m - 1) + (r - i)),
         })
-    return rows, r + 1
+    return rows, None, r + 1
 
 
 def verify_tables(group, ctx, dimension_cap=DEFAULT_DIMENSION_CAP):
@@ -796,7 +785,7 @@ def verify_tables(group, ctx, dimension_cap=DEFAULT_DIMENSION_CAP):
         m = len(divisors)
         result["table"] = "homocyclic C_{p^r}^m (p=%d, r=%d, m=%d)" % (p, r, m)
         primitive_root("q", "p^r", p ** r, q=ctx.order)
-        rows, expected_classes = _table_rows_homocyclic(group, ctx, p, r, m)
+        table_rows = partial(_table_rows_homocyclic, group, ctx, p, r, m)
     elif (
         len(divisors) == 2
         and len(factorize(divisors[1])) == 1
@@ -811,14 +800,16 @@ def verify_tables(group, ctx, dimension_cap=DEFAULT_DIMENSION_CAP):
                 "this reference table is asserted over GF(2) only", q=ctx.order
             )
         primitive_root("2", "p^n", p ** n)
-        rows, expected_orbits, expected_classes = _table_rows_rank2(group, ctx, p, n)
+        table_rows = partial(_table_rows_rank2, group, ctx, p, n)
     else:
         raise DomainError(
             "no built-in reference table covers this group",
             group=group.spec_string(),
         )
 
+    # a refusal such as DegreeTooLarge comes before the |G|-length table rows
     prims = primitive_idempotents(group, ctx)
+    rows, expected_orbits, expected_classes = table_rows()
     by_element = {ide.element: ide for ide in prims}
     algebra = get_algebra(group, ctx)
 

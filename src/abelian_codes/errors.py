@@ -39,10 +39,6 @@ class NotCoprime(DomainError):
     pass
 
 
-class FieldMismatch(DomainError):
-    pass
-
-
 class DegreeTooLarge(DomainError):
     pass
 

@@ -1,8 +1,8 @@
 """Exact arithmetic in GF(p) and GF(p^m), plus small number-theory helpers.
 
-Field contexts are immutable value objects.  Scalars are stored in a compact
-"raw" form (an int for prime fields and binary extensions, a coefficient
-tuple otherwise); the FieldScalar wrapper provides operator syntax on top.
+Field contexts are immutable value objects.  Scalars are plain "raw"
+values (an int for prime fields and binary extensions, a coefficient tuple
+otherwise), and all arithmetic on them goes through the context's methods.
 All arithmetic is exact.
 
 Every field is GF(p^m) over its prime field.  A splitting field over a base
@@ -18,7 +18,6 @@ from math import gcd
 from .errors import (
     DegreeMismatch,
     DegreeTooLarge,
-    FieldMismatch,
     NonPrimeP,
     NoRootsOfUnity,
     NotCoprime,
@@ -113,16 +112,18 @@ def divisor_count(n):
 
 
 def mul_order(q, n):
-    """Least t >= 1 with q^t = 1 mod n.  Requires gcd(q, n) = 1."""
+    """Least t >= 1 with q^t = 1 mod n.  Requires gcd(q, n) = 1.
+
+    The order divides phi(n): starting from t = phi(n), each prime r of t
+    is divided out while q^(t/r) = 1 mod n still holds."""
     if n == 1:
         return 1
     if gcd(q, n) != 1:
         raise NotCoprime("q and n must be coprime", q=q, n=n)
-    t = 1
-    acc = q % n
-    while acc != 1:
-        acc = acc * q % n
-        t += 1
+    t = euler_phi(n)
+    for r in factorize(t):
+        while t % r == 0 and pow(q, t // r, n) == 1:
+            t //= r
     return t
 
 
@@ -351,18 +352,10 @@ def _first_irreducible(p, m):
 class FieldCtx:
     """Shared surface of all field contexts.
 
-    Concrete classes store scalars in a raw form and expose arithmetic on
-    raws; use .scalar()/FieldScalar for operator syntax.
+    Concrete classes store scalars in a raw form and expose arithmetic on raws.
     """
 
     __slots__ = ()
-
-    def scalar(self, value):
-        """Wrap an int (reduced mod p and embedded) as a FieldScalar."""
-        return FieldScalar(self, self.from_int(value))
-
-    def scalar_from_coeffs(self, coeffs):
-        return FieldScalar(self, self.raw_from_coeffs(coeffs))
 
     def spec_string(self):
         return str(self.p) if self.m == 1 else "%d^%d" % (self.p, self.m)
@@ -550,76 +543,6 @@ class ExtField(FieldCtx):
 
     def elements(self):
         return lex_tuples(range(self.p).__iter__, self.m)
-
-
-# ---------------------------------------------------------------------------
-# scalars
-# ---------------------------------------------------------------------------
-
-class FieldScalar:
-    """A field element bound to its context; mixed-context arithmetic is an
-    error, never a coercion."""
-
-    __slots__ = ("ctx", "raw")
-
-    def __init__(self, ctx, raw):
-        self.ctx = ctx
-        self.raw = raw
-
-    @property
-    def coeffs(self):
-        return self.ctx.coeffs(self.raw)
-
-    def _check(self, other):
-        if not isinstance(other, FieldScalar):
-            raise TypeError("expected FieldScalar, got %r" % (other,))
-        if other.ctx != self.ctx:
-            raise FieldMismatch(
-                "scalars from different field contexts",
-                left=repr(self.ctx), right=repr(other.ctx),
-            )
-        return other
-
-    def __add__(self, other):
-        other = self._check(other)
-        return FieldScalar(self.ctx, self.ctx.add(self.raw, other.raw))
-
-    def __sub__(self, other):
-        other = self._check(other)
-        return FieldScalar(self.ctx, self.ctx.sub(self.raw, other.raw))
-
-    def __neg__(self):
-        return FieldScalar(self.ctx, self.ctx.neg(self.raw))
-
-    def __mul__(self, other):
-        other = self._check(other)
-        return FieldScalar(self.ctx, self.ctx.mul(self.raw, other.raw))
-
-    def __truediv__(self, other):
-        other = self._check(other)
-        return FieldScalar(self.ctx, self.ctx.mul(self.raw, self.ctx.inv(other.raw)))
-
-    def __pow__(self, e):
-        return FieldScalar(self.ctx, self.ctx.pow(self.raw, e))
-
-    def inverse(self):
-        return FieldScalar(self.ctx, self.ctx.inv(self.raw))
-
-    def is_zero(self):
-        return self.raw == self.ctx.zero
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, FieldScalar)
-            and self.ctx == other.ctx
-            and self.raw == other.raw
-        )
-
-    def __hash__(self):
-        return hash((self.ctx, self.raw))
-
-    def __repr__(self):
-        return "FieldScalar(%r, %s)" % (self.ctx, list(self.coeffs))
 
 
 # ---------------------------------------------------------------------------

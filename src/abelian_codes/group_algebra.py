@@ -31,7 +31,7 @@ from .errors import (
     NotCocyclic,
     NotIdempotent,
 )
-from .finite_field import FieldScalar, element_of_order, mul_order, splitting_field
+from .finite_field import element_of_order, mul_order, splitting_field
 
 
 @lru_cache(maxsize=None)
@@ -56,16 +56,12 @@ class GroupAlgebra:
         coeffs[0] = self.ctx.one  # the identity has index 0
         return AlgebraElement(self, coeffs)
 
-    def from_raw_coeffs(self, coeffs):
-        return AlgebraElement(self, coeffs)
-
     def from_dict(self, assignment):
-        """Build an element from {exps tuple or GroupElement: int or raw}."""
+        """Build an element from {exps tuple or GroupElement: int}."""
         coeffs = [self.ctx.zero] * self.group.order
         for key, val in assignment.items():
             exps = key.exps if isinstance(key, GroupElement) else tuple(key)
-            raw = val.raw if isinstance(val, FieldScalar) else self.ctx.from_int(val)
-            coeffs[self.group.index_of(exps)] = raw
+            coeffs[self.group.index_of(exps)] = self.ctx.from_int(val)
         return AlgebraElement(self, coeffs)
 
     def __eq__(self, other):
@@ -99,15 +95,6 @@ class AlgebraElement:
             zero = self.algebra.ctx.zero
             self._support = tuple(i for i, c in enumerate(self.coeffs) if c != zero)
         return self._support
-
-    def support_elements(self):
-        group = self.algebra.group
-        elems = group.elements
-        return tuple(GroupElement(group, elems[i]) for i in self.support)
-
-    def coefficient(self, g):
-        exps = g.exps if isinstance(g, GroupElement) else tuple(g)
-        return FieldScalar(self.algebra.ctx, self.coeffs[self.algebra.group.index_of(exps)])
 
     def is_zero(self):
         return not self.support
@@ -151,11 +138,6 @@ class AlgebraElement:
                 k = row[j]
                 res[k] = ctx.add(res[k], ctx.mul(a, oc[j]))
         return AlgebraElement(alg, res)
-
-    def scaled(self, scalar):
-        raw = scalar.raw if isinstance(scalar, FieldScalar) else self.algebra.ctx.from_int(scalar)
-        mul = self.algebra.ctx.mul
-        return AlgebraElement(self.algebra, [mul(raw, c) for c in self.coeffs])
 
     def translated(self, g):
         """Left translation by a group element (a permutation of coefficients)."""
@@ -400,22 +382,6 @@ def apply_automorphism(psi, alpha):
     for i in alpha.support:
         res[psi.perm[i]] = alpha.coeffs[i]
     return AlgebraElement(alpha.algebra, res)
-
-
-def generator_sum(g, ctx):
-    """Sum of the phi(o(g)) generators of the cyclic subgroup <g>; fixed by
-    every subgroup-fixing automorphism."""
-    group = g.group if isinstance(g, GroupElement) else None
-    if group is None:
-        raise TypeError("expected a GroupElement")
-    alg = get_algebra(group, ctx)
-    o = g.order()
-    coeffs = [ctx.zero] * group.order
-    one = ctx.one
-    for i in range(o):  # i = 0 qualifies only when o = 1 (gcd(0, 1) = 1)
-        if gcd(i, o) == 1:
-            coeffs[group.index_of(group.scale(i, g.exps))] = one
-    return AlgebraElement(alg, coeffs)
 
 
 def idempotent_group(e):

@@ -3,12 +3,16 @@ kept only as test oracles.
 
 * ``orbit_sum_idempotents`` sums |orbit| root powers for every (orbit, g)
   pair, with the orbits found by ``group.scale`` on exponent tuples;
-* ``element_of_order_by_pow`` raises each coprime power with ``field.pow``.
+* ``element_of_order_by_pow`` raises each coprime power with ``field.pow``;
+* ``lifted_basis`` reads a minimal code's length-o basis back at length
+  |G|, and ``dense_basis`` row-reduces all |G| translates of an element.
 """
 
 from math import gcd
 
+from abelian_codes.codes import _reduce
 from abelian_codes.finite_field import element_of_order, factorize, splitting_field
+from abelian_codes.group_algebra import _character_values
 
 
 def element_of_order_by_pow(field, n):
@@ -61,3 +65,21 @@ def orbit_sum_idempotents(group, ctx):
             coeffs.append(ctx.mul(restrict(s), inv_order))
         out.append((rep, coeffs))
     return out
+
+
+def lifted_basis(code):
+    """The |G|-length rows of a minimal code: each row of its length-o basis
+    read back through t (``_character_values``), whose columns
+    ``minimal_code`` orders by the first appearance of each value of t."""
+    ts = _character_values(code.algebra.group, code.generator.orbit_rep)[1]
+    first = {}
+    for t in ts:
+        first.setdefault(t, len(first))
+    return [tuple(b[first[t]] for t in ts) for b in code.short]
+
+
+def dense_basis(algebra, e):
+    """Row-reduced basis of the ideal generated by any element e, over all
+    |G| translates of e."""
+    group = algebra.group
+    return _reduce((e.translated(g).coeffs for g in group.elements), algebra.ctx, group.order)

@@ -87,12 +87,36 @@ def test_sweep_output_digest(capsys):
      "cabb3f6f9e0dc35d2c4de544352022286bb243f2c2a9ed30278023f5785843b4"),
     ("idempotents --group 9,3 --field 2^2",
      "a95a0ac107ce220d23343f7d385b86d49908a406c692f0bed78e4e0f3de7475f"),
-], ids=["subgroups", "idempotents", "verify", "classify", "idempotents-extension"])
+    ("subgroups --group 12,6 --field 5",
+     "674126b4c5949ccadc6a3070bdfa036b5bc51ca63b19eed9466f8ce45edfaf76"),
+    ("subgroups --group 45,3 --field 2",
+     "0bd9fb9d1afb45abe6b4686a03553704724d6c3aeb986d8f2323205e2e98a9c5"),
+    ("idempotents --group 13 --field 3^2",
+     "f128656fbb0ec5a25fdbd24dcd985096bb9de26731072b7f51ac563cb8962e85"),
+    ("idempotents --group 5,5 --field 3",
+     "409419e0b44c282cbf30b62ccf27ad94dd9f9fdd1819efc7ef2fe65d1ddf7d06"),
+    ("classify --group 21,3 --field 2^2 --format md",
+     "ad819abcc781945f5d2da4d87181f514b15ee7f2d71cc1b8296e6fc25c4db3bd"),
+    ("classify --group 15,3 --field 2 --format csv --with-distributions",
+     "a520c7a6cf8823fa497ee761b0f142168ff8a0aefee72afbf14c45b2db7779e9"),
+    ("verify --group 9,9 --field 2",
+     "49f6b14e0b7bb6874debe471ba67319eb16607d7a763fc3d062c4ff855673c2d"),
+    ("verify --group 3,3,3 --field 5",
+     "99f6722c4ba31e5834c15df47ce609130d12970d96754946692c684fcb578cd6"),
+], ids=["subgroups", "idempotents", "verify", "classify", "idempotents-extension",
+        "subgroups-mixed-sylow", "subgroups-mixed-sylow-45", "idempotents-13-gf9",
+        "idempotents-5x5", "classify-md", "classify-csv", "verify-9x9",
+        "verify-3x3x3"])
 def test_output_digest(capsys, argv, digest):
     # sha256 of the stdout before subgroups moved to element indices; the
     # extension-base idempotents digest is that of GF(4) embedded in
-    # GF(2^(2s)) through the lex-least root of its modulus
-    status, out = capture(capsys, argv.split() + ["--format", "json"])
+    # GF(2^(2s)) through the lex-least root of its modulus. The later cases
+    # pin the output before the |G|-length code bases and the scalar wrapper
+    # were deleted; a case without --format is read as JSON.
+    argv = argv.split()
+    if "--format" not in argv:
+        argv += ["--format", "json"]
+    status, out = capture(capsys, argv)
     assert status == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
@@ -179,6 +203,36 @@ def test_walk_over_a_huge_field_is_bounded(capsys):
     assert time.perf_counter() - start < 2
     assert status == 1
     assert json.loads(out)["error_code"] == "DimensionTooLarge"
+
+
+@pytest.mark.parametrize("argv,degree", [
+    ("classify --group 1099511627776 --field 3", 2 ** 38),
+    ("classify --group 1000000007 --field 2", 500000003),
+    ("idempotents --group 1000000007 --field 2", 500000003),
+    ("verify --group 1000003 --field 2", 1000002),
+])
+def test_large_splitting_degree_is_refused_quickly(capsys, argv, degree):
+    # ord_n(q) is read off phi(n), not stepped to; verify refuses before it
+    # builds the |G|-length reference idempotents
+    start = time.perf_counter()
+    status, out = capture(capsys, argv.split() + ["--format", "json"])
+    assert time.perf_counter() - start < 1
+    assert status == 1
+    record = json.loads(out)
+    assert record["error_code"] == "DegreeTooLarge"
+    assert record["context"]["degree"] == degree
+
+
+def test_verify_hypothesis_over_a_large_prime_is_refused_quickly(capsys):
+    # ord_(10^9 + 7)(2) = 500000003 < phi
+    start = time.perf_counter()
+    status, out = capture(
+        capsys, ["verify", "--group", "1000000007", "--field", "2", "--format", "json"])
+    assert time.perf_counter() - start < 1
+    assert status == 1
+    record = json.loads(out)
+    assert record["error_code"] == "HypothesisFails"
+    assert record["context"]["order"] == 500000003
 
 
 def test_base_field_degree_above_bound_is_a_domain_error(capsys):

@@ -3,6 +3,7 @@ from functools import lru_cache
 from math import comb, gcd
 
 import pytest
+from dense_oracle import dense_basis, lifted_basis
 from hypothesis import given, settings, strategies as st
 from orbit_oracle import orbit_tau_sweep
 from weight_oracle import oracle_histogram, oracle_two_vector_bound
@@ -126,7 +127,7 @@ def test_generic_field_distribution_against_direct_enumeration():
         dist = weight_distribution(code)
         # independent oracle: rebuild every codeword from scratch
         hist = {}
-        rows = [b.coeffs for b in code.basis]
+        rows = lifted_basis(code)
         for combo in itertools.product(range(3), repeat=code.dimension):
             word = [0] * G.order
             for c, row in zip(combo, rows):
@@ -168,7 +169,7 @@ def test_weight_distribution_matches_oracle(p, m):
         if q ** code.dimension > 2 ** 16:
             continue
         dist = weight_distribution(code)
-        assert dist.histogram == oracle_histogram(code), (
+        assert dist.histogram == oracle_histogram(code.algebra.ctx, lifted_basis(code)), (
             code.algebra.group.divisors, q, code.generator.orbit_rep)
         assert dist.total == q ** code.dimension
         checked += 1
@@ -236,24 +237,26 @@ def test_codes_over_the_enumeration_bound_get_the_two_vector_bound(o, p, m):
         if over:
             with pytest.raises(DimensionTooLarge):
                 weight_distribution(rec.code)
-            assert rec.min_weight == oracle_two_vector_bound(rec.code)
+            assert rec.min_weight == oracle_two_vector_bound(ctx, lifted_basis(rec.code))
 
 
 def test_two_vector_bound_reaches_every_pair_and_scalar():
     # over GF(3) the only word of weight 2 is v1 + 2*v2, a multiplier other
     # than 1; every basis vector has weight 3
-    algebra = get_algebra(group_make([5]), field_make(3))
+    F3 = field_make(3)
+    algebra = get_algebra(group_make([5]), F3)
     rows = [(1, 1, 1, 0, 0), (1, 1, 0, 1, 0), (0, 0, 1, 1, 1)]
-    code = MinimalCode(algebra, None, [AlgebraElement(algebra, r) for r in rows])
+    code = MinimalCode(algebra, None, rows, 1, None)
     assert min_weight_or_bound(code, cap=0) == (2, False) \
-        == (oracle_two_vector_bound(code), False)
+        == (oracle_two_vector_bound(F3, rows), False)
 
 
 @pytest.mark.parametrize("p,m", WEIGHT_FIELDS)
 def test_two_vector_bound_matches_dense_oracle(p, m):
     # cap=0 sends every code to the packed two-vector bound
     for code in _minimal_codes_to_25(p, m):
-        assert min_weight_or_bound(code, cap=0) == (oracle_two_vector_bound(code), False), (
+        assert min_weight_or_bound(code, cap=0) \
+            == (oracle_two_vector_bound(code.algebra.ctx, lifted_basis(code)), False), (
             code.algebra.group.divisors, p ** m, code.generator.orbit_rep)
 
 
@@ -309,19 +312,20 @@ def test_macwilliams_identity_with_dual_ideal(case, pick):
     algebra = get_algebra(G, ctx)
     prims = primitive_idempotents(G, ctx)
     code = minimal_code(algebra, prims[pick % len(prims)])
-    dual = minimal_code(
-        algebra, _dual_ideal_generator(algebra, code.generator.element))
+    dual = dense_basis(algebra, _dual_ideal_generator(algebra, code.generator.element))
     n, q = G.order, ctx.order
-    assert code.dimension + dual.dimension == n
+    assert code.dimension + len(dual) == n
     w_code = weight_distribution(code, cap=n).histogram
-    w_dual = weight_distribution(dual, cap=n).histogram
+    w_dual = oracle_histogram(ctx, dual)
     expected = _macwilliams_transform(w_code, n, q)
     assert [q ** code.dimension * w_dual.get(w, 0) for w in range(n + 1)] == expected
 
 
 @pytest.mark.parametrize("p,m", WEIGHT_FIELDS)
 def test_early_stopped_basis_matches_full_reduction(p, m):
-    # the basis is reduced at length o and lifted back through t
+    # the basis reduced at length o, read back through t, and the RREF of
+    # all |G| translates of the idempotent (over GF(2) as bitmasks) are the
+    # RREF of those translates
     ctx = field_make(p, m)
     for n in range(1, 26):
         if gcd(n, ctx.order) != 1:
@@ -332,10 +336,8 @@ def test_early_stopped_basis_matches_full_reduction(p, m):
                 full = row_reduce_raw(
                     [ide.element.translated(g).coeffs for g in G.elements], ctx)
                 code = minimal_code(algebra, ide)
-                assert [b.coeffs for b in code.basis] == full, (
-                    G.divisors, ctx, ide.orbit_rep)
-                bare = minimal_code(algebra, ide.element)
-                assert [b.coeffs for b in bare.basis] == full
+                assert lifted_basis(code) == full, (G.divisors, ctx, ide.orbit_rep)
+                assert dense_basis(algebra, ide.element) == full
 
 
 @pytest.mark.parametrize("o,q", [(11, 7), (17, 3), (19, 3), (23, 5)])
@@ -420,7 +422,8 @@ def test_equivalent_classes_share_metrics():
         report = classify(G, field_make(p, m), with_distributions=True)
         assert sum(cls.size for cls in report.classes) == len(report.codes)
         for cls in report.classes:
-            hists = [oracle_histogram(rec.code) for rec in cls.members]
+            hists = [oracle_histogram(rec.code.algebra.ctx, lifted_basis(rec.code))
+                     for rec in cls.members]
             assert all(h == hists[0] for h in hists), (divisors, p, m)
             for rec in cls.members:
                 assert rec.distribution.histogram == hists[0]

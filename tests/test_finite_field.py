@@ -8,7 +8,6 @@ from dense_oracle import element_of_order_by_pow
 from abelian_codes import (
     DegreeMismatch,
     DegreeTooLarge,
-    FieldMismatch,
     NonPrimeP,
     NotCoprime,
     ReducibleModulus,
@@ -97,6 +96,22 @@ def test_mul_order_divides_phi():
                 assert euler_phi(n) % mul_order(q, n) == 0
 
 
+def _mul_order_by_steps(q, n):
+    """Least t >= 1 with q^t = 1 mod n, by stepping q^t."""
+    t, acc = 1, q % n
+    while acc != 1 % n:
+        acc = acc * q % n
+        t += 1
+    return t
+
+
+def test_mul_order_matches_stepping():
+    for n in range(1, 2000):
+        for q in range(1, 60):
+            if gcd(q, n) == 1:
+                assert mul_order(q, n) == _mul_order_by_steps(q, n), (q, n)
+
+
 @pytest.mark.parametrize("p,m", [(2, 6), (7, 2), (3, 4), (5, 2)])
 def test_frobenius_fixed_points_and_inverses(p, m):
     F = field_make(p, m)
@@ -107,22 +122,9 @@ def test_frobenius_fixed_points_and_inverses(p, m):
             assert F.mul(raw, F.inv(raw)) == one
 
 
-def test_scalar_arithmetic_and_context_mismatch():
-    F9 = field_make(3, 2)
-    a = F9.scalar_from_coeffs((1, 2))
-    b = F9.scalar_from_coeffs((2, 1))
-    assert (a + b).coeffs == (0, 0)
-    assert (a * a.inverse()).coeffs == (1, 0)
-    assert (-a + a).is_zero()
-    other = field_make(3, 2, modulus=[2, 2, 1])  # different irreducible
-    c = other.scalar_from_coeffs((1, 2))
-    with pytest.raises(FieldMismatch):
-        a + c
-
-
 def test_integer_embedding_and_zero_inverse():
     F7 = field_make(7)
-    assert F7.scalar(10).coeffs == (3,)
+    assert F7.coeffs(F7.from_int(10)) == (3,)
     with pytest.raises(ZeroDivisionError):
         F7.inv(0)
     # inverse of an integer divisible by p has no meaning in the field

@@ -6,6 +6,7 @@ from dense_oracle import orbit_sum_idempotents
 from hypothesis import given, settings, strategies as st
 
 from abelian_codes import (
+    AlgebraElement,
     CharDividesOrder,
     NoUniqueSubgroup,
     NotCocyclic,
@@ -21,17 +22,14 @@ from abelian_codes import (
     cyclic_subgroups,
     euler_phi,
     field_make,
-    generator_sum,
     get_algebra,
     group_make,
     hat,
     idempotent_group,
     mul_order,
     phi_subgroup,
-    power_automorphisms,
     primitive_idempotents,
     quotient_type,
-    subgroup_product,
 )
 from abelian_codes.finite_field import factorize
 from abelian_codes.group_algebra import row_reduce_raw
@@ -64,8 +62,8 @@ def test_hat_coefficients_over_gf2():
     G = group_make([9, 3])
     H = gen(G, (1, 0))
     h = hat(H, F2)
-    assert set(h.support_elements()) == set(map(G.element, H.elements))
-    assert all(h.coefficient(G.element(e)).coeffs == (1,) for e in H.elements)
+    assert h.support == H.indices
+    assert all(h.coeffs[i] == F2.one for i in H.indices)
 
 
 def test_hat_char_divides_order():
@@ -78,7 +76,8 @@ def test_hat_product_is_hat_of_join_exhaustive():
     G = group_make([9, 3])
     subs = all_subgroups(G)
     for H, K in itertools.product(subs, repeat=2):
-        assert hat(H, F2) * hat(K, F2) == hat(subgroup_product(H, K), F2)
+        join = Subgroup.generated(G, H.generators + K.generators)
+        assert hat(H, F2) * hat(K, F2) == hat(join, F2)
 
 
 def test_hats_are_idempotent():
@@ -101,7 +100,7 @@ def test_cocyclic_idempotent_whole_group():
 def test_cocyclic_idempotent_formulas():
     G = group_make([9, 3])
     b = gen(G, (1, 0))
-    cover = subgroup_product(gen(G, (0, 3)), b)  # <a^3> x <b>
+    cover = gen(G, (0, 3), (1, 0))  # <a^3> x <b>
     assert cocyclic_idempotent(G, b, F2) == hat(b, F2) - hat(cover, F2)
     a_span = gen(G, (0, 1))
     assert cocyclic_idempotent(G, a_span, F2) \
@@ -373,22 +372,23 @@ def test_automorphism_is_ring_homomorphism():
 # generator sums
 # ---------------------------------------------------------------------------
 
-def test_generator_sum_examples():
-    G = group_make([9, 3])
-    alg = get_algebra(G, F2)
-    assert generator_sum(G.identity, F2) == alg.one()
-    order2 = group_make([2])
-    g2 = order2.element((1,))
-    assert generator_sum(g2, F2).support_elements() == (g2,)
-    a = G.element((0, 1))
-    assert len(generator_sum(a, F2).support) == 6  # phi(9)
+def _generator_sum(C, ctx):
+    """The sum of the generators of the cyclic subgroup C."""
+    G = C.group
+    return AlgebraElement(get_algebra(G, ctx), [
+        ctx.one if i in C.indices and G.element_order(g) == C.order else ctx.zero
+        for i, g in enumerate(G.elements)])
 
 
 def test_generator_sum_fixed_by_power_automorphisms():
+    # the power maps g -> r*g are the automorphisms fixing every subgroup
     G = group_make([9, 3])
-    laut = power_automorphisms(automorphisms(G))
+    subs = all_subgroups(G)
+    laut = [psi for psi in automorphisms(G)
+            if all(psi.apply_subgroup(H) == H for H in subs)]
+    assert len(laut) == euler_phi(G.exponent)
     for exps in [(0, 1), (1, 0), (1, 1), (2, 3)]:
-        gam = generator_sum(G.element(exps), F2)
+        gam = _generator_sum(gen(G, exps), F2)
         for psi in laut:
             assert apply_automorphism(psi, gam) == gam
 
@@ -399,11 +399,8 @@ def test_generator_sums_span_equals_family_span():
         G = group_make(divisors)
         ctx = field_make(q)
         fam = cocyclic_idempotent_family(G, ctx)
-        gammas = {}
-        for exps in G.elements:
-            gam = generator_sum(G.element(exps), ctx)
-            gammas[gam.coeffs] = gam
-        gamma_basis = row_reduce_raw([g.coeffs for g in gammas.values()], ctx)
+        gammas = [_generator_sum(C, ctx).coeffs for C in cyclic_subgroups(G)]
+        gamma_basis = row_reduce_raw(gammas, ctx)
         family_basis = row_reduce_raw([e.coeffs for _, e in fam], ctx)
         assert gamma_basis == family_basis
         assert len(gamma_basis) == len(cyclic_subgroups(G)) == len(fam)
@@ -453,7 +450,7 @@ def _two_elements(draw):
     scalars = list(ctx.elements())
     algebra = get_algebra(G, ctx)
     coeffs = st.lists(st.sampled_from(scalars), min_size=G.order, max_size=G.order)
-    return algebra.from_raw_coeffs(draw(coeffs)), algebra.from_raw_coeffs(draw(coeffs))
+    return AlgebraElement(algebra, draw(coeffs)), AlgebraElement(algebra, draw(coeffs))
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)

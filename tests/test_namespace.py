@@ -1,5 +1,8 @@
-"""The package namespace loads each submodule on first use."""
+"""The package namespace loads each submodule on first use, and no
+submodule keeps an import or a private definition that nothing uses."""
 
+import ast
+import glob
 import json
 import os
 import subprocess
@@ -16,21 +19,19 @@ SRC = os.path.join(ROOT, "src")
 EXPORTS = [
     "AbelianGroup", "AlgebraElement", "AlgebraMismatch", "Automorphism", "BadDivisor",
     "CharDividesOrder", "Character", "ClassificationReport", "DegreeMismatch",
-    "DegreeTooLarge", "DimensionTooLarge", "DomainError", "FieldCtx", "FieldMismatch",
-    "FieldScalar", "GroupAlgebra", "GroupElement", "GroupMismatch", "GroupTooLarge",
-    "HIsWholeGroup", "HypothesisFails", "MinimalCode", "NoRootsOfUnity",
-    "NoUniqueSubgroup", "NonPrimeP", "NotASubgroup", "NotCocyclic", "NotCoprime",
-    "NotIdempotent", "PrimitiveIdempotent", "ReducibleModulus", "Subgroup",
-    "WeightDistribution", "abelian_group", "abelian_groups_of_order", "all_subgroups",
-    "annihilator", "apply_automorphism", "aut_generators", "automorphisms",
-    "characters", "classify", "cocyclic_idempotent", "cocyclic_idempotent_family",
-    "cocyclic_subgroups", "codes", "cyclic_subgroups", "divisor_count",
-    "element_of_order", "equivalent", "errors", "euler_phi", "field_make",
-    "finite_field", "generator_sum", "get_algebra", "group_algebra", "group_make",
-    "hat", "homocyclic_factorization", "idempotent_group", "min_weight",
-    "min_weight_or_bound", "minimal_code", "mul_order", "owner_type", "phi_subgroup",
-    "power_automorphisms", "primitive_idempotents", "quotient_type", "sharp",
-    "splitting_field", "subgroup_orbits", "subgroup_product", "sylow_decompose",
+    "DegreeTooLarge", "DimensionTooLarge", "DomainError", "FieldCtx", "GroupAlgebra",
+    "GroupElement", "GroupMismatch", "GroupTooLarge", "HIsWholeGroup",
+    "HypothesisFails", "MinimalCode", "NoRootsOfUnity", "NoUniqueSubgroup", "NonPrimeP",
+    "NotASubgroup", "NotCocyclic", "NotCoprime", "NotIdempotent", "PrimitiveIdempotent",
+    "ReducibleModulus", "Subgroup", "WeightDistribution", "abelian_group",
+    "abelian_groups_of_order", "all_subgroups", "annihilator", "apply_automorphism",
+    "aut_generators", "automorphisms", "characters", "classify", "cocyclic_idempotent",
+    "cocyclic_idempotent_family", "cocyclic_subgroups", "codes", "cyclic_subgroups",
+    "divisor_count", "element_of_order", "equivalent", "errors", "euler_phi",
+    "field_make", "finite_field", "get_algebra", "group_algebra", "group_make", "hat",
+    "homocyclic_factorization", "idempotent_group", "min_weight", "min_weight_or_bound",
+    "minimal_code", "mul_order", "owner_type", "phi_subgroup", "primitive_idempotents",
+    "quotient_type", "splitting_field", "subgroup_orbits", "sylow_decompose",
     "tau_sweep", "verify_tables", "weight_distribution",
 ]
 SUBMODULES = {"abelian_group", "codes", "errors", "finite_field", "group_algebra"}
@@ -87,3 +88,44 @@ def test_star_import():
     exec("from abelian_codes import *", namespace)
     assert set(EXPORTS) <= set(namespace)
     assert namespace["field_make"] is abelian_codes.field_make
+
+
+def _names(node):
+    """Every name a node reads, imports or reaches as an attribute."""
+    out = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            out.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            out.add(sub.attr)
+        elif isinstance(sub, ast.alias):
+            out.add(sub.name)
+    return out
+
+
+def test_no_unused_import_or_private_definition():
+    trees = {}
+    for path in sorted(glob.glob(os.path.join(SRC, "abelian_codes", "*.py"))):
+        if os.path.basename(path) != "__init__.py":
+            with open(path) as fh:
+                trees[os.path.basename(path)] = ast.parse(fh.read())
+    leftovers = []
+    for name, tree in trees.items():
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)) \
+                    and getattr(node, "module", None) != "__future__":
+                imported.update((a.asname or a.name).split(".")[0] for a in node.names)
+        read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        leftovers += ["%s imports %s" % (name, n) for n in sorted(imported - read)]
+    # a private top-level function or class counts as used only when some
+    # other top-level statement of src/ names it
+    statements = [stmt for tree in trees.values() for stmt in tree.body]
+    for name, tree in trees.items():
+        for stmt in tree.body:
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) \
+                    and stmt.name.startswith("_") and not stmt.name.startswith("__") \
+                    and not any(stmt.name in _names(other)
+                                for other in statements if other is not stmt):
+                leftovers.append("%s defines unused %s" % (name, stmt.name))
+    assert leftovers == []

@@ -1,6 +1,7 @@
 """Reference weight enumerator, kept only as a test oracle.
 
-It walks the GF(q)-span of a code's basis directly: a Gray-code walk over
+It walks the GF(q)-span of a code's dense rows directly (raw coefficient
+tuples, such as ``dense_oracle.lifted_basis``): a Gray-code walk over
 bitmasks for GF(2), and a plain recursion over every coefficient choice,
 with field elements as indices into an addition table, for any other
 field.  It is slow but shares nothing with the packed kernel in
@@ -8,12 +9,11 @@ field.  It is slow but shares nothing with the packed kernel in
 """
 
 
-def oracle_histogram(code):
-    """Weight -> codeword count over the span of ``code.basis``."""
-    ctx = code.algebra.ctx
-    dim = len(code.basis)
+def oracle_histogram(ctx, rows):
+    """Weight -> codeword count over the span of the independent rows."""
+    dim = len(rows)
     if ctx.p == 2 and ctx.m == 1:
-        masks = [sum(1 << i for i in b.support) for b in code.basis]
+        masks = [sum(c << i for i, c in enumerate(b)) for b in rows]
         hist = {0: 1}
         cur = 0
         for i in range(1, 1 << dim):
@@ -27,8 +27,8 @@ def oracle_histogram(code):
     add = [[index[ctx.add(a, b)] for b in elems] for a in elems]
     zero = index[ctx.zero]
     scaled = [
-        [[index[ctx.mul(s, c)] for c in row.coeffs] for s in elems]
-        for row in code.basis
+        [[index[ctx.mul(s, c)] for c in row] for s in elems]
+        for row in rows
     ]
     hist = {}
 
@@ -44,17 +44,15 @@ def oracle_histogram(code):
                 row = scaled[d][si]
                 rec(d + 1, [add[a][b] for a, b in zip(current, row)])
 
-    rec(0, [zero] * code.algebra.group.order)
+    rec(0, [zero] * len(rows[0]) if rows else [])
     return dict(sorted(hist.items()))
 
 
-def oracle_two_vector_bound(code):
+def oracle_two_vector_bound(ctx, vectors):
     """Minimum weight over every s*v_i and s*v_i + t*v_j (i < j; s, t
-    nonzero scalars) of the basis, on dense coefficient tuples."""
-    ctx = code.algebra.ctx
+    nonzero scalars) of the vectors, on dense coefficient tuples."""
     zero = ctx.zero
     nonzero_scalars = [s for s in ctx.elements() if s != zero]
-    vectors = [b.coeffs for b in code.basis]
     best = None
     for v in vectors:
         for s in nonzero_scalars:
