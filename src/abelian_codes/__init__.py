@@ -12,9 +12,8 @@ _HOMES = {
     "errors": (
         "AlgebraMismatch", "BadDivisor", "CharDividesOrder", "DegreeMismatch",
         "DegreeTooLarge", "DimensionTooLarge", "DomainError", "GroupMismatch",
-        "GroupTooLarge", "HIsWholeGroup", "HypothesisFails", "NoRootsOfUnity",
-        "NoUniqueSubgroup", "NonPrimeP", "NotASubgroup", "NotCocyclic",
-        "NotCoprime", "NotIdempotent", "ReducibleModulus",
+        "GroupTooLarge", "HypothesisFails", "NoRootsOfUnity", "NoUniqueSubgroup",
+        "NonPrimeP", "NotASubgroup", "NotCocyclic", "NotCoprime", "NotIdempotent",
     ),
     "finite_field": (
         "FieldCtx", "divisor_count", "element_of_order", "euler_phi",

@@ -30,6 +30,9 @@ from .finite_field import element_of_order, euler_phi, factorize, mul_order
 # |Aut(G)| above this is refused before the closure starts: it builds one
 # |G|-entry permutation per automorphism, about 3 s at 20,000 for |G| <= 64
 _AUT_ORDER_BOUND = 20000
+# |G| above these is refused by all_subgroups and by automorphisms
+_SUBGROUPS_ORDER_BOUND = 4096
+_AUT_GROUP_ORDER_BOUND = 512
 
 
 class AbelianGroup:
@@ -455,12 +458,12 @@ def _p_group_subgroups(group):
     return sorted(seen)
 
 
-def all_subgroups(group, max_order=4096):
+def all_subgroups(group):
     """Complete duplicate-free subgroup list, computed per Sylow component
     and recombined (subgroups of abelian groups split over Sylow parts)."""
-    if group.order > max_order:
+    if group.order > _SUBGROUPS_ORDER_BOUND:
         raise GroupTooLarge(
-            "subgroup enumeration bounded", order=group.order, bound=max_order
+            "subgroup enumeration bounded", order=group.order, bound=_SUBGROUPS_ORDER_BOUND
         )
     dec = sylow_decompose(group)
     if len(dec.primes) <= 1:
@@ -853,14 +856,14 @@ def aut_order(group):
     return out
 
 
-def automorphisms(group, max_order=512):
+def automorphisms(group):
     """Complete Aut(G), as the multiplicative closure of aut_generators.
 
     Deduplicated by induced permutation and sorted canonically.
     """
-    if group.order > max_order:
+    if group.order > _AUT_GROUP_ORDER_BOUND:
         raise GroupTooLarge(
-            "automorphism enumeration bounded", order=group.order, bound=max_order
+            "automorphism enumeration bounded", order=group.order, bound=_AUT_GROUP_ORDER_BOUND
         )
     count = aut_order(group)
     if count > _AUT_ORDER_BOUND:

@@ -16,7 +16,6 @@ from math import gcd
 
 from .abelian_group import (
     abelian_groups_of_order,
-    cocyclic_subgroups,
     group_make,
     quotient_type,
     all_subgroups,
@@ -157,13 +156,11 @@ def _render_idempotents(data, fmt):
 
 
 def _subgroups_dict(group, ctx):
-    cocyclic = set(cocyclic_subgroups(group))
-    entries = [{
-        "generators": [list(g) for g in H.generators],
-        "order": H.order,
-        "quotient": list(quotient_type(group, H)),
-        "cocyclic": H in cocyclic,
-    } for H in all_subgroups(group)]
+    entries = []
+    for H in all_subgroups(group):
+        quotient = list(quotient_type(group, H))  # G/H cyclic: H is co-cyclic
+        entries.append({"generators": [list(g) for g in H.generators], "order": H.order,
+                        "quotient": quotient, "cocyclic": len(quotient) == 1})
     return {"group": group.spec_string(), "field": ctx.spec_string(), "subgroups": entries}
 
 
@@ -211,26 +208,27 @@ def _build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, need_group=True):
+    def common(p, need_group=True, capped=False):
         if need_group:
             p.add_argument("--group", required=True, type=_parse_group,
                            help="comma-separated divisor list, e.g. 9,3")
         p.add_argument("--field", required=True, type=_parse_field,
                        help="field spec: p or p^m, e.g. 2 or 2^6")
         p.add_argument("--format", choices=["json", "csv", "md"], default="md")
-        p.add_argument("--dimension-cap", type=_int_at_least(0),
-                       default=DEFAULT_DIMENSION_CAP)
+        if capped:
+            p.add_argument("--dimension-cap", type=_int_at_least(0),
+                           default=DEFAULT_DIMENSION_CAP)
 
     common(sub.add_parser("subgroups", help="list the subgroup lattice"))
     common(sub.add_parser("idempotents", help="dump the primitive idempotents"))
     p_classify = sub.add_parser("classify", help="classify the minimal codes")
-    common(p_classify)
+    common(p_classify, capped=True)
     p_classify.add_argument("--with-distributions", action="store_true")
     p_sweep = sub.add_parser(
         "sweep", help="class count vs tau(exponent) over all small groups")
     common(p_sweep, need_group=False)
     p_sweep.add_argument("--max-order", type=_int_at_least(1), default=81)
-    common(sub.add_parser("verify", help="check the built-in reference tables"))
+    common(sub.add_parser("verify", help="check the built-in reference tables"), capped=True)
     return parser
 
 

@@ -42,17 +42,17 @@ class MinimalCode:
     order o, held at length o.
 
     The ideal is the cyclic code C_o with each coordinate repeated
-    ``repeat`` = |G|/o times, so weights scale by ``repeat``.  ``short`` is
-    the row-reduced basis of C_o, and ``row`` is the idempotent's length-o
-    row in Z_o order, whose shifts span C_o."""
+    ``repeat`` = |G|/o times, so weights scale by ``repeat``.  ``row`` is
+    the idempotent's length-o row in Z_o order, whose shifts span C_o, and
+    ``dimension`` is ord_o(q); a basis is built only where one is read
+    (``_basis``)."""
 
-    __slots__ = ("algebra", "generator", "dimension", "short", "repeat", "row")
+    __slots__ = ("algebra", "generator", "dimension", "repeat", "row")
 
-    def __init__(self, algebra, generator, short, repeat, row):
+    def __init__(self, algebra, generator, dimension, repeat, row):
         self.algebra = algebra
         self.generator = generator
-        self.dimension = len(short)
-        self.short = short
+        self.dimension = dimension
         self.repeat = repeat
         self.row = row
 
@@ -133,20 +133,25 @@ def minimal_code(algebra, e):
     For the character of e, of order o, the coefficient at g depends only
     on t(g) in Z_o (``_character_values``), so the ideal is the cyclic
     code C_o spanned by the shifts of that length-o row, with coordinate t
-    standing for the |G|/o elements g with t(g) = t.  Its columns are put
-    in the order in which each value of t first appears in G, so the basis
-    read back through t is the RREF of all |G| translates of e; the
-    reduction stops at the known dimension mul_order(q, o)."""
+    standing for the |G|/o elements g with t(g) = t.  Its dimension is
+    ord_o(q); nothing is row-reduced here."""
     group, ctx = algebra.group, algebra.ctx
     o, ts = _character_values(group, e.orbit_rep)
     first = {}
     for g, t in enumerate(ts):
         first.setdefault(t, g)
-    columns = list(first)  # values of t by first appearance
     row = [e.element.coeffs[first[t]] for t in range(o)]
-    shifts = ([row[(t - s) % o] for t in columns] for s in range(o))
-    short = _reduce(shifts, ctx, o, mul_order(ctx.order, o))
-    return MinimalCode(algebra, e, short, group.order // o, row)
+    return MinimalCode(algebra, e, mul_order(ctx.order, o), group.order // o, row)
+
+
+def _basis(ctx, row, k, columns=None):
+    """The RREF of the shifts of the length-o row, columns in the given
+    order of Z_o (by default Z_o order); a given k is the rank, asserted.
+    With the values of t in the order they first appear in G, it reads back
+    through t as the RREF of all |G| translates of the idempotent."""
+    o = len(row)
+    shifts = ([row[(t - s) % o] for t in columns or range(o)] for s in range(o))
+    return _reduce(shifts, ctx, o, k)
 
 
 _LOW_TABLE_MAX = 4096
@@ -258,7 +263,7 @@ def _span_weights(ctx, rows, n):
     return hist
 
 
-def _coset_weights(ctx, row, k):
+def _coset_weights(ctx, row, k, tables):
     """Weight -> count over the irreducible cyclic code I spanned by the
     shifts of the idempotent row (length o, dimension k), from one word per
     coset of H = {a x^j e : a in GF(q)*, j < o}.
@@ -274,8 +279,8 @@ def _coset_weights(ctx, row, k):
     RREF basis b_i of I.  A word w is then sum_i w_i b_i, so g(x) * w is
     two lookups, keyed on the packed low and high halves of those
     coordinates, into tables of the combinations of the g(x) * b_i, plus
-    one add.  Where the tables would cost more than they save, or outgrow
-    _TABLE_BOUND (``_walk``), each step multiplies by g(x) instead.
+    one add.  Without ``tables`` (the route ``step`` of ``_route``), each
+    step multiplies by g(x) instead.
     """
     o, q, p, zero, one, mul, plus = len(row), ctx.order, ctx.p, ctx.zero, ctx.one, ctx.mul, ctx.add
     info = [[row[(t - j) % o] for j in range(k + 1)] for t in range(k)]
@@ -321,14 +326,14 @@ def _coset_weights(ctx, row, k):
 
     pack, add, weights, width = _packing(ctx, o)
     hist = Counter()
-    if not _walk(ctx, o, k)[1]:
+    if not tables:
         w = row
         for _ in range(steps):
             hist.update(weights([pack(w)]))
             w = apply(w)
     else:
         half = (k + 1) // 2
-        basis = _reduce(([row[(t - s) % o] for t in range(o)] for s in range(o)), ctx, o, k)
+        basis = _basis(ctx, row, k)
         keys = _p_generators(ctx, basis, pack)
         values = _p_generators(ctx, [apply(b) for b in basis], pack)
         low_mask = (1 << half * width) - 1
@@ -352,10 +357,9 @@ def _coset_weights(ctx, row, k):
     return hist
 
 
-def _dual_rows(rows, ctx, n):
-    """A basis of the dual of the span of the rows: one vector per free
-    column f of their RREF, 1 at f and minus column f at the pivots."""
-    rref = row_reduce_raw(rows, ctx)
+def _dual_rows(rref, ctx, n):
+    """A basis of the dual of the span of the rows of an RREF: one vector
+    per free column f, 1 at f and minus column f at the pivots."""
     pivots = [next(i for i, c in enumerate(r) if c != ctx.zero) for r in rref]
     out = []
     for f in sorted(set(range(n)) - set(pivots)):
@@ -395,69 +399,64 @@ _TABLE_BOUND = 2 ** 20  # coset-walk table words: about 190 bytes each
 _ENUMERATION_BOUND = 2 ** 25  # words: about 20 s over GF(3)
 
 
-def _walk(ctx, o, k):
-    """(work, tables) of ``_coset_weights`` on C_o of dimension k.  Each
-    of its N = (q^k - 1)/lcm(o, q - 1) steps is either two lookups in
-    tables of T = q^ceil(k/2) + q^floor(k/2) words, _STEP_COST words a
-    step once T words are built, or about o * k products by g(x), which
-    cost _PRODUCT_COST words each over GF(p) and five times that over an
-    extension.  The tables are built when they cost less than the products
-    they save and hold at most _TABLE_BOUND words."""
+def _route(ctx, o, k):
+    """(route, work) of ``weight_distribution`` on C_o of dimension k, with
+    the work in enumerated words (a GF(2) word counts a quarter).
+
+    Enumerating C_o, or its dual when o - k < k (routes ``span`` and
+    ``dual``), costs q^min(k, o - k) words; above _LOW_TABLE_MAX the coset
+    walk is taken when it costs less.  Each of its N = (q^k - 1)/lcm(o,
+    q - 1) steps is either two lookups in tables of T = q^ceil(k/2) +
+    q^floor(k/2) words, _STEP_COST words a step once T words are built
+    (``walk``), or about o * k products by g(x), _PRODUCT_COST words each
+    over GF(p) and five times that over an extension (``step``).  The
+    tables are built when they cost less than the products they save and
+    hold at most _TABLE_BOUND words."""
     q = ctx.order
-    steps = (q ** k - 1) // lcm(o, q - 1)
-    half = (k + 1) // 2
-    table = q ** half + q ** (k - half)
-    product = _PRODUCT_COST * o * k * (1 if ctx.m == 1 else 5) * steps
-    if table <= _TABLE_BOUND and table < product:
-        return _STEP_COST * steps + table, True
-    return _STEP_COST * steps + product, False
-
-
-def _route(code):
-    """(walk, work): whether ``weight_distribution`` walks cosets, and the
-    work of its route in enumerated words (a GF(2) word counts a quarter)."""
-    ctx, k = code.algebra.ctx, code.dimension
-    q, n = ctx.order, code.algebra.group.order // code.repeat
-    words = q ** min(k, n - k)
+    words = q ** min(k, o - k)
     if words > _LOW_TABLE_MAX:
-        work = _walk(ctx, n, k)[0]
+        steps = (q ** k - 1) // lcm(o, q - 1)
+        half = (k + 1) // 2
+        table = q ** half + q ** (k - half)
+        product = _PRODUCT_COST * o * k * (1 if ctx.m == 1 else 5) * steps
+        walk = table <= _TABLE_BOUND and table < product
+        work = _STEP_COST * steps + (table if walk else product)
         if work < words:
-            return True, work
-    return False, words >> 2 * (q == 2)
+            return "walk" if walk else "step", work
+    return "dual" if o - k < k else "span", words >> 2 * (q == 2)
 
 
 def _exact(code, cap):
     """Whether ``weight_distribution`` admits the code."""
-    return code.dimension <= cap and _route(code)[1] <= _ENUMERATION_BOUND
+    k = code.dimension
+    return k <= cap and _route(code.algebra.ctx, len(code.row), k)[1] <= _ENUMERATION_BOUND
 
 
 def weight_distribution(code, cap=DEFAULT_DIMENSION_CAP):
     """Exact weight histogram of a code of dimension k at most the cap.
 
-    The code is taken at its short length n (``MinimalCode.short``) and
-    weights are then scaled by ``repeat``.  The route is fixed: a code with
-    q^min(k, n - k) > _LOW_TABLE_MAX, whose N = (q^k - 1)/lcm(n, q - 1)
-    coset-walk steps cost fewer words (``_walk``) than q^min(k, n - k),
-    walks one word per coset of shifts times scalars (``_coset_weights``).
-    Every other code enumerates the smaller of itself and its dual, of
-    dimension n - k (``_span_weights``); a dual's histogram is carried back
-    by the MacWilliams identity.  A code above the cap, or whose route's
-    work exceeds _ENUMERATION_BOUND, raises DimensionTooLarge.
+    The code is taken at its length o, as C_o (``MinimalCode.row``), and
+    weights are then scaled by ``repeat``.  The route is fixed by q, o and
+    k (``_route``): the routes ``walk`` and ``step`` walk one word per
+    coset of shifts times scalars (``_coset_weights``); ``span`` and
+    ``dual`` enumerate C_o or its dual, of dimension o - k, from the RREF
+    of the shifts of the row (``_span_weights``), and a dual's histogram is
+    carried back by the MacWilliams identity.  A code above the cap, or
+    whose route's work exceeds _ENUMERATION_BOUND, raises
+    DimensionTooLarge.
     """
-    dim = code.dimension
-    walk, work = _route(code)
+    ctx, dim, o = code.algebra.ctx, code.dimension, len(code.row)
+    route, work = _route(ctx, o, dim)
     if dim > cap or work > _ENUMERATION_BOUND:
         raise DimensionTooLarge("weight enumeration bounded", dimension=dim, cap=cap,
                                 work=work, bound=_ENUMERATION_BOUND)
-    ctx = code.algebra.ctx
-    n = code.algebra.group.order // code.repeat
-    if walk:
-        hist = _coset_weights(ctx, code.row, dim)
-    elif n - dim < dim:
-        dual = _dual_rows(code.short, ctx, n)
-        hist = _macwilliams(_span_weights(ctx, dual, n), n, ctx.order, len(dual))
+    if route in ("walk", "step"):
+        hist = _coset_weights(ctx, code.row, dim, route == "walk")
+    elif route == "dual":
+        dual = _dual_rows(_basis(ctx, code.row, dim), ctx, o)
+        hist = _macwilliams(_span_weights(ctx, dual, o), o, ctx.order, len(dual))
     else:
-        hist = _span_weights(ctx, code.short, n)
+        hist = _span_weights(ctx, _basis(ctx, code.row, dim), o)
     return WeightDistribution(
         {w * code.repeat: c for w, c in hist.items()}, dim, ctx.order)
 
@@ -467,30 +466,36 @@ def min_weight(code, cap=DEFAULT_DIMENSION_CAP):
     return weight_distribution(code, cap).min_nonzero()
 
 
-def min_weight_or_bound(code, cap=DEFAULT_DIMENSION_CAP):
-    """(value, exact): exact minimum when ``weight_distribution`` admits the
-    code; otherwise the minimum over spans of at most two basis vectors,
-    which can only overestimate the true minimum, flagged exact=False.
+def _two_vector_bound(ctx, rows):
+    """The least weight over the spans of at most two of the rows.
 
     weight(s*v_i + t*v_j) = weight(v_i + (t/s)*v_j), so the words v_i and
-    v_i + t*v_j (i < j, t != 0) cover every such span.  They are taken on
-    the short basis, whose weights scale by ``repeat``.  That is about
-    (q - 1) * dim^2 words; above _ENUMERATION_BOUND it raises
+    v_i + t*v_j (i < j, t != 0) cover every such span; the q - 1 multiples
+    t*v_j are the nonzero GF(p)-combinations of ``_p_generators``."""
+    pack, add, weights, width = _packing(ctx, len(rows[0]))
+    multiples = [_span_table(_p_generators(ctx, [b], pack), add, ctx.p)[1:] for b in rows]
+    vectors = [ws[0] for ws in multiples]  # 1 * b comes first
+    sums = [add(v, w) for i, v in enumerate(vectors) for ws in multiples[i + 1:] for w in ws]
+    return min(weights(vectors + sums))
+
+
+def min_weight_or_bound(code, cap=DEFAULT_DIMENSION_CAP):
+    """(value, exact): exact minimum when ``weight_distribution`` admits the
+    code; otherwise ``_two_vector_bound`` on the RREF of C_o with columns in
+    first-appearance order (``_basis``), scaled by ``repeat``, which can
+    only overestimate the true minimum, flagged exact=False.  That bound
+    takes about (q - 1) * dim^2 words; above _ENUMERATION_BOUND it raises
     DimensionTooLarge."""
     if _exact(code, cap):
         return min_weight(code, cap), True
-    ctx = code.algebra.ctx
-    if (ctx.order - 1) * code.dimension ** 2 > _ENUMERATION_BOUND:
-        raise DimensionTooLarge("two-vector bound bounded", dimension=code.dimension,
+    ctx, dim = code.algebra.ctx, code.dimension
+    if (ctx.order - 1) * dim ** 2 > _ENUMERATION_BOUND:
+        raise DimensionTooLarge("two-vector bound bounded", dimension=dim,
                                 field_order=ctx.order, bound=_ENUMERATION_BOUND)
-    pack, add, weights, width = _packing(ctx, code.algebra.group.order // code.repeat)
-    nonzero = [t for t in ctx.elements() if t != ctx.zero]
-    vectors = [pack(b) for b in code.short]
-    multiples = [[pack([ctx.mul(t, c) for c in b]) for t in nonzero]
-                 for b in code.short]
-    sums = [add(v, w) for i, v in enumerate(vectors)
-            for ws in multiples[i + 1:] for w in ws]
-    return min(weights(vectors + sums)) * code.repeat, False
+    # columns by the first appearance of each t in G (``minimal_code``)
+    columns = list(dict.fromkeys(_character_values(code.algebra.group,
+                                                   code.generator.orbit_rep)[1]))
+    return _two_vector_bound(ctx, _basis(ctx, code.row, dim, columns)) * code.repeat, False
 
 
 def equivalent(code1, code2, auts):
@@ -537,9 +542,9 @@ class ClassificationReport:
     """All minimal codes of F_qG with their equivalence-class grouping."""
 
     __slots__ = ("group", "ctx", "codes", "classes", "class_count", "tau",
-                 "homocyclic", "matches_tau", "family_primitive")
+                 "homocyclic", "matches_tau")
 
-    def __init__(self, group, ctx, codes, classes, family_primitive):
+    def __init__(self, group, ctx, codes, classes):
         self.group = group
         self.ctx = ctx
         self.codes = codes
@@ -548,7 +553,6 @@ class ClassificationReport:
         self.tau = divisor_count(group.exponent)
         self.homocyclic = len(set(group.divisors)) <= 1
         self.matches_tau = self.class_count == self.tau
-        self.family_primitive = family_primitive
 
     def to_dict(self):
         def entry(rec, **head):  # head, then the record's metrics
@@ -589,18 +593,12 @@ def classify(group, ctx, with_distributions=False, dimension_cap=DEFAULT_DIMENSI
     A code's weight distribution depends only on the order o of its
     character (it is C_o with every coordinate repeated |G|/o times), so
     it is computed once per distinct o that ``weight_distribution``
-    admits, by its fixed route rule: a coset walk when 4 (q^k - 1)/lcm(o,
-    q - 1) steps cost fewer than the q^min(k, o - k) > 4096 words of
-    enumerating C_o or its dual, else that enumeration.  A code above the
-    cap, or whose route exceeds _ENUMERATION_BOUND, gets its own
-    two-vector bound, which depends on its basis."""
-    prims = primitive_idempotents(group, ctx)
+    admits, by the route that q, o and k fix (``_route``).  A code above
+    the cap, or whose route exceeds _ENUMERATION_BOUND, gets its own
+    two-vector bound, which depends on its basis: only such a code is
+    row-reduced on its own."""
     algebra = get_algebra(group, ctx)
-    codes = [minimal_code(algebra, ide) for ide in prims]
-
-    # the owner map is onto the extended co-cyclic family, so every family
-    # idempotent is primitive exactly when no two primitives share an owner
-    family_primitive = len(prims) == len({ide.phi_subgroup.indices for ide in prims})
+    codes = [minimal_code(algebra, ide) for ide in primitive_idempotents(group, ctx)]
     # in this order each class, and the list of classes, comes out sorted
     codes.sort(key=lambda c: (c.generator.phi_subgroup.indices, c.generator.orbit_rep))
     by_type = {}
@@ -626,7 +624,7 @@ def classify(group, ctx, with_distributions=False, dimension_cap=DEFAULT_DIMENSI
         records.extend(members)
         classes.append(CodeClass(members[0], members))
     records.sort(key=lambda r: r.code.generator.orbit_rep)
-    return ClassificationReport(group, ctx, records, classes, family_primitive)
+    return ClassificationReport(group, ctx, records, classes)
 
 
 def tau_sweep(groups, ctx):
@@ -829,7 +827,8 @@ def verify_tables(group, ctx, dimension_cap=DEFAULT_DIMENSION_CAP):
         if ide is None:
             continue
         code = minimal_code(algebra, ide)
-        push(row["label"], "dimension", row["dimension"], code.dimension)
+        # the rank of the computed row's shifts: code.dimension is ord_o(q)
+        push(row["label"], "dimension", row["dimension"], len(_basis(ctx, code.row, None)))
         mw, exact = min_weight_or_bound(code, dimension_cap)
         push(row["label"], "min weight (exact=%s)" % exact, row["weight"], mw)
 

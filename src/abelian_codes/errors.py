@@ -27,10 +27,6 @@ class NonPrimeP(DomainError):
     pass
 
 
-class ReducibleModulus(DomainError):
-    pass
-
-
 class DegreeMismatch(DomainError):
     pass
 
@@ -58,10 +54,6 @@ class NotASubgroup(DomainError):
 
 
 class NotCocyclic(DomainError):
-    pass
-
-
-class HIsWholeGroup(DomainError):
     pass
 
 

@@ -21,7 +21,6 @@ from .errors import (
     NonPrimeP,
     NoRootsOfUnity,
     NotCoprime,
-    ReducibleModulus,
 )
 
 # Fields above this degree over GF(p), splitting fields among them, are
@@ -549,12 +548,12 @@ class ExtField(FieldCtx):
 # construction
 # ---------------------------------------------------------------------------
 
-def field_make(p, m=1, modulus=None):
+def field_make(p, m=1):
     """Build GF(p^m).
 
-    When the modulus is omitted, the lexicographically first irreducible
-    monic polynomial of degree m (coefficients read low-to-high) is chosen,
-    so equal inputs always produce identical contexts.  A degree m above
+    The modulus is the lexicographically first irreducible monic
+    polynomial of degree m (coefficients read low-to-high), so equal
+    inputs always produce identical contexts.  A degree m above
     _SPLITTING_DEGREE_BOUND raises DegreeTooLarge.
     """
     if not isinstance(p, int) or not is_prime(p):
@@ -564,16 +563,7 @@ def field_make(p, m=1, modulus=None):
     if m > _SPLITTING_DEGREE_BOUND:
         raise DegreeTooLarge("field degree bounded", field="%d^%d" % (p, m),
                              degree=m, bound=_SPLITTING_DEGREE_BOUND)
-    if modulus is not None:
-        modulus = tuple(int(c) % p for c in modulus)
-        if len(modulus) != m + 1 or modulus[-1] != 1:
-            raise DegreeMismatch(
-                "modulus must be monic of degree m", m=m, length=len(modulus)
-            )
-        if not poly_is_irreducible(list(modulus), p):
-            raise ReducibleModulus("modulus is reducible over GF(p)", p=p, modulus=modulus)
-    else:
-        modulus = _first_irreducible(p, m)
+    modulus = _first_irreducible(p, m)
     if m == 1:
         return PrimeField(p)
     if p == 2:

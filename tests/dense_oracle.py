@@ -4,13 +4,14 @@ kept only as test oracles.
 * ``orbit_sum_idempotents`` sums |orbit| root powers for every (orbit, g)
   pair, with the orbits found by ``group.scale`` on exponent tuples;
 * ``element_of_order_by_pow`` raises each coprime power with ``field.pow``;
-* ``lifted_basis`` reads a minimal code's length-o basis back at length
-  |G|, and ``dense_basis`` row-reduces all |G| translates of an element.
+* ``lifted_basis`` reads the length-o basis of a minimal code that its
+  two-vector bound reduces back at length |G|, and ``dense_basis``
+  row-reduces all |G| translates of an element.
 """
 
 from math import gcd
 
-from abelian_codes.codes import _reduce
+from abelian_codes.codes import _basis, _reduce
 from abelian_codes.finite_field import element_of_order, factorize, splitting_field
 from abelian_codes.group_algebra import _character_values
 
@@ -68,14 +69,16 @@ def orbit_sum_idempotents(group, ctx):
 
 
 def lifted_basis(code):
-    """The |G|-length rows of a minimal code: each row of its length-o basis
-    read back through t (``_character_values``), whose columns
-    ``minimal_code`` orders by the first appearance of each value of t."""
+    """The |G|-length rows of a minimal code: each row of the length-o basis
+    that ``min_weight_or_bound`` reduces, with its columns ordered by the
+    first appearance of each value of t (``_character_values``), read back
+    through t."""
     ts = _character_values(code.algebra.group, code.generator.orbit_rep)[1]
     first = {}
     for t in ts:
         first.setdefault(t, len(first))
-    return [tuple(b[first[t]] for t in ts) for b in code.short]
+    basis = _basis(code.algebra.ctx, code.row, code.dimension, list(first))
+    return [tuple(b[first[t]] for t in ts) for b in basis]
 
 
 def dense_basis(algebra, e):

@@ -28,7 +28,9 @@ from abelian_codes import (
     sylow_decompose,
 )
 from abelian_codes.abelian_group import (
+    _AUT_GROUP_ORDER_BOUND,
     _AUT_ORDER_BOUND,
+    _SUBGROUPS_ORDER_BOUND,
     _induced_perm,
     _translation,
     aut_order,
@@ -127,8 +129,9 @@ def test_all_subgroups_counts():
 
 
 def test_all_subgroups_bound():
-    with pytest.raises(GroupTooLarge):
-        all_subgroups(group_make([3, 3]), max_order=4)
+    with pytest.raises(GroupTooLarge) as exc:
+        all_subgroups(group_make([4099]))
+    assert exc.value.context == {"order": 4099, "bound": _SUBGROUPS_ORDER_BOUND}
 
 
 def test_subgroup_validation():
@@ -288,8 +291,9 @@ def test_generator_closure_matches_brute_force(divisors):
 
 
 def test_automorphisms_bound():
-    with pytest.raises(GroupTooLarge):
-        automorphisms(group_make([1024]), max_order=512)
+    with pytest.raises(GroupTooLarge) as exc:
+        automorphisms(group_make([1024]))
+    assert exc.value.context == {"order": 1024, "bound": _AUT_GROUP_ORDER_BOUND}
 
 
 def test_automorphisms_bound_on_aut_order():

@@ -103,16 +103,29 @@ def test_sweep_output_digest(capsys):
      "49f6b14e0b7bb6874debe471ba67319eb16607d7a763fc3d062c4ff855673c2d"),
     ("verify --group 3,3,3 --field 5",
      "99f6722c4ba31e5834c15df47ce609130d12970d96754946692c684fcb578cd6"),
+    ("classify --group 61 --field 3 --dimension-cap 6",
+     "ec88fe773c7bc238442526b30c30b307923d169ab405b19edf3285a1a0658493"),
+    ("classify --group 3,33 --field 2 --dimension-cap 4",
+     "ede008b68257b0c664f2ce6a7121f6571781243e24c3062cfcbce581677709ab"),
+    ("classify --group 23 --field 2^3",
+     "f4b8b170c35138cd7936cde06c8ee94a17864b8a07f8f9ce630bfb4ab5443fff"),
+    ("classify --group 11 --field 3^2 --dimension-cap 3",
+     "d5433f8e60ae2d45af48bcfe923872f2717a7c36cc4323be2cce4f15b37fe280"),
+    ("classify --group 13 --field 5 --dimension-cap 2 --with-distributions",
+     "406f452439144a3817b7e4f12a23316b052e155b57a968fad7a0dc150f4ac230"),
 ], ids=["subgroups", "idempotents", "verify", "classify", "idempotents-extension",
         "subgroups-mixed-sylow", "subgroups-mixed-sylow-45", "idempotents-13-gf9",
         "idempotents-5x5", "classify-md", "classify-csv", "verify-9x9",
-        "verify-3x3x3"])
+        "verify-3x3x3", "bound-61-gf3", "bound-3x33-gf2", "bound-23-gf8",
+        "bound-11-gf9", "bound-13-gf5"])
 def test_output_digest(capsys, argv, digest):
     # sha256 of the stdout before subgroups moved to element indices; the
     # extension-base idempotents digest is that of GF(4) embedded in
     # GF(2^(2s)) through the lex-least root of its modulus. The later cases
     # pin the output before the |G|-length code bases and the scalar wrapper
-    # were deleted; a case without --format is read as JSON.
+    # were deleted; the bound-* cases pin two-vector bounds over q > 2 and
+    # bounds that depend on the basis's column order. A case without
+    # --format is read as JSON.
     argv = argv.split()
     if "--format" not in argv:
         argv += ["--format", "json"]
@@ -345,6 +358,19 @@ def test_out_of_range_numbers_are_usage_errors(capsys, argv):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "must be at least" in captured.err or "expected an integer" in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["subgroups", "--group", "9,3", "--field", "2"],
+    ["idempotents", "--group", "9,3", "--field", "2"],
+    ["sweep", "--field", "2"],
+])
+def test_dimension_cap_only_on_the_commands_that_read_it(capsys, argv):
+    # only classify and verify enumerate weights
+    with pytest.raises(SystemExit) as exc:
+        run(argv + ["--dimension-cap", "4"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
 
 
 def test_smallest_accepted_numbers(capsys):

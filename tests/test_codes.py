@@ -36,7 +36,13 @@ from abelian_codes import (
 )
 from abelian_codes.abelian_group import aut_order
 import abelian_codes.codes as codes_module
-from abelian_codes.codes import MinimalCode, _coset_weights, _exact, _span_weights
+from abelian_codes.codes import (
+    _basis,
+    _coset_weights,
+    _exact,
+    _span_weights,
+    _two_vector_bound,
+)
 from abelian_codes.errors import DomainError
 from abelian_codes.group_algebra import row_reduce_raw
 
@@ -188,7 +194,8 @@ def _cyclic_codes(ctx, o):
 
 @pytest.mark.parametrize("p,m", WEIGHT_FIELDS)
 def test_coset_walk_matches_enumeration(p, m):
-    # the walk is called directly, whichever route weight_distribution takes
+    # the walk with its tables is called directly, whichever route
+    # weight_distribution takes
     ctx = field_make(p, m)
     q = ctx.order
     checked = 0
@@ -196,20 +203,21 @@ def test_coset_walk_matches_enumeration(p, m):
         if gcd(o, q) != 1 or q ** mul_order(q, o) > 2 ** 16:
             continue
         for code in _cyclic_codes(ctx, o):
-            assert _coset_weights(ctx, code.row, code.dimension) \
-                == _span_weights(ctx, code.short, o), (o, q, code.generator.orbit_rep)
+            assert _coset_weights(ctx, code.row, code.dimension, True) \
+                == _span_weights(ctx, _basis(ctx, code.row, code.dimension), o), (
+                o, q, code.generator.orbit_rep)
             checked += 1
     assert checked >= 15
 
 
 @pytest.mark.parametrize("o,p,m", [(11, 3, 2), (21, 5, 1), (31, 2, 3), (23, 3, 1), (13, 3, 1)])
-def test_coset_walk_without_tables_matches_enumeration(monkeypatch, o, p, m):
+def test_coset_walk_without_tables_matches_enumeration(o, p, m):
     # the step by g(x) that replaces the lookup tables over a large field
-    monkeypatch.setattr(codes_module, "_walk", lambda ctx, o, k: (0, False))
     ctx = field_make(p, m)
     for code in _cyclic_codes(ctx, o):
-        assert _coset_weights(ctx, code.row, code.dimension) \
-            == _span_weights(ctx, code.short, o), (o, ctx.order, code.generator.orbit_rep)
+        assert _coset_weights(ctx, code.row, code.dimension, False) \
+            == _span_weights(ctx, _basis(ctx, code.row, code.dimension), o), (
+            o, ctx.order, code.generator.orbit_rep)
 
 
 @pytest.mark.parametrize("o,p,m", [(17, 3, 2), (27, 7, 1)])
@@ -244,11 +252,8 @@ def test_two_vector_bound_reaches_every_pair_and_scalar():
     # over GF(3) the only word of weight 2 is v1 + 2*v2, a multiplier other
     # than 1; every basis vector has weight 3
     F3 = field_make(3)
-    algebra = get_algebra(group_make([5]), F3)
     rows = [(1, 1, 1, 0, 0), (1, 1, 0, 1, 0), (0, 0, 1, 1, 1)]
-    code = MinimalCode(algebra, None, rows, 1, None)
-    assert min_weight_or_bound(code, cap=0) == (2, False) \
-        == (oracle_two_vector_bound(F3, rows), False)
+    assert _two_vector_bound(F3, rows) == 2 == oracle_two_vector_bound(F3, rows)
 
 
 @pytest.mark.parametrize("p,m", WEIGHT_FIELDS)
@@ -356,6 +361,25 @@ def test_sum_zero_code_distribution_closed_form(capsys, o, q):
     assert codes[1]["distribution"] == [pair for pair in expected if pair[1]]
 
 
+@pytest.mark.parametrize("divisors,p,m,reductions", [
+    ([15, 15], 2, 1, 4), ([13, 13], 3, 1, 2), ([11, 11], 2, 2, 2), ([81, 3], 2, 1, 7),
+])
+def test_classify_reduces_once_per_exact_order_and_bounded_code(
+        monkeypatch, divisors, p, m, reductions):
+    # an exact class reads one basis of C_o per distinct o; only a code that
+    # gets the two-vector bound is row-reduced on its own
+    calls = []
+    reduce = codes_module._reduce
+    monkeypatch.setattr(codes_module, "_reduce",
+                        lambda *args: calls.append(args) or reduce(*args))
+    G = group_make(divisors)
+    report = classify(G, field_make(p, m))
+    orders = {G.element_order(r.code.generator.orbit_rep)
+              for r in report.codes if r.min_weight_exact}
+    bounded = sum(not r.min_weight_exact for r in report.codes)
+    assert len(calls) == len(orders) + bounded == reductions
+
+
 def test_early_stop_rejects_rank_above_span():
     ctx = field_make(3)
     rows = [(1, 0, 0), (2, 0, 0), (0, 1, 0)]
@@ -443,7 +467,6 @@ def test_classify_c9xc3():
     assert report.tau == 3
     assert not report.matches_tau
     assert not report.homocyclic
-    assert report.family_primitive
     profile = sorted((c.representative.dimension, c.representative.min_weight,
                       c.size) for c in report.classes)
     assert profile == [(1, 27, 1), (2, 18, 1), (2, 18, 3), (6, 6, 3)]
@@ -480,10 +503,11 @@ def test_classify_report_dict_schema():
         assert list(entry)[:3] == ["representative", "members", "size"]
 
 
-def test_family_primitive_flag_reported_when_family_splits():
+def test_classify_when_primitives_share_an_owner():
+    # over GF(7) the codes of C_9 outnumber their owners: 5 codes, 3 owners
     report = classify(group_make([9]), field_make(7))
-    assert not report.family_primitive
-    assert len(report.codes) == 5 and report.class_count == 3
+    owners = {r.code.generator.phi_subgroup for r in report.codes}
+    assert len(report.codes) == 5 and len(owners) == report.class_count == 3
 
 
 # ---------------------------------------------------------------------------

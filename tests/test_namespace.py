@@ -20,10 +20,10 @@ EXPORTS = [
     "AbelianGroup", "AlgebraElement", "AlgebraMismatch", "Automorphism", "BadDivisor",
     "CharDividesOrder", "Character", "ClassificationReport", "DegreeMismatch",
     "DegreeTooLarge", "DimensionTooLarge", "DomainError", "FieldCtx", "GroupAlgebra",
-    "GroupElement", "GroupMismatch", "GroupTooLarge", "HIsWholeGroup",
-    "HypothesisFails", "MinimalCode", "NoRootsOfUnity", "NoUniqueSubgroup", "NonPrimeP",
-    "NotASubgroup", "NotCocyclic", "NotCoprime", "NotIdempotent", "PrimitiveIdempotent",
-    "ReducibleModulus", "Subgroup", "WeightDistribution", "abelian_group",
+    "GroupElement", "GroupMismatch", "GroupTooLarge", "HypothesisFails",
+    "MinimalCode", "NoRootsOfUnity", "NoUniqueSubgroup", "NonPrimeP", "NotASubgroup",
+    "NotCocyclic", "NotCoprime", "NotIdempotent", "PrimitiveIdempotent", "Subgroup",
+    "WeightDistribution", "abelian_group",
     "abelian_groups_of_order", "all_subgroups", "annihilator", "apply_automorphism",
     "aut_generators", "automorphisms", "characters", "classify", "cocyclic_idempotent",
     "cocyclic_idempotent_family", "cocyclic_subgroups", "codes", "cyclic_subgroups",
@@ -103,6 +103,47 @@ def _names(node):
     return out
 
 
+_SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda,
+           ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+
+
+def _local_names(scope):
+    """The names a function or comprehension binds itself: its arguments,
+    the names it stores and the functions and classes it defines, without
+    those of the scopes nested in it.  An import inside a function is read
+    as a module import, which that function's reads then use."""
+    out = {a.arg for a in ast.walk(getattr(scope, "args", ast.arguments()))
+           if isinstance(a, ast.arg)}
+    declared = set()
+    todo = list(ast.iter_child_nodes(scope))
+    while todo:
+        node = todo.pop()
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Load):
+            out.add(node.id)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            out.add(node.name)
+        elif isinstance(node, (ast.Global, ast.Nonlocal)):
+            declared.update(node.names)
+        if not isinstance(node, _SCOPES + (ast.ClassDef,)):
+            todo.extend(ast.iter_child_nodes(node))
+    return out - declared
+
+
+def _module_reads(node, shadowed=frozenset()):
+    """Every name the node reads from module scope: a read inside a function
+    or comprehension that binds the same name, or inside a scope nested in
+    one, reads that local."""
+    out = set()
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, _SCOPES):
+            out |= _module_reads(child, shadowed | _local_names(child))
+        elif isinstance(child, ast.Name) and isinstance(child.ctx, ast.Load):
+            out.update({child.id} - shadowed)
+        else:
+            out |= _module_reads(child, shadowed)
+    return out
+
+
 def test_no_unused_import_or_private_definition():
     trees = {}
     for path in sorted(glob.glob(os.path.join(SRC, "abelian_codes", "*.py"))):
@@ -116,7 +157,7 @@ def test_no_unused_import_or_private_definition():
             if isinstance(node, (ast.Import, ast.ImportFrom)) \
                     and getattr(node, "module", None) != "__future__":
                 imported.update((a.asname or a.name).split(".")[0] for a in node.names)
-        read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        read = _module_reads(tree)
         leftovers += ["%s imports %s" % (name, n) for n in sorted(imported - read)]
     # a private top-level function or class counts as used only when some
     # other top-level statement of src/ names it
