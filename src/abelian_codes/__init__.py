@@ -3,7 +3,8 @@ classification of minimal codes up to group-automorphism equivalence.
 
 Names load on first use (PEP 562): ``import abelian_codes`` compiles no
 submodule, and ``abelian_codes.field_make`` imports only the modules that
-``finite_field`` needs.
+``finite_field`` needs.  The names of the reference layer have the home
+``reference``, which no engine module imports.
 """
 
 from importlib import import_module
@@ -20,23 +21,25 @@ _HOMES = {
         "field_make", "mul_order", "splitting_field",
     ),
     "abelian_group": (
-        "AbelianGroup", "Automorphism", "Character", "GroupElement", "Subgroup",
-        "abelian_groups_of_order", "all_subgroups", "annihilator",
-        "aut_generators", "automorphisms", "characters", "cocyclic_subgroups",
-        "cyclic_subgroups", "group_make", "owner_type", "quotient_type",
-        "subgroup_orbits", "sylow_decompose",
+        "AbelianGroup", "GroupElement", "Subgroup", "abelian_groups_of_order",
+        "group_make", "owner_type", "quotient_type",
     ),
     "group_algebra": (
-        "AlgebraElement", "GroupAlgebra", "PrimitiveIdempotent",
-        "apply_automorphism", "cocyclic_idempotent", "cocyclic_idempotent_family",
-        "get_algebra", "hat", "idempotent_group", "phi_subgroup",
+        "AlgebraElement", "GroupAlgebra", "PrimitiveIdempotent", "get_algebra",
         "primitive_idempotents",
     ),
     "codes": (
         "ClassificationReport", "MinimalCode", "WeightDistribution", "classify",
-        "equivalent", "homocyclic_factorization", "min_weight",
-        "min_weight_or_bound", "minimal_code", "tau_sweep", "verify_tables",
+        "min_weight", "min_weight_or_bound", "minimal_code", "tau_sweep",
         "weight_distribution",
+    ),
+    "reference": (
+        "Automorphism", "Character", "all_subgroups", "annihilator",
+        "apply_automorphism", "aut_generators", "automorphisms", "characters",
+        "cocyclic_idempotent", "cocyclic_idempotent_family", "cocyclic_subgroups",
+        "cyclic_subgroups", "equivalent", "hat", "homocyclic_factorization",
+        "idempotent_group", "phi_subgroup", "subgroup_orbits", "sylow_decompose",
+        "verify_tables",
     ),
 }
 

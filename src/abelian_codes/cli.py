@@ -4,7 +4,9 @@ Commands: subgroups, idempotents, classify, sweep, verify.  Groups are
 given as comma-separated divisor lists (``9,3``), fields as ``p`` or
 ``p^m`` (``2``, ``2^6``).  Output is deterministic: identical invocations
 produce byte-identical output.  Exit status: 0 success, 1 domain error
-(with a machine-readable error record), 2 usage error.
+(with a machine-readable error record), 2 usage error.  ``subgroups`` and
+``verify`` import the reference layer (``reference``) when they run; the
+other commands compile only the engine.
 """
 
 from __future__ import annotations
@@ -14,13 +16,8 @@ import json
 import sys
 from math import gcd
 
-from .abelian_group import (
-    abelian_groups_of_order,
-    group_make,
-    quotient_type,
-    all_subgroups,
-)
-from .codes import DEFAULT_DIMENSION_CAP, classify, tau_sweep, verify_tables
+from .abelian_group import abelian_groups_of_order, group_make, quotient_type
+from .codes import DEFAULT_DIMENSION_CAP, classify, tau_sweep
 from .errors import DomainError
 from .finite_field import field_make
 from .group_algebra import primitive_idempotents
@@ -156,6 +153,8 @@ def _render_idempotents(data, fmt):
 
 
 def _subgroups_dict(group, ctx):
+    from .reference import all_subgroups
+
     entries = []
     for H in all_subgroups(group):
         quotient = list(quotient_type(group, H))  # G/H cyclic: H is co-cyclic
@@ -260,6 +259,8 @@ def run(argv):
             sys.stdout.write(_render_classification(report.to_dict(), args.format))
             return 0
         if args.command == "verify":
+            from .reference import verify_tables
+
             data = verify_tables(group, ctx, dimension_cap=args.dimension_cap)
             sys.stdout.write(_render_verify(data, args.format))
             return 0 if data["all_pass"] else 1

@@ -1,35 +1,26 @@
 """Minimal abelian codes as minimal ideals of F_qG.
 
 A minimal code is the ideal generated by one primitive idempotent.  This
-module computes dimensions, exact weight distributions, and the grouping of
-codes into equivalence classes under linear extensions of group
-automorphisms, plus closed-form reference tables for two families where
-the class structure is known exactly.
+module computes dimensions, exact weight distributions or bounds on the
+minimum weight, and the grouping of codes into equivalence classes under
+linear extensions of group automorphisms, decided by the paper's
+criterion.  The search form of that equivalence and the closed-form
+reference tables behind ``verify`` are in ``reference``.
 """
 
 from __future__ import annotations
 
 import itertools
 from collections import Counter
-from functools import partial
 from math import comb, lcm
 
-from .abelian_group import Subgroup, owner_type
-from .errors import (
-    AlgebraMismatch,
-    DimensionTooLarge,
-    DomainError,
-    HypothesisFails,
-)
-from .finite_field import divisor_count, divisors, euler_phi, factorize, lex_tuples, mul_order
+from .abelian_group import owner_type
+from .errors import DimensionTooLarge
+from .finite_field import divisor_count, divisors, factorize, lex_tuples, mul_order
 from .group_algebra import (
-    AlgebraElement,
-    PrimitiveIdempotent,
     _character_values,
     _check_char,
-    cocyclic_idempotent,
     get_algebra,
-    hat,
     primitive_idempotents,
     row_reduce_raw,
 )
@@ -117,14 +108,26 @@ def _row_reduce_gf2(rows, rank=None):
     return [basis[i] for i in order]
 
 
+# A GF(2) vector as a bitmask, bit i its coordinate i: one conversion
+# each way, through the binary numeral of its reversed coordinates
+_TO_NUMERAL = bytes.maketrans(b"\0\1", b"01")
+_FROM_NUMERAL = bytes.maketrans(b"01", b"\0\1")
+
+
+def _gf2_mask(vector):
+    return int(bytes(vector[::-1]).translate(_TO_NUMERAL), 2)
+
+
+def _gf2_vector(mask, width):
+    return tuple(format(mask, "0%db" % width)[::-1].encode().translate(_FROM_NUMERAL))
+
+
 def _reduce(rows, ctx, width, rank=None):
     """row_reduce_raw of raw rows of the given width; over GF(2) the rows
     are reduced as bitmasks."""
     if ctx.order != 2:
         return row_reduce_raw(rows, ctx, rank)
-    masks = (sum(c << i for i, c in enumerate(r)) for r in rows)
-    return [tuple(m >> i & 1 for i in range(width))
-            for m in _row_reduce_gf2(masks, rank)]
+    return [_gf2_vector(m, width) for m in _row_reduce_gf2(map(_gf2_mask, rows), rank)]
 
 
 def minimal_code(algebra, e):
@@ -132,16 +135,13 @@ def minimal_code(algebra, e):
 
     For the character of e, of order o, the coefficient at g depends only
     on t(g) in Z_o (``_character_values``), so the ideal is the cyclic
-    code C_o spanned by the shifts of that length-o row, with coordinate t
-    standing for the |G|/o elements g with t(g) = t.  Its dimension is
-    ord_o(q); nothing is row-reduced here."""
-    group, ctx = algebra.group, algebra.ctx
-    o, ts = _character_values(group, e.orbit_rep)
-    first = {}
-    for g, t in enumerate(ts):
-        first.setdefault(t, g)
-    row = [e.element.coeffs[first[t]] for t in range(o)]
-    return MinimalCode(algebra, e, mul_order(ctx.order, o), group.order // o, row)
+    code C_o spanned by the shifts of the idempotent's length-o row
+    (``PrimitiveIdempotent.row``), with coordinate t standing for the
+    |G|/o elements g with t(g) = t.  Its dimension is ord_o(q); nothing is
+    row-reduced here."""
+    o = len(e.row)
+    return MinimalCode(algebra, e, mul_order(algebra.ctx.order, o), algebra.group.order // o,
+                       e.row)
 
 
 def _basis(ctx, row, k, columns=None):
@@ -162,12 +162,12 @@ def _packing(ctx, n):
     digits per coordinate (``ctx.coeffs``), one slot per digit of 1 bit
     over GF(2) and otherwise of 2s bits, s = (p-1).bit_length(), so that
     a slot-wise sum up to 2p - 2 cannot carry into its neighbour.  Returns
-    (pack, add, weights, width): pack maps a vector to its int; add is the
-    slot-wise sum mod p (xor over GF(2); otherwise adding 2^(s+1) - p to
-    every slot sets bit s + 1 exactly where the sum reached p); weights
-    maps an iterable of packed ints to their numbers of coordinates with a
-    nonzero digit, counted in C; width is the number of bits per
-    coordinate."""
+    (pack, add, weights, width): pack maps a vector to its int (over GF(2)
+    its bitmask, ``_gf2_mask``); add is the slot-wise sum mod p (xor over
+    GF(2); otherwise adding 2^(s+1) - p to every slot sets bit s + 1
+    exactly where the sum reached p); weights maps an iterable of packed
+    ints to their numbers of coordinates with a nonzero digit, counted in
+    C; width is the number of bits per coordinate."""
     p, m = ctx.p, ctx.m
     s = (p - 1).bit_length()
     slot = s if p == 2 else 2 * s
@@ -204,13 +204,15 @@ def _packing(ctx, n):
             lifted = map(rest.__add__, map(rest.__and__, xs))
             return map(int.bit_count, map(tops.__and__, map(int.__or__, lifted, xs)))
 
-    return pack, int.__xor__ if p == 2 else add, weights, width
+    return _gf2_mask if width == 1 else pack, int.__xor__ if p == 2 else add, weights, width
 
 
 def _p_generators(ctx, rows, pack):
     """The packed words a * b for each row b and each a of the GF(p)-basis
     1, x, .., x^(m-1) of GF(q): their GF(p)-span is the rows' GF(q)-span."""
     m = ctx.m
+    if m == 1:
+        return [pack(b) for b in rows]
     powers = [ctx.raw_from_coeffs([int(i == j) for i in range(m)]) for j in range(m)]
     return [pack([ctx.mul(a, c) for c in b]) for b in rows for a in powers]
 
@@ -498,22 +500,6 @@ def min_weight_or_bound(code, cap=DEFAULT_DIMENSION_CAP):
     return _two_vector_bound(ctx, _basis(ctx, code.row, dim, columns)) * code.repeat, False
 
 
-def equivalent(code1, code2, auts):
-    """True iff some automorphism in auts carries one owning subgroup to
-    the other: G-equivalence when auts = Aut(G).  By the paper's criterion
-    that holds iff the owners are isomorphic (``owner_type``, which
-    classify uses); this search is the independent check."""
-    if code1.algebra != code2.algebra:
-        raise AlgebraMismatch("codes from different algebras")
-    H1 = code1.generator.phi_subgroup
-    H2 = code2.generator.phi_subgroup
-    if H1 is None or H2 is None:
-        raise AlgebraMismatch("codes lack owning subgroups")
-    if H1.order != H2.order:
-        return False  # bijections preserve subgroup order
-    return any(frozenset([psi.perm[i] for i in H1.indices]) == H2._set for psi in auts)
-
-
 # ---------------------------------------------------------------------------
 # classification
 # ---------------------------------------------------------------------------
@@ -651,245 +637,3 @@ def tau_sweep(groups, ctx):
             "match": count == tau,
         })
     return rows
-
-
-# ---------------------------------------------------------------------------
-# reference tables for the two closed-form families
-# ---------------------------------------------------------------------------
-
-def _table_rows_rank2(group, ctx, p, n):
-    """Expected minimal codes of F_2[C_{p^n} x C_p]: per level k = 1..n a
-    product-type subgroup <a^{p^k}> x <b> and cyclic-type subgroups
-    <a^{p^(k-1)} b^j>, all of dimension p^(k-1)(p-1) and minimum weight
-    2 p^(n-k+1), plus the repetition code; 2n classes in total."""
-    rows = []
-    a = (0, 1)
-    b = (1, 0)
-
-    def prod_subgroup(k):
-        return Subgroup.generated(group, [(0, pow(p, k) % (p ** n)), b])
-
-    def cyc_subgroup(k, j):
-        return Subgroup.generated(group, [(j, pow(p, k - 1))])
-
-    whole = Subgroup.whole(group)
-    rows.append({
-        "label": "repetition",
-        "subgroup": whole,
-        "dimension": 1,
-        "weight": p ** (n + 1),
-    })
-    for k in range(1, n + 1):
-        dim = p ** (k - 1) * (p - 1)
-        wt = 2 * p ** (n - k + 1)
-        rows.append({
-            "label": "level %d product" % k,
-            "subgroup": prod_subgroup(k),
-            "dimension": dim,
-            "weight": wt,
-        })
-        j_range = range(0, p) if k == 1 else range(1, p)
-        for j in j_range:
-            rows.append({
-                "label": "level %d cyclic j=%d" % (k, j),
-                "subgroup": cyc_subgroup(k, j),
-                "dimension": dim,
-                "weight": wt,
-            })
-    expected_orbits = [{whole}]
-    for k in range(1, n):
-        expected_orbits.append({prod_subgroup(k)})
-        j_range = range(0, p) if k == 1 else range(1, p)
-        expected_orbits.append({cyc_subgroup(k, j) for j in j_range})
-    last = {prod_subgroup(n)}
-    last.update(cyc_subgroup(n, j) for j in range(1, p))
-    expected_orbits.append(last)
-    return rows, expected_orbits, 2 * n
-
-
-def _table_rows_homocyclic(group, ctx, p, r, m):
-    """Expected class representatives of F_q[C_{p^r}^m]: the repetition
-    code and, for i = 1..r, hat(K) * (hat(h^{p^i}) - hat(h^{p^(i-1)})) with
-    K the span of the first m-1 coordinates and h the last coordinate;
-    dimension p^(i-1)(p-1) and minimum weight 2 p^(r(m-1)+(r-i));
-    r+1 = tau(p^r) classes, and no expected orbit partition (None)."""
-    rows = []
-    whole = Subgroup.whole(group)
-    rows.append({
-        "label": "repetition",
-        "subgroup": whole,
-        "dimension": 1,
-        "weight": p ** (r * m),
-    })
-    h = tuple(0 if i < m - 1 else 1 for i in range(m))
-    k_gens = [tuple(1 if j == i else 0 for j in range(m)) for i in range(m - 1)]
-    K = Subgroup.generated(group, k_gens) if k_gens else Subgroup.trivial(group)
-    for i in range(1, r + 1):
-        hi = Subgroup.generated(group, [group.scale(p ** i, h)])
-        hi_prev = Subgroup.generated(group, [group.scale(p ** (i - 1), h)])
-        idem = hat(K, ctx) * (hat(hi, ctx) - hat(hi_prev, ctx))
-        rows.append({
-            "label": "level %d" % i,
-            "idempotent": idem,
-            "dimension": p ** (i - 1) * (p - 1),
-            "weight": 2 * p ** (r * (m - 1) + (r - i)),
-        })
-    return rows, None, r + 1
-
-
-def verify_tables(group, ctx, dimension_cap=DEFAULT_DIMENSION_CAP):
-    """Check the computed minimal codes against the closed-form reference
-    tables for C_{p^n} x C_p over GF(2) and for homocyclic C_{p^r}^m.
-
-    Each expected idempotent is rebuilt from its subgroup formula and must
-    appear among the primitive idempotents; dimensions, minimum weights,
-    and the class structure must match the symbolic values instantiated at
-    the given parameters.  The field hypothesis (the multiplicative order
-    of q modulo exp(G) equals phi(exp(G))) is checked first, not assumed.
-    """
-    divisors = group.divisors
-    distinct = set(divisors)
-    result = {
-        "group": group.spec_string(),
-        "field": ctx.spec_string(),
-        "rows": [],
-    }
-
-    def push(label, check, expected, actual):
-        result["rows"].append({
-            "label": label,
-            "check": check,
-            "expected": expected,
-            "actual": actual,
-            "pass": expected == actual,
-        })
-
-    def primitive_root(q_name, m_name, modulus, **context):
-        needed, actual = euler_phi(modulus), mul_order(ctx.order, modulus)
-        result["hypothesis"] = {
-            "statement": "mul_order(%s, %s) == phi(%s)" % (q_name, m_name, m_name),
-            "mul_order": actual,
-            "phi": needed,
-        }
-        if actual != needed:
-            raise HypothesisFails(
-                "%s is not a primitive root modulo %s" % (q_name, m_name),
-                **context, modulus=modulus, order=actual, phi=needed,
-            )
-
-    if len(distinct) == 1 and len(factorize(divisors[0])) == 1:
-        # homocyclic C_{p^r}^m with p^r a prime power
-        (p, r), = factorize(divisors[0]).items()
-        m = len(divisors)
-        result["table"] = "homocyclic C_{p^r}^m (p=%d, r=%d, m=%d)" % (p, r, m)
-        primitive_root("q", "p^r", p ** r, q=ctx.order)
-        table_rows = partial(_table_rows_homocyclic, group, ctx, p, r, m)
-    elif (
-        len(divisors) == 2
-        and len(factorize(divisors[1])) == 1
-        and divisors[0] == list(factorize(divisors[1]))[0]
-        and divisors[1] >= divisors[0] ** 2
-    ):
-        p = divisors[0]
-        n = factorize(divisors[1])[p]
-        result["table"] = "C_{p^n} x C_p over GF(2) (p=%d, n=%d)" % (p, n)
-        if ctx.order != 2:
-            raise HypothesisFails(
-                "this reference table is asserted over GF(2) only", q=ctx.order
-            )
-        primitive_root("2", "p^n", p ** n)
-        table_rows = partial(_table_rows_rank2, group, ctx, p, n)
-    else:
-        raise DomainError(
-            "no built-in reference table covers this group",
-            group=group.spec_string(),
-        )
-
-    # a refusal such as DegreeTooLarge comes before the |G|-length table rows
-    prims = primitive_idempotents(group, ctx)
-    rows, expected_orbits, expected_classes = table_rows()
-    by_element = {ide.element: ide for ide in prims}
-    algebra = get_algebra(group, ctx)
-
-    rank2 = result["table"].startswith("C_{p^n}")
-    if rank2:
-        # that table lists every code; the homocyclic one lists one
-        # representative per class, so its row count is not the code count
-        push("table", "code count", len(rows), len(prims))
-
-    for row in rows:
-        if "idempotent" in row:
-            idem = row["idempotent"]
-        else:
-            idem = cocyclic_idempotent(group, row["subgroup"], ctx)
-        ide = by_element.get(idem)
-        push(row["label"], "idempotent is primitive", True, ide is not None)
-        if ide is None:
-            continue
-        code = minimal_code(algebra, ide)
-        # the rank of the computed row's shifts: code.dimension is ord_o(q)
-        push(row["label"], "dimension", row["dimension"], len(_basis(ctx, code.row, None)))
-        mw, exact = min_weight_or_bound(code, dimension_cap)
-        push(row["label"], "min weight (exact=%s)" % exact, row["weight"], mw)
-
-    classes = {}
-    for ide in prims:
-        classes.setdefault(owner_type(group, ide.orbit_rep), set()).add(ide.phi_subgroup)
-    push("classes", "class count", expected_classes, len(classes))
-    if rank2:
-        def describe(partition):
-            out = []
-            for orbit in partition:
-                out.append([[list(g) for g in H.generators] for H in sorted(orbit)])
-            return sorted(out)
-
-        actual_partition = {frozenset(owners) for owners in classes.values()}
-        expected_partition = {frozenset(o) for o in expected_orbits}
-        push(
-            "classes", "subgroup orbit partition",
-            describe(expected_partition), describe(actual_partition),
-        )
-    result["all_pass"] = all(r["pass"] for r in result["rows"])
-    return result
-
-
-# ---------------------------------------------------------------------------
-# homocyclic factorization witnesses
-# ---------------------------------------------------------------------------
-
-def homocyclic_factorization(group, ide, ctx):
-    """For homocyclic G = C_n^m, express a primitive idempotent as
-    hat(K) * e_h with K ~ C_n^(m-1), G = K x <h>, and e_h primitive in the
-    cyclic subalgebra on <h>.  Returns (K, h, e_h embedded in F_qG)."""
-    from .abelian_group import all_subgroups, group_make
-
-    divisors = group.divisors
-    if len(set(divisors)) > 1:
-        raise DomainError("group is not homocyclic", group=group.spec_string())
-    n = divisors[0] if divisors else 1
-    m = len(divisors)
-    e = ide.element if isinstance(ide, PrimitiveIdempotent) else ide
-    algebra = get_algebra(group, ctx)
-    cyclic = group_make([n] if n > 1 else [])
-    cyclic_prims = primitive_idempotents(cyclic, ctx)
-
-    target_type = tuple([n] * (m - 1))
-    candidates_K = [
-        S for S in all_subgroups(group) if S.invariant_factors() == target_type
-    ]
-    order_n_elements = [g for g in group.elements if group.element_order(g) == n]
-    for K in candidates_K:
-        hatK = hat(K, ctx)
-        for h in order_n_elements:
-            if any(group.scale(k, h) in K for k in range(1, n)):
-                continue  # <h> meets K, not a complement
-            for f in cyclic_prims:
-                embedded = [ctx.zero] * group.order
-                for k in range(n):
-                    embedded[group.index_of(group.scale(k, h))] = f.element.coeffs[
-                        cyclic.index_of((k,)) if n > 1 else 0
-                    ]
-                e_h = AlgebraElement(algebra, embedded)
-                if hatK * e_h == e:
-                    return K, group.element(h), e_h
-    return None

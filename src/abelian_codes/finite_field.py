@@ -232,9 +232,10 @@ class _KroneckerRing:
 # int-packed polynomials over GF(2): bit i is the coefficient of x^i
 
 def _bmod(a, f):
-    df = f.bit_length() - 1
-    while a.bit_length() - 1 >= df and a:
-        a ^= f << (a.bit_length() - 1 - df)
+    df, n = f.bit_length(), a.bit_length()
+    while n >= df:
+        a ^= f << (n - df)
+        n = a.bit_length()
     return a
 
 
@@ -278,13 +279,20 @@ def lex_tuples(elements, d):
 # irreducibility
 # ---------------------------------------------------------------------------
 
+# the gcd of poly_is_irreducible's test also runs at every k up to this
+_SIEVE_DEGREE = 8
+
+
 def _rabin_irreducible_gf2(fint):
+    """Rabin's test on the int-packed f.  Squaring spreads the bits: the
+    square of a polynomial over GF(2) has the coefficient of x^i at x^2i,
+    which is its binary numeral read in base 4."""
     m = fint.bit_length() - 1
-    milestones = {m // ell for ell in factorize(m)}
+    checks = {m // ell for ell in factorize(m)}.union(range(1, _SIEVE_DEGREE + 1))
     cur = 2  # the polynomial x
     for k in range(1, m + 1):
-        cur = _bmulmod(cur, cur, fint)
-        if (k == 1 or k in milestones) and k < m:
+        cur = _bmod(int(format(cur, "b"), 4), fint)
+        if k in checks and k < m:
             if _bgcd(cur ^ 2, fint).bit_length() - 1 > 0:
                 return False
     return cur == 2
@@ -313,7 +321,11 @@ def poly_is_irreducible(poly, p):
     Rabin's test: f of degree m >= 2 is irreducible iff x^(p^m) = x mod f
     and gcd(f, x^(p^k) - x) = 1 for every k = m/l, l a prime divisor of m.
     The gcd also runs at k = 1, where it is 1 exactly when f has no root in
-    GF(p), so most reducible candidates leave after one Frobenius step.
+    GF(p), so most reducible candidates leave after one Frobenius step;
+    over GF(2) it runs at every k < m up to _SIEVE_DEGREE, a distinct-degree
+    sieve (Gao and Panario 1997).  Both are exact: for k < m, the gcd is 1
+    exactly when f has no factor of degree dividing k, which an irreducible
+    f of degree m has not.
     """
     if len(poly) == 2:  # degree 1
         return True

@@ -27,12 +27,11 @@ from abelian_codes import (
     subgroup_orbits,
     sylow_decompose,
 )
-from abelian_codes.abelian_group import (
+from abelian_codes.abelian_group import _induced_perm, _translation
+from abelian_codes.reference import (
     _AUT_GROUP_ORDER_BOUND,
     _AUT_ORDER_BOUND,
     _SUBGROUPS_ORDER_BOUND,
-    _induced_perm,
-    _translation,
     aut_order,
 )
 

@@ -34,7 +34,7 @@ from abelian_codes import (
     verify_tables,
     weight_distribution,
 )
-from abelian_codes.abelian_group import aut_order
+from abelian_codes.reference import aut_order
 import abelian_codes.codes as codes_module
 from abelian_codes.codes import (
     _basis,

@@ -19,8 +19,11 @@ from abelian_codes import (
 )
 from abelian_codes.finite_field import (
     _SPLITTING_DEGREE_BOUND,
+    _first_irreducible,
+    _rabin_irreducible,
     factorize,
     is_prime,
+    lex_tuples,
     poly_is_irreducible,
 )
 
@@ -242,6 +245,18 @@ def test_poly_is_irreducible_matches_trial_division(p):
         for tail in itertools.product(range(p), repeat=m):
             f = list(tail) + [1]
             assert poly_is_irreducible(f, p) == (not _has_monic_divisor(f, p)), f
+
+
+def test_gf2_modulus_search_matches_the_generic_rabin_test():
+    # the GF(2) test squares by spreading bits and sieves small degrees;
+    # the generic test over GF(p) at p = 2 does neither
+    for m in range(2, 11):
+        for tail in itertools.product(range(2), repeat=m):
+            f = list(tail) + [1]
+            assert poly_is_irreducible(f, 2) == _rabin_irreducible(f, 2), f
+    for m in range(2, 41):
+        scan = ((1, *tail, 1) for tail in lex_tuples(range(2).__iter__, m - 1))
+        assert _first_irreducible(2, m) == next(f for f in scan if _rabin_irreducible(f, 2)), m
 
 
 def test_field_make_large_prime_degree_six():

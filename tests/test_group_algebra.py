@@ -32,7 +32,7 @@ from abelian_codes import (
     quotient_type,
 )
 from abelian_codes.finite_field import factorize
-from abelian_codes.group_algebra import row_reduce_raw
+from abelian_codes.group_algebra import _character_values, row_reduce_raw
 
 F2 = field_make(2)
 
@@ -261,6 +261,24 @@ def test_table_idempotents_match_dense_orbit_sums(p, m):
             got = [(e.orbit_rep, list(e.element.coeffs))
                    for e in primitive_idempotents(G, ctx)]
             assert got == orbit_sum_idempotents(G, ctx), (G.divisors, ctx)
+
+
+@pytest.mark.parametrize("p,m", [(2, 1), (3, 1), (2, 2)])
+def test_idempotent_row_is_its_first_appearance_coefficients(p, m):
+    # row[t] is the coefficient at the first g with t(g) = t, the row that
+    # minimal_code read off the coefficients before the idempotent held it
+    ctx = field_make(p, m)
+    for n in range(1, 41):
+        if gcd(n, ctx.order) != 1:
+            continue
+        for G in abelian_groups_of_order(n):
+            for e in primitive_idempotents(G, ctx):
+                o, ts = _character_values(G, e.orbit_rep)
+                first = {}
+                for g, t in enumerate(ts):
+                    first.setdefault(t, g)
+                assert list(e.row) == [e.element.coeffs[first[t]] for t in range(o)], \
+                    (G.divisors, ctx, e.orbit_rep)
 
 
 def test_table_idempotents_match_dense_orbit_sums_on_9_9_9():

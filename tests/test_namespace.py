@@ -3,6 +3,7 @@ submodule keeps an import or a private definition that nothing uses."""
 
 import ast
 import glob
+import importlib.util
 import json
 import os
 import subprocess
@@ -31,10 +32,11 @@ EXPORTS = [
     "field_make", "finite_field", "get_algebra", "group_algebra", "group_make", "hat",
     "homocyclic_factorization", "idempotent_group", "min_weight", "min_weight_or_bound",
     "minimal_code", "mul_order", "owner_type", "phi_subgroup", "primitive_idempotents",
-    "quotient_type", "splitting_field", "subgroup_orbits", "sylow_decompose",
+    "quotient_type", "reference", "splitting_field", "subgroup_orbits", "sylow_decompose",
     "tau_sweep", "verify_tables", "weight_distribution",
 ]
-SUBMODULES = {"abelian_group", "codes", "errors", "finite_field", "group_algebra"}
+SUBMODULES = {"abelian_group", "codes", "errors", "finite_field", "group_algebra",
+              "reference"}
 
 
 def _loaded_after(statement):
@@ -76,6 +78,49 @@ def test_field_make_loads_only_its_home():
 def test_cli_loads_every_layer():
     assert _loaded_after("import abelian_codes.cli") >= {
         "finite_field", "abelian_group", "group_algebra", "codes"}
+
+
+def test_cli_loads_no_reference_layer():
+    assert "reference" not in _loaded_after("import abelian_codes.cli")
+
+
+@pytest.mark.parametrize("argv,loads", [
+    (["classify", "--group", "9,3", "--field", "2", "--with-distributions"], False),
+    (["idempotents", "--group", "9,3", "--field", "2"], False),
+    (["sweep", "--field", "2", "--max-order", "20"], False),
+    (["subgroups", "--group", "9,3", "--field", "2"], True),
+    (["verify", "--group", "9,3", "--field", "2"], True),
+])
+def test_only_subgroups_and_verify_load_the_reference_layer(argv, loads):
+    statement = ("import contextlib, io\nfrom abelian_codes.cli import run\n"
+                 "with contextlib.redirect_stdout(io.StringIO()):\n"
+                 "    assert run(%r) == 0" % (argv,))
+    assert ("reference" in _loaded_after(statement)) == loads
+
+
+def _tracer_targets():
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracer", os.path.join(ROOT, "perfbench", "tracer.py"))
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    return tracer.TARGETS
+
+
+def test_old_paths_forward_exactly_the_traced_reference_names():
+    reference = import_module("abelian_codes.reference")
+    defined = {name for name, value in vars(reference).items()
+               if getattr(value, "__module__", None) == reference.__name__}
+    traced = {}
+    for module, attr, _ in _tracer_targets():
+        traced.setdefault(module, set()).add(attr)
+    for module in ("abelian_group", "group_algebra", "codes"):
+        home = import_module("abelian_codes." + module)
+        moved = traced.get(module, set()) & defined
+        assert set(getattr(home, "_TRACED_REFERENCE", ())) == moved
+        for name in moved:
+            assert getattr(home, name) is getattr(reference, name)
+        for name in defined - moved:
+            assert not hasattr(home, name), (module, name)
 
 
 def test_unknown_name_raises_attribute_error():

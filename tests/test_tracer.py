@@ -7,19 +7,32 @@ import subprocess
 import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-ARGV = ["classify", "--group", "9,3", "--field", "2", "--format", "json"]
 
 
-def test_traced_classify_matches_untraced(tmp_path):
+def _traced_and_plain(tmp_path, argv):
+    """(traced run, its trace record, untraced run) of the CLI on argv."""
     env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
     out_path = tmp_path / "trace.json"
     traced = subprocess.run(
         [sys.executable, os.path.join(ROOT, "perfbench", "worker.py"), "trace",
-         str(out_path), "--", *ARGV], env=env, capture_output=True)
-    plain = subprocess.run([sys.executable, "-m", "abelian_codes", *ARGV],
+         str(out_path), "--", *argv], env=env, capture_output=True)
+    plain = subprocess.run([sys.executable, "-m", "abelian_codes", *argv],
                            env=env, capture_output=True, check=True)
     assert traced.returncode == 0, traced.stderr
+    return traced, json.loads(out_path.read_text()), plain
+
+
+def test_traced_classify_matches_untraced(tmp_path):
+    argv = ["classify", "--group", "9,3", "--field", "2", "--format", "json"]
+    traced, record, plain = _traced_and_plain(tmp_path, argv)
     assert traced.stdout == plain.stdout
-    metrics = json.loads(out_path.read_text())["metrics"]
+    metrics = record["metrics"]
     assert metrics["codes.minimal_codes"] == 8
     assert metrics["codes.weight_enumerations"] == 3
+
+
+def test_traced_subgroups_matches_untraced(tmp_path):
+    # subgroups runs the reference layer, which the tracer reaches only
+    # under the engine modules' names
+    traced, _, plain = _traced_and_plain(tmp_path, ["subgroups", "--group", "9,3", "--field", "2"])
+    assert traced.stdout == plain.stdout
