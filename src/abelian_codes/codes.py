@@ -16,7 +16,15 @@ from math import comb, lcm
 
 from .abelian_group import owner_type
 from .errors import DimensionTooLarge
-from .finite_field import divisor_count, divisors, factorize, lex_tuples, mul_order
+from .finite_field import (
+    _gf2_mask,
+    _gf2_vector,
+    divisor_count,
+    divisors,
+    factorize,
+    lex_tuples,
+    mul_order,
+)
 from .group_algebra import (
     _character_values,
     _check_char,
@@ -106,20 +114,6 @@ def _row_reduce_gf2(rows, rank=None):
         raise AssertionError("rows span %d dimensions, expected %d" % (len(basis), rank))
     order = sorted(range(len(basis)), key=lambda i: pivots[i])
     return [basis[i] for i in order]
-
-
-# A GF(2) vector as a bitmask, bit i its coordinate i: one conversion
-# each way, through the binary numeral of its reversed coordinates
-_TO_NUMERAL = bytes.maketrans(b"\0\1", b"01")
-_FROM_NUMERAL = bytes.maketrans(b"01", b"\0\1")
-
-
-def _gf2_mask(vector):
-    return int(bytes(vector[::-1]).translate(_TO_NUMERAL), 2)
-
-
-def _gf2_vector(mask, width):
-    return tuple(format(mask, "0%db" % width)[::-1].encode().translate(_FROM_NUMERAL))
 
 
 def _reduce(rows, ctx, width, rank=None):

@@ -3,11 +3,14 @@
 Field contexts are immutable value objects.  Scalars are plain "raw"
 values (an int for prime fields and binary extensions, a coefficient tuple
 otherwise), and all arithmetic on them goes through the context's methods.
-All arithmetic is exact.
+All arithmetic is exact.  A raw's ``coeffs`` tuple is its key wherever the
+lex-least element is chosen.
 
-Every field is GF(p^m) over its prime field.  A splitting field over a base
-GF(p^m) is GF(p^(m*s)) built the same way, with the base embedded through a
-root of its modulus (``splitting_field``).
+Every field is GF(p^m) over its prime field, with the lex-first monic
+irreducible of degree m as modulus, found by one Rabin test for every p
+(``poly_is_irreducible``).  A splitting field over a base GF(p^m) is
+GF(p^(m*s)) built the same way, with the base embedded through a root of
+its modulus (``splitting_field``).
 """
 
 from __future__ import annotations
@@ -37,24 +40,23 @@ _SPLITTING_DEGREE_BOUND = 512
 # Miller-Rabin to the prime bases 2..41 is exact below this bound, the least
 # strong pseudoprime to all of them (Sorenson and Webster 2015; the bases
 # 2..37 alone are fooled by 318665857834031151167461); above it is_prime
-# falls back to trial division
+# refuses a number with no factor among them
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_EXACT_BELOW = 3317044064679887385961981
 
 
 def is_prime(n):
+    """Exact primality below _MR_EXACT_BELOW.  A larger n with no factor
+    among _MR_BASES raises DegreeTooLarge: no test here decides it in
+    bounded time, and no field over such a characteristic is built."""
     if n < 2:
         return False
     for b in _MR_BASES:
         if n % b == 0:
             return n == b
     if n >= _MR_EXACT_BELOW:
-        d = 43
-        while d * d <= n:
-            if n % d == 0:
-                return False
-            d += 2
-        return True
+        raise DegreeTooLarge("characteristic bounded", characteristic=n,
+                             bound=_MR_EXACT_BELOW)
     d, r = n - 1, 0
     while d % 2 == 0:
         d, r = d // 2, r + 1
@@ -162,74 +164,23 @@ def _pgcd(a, b, p):
     return a
 
 
-# Kronecker-packed polynomials over GF(p): coefficients sit in fixed-width
-# integer slots so polynomial products become single native big-int
-# multiplications.  The slot width is chosen per ring so every intermediate
-# digit stays exact.
+# int-packed polynomials over GF(2): bit i is the coefficient of x^i.  A
+# coefficient vector and its bitmask convert in one step each way, through
+# the binary numeral of the reversed coefficients
 
-class _KroneckerRing:
-    """GF(p)[x] / (f) with packed multiplication; f monic of degree m >= 1.
-
-    Elements pass through as coefficient tuples; only the inner product and
-    reduction use the packed form.
-    """
-
-    __slots__ = ("p", "m", "bits", "mask", "xk")
-
-    def __init__(self, p, modulus):
-        self.p = p
-        m = len(modulus) - 1
-        self.m = m
-        # largest digit during mul: a raw product digit is at most
-        # m(p-1)^2, and the reduction adds m-1 of those scaled by table
-        # digits below p
-        digit_bound = m * (p - 1) ** 2 * (1 + (m - 1) * (p - 1))
-        self.bits = max(32, digit_bound.bit_length() + 1)
-        self.mask = (1 << self.bits) - 1
-        # xk[k] = packed(x^(m+k) mod f) for k = 0..m-2
-        self.xk = []
-        cur = [(-c) % p for c in modulus[:m]]  # x^m mod f
-        for _ in range(max(m - 1, 1)):
-            self.xk.append(self._pack(cur))
-            lead = cur[-1]
-            cur = [0] + cur[:-1]
-            if lead:
-                for i in range(m):
-                    cur[i] = (cur[i] - lead * modulus[i]) % p
-
-    def _pack(self, coeffs):
-        out = 0
-        bits = self.bits
-        for i, c in enumerate(coeffs):
-            if c:
-                out |= c << (bits * i)
-        return out
-
-    def mul(self, a, b):
-        m = self.m
-        bits = self.bits
-        mask = self.mask
-        full = self._pack(a) * self._pack(b)
-        acc = full & ((1 << (bits * m)) - 1)
-        for k in range(m - 1):
-            d = (full >> (bits * (m + k))) & mask
-            if d:
-                acc += d * self.xk[k]
-        p = self.p
-        return tuple((acc >> (bits * i) & mask) % p for i in range(m))
-
-    def pow(self, a, e):
-        result = (1,) + (0,) * (self.m - 1)
-        base = a
-        while e:
-            if e & 1:
-                result = self.mul(result, base)
-            base = self.mul(base, base)
-            e >>= 1
-        return result
+_TO_NUMERAL = bytes.maketrans(b"\0\1", b"01")
+_FROM_NUMERAL = bytes.maketrans(b"01", b"\0\1")
 
 
-# int-packed polynomials over GF(2): bit i is the coefficient of x^i
+def _gf2_mask(vector):
+    """The bitmask of a sequence of 0/1 coefficients."""
+    return int(bytes(vector[::-1]).translate(_TO_NUMERAL), 2)
+
+
+def _gf2_vector(mask, width):
+    """The width 0/1 coefficients of a bitmask, as a tuple."""
+    return tuple(format(mask, "0%db" % width)[::-1].encode().translate(_FROM_NUMERAL))
+
 
 def _bmod(a, f):
     df, n = f.bit_length(), a.bit_length()
@@ -283,59 +234,43 @@ def lex_tuples(elements, d):
 _SIEVE_DEGREE = 8
 
 
-def _rabin_irreducible_gf2(fint):
-    """Rabin's test on the int-packed f.  Squaring spreads the bits: the
-    square of a polynomial over GF(2) has the coefficient of x^i at x^2i,
-    which is its binary numeral read in base 4."""
-    m = fint.bit_length() - 1
-    checks = {m // ell for ell in factorize(m)}.union(range(1, _SIEVE_DEGREE + 1))
-    cur = 2  # the polynomial x
-    for k in range(1, m + 1):
-        cur = _bmod(int(format(cur, "b"), 4), fint)
-        if k in checks and k < m:
-            if _bgcd(cur ^ 2, fint).bit_length() - 1 > 0:
-                return False
-    return cur == 2
-
-
-def _rabin_irreducible(poly, p):
-    m = len(poly) - 1
-    ring = _KroneckerRing(p, poly)
-    milestones = {m // ell for ell in factorize(m)}
-    x = (0, 1) + (0,) * (m - 2)
-    cur = x
-    for k in range(1, m + 1):
-        cur = ring.pow(cur, p)
-        if (k == 1 or k in milestones) and k < m:
-            diff = list(cur)
-            diff[1] = (diff[1] - 1) % p
-            g = _pgcd(diff, poly, p)
-            if len(_ptrim(list(g))) - 1 > 0:
-                return False
-    return cur == x
-
-
 def poly_is_irreducible(poly, p):
     """Exact irreducibility test for a monic polynomial over GF(p).
 
     Rabin's test: f of degree m >= 2 is irreducible iff x^(p^m) = x mod f
     and gcd(f, x^(p^k) - x) = 1 for every k = m/l, l a prime divisor of m.
-    The gcd also runs at k = 1, where it is 1 exactly when f has no root in
-    GF(p), so most reducible candidates leave after one Frobenius step;
-    over GF(2) it runs at every k < m up to _SIEVE_DEGREE, a distinct-degree
-    sieve (Gao and Panario 1997).  Both are exact: for k < m, the gcd is 1
-    exactly when f has no factor of degree dividing k, which an irreducible
-    f of degree m has not.
+    The gcd also runs at every k < m up to _SIEVE_DEGREE, a distinct-degree
+    sieve (Gao and Panario 1997), so most reducible candidates leave after
+    a few Frobenius steps.  Both are exact: for k < m, the gcd is 1 exactly
+    when f has no factor of degree dividing k, which an irreducible f of
+    degree m has not.
+
+    Over GF(2), f is an int and squaring spreads the bits: the square of a
+    polynomial over GF(2) has the coefficient of x^i at x^2i, which is its
+    binary numeral read in base 4.  Over odd p, x^(p^k) is computed in
+    ExtField(p, m, f), whose reduction holds for any monic f: the modulus
+    need not be irreducible there.
     """
-    if len(poly) == 2:  # degree 1
+    m = len(poly) - 1
+    if m == 1:
         return True
+    checks = {m // ell for ell in factorize(m)}.union(range(1, _SIEVE_DEGREE + 1))
     if p == 2:
-        fint = 0
-        for i, c in enumerate(poly):
-            if c:
-                fint |= 1 << i
-        return _rabin_irreducible_gf2(fint)
-    return _rabin_irreducible(poly, p)
+        f = _gf2_mask(poly)
+        frobenius = lambda a: _bmod(int(format(a, "b"), 4), f)
+        x = 2
+        has_factor = lambda a: _bgcd(a ^ x, f) != 1
+    else:
+        ring = ExtField(p, m, poly)
+        frobenius = lambda a: ring.pow(a, p)
+        x = (0, 1) + (0,) * (m - 2)
+        has_factor = lambda a: len(_pgcd(ring.sub(a, x), poly, p)) > 1
+    cur = x
+    for k in range(1, m):
+        cur = frobenius(cur)
+        if k in checks and has_factor(cur):
+            return False
+    return frobenius(cur) == x
 
 
 def _first_irreducible(p, m):
@@ -428,9 +363,6 @@ class PrimeField(FieldCtx):
     def coeffs(self, a):
         return (a,)
 
-    def lex_key(self, a):
-        return (a,)
-
     def add(self, a, b):
         return (a + b) % self.p
 
@@ -469,11 +401,7 @@ class BinaryExtField(FieldCtx):
         self.modulus = tuple(modulus)
         self.zero = 0
         self.one = 1
-        modint = 0
-        for i, c in enumerate(modulus):
-            if c:
-                modint |= 1 << i
-        self._modint = modint
+        self._modint = _gf2_mask(self.modulus)
 
     def from_int(self, k):
         return k % 2
@@ -481,17 +409,10 @@ class BinaryExtField(FieldCtx):
     def raw_from_coeffs(self, coeffs):
         if len(coeffs) != self.m:
             raise DegreeMismatch("expected %d coefficients" % self.m, got=len(coeffs))
-        raw = 0
-        for i, c in enumerate(coeffs):
-            if c % 2:
-                raw |= 1 << i
-        return raw
+        return _gf2_mask([c % 2 for c in coeffs])
 
     def coeffs(self, a):
-        return tuple((a >> i) & 1 for i in range(self.m))
-
-    def lex_key(self, a):
-        return self.coeffs(a)
+        return _gf2_vector(a, self.m)
 
     def add(self, a, b):
         return a ^ b
@@ -510,18 +431,38 @@ class BinaryExtField(FieldCtx):
 
 
 class ExtField(FieldCtx):
-    """GF(p^m) for odd p: raw scalars are coefficient tuples of length m."""
+    """GF(p^m) for odd p: raw scalars are coefficient tuples of length m.
 
-    __slots__ = ("p", "m", "order", "modulus", "zero", "one", "_ring")
+    mul is Kronecker-packed: it puts each operand's coefficients in
+    ``bits``-bit slots of one int, multiplies once, and folds the high half
+    back through xk[k], the packed x^(m+k) mod the modulus.  That holds for
+    any monic modulus of degree m, irreducible or not."""
+
+    __slots__ = ("p", "m", "order", "modulus", "zero", "one", "bits", "mask", "xk")
 
     def __init__(self, p, m, modulus):
         self.p = p
         self.m = m
         self.order = p ** m
-        self.modulus = tuple(modulus)
+        self.modulus = modulus = tuple(modulus)
         self.zero = (0,) * m
         self.one = (1,) + (0,) * (m - 1)
-        self._ring = _KroneckerRing(p, self.modulus)
+        # largest digit during mul: a raw product digit is at most
+        # m(p-1)^2, and the reduction adds m-1 of those scaled by table
+        # digits below p
+        digit_bound = m * (p - 1) ** 2 * (1 + (m - 1) * (p - 1))
+        self.bits = max(32, digit_bound.bit_length() + 1)
+        self.mask = (1 << self.bits) - 1
+        # xk[k] = packed(x^(m+k) mod modulus) for k = 0..m-2
+        self.xk = []
+        cur = [(-c) % p for c in modulus[:m]]  # x^m mod modulus
+        for _ in range(max(m - 1, 1)):
+            self.xk.append(self._pack(cur))
+            lead = cur[-1]
+            cur = [0] + cur[:-1]
+            if lead:
+                for i in range(m):
+                    cur[i] = (cur[i] - lead * modulus[i]) % p
 
     def from_int(self, k):
         return (k % self.p,) + (0,) * (self.m - 1)
@@ -532,9 +473,6 @@ class ExtField(FieldCtx):
         return tuple(c % self.p for c in coeffs)
 
     def coeffs(self, a):
-        return a
-
-    def lex_key(self, a):
         return a
 
     def add(self, a, b):
@@ -549,8 +487,26 @@ class ExtField(FieldCtx):
         p = self.p
         return tuple(-x % p for x in a)
 
+    def _pack(self, coeffs):
+        out = 0
+        bits = self.bits
+        for i, c in enumerate(coeffs):
+            if c:
+                out |= c << (bits * i)
+        return out
+
     def mul(self, a, b):
-        return self._ring.mul(a, b)
+        m = self.m
+        bits = self.bits
+        mask = self.mask
+        full = self._pack(a) * self._pack(b)
+        acc = full & ((1 << (bits * m)) - 1)
+        for k in range(m - 1):
+            d = (full >> (bits * (m + k))) & mask
+            if d:
+                acc += d * self.xk[k]
+        p = self.p
+        return tuple((acc >> (bits * i) & mask) % p for i in range(m))
 
     def elements(self):
         return lex_tuples(range(self.p).__iter__, self.m)
@@ -613,7 +569,7 @@ def _modulus_root(ctx, big):
     roots = [z]
     for _ in range(ctx.m - 1):
         roots.append(big.pow(roots[-1], ctx.p))
-    return min(roots, key=big.lex_key)
+    return min(roots, key=big.coeffs)
 
 
 def splitting_field(ctx, n):
@@ -700,13 +656,5 @@ def element_of_order(field, n):
             break
     # every element of order n is a coprime power of any one of them;
     # walk found^k by a running product
-    best = None
-    best_key = None
-    cand = field.one
-    for k in range(1, n):
-        cand = field.mul(cand, found)
-        if gcd(k, n) == 1:
-            key = field.lex_key(cand)
-            if best_key is None or key < best_key:
-                best, best_key = cand, key
-    return best
+    powers = itertools.accumulate(itertools.repeat(found, n - 1), field.mul)
+    return min((w for k, w in enumerate(powers, 1) if gcd(k, n) == 1), key=field.coeffs)

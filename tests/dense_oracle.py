@@ -31,7 +31,7 @@ def element_of_order_by_pow(field, n):
             found = w
             break
     cands = [field.pow(found, k) for k in range(1, n) if gcd(k, n) == 1]
-    return min(cands, key=field.lex_key)
+    return min(cands, key=field.coeffs)
 
 
 def orbit_sum_idempotents(group, ctx):

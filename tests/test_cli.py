@@ -113,18 +113,24 @@ def test_sweep_output_digest(capsys):
      "d5433f8e60ae2d45af48bcfe923872f2717a7c36cc4323be2cce4f15b37fe280"),
     ("classify --group 13 --field 5 --dimension-cap 2 --with-distributions",
      "406f452439144a3817b7e4f12a23316b052e155b57a968fad7a0dc150f4ac230"),
+    ("classify --group 7 --field 3^3 --with-distributions",
+     "894c5b149c527167e950a5b8f955d72a4222b2bd6861597e761a97fe098422e2"),
+    ("idempotents --group 11 --field 7^2",
+     "1ae2c96f7b4115d33f6e1771e7ed83378551e4e173357b4a2536e3741bc6e5e0"),
 ], ids=["subgroups", "idempotents", "verify", "classify", "idempotents-extension",
         "subgroups-mixed-sylow", "subgroups-mixed-sylow-45", "idempotents-13-gf9",
         "idempotents-5x5", "classify-md", "classify-csv", "verify-9x9",
         "verify-3x3x3", "bound-61-gf3", "bound-3x33-gf2", "bound-23-gf8",
-        "bound-11-gf9", "bound-13-gf5"])
+        "bound-11-gf9", "bound-13-gf5", "classify-7-gf27", "idempotents-11-gf49"])
 def test_output_digest(capsys, argv, digest):
     # sha256 of the stdout before subgroups moved to element indices; the
     # extension-base idempotents digest is that of GF(4) embedded in
     # GF(2^(2s)) through the lex-least root of its modulus. The later cases
     # pin the output before the |G|-length code bases and the scalar wrapper
     # were deleted; the bound-* cases pin two-vector bounds over q > 2 and
-    # bounds that depend on the basis's column order. A case without
+    # bounds that depend on the basis's column order; the last two pin odd-p
+    # extension bases, GF(27) embedded in GF(3^6) and GF(49) in GF(7^10),
+    # before the field layer's irreducibility test was merged. A case without
     # --format is read as JSON.
     argv = argv.split()
     if "--format" not in argv:
@@ -153,6 +159,19 @@ def test_non_prime_field_is_a_domain_error(capsys):
     status, out = capture(capsys, ["classify", "--group", "9,3", "--field", "4"])
     assert status == 1
     assert json.loads(out)["error_code"] == "NonPrimeP"
+
+
+def test_characteristic_above_the_primality_bound_is_refused_quickly(capsys):
+    # 2^89 - 1 is prime; trial division up to its square root never ended
+    start = time.perf_counter()
+    status, out = capture(
+        capsys, ["classify", "--group", "3", "--field", "618970019642690137449562111"])
+    assert time.perf_counter() - start < 1
+    assert status == 1
+    record = json.loads(out)
+    assert record["error_code"] == "DegreeTooLarge"
+    assert record["context"] == {"characteristic": 2 ** 89 - 1,
+                                 "bound": 3317044064679887385961981}
 
 
 def test_splitting_degree_above_bound_is_a_domain_error(capsys):

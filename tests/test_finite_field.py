@@ -18,9 +18,11 @@ from abelian_codes import (
     splitting_field,
 )
 from abelian_codes.finite_field import (
+    _MR_EXACT_BELOW,
     _SPLITTING_DEGREE_BOUND,
+    ExtField,
     _first_irreducible,
-    _rabin_irreducible,
+    _pgcd,
     factorize,
     is_prime,
     lex_tuples,
@@ -149,7 +151,7 @@ def test_element_of_order_is_deterministic_and_lex_minimal():
         and F64.pow(raw, 9) == F64.one
         and F64.pow(raw, 3) != F64.one
     ]
-    assert min(all_order_9, key=F64.lex_key) == w1
+    assert min(all_order_9, key=F64.coeffs) == w1
 
 
 @pytest.mark.parametrize("p,m", [(2, 1), (3, 1), (5, 1), (7, 1), (2, 2), (2, 3), (3, 2)])
@@ -247,16 +249,35 @@ def test_poly_is_irreducible_matches_trial_division(p):
             assert poly_is_irreducible(f, p) == (not _has_monic_divisor(f, p)), f
 
 
-def test_gf2_modulus_search_matches_the_generic_rabin_test():
-    # the GF(2) test squares by spreading bits and sieves small degrees;
-    # the generic test over GF(p) at p = 2 does neither
-    for m in range(2, 11):
-        for tail in itertools.product(range(2), repeat=m):
+def _rabin_at_milestones(f, p):
+    """Rabin's test with the gcd only at k = m/l, l a prime divisor of m:
+    no sieve, and x^(p^k) computed in ExtField(p, m, f) for every p, GF(2)
+    included.  The slow route, kept as the oracle of poly_is_irreducible."""
+    m = len(f) - 1
+    ring = ExtField(p, m, f)
+    milestones = {m // ell for ell in factorize(m)}
+    x = cur = (0, 1) + (0,) * (m - 2)
+    for k in range(1, m + 1):
+        cur = ring.pow(cur, p)
+        if k in milestones and len(_pgcd(ring.sub(cur, x), f, p)) > 1:
+            return False
+    return cur == x
+
+
+@pytest.mark.parametrize("p,every_up_to,first_up_to", [
+    (2, 10, 40), (3, 6, 24), (5, 4, 16), (7, 1, 12)])
+def test_modulus_search_matches_the_milestone_rabin_test(p, every_up_to, first_up_to):
+    # the test under field_make sieves small degrees and, over GF(2),
+    # squares by spreading bits; the oracle does neither
+    for m in range(2, every_up_to + 1):
+        for tail in itertools.product(range(p), repeat=m):
             f = list(tail) + [1]
-            assert poly_is_irreducible(f, 2) == _rabin_irreducible(f, 2), f
-    for m in range(2, 41):
-        scan = ((1, *tail, 1) for tail in lex_tuples(range(2).__iter__, m - 1))
-        assert _first_irreducible(2, m) == next(f for f in scan if _rabin_irreducible(f, 2)), m
+            assert poly_is_irreducible(f, p) == _rabin_at_milestones(f, p), f
+    for m in range(2, first_up_to + 1):
+        scan = ((c0, *tail, 1) for c0 in range(1, p)
+                for tail in lex_tuples(range(p).__iter__, m - 1))
+        first = next(f for f in scan if _rabin_at_milestones(list(f), p))
+        assert _first_irreducible(p, m) == first, (p, m)
 
 
 def test_field_make_large_prime_degree_six():
@@ -283,7 +304,7 @@ def test_element_of_order_over_a_large_prime_square():
     F = field_make(1000000007, 2)
     w = element_of_order(F, 3)
     assert w != F.one and F.pow(w, 3) == F.one
-    assert w == min((w, F.mul(w, w)), key=F.lex_key)
+    assert w == min((w, F.mul(w, w)), key=F.coeffs)
 
 
 def test_field_make_degree_is_bounded():
@@ -310,10 +331,19 @@ def test_is_prime_matches_trial_division():
     3215031751,  # a strong pseudoprime to the bases 2, 3, 5 and 7
     3825123056546413051,  # a strong pseudoprime to the bases 2 .. 23
     318665857834031151167461,  # a strong pseudoprime to the bases 2 .. 37
-    41 ** 16,  # above the Miller-Rabin bound: trial division
+    41 ** 16,  # above the Miller-Rabin bound, but with a small factor
 ])
 def test_is_prime_rejects_pseudoprimes(n):
     assert not is_prime(n)
+
+
+def test_is_prime_refuses_a_large_number_without_a_small_factor():
+    # 2^89 - 1 is prime, but no test here decides it in bounded time
+    for n in (2 ** 89 - 1, _MR_EXACT_BELOW, 43 ** 16):
+        with pytest.raises(DegreeTooLarge) as exc:
+            is_prime(n)
+        assert exc.value.context == {"characteristic": n, "bound": _MR_EXACT_BELOW}
+    assert not is_prime(2 ** 89) and not is_prime(3 * 2 ** 89)
 
 
 def test_is_prime_accepts_a_mersenne_prime_quickly():
