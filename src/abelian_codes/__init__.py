@@ -30,8 +30,7 @@ _HOMES = {
     ),
     "codes": (
         "ClassificationReport", "MinimalCode", "WeightDistribution", "classify",
-        "min_weight", "min_weight_or_bound", "minimal_code", "tau_sweep",
-        "weight_distribution",
+        "min_weight_or_bound", "minimal_code", "tau_sweep", "weight_distribution",
     ),
     "reference": (
         "Automorphism", "Character", "all_subgroups", "annihilator",

@@ -33,6 +33,9 @@ from .group_algebra import (
     row_reduce_raw,
 )
 
+# The largest dimension ``_route`` enumerates.  The benchmark's tracer
+# (perfbench/tracer.py) imports it under this name; rename or delete the
+# name once bound hits are recorded inside the program (ROADMAP item 1).
 DEFAULT_DIMENSION_CAP = 24
 
 
@@ -396,8 +399,9 @@ _ENUMERATION_BOUND = 2 ** 25  # words: about 20 s over GF(3)
 
 
 def _route(ctx, o, k):
-    """(route, work) of ``weight_distribution`` on C_o of dimension k, with
-    the work in enumerated words (a GF(2) word counts a quarter).
+    """(route, work) for the minimum weight of C_o of dimension k, with the
+    work in enumerated words (a GF(2) word counts a quarter).  This is the
+    one place that decides whether a code is enumerated, bounded or refused.
 
     Enumerating C_o, or its dual when o - k < k (routes ``span`` and
     ``dual``), costs q^min(k, o - k) words; above _LOW_TABLE_MAX the coset
@@ -407,29 +411,30 @@ def _route(ctx, o, k):
     (``walk``), or about o * k products by g(x), _PRODUCT_COST words each
     over GF(p) and five times that over an extension (``step``).  The
     tables are built when they cost less than the products they save and
-    hold at most _TABLE_BOUND words."""
+    hold at most _TABLE_BOUND words.  Above DEFAULT_DIMENSION_CAP, or past
+    _ENUMERATION_BOUND, the route is the two-vector bound (``bound``), of
+    work (q - 1) * k^2, and past _ENUMERATION_BOUND that one is ``refused``."""
     q = ctx.order
-    words = q ** min(k, o - k)
-    if words > _LOW_TABLE_MAX:
-        steps = (q ** k - 1) // lcm(o, q - 1)
-        half = (k + 1) // 2
-        table = q ** half + q ** (k - half)
-        product = _PRODUCT_COST * o * k * (1 if ctx.m == 1 else 5) * steps
-        walk = table <= _TABLE_BOUND and table < product
-        work = _STEP_COST * steps + (table if walk else product)
-        if work < words:
-            return "walk" if walk else "step", work
-    return "dual" if o - k < k else "span", words >> 2 * (q == 2)
+    if k <= DEFAULT_DIMENSION_CAP:
+        words = q ** min(k, o - k)
+        route, work = "dual" if o - k < k else "span", words >> 2 * (q == 2)
+        if words > _LOW_TABLE_MAX:
+            steps = (q ** k - 1) // lcm(o, q - 1)
+            half = (k + 1) // 2
+            table = q ** half + q ** (k - half)
+            product = _PRODUCT_COST * o * k * (1 if ctx.m == 1 else 5) * steps
+            walk = table <= _TABLE_BOUND and table < product
+            coset = _STEP_COST * steps + (table if walk else product)
+            if coset < words:
+                route, work = "walk" if walk else "step", coset
+        if work <= _ENUMERATION_BOUND:
+            return route, work
+    work = (q - 1) * k ** 2
+    return "bound" if work <= _ENUMERATION_BOUND else "refused", work
 
 
-def _exact(code, cap):
-    """Whether ``weight_distribution`` admits the code."""
-    k = code.dimension
-    return k <= cap and _route(code.algebra.ctx, len(code.row), k)[1] <= _ENUMERATION_BOUND
-
-
-def weight_distribution(code, cap=DEFAULT_DIMENSION_CAP):
-    """Exact weight histogram of a code of dimension k at most the cap.
+def weight_distribution(code):
+    """Exact weight histogram of a code that ``_route`` enumerates.
 
     The code is taken at its length o, as C_o (``MinimalCode.row``), and
     weights are then scaled by ``repeat``.  The route is fixed by q, o and
@@ -437,15 +442,14 @@ def weight_distribution(code, cap=DEFAULT_DIMENSION_CAP):
     coset of shifts times scalars (``_coset_weights``); ``span`` and
     ``dual`` enumerate C_o or its dual, of dimension o - k, from the RREF
     of the shifts of the row (``_span_weights``), and a dual's histogram is
-    carried back by the MacWilliams identity.  A code above the cap, or
-    whose route's work exceeds _ENUMERATION_BOUND, raises
-    DimensionTooLarge.
+    carried back by the MacWilliams identity.  A code that ``_route`` bounds
+    or refuses raises DimensionTooLarge, with the work of that route.
     """
     ctx, dim, o = code.algebra.ctx, code.dimension, len(code.row)
     route, work = _route(ctx, o, dim)
-    if dim > cap or work > _ENUMERATION_BOUND:
-        raise DimensionTooLarge("weight enumeration bounded", dimension=dim, cap=cap,
-                                work=work, bound=_ENUMERATION_BOUND)
+    if route in ("bound", "refused"):
+        raise DimensionTooLarge("weight enumeration bounded", dimension=dim,
+                                cap=DEFAULT_DIMENSION_CAP, work=work, bound=_ENUMERATION_BOUND)
     if route in ("walk", "step"):
         hist = _coset_weights(ctx, code.row, dim, route == "walk")
     elif route == "dual":
@@ -455,11 +459,6 @@ def weight_distribution(code, cap=DEFAULT_DIMENSION_CAP):
         hist = _span_weights(ctx, _basis(ctx, code.row, dim), o)
     return WeightDistribution(
         {w * code.repeat: c for w, c in hist.items()}, dim, ctx.order)
-
-
-def min_weight(code, cap=DEFAULT_DIMENSION_CAP):
-    """Smallest nonzero codeword weight, by exact enumeration."""
-    return weight_distribution(code, cap).min_nonzero()
 
 
 def _two_vector_bound(ctx, rows):
@@ -475,19 +474,20 @@ def _two_vector_bound(ctx, rows):
     return min(weights(vectors + sums))
 
 
-def min_weight_or_bound(code, cap=DEFAULT_DIMENSION_CAP):
-    """(value, exact): exact minimum when ``weight_distribution`` admits the
-    code; otherwise ``_two_vector_bound`` on the RREF of C_o with columns in
+def min_weight_or_bound(code):
+    """(value, exact), by the route of ``_route``: the exact minimum of
+    ``weight_distribution`` when the code is enumerated; on route ``bound``,
+    ``_two_vector_bound`` on the RREF of C_o with columns in
     first-appearance order (``_basis``), scaled by ``repeat``, which can
-    only overestimate the true minimum, flagged exact=False.  That bound
-    takes about (q - 1) * dim^2 words; above _ENUMERATION_BOUND it raises
-    DimensionTooLarge."""
-    if _exact(code, cap):
-        return min_weight(code, cap), True
+    only overestimate the true minimum, flagged exact=False; on route
+    ``refused``, DimensionTooLarge."""
     ctx, dim = code.algebra.ctx, code.dimension
-    if (ctx.order - 1) * dim ** 2 > _ENUMERATION_BOUND:
+    route = _route(ctx, len(code.row), dim)[0]
+    if route == "refused":
         raise DimensionTooLarge("two-vector bound bounded", dimension=dim,
                                 field_order=ctx.order, bound=_ENUMERATION_BOUND)
+    if route != "bound":
+        return weight_distribution(code).min_nonzero(), True
     # columns by the first appearance of each t in G (``minimal_code``)
     columns = list(dict.fromkeys(_character_values(code.algebra.group,
                                                    code.generator.orbit_rep)[1]))
@@ -562,7 +562,7 @@ class ClassificationReport:
         }
 
 
-def classify(group, ctx, with_distributions=False, dimension_cap=DEFAULT_DIMENSION_CAP):
+def classify(group, ctx, with_distributions=False):
     """Compute every minimal code of F_qG, group them into G-equivalence
     classes, and compare the class count with tau(exp G).
 
@@ -572,11 +572,9 @@ def classify(group, ctx, with_distributions=False, dimension_cap=DEFAULT_DIMENSI
 
     A code's weight distribution depends only on the order o of its
     character (it is C_o with every coordinate repeated |G|/o times), so
-    it is computed once per distinct o that ``weight_distribution``
-    admits, by the route that q, o and k fix (``_route``).  A code above
-    the cap, or whose route exceeds _ENUMERATION_BOUND, gets its own
-    two-vector bound, which depends on its basis: only such a code is
-    row-reduced on its own."""
+    it is computed once per distinct o that ``_route`` enumerates.  A code
+    of a class that ``_route`` bounds gets its own two-vector bound, which
+    depends on its basis: only such a code is row-reduced on its own."""
     algebra = get_algebra(group, ctx)
     codes = [minimal_code(algebra, ide) for ide in primitive_idempotents(group, ctx)]
     # in this order each class, and the list of classes, comes out sorted
@@ -588,17 +586,17 @@ def classify(group, ctx, with_distributions=False, dimension_cap=DEFAULT_DIMENSI
     classes = []
     by_order = {}
     for members in by_type.values():
-        if _exact(members[0], dimension_cap):
-            o = group.element_order(members[0].generator.orbit_rep)
+        o = len(members[0].row)
+        if _route(ctx, o, members[0].dimension)[0] not in ("bound", "refused"):
             if o not in by_order:
-                by_order[o] = weight_distribution(members[0], dimension_cap)
+                by_order[o] = weight_distribution(members[0])
             dist = by_order[o]
             mw = dist.min_nonzero()
             shared = dist if with_distributions else None
             members = [CodeRecord(c, mw, True, shared) for c in members]
         else:
             members = [
-                CodeRecord(c, *min_weight_or_bound(c, dimension_cap), None)
+                CodeRecord(c, *min_weight_or_bound(c), None)
                 for c in members
             ]
         records.extend(members)

@@ -35,7 +35,7 @@ from .abelian_group import (
     owner_type,
     quotient_type,
 )
-from .codes import DEFAULT_DIMENSION_CAP, _basis, min_weight_or_bound, minimal_code
+from .codes import _basis, min_weight_or_bound, minimal_code
 from .errors import (
     AlgebraMismatch,
     CharDividesOrder,
@@ -741,7 +741,7 @@ def _table_rows_homocyclic(group, ctx, p, r, m):
     return rows, None, r + 1
 
 
-def verify_tables(group, ctx, dimension_cap=DEFAULT_DIMENSION_CAP):
+def verify_tables(group, ctx):
     """Check the computed minimal codes against the closed-form reference
     tables for C_{p^n} x C_p over GF(2) and for homocyclic C_{p^r}^m.
 
@@ -833,7 +833,7 @@ def verify_tables(group, ctx, dimension_cap=DEFAULT_DIMENSION_CAP):
         code = minimal_code(algebra, ide)
         # the rank of the computed row's shifts: code.dimension is ord_o(q)
         push(row["label"], "dimension", row["dimension"], len(_basis(ctx, code.row, None)))
-        mw, exact = min_weight_or_bound(code, dimension_cap)
+        mw, exact = min_weight_or_bound(code)
         push(row["label"], "min weight (exact=%s)" % exact, row["weight"], mw)
 
     classes = {}

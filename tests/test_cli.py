@@ -103,16 +103,16 @@ def test_sweep_output_digest(capsys):
      "49f6b14e0b7bb6874debe471ba67319eb16607d7a763fc3d062c4ff855673c2d"),
     ("verify --group 3,3,3 --field 5",
      "99f6722c4ba31e5834c15df47ce609130d12970d96754946692c684fcb578cd6"),
-    ("classify --group 61 --field 3 --dimension-cap 6",
-     "ec88fe773c7bc238442526b30c30b307923d169ab405b19edf3285a1a0658493"),
-    ("classify --group 3,33 --field 2 --dimension-cap 4",
-     "ede008b68257b0c664f2ce6a7121f6571781243e24c3062cfcbce581677709ab"),
+    ("classify --group 38 --field 3",
+     "719b82782311024ed03bea778cba03657e034356ee42114ef5bdda1bf5e4aea2"),
+    ("classify --group 3,29 --field 2",
+     "eb11930379ae8e8a0b4ef5d6a5a093f66f7bf034a52b20e4378ed158d95a1ea3"),
     ("classify --group 23 --field 2^3",
      "f4b8b170c35138cd7936cde06c8ee94a17864b8a07f8f9ce630bfb4ab5443fff"),
-    ("classify --group 11 --field 3^2 --dimension-cap 3",
-     "d5433f8e60ae2d45af48bcfe923872f2717a7c36cc4323be2cce4f15b37fe280"),
-    ("classify --group 13 --field 5 --dimension-cap 2 --with-distributions",
-     "406f452439144a3817b7e4f12a23316b052e155b57a968fad7a0dc150f4ac230"),
+    ("classify --group 25 --field 3^2",
+     "2a2d1efb6ea7000459ca9ad25cfd4b1110e58ba3e142ccaad6a6bcc453f04507"),
+    ("classify --group 29 --field 5 --with-distributions",
+     "cfea1fb633f96c4a2c1395c0664d64795a43412bcdded3b50057a4cb04354499"),
     ("classify --group 7 --field 3^3 --with-distributions",
      "894c5b149c527167e950a5b8f955d72a4222b2bd6861597e761a97fe098422e2"),
     ("idempotents --group 11 --field 7^2",
@@ -120,15 +120,18 @@ def test_sweep_output_digest(capsys):
 ], ids=["subgroups", "idempotents", "verify", "classify", "idempotents-extension",
         "subgroups-mixed-sylow", "subgroups-mixed-sylow-45", "idempotents-13-gf9",
         "idempotents-5x5", "classify-md", "classify-csv", "verify-9x9",
-        "verify-3x3x3", "bound-61-gf3", "bound-3x33-gf2", "bound-23-gf8",
-        "bound-11-gf9", "bound-13-gf5", "classify-7-gf27", "idempotents-11-gf49"])
+        "verify-3x3x3", "bound-38-gf3", "bound-3x29-gf2", "bound-23-gf8",
+        "bound-25-gf9", "bound-29-gf5", "classify-7-gf27", "idempotents-11-gf49"])
 def test_output_digest(capsys, argv, digest):
     # sha256 of the stdout before subgroups moved to element indices; the
     # extension-base idempotents digest is that of GF(4) embedded in
     # GF(2^(2s)) through the lex-least root of its modulus. The later cases
     # pin the output before the |G|-length code bases and the scalar wrapper
     # were deleted; the bound-* cases pin two-vector bounds over q > 2 and
-    # bounds that depend on the basis's column order; the last two pin odd-p
+    # bounds that depend on the basis's column order, on classes over the
+    # fixed dimension cap (3,29 over GF(2): k = 28) or over the work bound
+    # (38 over GF(3), next to an exact o = 19 class of the same k = 18), as
+    # recorded before --dimension-cap was removed; the last two pin odd-p
     # extension bases, GF(27) embedded in GF(3^6) and GF(49) in GF(7^10),
     # before the field layer's irreducibility test was merged. A case without
     # --format is read as JSON.
@@ -364,8 +367,6 @@ def test_classify_over_degree_four_tower(capsys):
 
 
 @pytest.mark.parametrize("argv", [
-    ["classify", "--group", "9,3", "--field", "2", "--dimension-cap", "-1"],
-    ["verify", "--group", "9,3", "--field", "2", "--dimension-cap", "-3"],
     ["sweep", "--field", "2", "--max-order", "-5"],
     ["sweep", "--field", "2", "--max-order", "0"],
     ["sweep", "--field", "2", "--max-order", "ten"],
@@ -383,9 +384,12 @@ def test_out_of_range_numbers_are_usage_errors(capsys, argv):
     ["subgroups", "--group", "9,3", "--field", "2"],
     ["idempotents", "--group", "9,3", "--field", "2"],
     ["sweep", "--field", "2"],
+    ["classify", "--group", "9,3", "--field", "2"],
+    ["verify", "--group", "9,3", "--field", "2"],
 ])
 def test_dimension_cap_only_on_the_commands_that_read_it(capsys, argv):
-    # only classify and verify enumerate weights
+    # the dimension cap is a fixed constant that no command reads from its
+    # arguments, so every command refuses the option
     with pytest.raises(SystemExit) as exc:
         run(argv + ["--dimension-cap", "4"])
     assert exc.value.code == 2
@@ -394,15 +398,23 @@ def test_dimension_cap_only_on_the_commands_that_read_it(capsys, argv):
 
 def test_smallest_accepted_numbers(capsys):
     status, out = capture(capsys, [
-        "classify", "--group", "3", "--field", "2", "--dimension-cap", "0",
-        "--format", "json"])
-    assert status == 0
-    codes = json.loads(out)["codes"]
-    assert [c["min_weight_exact"] for c in codes] == [False, False]
-    status, out = capture(capsys, [
         "sweep", "--field", "2", "--max-order", "1", "--format", "json"])
     assert status == 0
     assert [r["group"] for r in json.loads(out)["rows"]] == ["1"]
+
+
+def test_sweep_above_the_order_bound_is_refused_quickly(capsys):
+    from abelian_codes.cli import _SWEEP_ORDER_BOUND
+
+    start = time.perf_counter()
+    status, out = capture(capsys, [
+        "sweep", "--field", "2", "--max-order", str(_SWEEP_ORDER_BOUND + 1)])
+    assert time.perf_counter() - start < 1
+    assert status == 1
+    record = json.loads(out)
+    assert record["error_code"] == "GroupTooLarge"
+    assert record["context"] == {"max_order": _SWEEP_ORDER_BOUND + 1,
+                                 "bound": _SWEEP_ORDER_BOUND}
 
 
 def test_classify_with_large_code_dimension_finishes(capsys):

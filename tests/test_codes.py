@@ -24,10 +24,10 @@ from abelian_codes import (
     get_algebra,
     group_make,
     homocyclic_factorization,
-    min_weight,
     min_weight_or_bound,
     minimal_code,
     mul_order,
+    owner_type,
     primitive_idempotents,
     sylow_decompose,
     tau_sweep,
@@ -39,7 +39,7 @@ import abelian_codes.codes as codes_module
 from abelian_codes.codes import (
     _basis,
     _coset_weights,
-    _exact,
+    _route,
     _span_weights,
     _two_vector_bound,
 )
@@ -96,6 +96,10 @@ def test_weight_distribution_examples(c9xc3):
 
 def test_min_weights(c9xc3):
     G, codes = c9xc3
+
+    def min_weight(code):
+        return weight_distribution(code).min_nonzero()
+
     assert min_weight(codes[gen(G, (1, 0))][0]) == 6       # 2p
     assert min_weight(codes[gen(G, (0, 1))][0]) == 18      # 2p^2
     assert min_weight(codes[gen(G, (0, 3), (1, 0))][0]) == 18
@@ -241,7 +245,8 @@ def test_codes_over_the_enumeration_bound_get_the_two_vector_bound(o, p, m):
     G = group_make([o])
     for rec in classify(G, ctx).codes:
         over = G.element_order(rec.code.generator.orbit_rep) == o
-        assert rec.min_weight_exact is not over and _exact(rec.code, 24) is not over
+        route = _route(ctx, len(rec.code.row), rec.code.dimension)[0]
+        assert rec.min_weight_exact is not over and (route == "bound") is over
         if over:
             with pytest.raises(DimensionTooLarge):
                 weight_distribution(rec.code)
@@ -257,10 +262,11 @@ def test_two_vector_bound_reaches_every_pair_and_scalar():
 
 
 @pytest.mark.parametrize("p,m", WEIGHT_FIELDS)
-def test_two_vector_bound_matches_dense_oracle(p, m):
-    # cap=0 sends every code to the packed two-vector bound
+def test_two_vector_bound_matches_dense_oracle(monkeypatch, p, m):
+    # the route "bound" for every code sends it to the packed two-vector bound
+    monkeypatch.setattr(codes_module, "_route", lambda ctx, o, k: ("bound", 0))
     for code in _minimal_codes_to_25(p, m):
-        assert min_weight_or_bound(code, cap=0) \
+        assert min_weight_or_bound(code) \
             == (oracle_two_vector_bound(code.algebra.ctx, lifted_basis(code)), False), (
             code.algebra.group.divisors, p ** m, code.generator.orbit_rep)
 
@@ -320,7 +326,7 @@ def test_macwilliams_identity_with_dual_ideal(case, pick):
     dual = dense_basis(algebra, _dual_ideal_generator(algebra, code.generator.element))
     n, q = G.order, ctx.order
     assert code.dimension + len(dual) == n
-    w_code = weight_distribution(code, cap=n).histogram
+    w_code = weight_distribution(code).histogram
     w_dual = oracle_histogram(ctx, dual)
     expected = _macwilliams_transform(w_code, n, q)
     assert [q ** code.dimension * w_dual.get(w, 0) for w in range(n + 1)] == expected
@@ -389,16 +395,21 @@ def test_early_stop_rejects_rank_above_span():
 
 
 def test_dimension_cap_raises():
-    G = group_make([27, 3])
-    by_sub = codes_by_subgroup(G, F2)
-    big = max((c for codes in by_sub.values() for c in codes),
-              key=lambda c: c.dimension)
-    assert big.dimension == 18
-    with pytest.raises(DimensionTooLarge):
-        weight_distribution(big, cap=10)
-    value, exact = min_weight_or_bound(big, cap=10)
-    assert exact is False
-    assert value >= 6  # restricted enumeration can only overestimate
+    for o, q, k, least in (
+        (29, 2, 28, 2),  # over the dimension cap: the even-weight code
+        (38, 3, 18, 4),  # over the work bound: C_19 of minimum 2, each word doubled
+    ):
+        ctx = field_make(q)
+        G = group_make([o])
+        algebra = get_algebra(G, ctx)
+        (code,) = [c for c in (minimal_code(algebra, e) for e in primitive_idempotents(G, ctx))
+                   if len(c.row) == o]
+        assert code.dimension == k
+        with pytest.raises(DimensionTooLarge):
+            weight_distribution(code)
+        value, exact = min_weight_or_bound(code)
+        assert exact is False
+        assert value >= least  # restricted enumeration can only overestimate
 
 
 def test_dimension_sum_is_group_order():
@@ -577,7 +588,8 @@ def test_tau_sweep_sylow_homocyclic_exception():
 def test_classes_match_automorphism_images_over_extension_fields():
     # two minimal codes are equivalent iff some automorphism maps one
     # generating idempotent to the other; every automorphism is applied to
-    # every idempotent (dimension cap 0: no weights are enumerated)
+    # every idempotent, against the classes of owner_type, the key classify
+    # groups by (no weights are enumerated)
     skipped = []
     for ctx, orders in ((field_make(3), [n for n in range(1, 46) if n % 3]),
                         (field_make(2, 2), range(1, 46, 2)),
@@ -586,14 +598,16 @@ def test_classes_match_automorphism_images_over_extension_fields():
             if aut_order(G) > 2000:
                 skipped.append((ctx.order, G.divisors))
                 continue
-            report = classify(G, ctx, dimension_cap=0)
-            elements = [r.code.generator.element for r in report.codes]
+            ides = primitive_idempotents(G, ctx)
+            elements = [ide.element for ide in ides]
             where = {e: i for i, e in enumerate(elements)}
             auts = automorphisms(G)
             images = {frozenset(where[apply_automorphism(psi, e)] for psi in auts)
                       for e in elements}
-            classes = {frozenset(report.codes.index(m) for m in c.members)
-                       for c in report.classes}
+            by_type = {}
+            for i, ide in enumerate(ides):
+                by_type.setdefault(owner_type(G, ide.orbit_rep), set()).add(i)
+            classes = set(map(frozenset, by_type.values()))
             assert classes == images, (ctx.order, G.divisors)
             if (ctx.order, G.divisors) == (8, (3, 9)):
                 assert len(elements) == 14 and max(map(len, classes)) == 9

@@ -30,7 +30,7 @@ EXPORTS = [
     "cocyclic_idempotent_family", "cocyclic_subgroups", "codes", "cyclic_subgroups",
     "divisor_count", "element_of_order", "equivalent", "errors", "euler_phi",
     "field_make", "finite_field", "get_algebra", "group_algebra", "group_make", "hat",
-    "homocyclic_factorization", "idempotent_group", "min_weight", "min_weight_or_bound",
+    "homocyclic_factorization", "idempotent_group", "min_weight_or_bound",
     "minimal_code", "mul_order", "owner_type", "phi_subgroup", "primitive_idempotents",
     "quotient_type", "reference", "splitting_field", "subgroup_orbits", "sylow_decompose",
     "tau_sweep", "verify_tables", "weight_distribution",
