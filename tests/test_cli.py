@@ -370,6 +370,8 @@ def test_classify_over_degree_four_tower(capsys):
     ["sweep", "--field", "2", "--max-order", "-5"],
     ["sweep", "--field", "2", "--max-order", "0"],
     ["sweep", "--field", "2", "--max-order", "ten"],
+    ["sweep", "--field", "2", "--max-order", "-1"],
+    ["sweep", "--field", "2", "--max-order", "2.5"],
 ])
 def test_out_of_range_numbers_are_usage_errors(capsys, argv):
     with pytest.raises(SystemExit) as exc:
