@@ -49,8 +49,6 @@ def _parse_field(spec):
             p_str, m_str = spec.split("^", 1)
             return field_make(int(p_str), int(m_str))
         return field_make(int(spec))
-    except DomainError:
-        raise
     except ValueError:
         raise argparse.ArgumentTypeError("field spec must be p or p^m")
 
@@ -80,21 +78,31 @@ def _md_table(headers, rows):
     return "\n".join(lines) + "\n"
 
 
-def _render_table(data, fmt, headers, rows, head):
-    """data as JSON, or the rows as CSV, or head plus a Markdown table."""
-    if fmt == "json":
-        return _to_json(data)
-    if fmt == "csv":
-        return _csv_block(headers, rows)
-    return head + _md_table(headers, rows)
-
-
 def _fmt_cell(value):
     if isinstance(value, bool):
         return "yes" if value else "no"
     if isinstance(value, list):
         return json.dumps(value)
     return value
+
+
+def _rows(headers, entries):
+    return [[_fmt_cell(entry.get(h, "")) for h in headers] for entry in entries]
+
+
+def _table(key, headers, head):
+    """The renderer of a command whose data holds one table, data[key]: the
+    data as JSON, or the rows as CSV, or head plus a Markdown table.  head
+    is formatted with the data's other cells and the row count."""
+    def render(data, fmt):
+        if fmt == "json":
+            return _to_json(data)
+        rows = _rows(headers, data[key])
+        if fmt == "csv":
+            return _csv_block(headers, rows)
+        cells = {k: _fmt_cell(v) for k, v in data.items() if k != key}
+        return head.format(count=len(rows), **cells) + _md_table(headers, rows)
+    return render
 
 
 def _render_classification(report_dict, fmt):
@@ -104,12 +112,8 @@ def _render_classification(report_dict, fmt):
                     "min_weight_exact", "distribution"]
     class_headers = ["representative", "members", "size", "dimension", "min_weight"]
     summary_headers = ["group", "field", "class_count", "tau", "homocyclic", "thm56_match"]
-
-    def rows(headers, entries):
-        return [[_fmt_cell(entry.get(h, "")) for h in headers] for entry in entries]
-
-    code_rows = rows(code_headers, report_dict["codes"])
-    class_rows = rows(class_headers, report_dict["classes"])
+    code_rows = _rows(code_headers, report_dict["codes"])
+    class_rows = _rows(class_headers, report_dict["classes"])
     summary = [report_dict[h] for h in summary_headers]
     if fmt == "csv":
         return (_csv_block(["section"] + code_headers, [["code"] + r for r in code_rows])
@@ -131,7 +135,8 @@ def _rle(values):
     return runs
 
 
-def _idempotents_dict(group, ctx):
+def _idempotents_dict(args):
+    group, ctx = args.group, args.field
     entries = [{
         "orbit_rep": list(ide.orbit_rep),
         "phi_subgroup": [list(g) for g in ide.phi_subgroup.generators],
@@ -141,29 +146,16 @@ def _idempotents_dict(group, ctx):
     return {"group": group.spec_string(), "field": ctx.spec_string(), "idempotents": entries}
 
 
-def _render_idempotents(data, fmt):
-    headers = ["orbit_rep", "phi_subgroup", "support_size", "coeffs"]
-    rows = [[_fmt_cell(e[h]) for h in headers] for e in data["idempotents"]]
-    head = "group: %s  field: GF(%s)\n\n" % (data["group"], data["field"])
-    return _render_table(data, fmt, headers, rows, head)
-
-
-def _subgroups_dict(group, ctx):
+def _subgroups_dict(args):
     from .reference import all_subgroups
 
-    entries = []
+    group, entries = args.group, []
     for H in all_subgroups(group):
         quotient = list(quotient_type(group, H))  # G/H cyclic: H is co-cyclic
         entries.append({"generators": [list(g) for g in H.generators], "order": H.order,
                         "quotient": quotient, "cocyclic": len(quotient) == 1})
-    return {"group": group.spec_string(), "field": ctx.spec_string(), "subgroups": entries}
-
-
-def _render_subgroups(data, fmt):
-    headers = ["generators", "order", "quotient", "cocyclic"]
-    rows = [[_fmt_cell(e[h]) for h in headers] for e in data["subgroups"]]
-    head = "group: %s  (%d subgroups)\n\n" % (data["group"], len(rows))
-    return _render_table(data, fmt, headers, rows, head)
+    return {"group": group.spec_string(), "field": args.field.spec_string(),
+            "subgroups": entries}
 
 
 # sweep --max-order above this is refused before any group is built: the
@@ -171,7 +163,8 @@ def _render_subgroups(data, fmt):
 _SWEEP_ORDER_BOUND = 100_000
 
 
-def _sweep_dict(ctx, max_order):
+def _sweep_dict(args):
+    ctx, max_order = args.field, args.max_order
     if max_order > _SWEEP_ORDER_BOUND:
         raise GroupTooLarge("sweep bounded", max_order=max_order, bound=_SWEEP_ORDER_BOUND)
     groups = [G for n in range(1, max_order + 1) if gcd(n, ctx.order) == 1
@@ -182,26 +175,38 @@ def _sweep_dict(ctx, max_order):
     return {"field": ctx.spec_string(), "max_order": max_order, "rows": rows}
 
 
-def _render_sweep(data, fmt):
-    headers = ["group", "class_count", "tau", "homocyclic", "thm56_match"]
-    rows = [[_fmt_cell(e[h]) for h in headers] for e in data["rows"]]
-    head = "field: GF(%s)  max order: %d\n\n" % (data["field"], data["max_order"])
-    return _render_table(data, fmt, headers, rows, head)
+def _classify_dict(args):
+    return classify(args.group, args.field,
+                    with_distributions=args.with_distributions).to_dict()
 
 
-def _render_verify(data, fmt):
-    headers = ["label", "check", "expected", "actual", "pass"]
-    rows = [[_fmt_cell(r[h]) for h in headers] for r in data["rows"]]
-    head = "group: %s  field: GF(%s)  table: %s\nall rows pass: %s\n\n" % (
-        data["group"], data["field"], data["table"],
-        "yes" if data["all_pass"] else "no",
-    )
-    return _render_table(data, fmt, headers, rows, head)
+def _verify_dict(args):
+    from .reference import verify_tables
+
+    return verify_tables(args.group, args.field)
 
 
 # ---------------------------------------------------------------------------
 # entry point
 # ---------------------------------------------------------------------------
+
+# command -> (help, the data of its arguments, the renderer of that data)
+_COMMANDS = {
+    "subgroups": ("list the subgroup lattice", _subgroups_dict, _table(
+        "subgroups", ["generators", "order", "quotient", "cocyclic"],
+        "group: {group}  ({count} subgroups)\n\n")),
+    "idempotents": ("dump the primitive idempotents", _idempotents_dict, _table(
+        "idempotents", ["orbit_rep", "phi_subgroup", "support_size", "coeffs"],
+        "group: {group}  field: GF({field})\n\n")),
+    "classify": ("classify the minimal codes", _classify_dict, _render_classification),
+    "sweep": ("class count vs tau(exponent) over all small groups", _sweep_dict, _table(
+        "rows", ["group", "class_count", "tau", "homocyclic", "thm56_match"],
+        "field: GF({field})  max order: {max_order}\n\n")),
+    "verify": ("check the built-in reference tables", _verify_dict, _table(
+        "rows", ["label", "check", "expected", "actual", "pass"],
+        "group: {group}  field: GF({field})  table: {table}\nall rows pass: {all_pass}\n\n")),
+}
+
 
 def _build_parser():
     parser = argparse.ArgumentParser(
@@ -209,61 +214,35 @@ def _build_parser():
         description="Minimal abelian group codes and their equivalence classes.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, need_group=True):
-        if need_group:
+    commands = {}
+    for name, (help_text, _, _) in _COMMANDS.items():
+        p = commands[name] = sub.add_parser(name, help=help_text)
+        if name != "sweep":
             p.add_argument("--group", required=True, type=_parse_group,
                            help="comma-separated divisor list, e.g. 9,3")
         p.add_argument("--field", required=True, type=_parse_field,
                        help="field spec: p or p^m, e.g. 2 or 2^6")
         p.add_argument("--format", choices=["json", "csv", "md"], default="md")
-
-    common(sub.add_parser("subgroups", help="list the subgroup lattice"))
-    common(sub.add_parser("idempotents", help="dump the primitive idempotents"))
-    p_classify = sub.add_parser("classify", help="classify the minimal codes")
-    common(p_classify)
-    p_classify.add_argument("--with-distributions", action="store_true")
-    p_sweep = sub.add_parser(
-        "sweep", help="class count vs tau(exponent) over all small groups")
-    common(p_sweep, need_group=False)
-    p_sweep.add_argument("--max-order", type=_positive_int, default=81)
-    common(sub.add_parser("verify", help="check the built-in reference tables"))
+    commands["classify"].add_argument("--with-distributions", action="store_true")
+    commands["sweep"].add_argument("--max-order", type=_positive_int, default=81)
     return parser
 
 
 def run(argv):
-    parser = _build_parser()
+    """Run one command; the exit status is 0, or 1 on a domain error or on
+    a verify table with a failing row."""
     try:
         # domain errors raised while converting --group/--field (e.g. a
         # non-prime characteristic) fall through to the handler below;
         # malformed syntax is a usage error handled by argparse itself
-        args = parser.parse_args(argv)
-        ctx = args.field
-        if args.command == "sweep":
-            data = _sweep_dict(ctx, args.max_order)
-            sys.stdout.write(_render_sweep(data, args.format))
-            return 0
-        group = args.group
-        if args.command == "subgroups":
-            sys.stdout.write(_render_subgroups(_subgroups_dict(group, ctx), args.format))
-            return 0
-        if args.command == "idempotents":
-            sys.stdout.write(_render_idempotents(_idempotents_dict(group, ctx), args.format))
-            return 0
-        if args.command == "classify":
-            report = classify(group, ctx, with_distributions=args.with_distributions)
-            sys.stdout.write(_render_classification(report.to_dict(), args.format))
-            return 0
-        if args.command == "verify":
-            from .reference import verify_tables
-
-            data = verify_tables(group, ctx)
-            sys.stdout.write(_render_verify(data, args.format))
-            return 0 if data["all_pass"] else 1
+        args = _build_parser().parse_args(argv)
+        _, build, render = _COMMANDS[args.command]
+        data = build(args)
+        sys.stdout.write(render(data, args.format))
+        return 0 if data.get("all_pass", True) else 1
     except DomainError as exc:
         sys.stdout.write(_to_json(exc.record()))
         return 1
-    raise AssertionError("unhandled command")  # argparse guards this
 
 
 def main():

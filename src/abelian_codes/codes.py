@@ -400,8 +400,8 @@ _ENUMERATION_BOUND = 2 ** 25  # words: about 20 s over GF(3)
 
 def _route(ctx, o, k):
     """(route, work) for the minimum weight of C_o of dimension k, with the
-    work in enumerated words (a GF(2) word counts a quarter).  This is the
-    one place that decides whether a code is enumerated, bounded or refused.
+    work in enumerated words.  This is the one place that decides whether a
+    code is enumerated, bounded or refused.
 
     Enumerating C_o, or its dual when o - k < k (routes ``span`` and
     ``dual``), costs q^min(k, o - k) words; above _LOW_TABLE_MAX the coset
@@ -417,7 +417,7 @@ def _route(ctx, o, k):
     q = ctx.order
     if k <= DEFAULT_DIMENSION_CAP:
         words = q ** min(k, o - k)
-        route, work = "dual" if o - k < k else "span", words >> 2 * (q == 2)
+        route, work = "dual" if o - k < k else "span", words
         if words > _LOW_TABLE_MAX:
             steps = (q ** k - 1) // lcm(o, q - 1)
             half = (k + 1) // 2

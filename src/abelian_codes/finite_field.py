@@ -324,6 +324,10 @@ class FieldCtx:
             e >>= 1
         return result
 
+    def elements(self):
+        """Every raw, in lex order of its coefficient tuple."""
+        return map(self.raw_from_coeffs, lex_tuples(range(self.p).__iter__, self.m))
+
     def __eq__(self, other):
         return (
             isinstance(other, FieldCtx)
@@ -385,9 +389,6 @@ class PrimeField(FieldCtx):
             return pow(self.inv(a), -e, self.p)
         return pow(a, e, self.p)
 
-    def elements(self):
-        return iter(range(self.p))
-
 
 class BinaryExtField(FieldCtx):
     """GF(2^m): raw scalars are ints whose bit i is the x^i coefficient."""
@@ -424,10 +425,6 @@ class BinaryExtField(FieldCtx):
 
     def mul(self, a, b):
         return _bmulmod(a, b, self._modint)
-
-    def elements(self):
-        for coeffs in itertools.product(range(2), repeat=self.m):
-            yield self.raw_from_coeffs(coeffs)
 
 
 class ExtField(FieldCtx):
@@ -507,9 +504,6 @@ class ExtField(FieldCtx):
                 acc += d * self.xk[k]
         p = self.p
         return tuple((acc >> (bits * i) & mask) % p for i in range(m))
-
-    def elements(self):
-        return lex_tuples(range(self.p).__iter__, self.m)
 
 
 # ---------------------------------------------------------------------------

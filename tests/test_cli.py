@@ -4,6 +4,7 @@ import time
 
 import pytest
 
+from abelian_codes import group_make
 from abelian_codes.cli import run
 
 
@@ -76,53 +77,73 @@ def test_sweep_output_digest(capsys):
         == "7b52fca8f7243e5d47ba415a36912ef70f01cc4c6a8aaef554e6d3457f420940"
 
 
-@pytest.mark.parametrize("argv,digest", [
-    ("subgroups --group 8,4,2 --field 3",
+@pytest.mark.parametrize("argv,status,digest", [
+    ("subgroups --group 8,4,2 --field 3", 0,
      "03d7e6fac1ccb5df159eaaf70c6ab7fff6141cbcebde369e06e2644079179be1"),
-    ("idempotents --group 9,3 --field 2",
+    ("idempotents --group 9,3 --field 2", 0,
      "b3da7382ce61dfa460c309fdb519497a28836ef04b08af65d109681d6267f9db"),
-    ("verify --group 25,5 --field 2",
+    ("verify --group 25,5 --field 2", 0,
      "7cc406e3eec0a9b399ba47f43325cef8c00c79bd5a1bb0c8ce496198504852be"),
-    ("classify --group 9,3 --field 2^2 --with-distributions",
+    ("classify --group 9,3 --field 2^2 --with-distributions", 0,
      "cabb3f6f9e0dc35d2c4de544352022286bb243f2c2a9ed30278023f5785843b4"),
-    ("idempotents --group 9,3 --field 2^2",
+    ("idempotents --group 9,3 --field 2^2", 0,
      "a95a0ac107ce220d23343f7d385b86d49908a406c692f0bed78e4e0f3de7475f"),
-    ("subgroups --group 12,6 --field 5",
+    ("subgroups --group 12,6 --field 5", 0,
      "674126b4c5949ccadc6a3070bdfa036b5bc51ca63b19eed9466f8ce45edfaf76"),
-    ("subgroups --group 45,3 --field 2",
+    ("subgroups --group 45,3 --field 2", 0,
      "0bd9fb9d1afb45abe6b4686a03553704724d6c3aeb986d8f2323205e2e98a9c5"),
-    ("idempotents --group 13 --field 3^2",
+    ("idempotents --group 13 --field 3^2", 0,
      "f128656fbb0ec5a25fdbd24dcd985096bb9de26731072b7f51ac563cb8962e85"),
-    ("idempotents --group 5,5 --field 3",
+    ("idempotents --group 5,5 --field 3", 0,
      "409419e0b44c282cbf30b62ccf27ad94dd9f9fdd1819efc7ef2fe65d1ddf7d06"),
-    ("classify --group 21,3 --field 2^2 --format md",
+    ("classify --group 21,3 --field 2^2 --format md", 0,
      "ad819abcc781945f5d2da4d87181f514b15ee7f2d71cc1b8296e6fc25c4db3bd"),
-    ("classify --group 15,3 --field 2 --format csv --with-distributions",
+    ("classify --group 15,3 --field 2 --format csv --with-distributions", 0,
      "a520c7a6cf8823fa497ee761b0f142168ff8a0aefee72afbf14c45b2db7779e9"),
-    ("verify --group 9,9 --field 2",
+    ("verify --group 9,9 --field 2", 0,
      "49f6b14e0b7bb6874debe471ba67319eb16607d7a763fc3d062c4ff855673c2d"),
-    ("verify --group 3,3,3 --field 5",
+    ("verify --group 3,3,3 --field 5", 0,
      "99f6722c4ba31e5834c15df47ce609130d12970d96754946692c684fcb578cd6"),
-    ("classify --group 38 --field 3",
+    ("classify --group 38 --field 3", 0,
      "719b82782311024ed03bea778cba03657e034356ee42114ef5bdda1bf5e4aea2"),
-    ("classify --group 3,29 --field 2",
+    ("classify --group 3,29 --field 2", 0,
      "eb11930379ae8e8a0b4ef5d6a5a093f66f7bf034a52b20e4378ed158d95a1ea3"),
-    ("classify --group 23 --field 2^3",
+    ("classify --group 23 --field 2^3", 0,
      "f4b8b170c35138cd7936cde06c8ee94a17864b8a07f8f9ce630bfb4ab5443fff"),
-    ("classify --group 25 --field 3^2",
+    ("classify --group 25 --field 3^2", 0,
      "2a2d1efb6ea7000459ca9ad25cfd4b1110e58ba3e142ccaad6a6bcc453f04507"),
-    ("classify --group 29 --field 5 --with-distributions",
+    ("classify --group 29 --field 5 --with-distributions", 0,
      "cfea1fb633f96c4a2c1395c0664d64795a43412bcdded3b50057a4cb04354499"),
-    ("classify --group 7 --field 3^3 --with-distributions",
+    ("classify --group 7 --field 3^3 --with-distributions", 0,
      "894c5b149c527167e950a5b8f955d72a4222b2bd6861597e761a97fe098422e2"),
-    ("idempotents --group 11 --field 7^2",
+    ("idempotents --group 11 --field 7^2", 0,
      "1ae2c96f7b4115d33f6e1771e7ed83378551e4e173357b4a2536e3741bc6e5e0"),
+    ("subgroups --group 9,3 --field 2 --format md", 0,
+     "fbaf7d9cb092cdfd070789f3311b5a678d73bd7d6d960c168b254e731614dd39"),
+    ("subgroups --group 12,6 --field 5 --format csv", 0,
+     "e7498a89b91aef56cdc7a5ae167530ecaf5a54bc9dde748f9730b89dca3b2eda"),
+    ("idempotents --group 9,3 --field 2^2 --format md", 0,
+     "535b096e661a7cb869850d23d5bff78998d5d2d129b0a1fa5a2720dcee6a4345"),
+    ("idempotents --group 5,5 --field 3 --format csv", 0,
+     "27e8bec6024037fd6d1dee22903cdcc0069de6abb4b96cdbbe0039191d92101e"),
+    ("verify --group 25,5 --field 2 --format md", 0,
+     "dbbf9f0d7efc0efcf76d89c67d6718fb1f72f37eb7c5a07b222daf956a72120a"),
+    ("verify --group 3,3,3 --field 5 --format csv", 0,
+     "35262573b06bc6102e5c74b58b83a682c764da7fc074b87c6abbd0d3d4ee145b"),
+    ("sweep --field 2 --max-order 81 --format md", 0,
+     "ac688b093aece316711dd2d8da9441e662a5541dcc819edb6b669d595ba10528"),
+    ("sweep --field 3 --max-order 81 --format csv", 0,
+     "efc4ec4b315854cabefa8e879049a9e856c179dc5908d601fbe6f90e8a422c9b"),
+    ("verify --group 49,7 --field 2 --format md", 1,
+     "dec3a0429685f6e0e9837a582149929840d0f9f27c5bd5e2c757b06ca043c56b"),
 ], ids=["subgroups", "idempotents", "verify", "classify", "idempotents-extension",
         "subgroups-mixed-sylow", "subgroups-mixed-sylow-45", "idempotents-13-gf9",
         "idempotents-5x5", "classify-md", "classify-csv", "verify-9x9",
         "verify-3x3x3", "bound-38-gf3", "bound-3x29-gf2", "bound-23-gf8",
-        "bound-25-gf9", "bound-29-gf5", "classify-7-gf27", "idempotents-11-gf49"])
-def test_output_digest(capsys, argv, digest):
+        "bound-25-gf9", "bound-29-gf5", "classify-7-gf27", "idempotents-11-gf49",
+        "subgroups-md", "subgroups-csv", "idempotents-md", "idempotents-csv",
+        "verify-md", "verify-csv", "sweep-md", "sweep-csv", "verify-hypothesis-fails"])
+def test_output_digest(capsys, argv, status, digest):
     # sha256 of the stdout before subgroups moved to element indices; the
     # extension-base idempotents digest is that of GF(4) embedded in
     # GF(2^(2s)) through the lex-least root of its modulus. The later cases
@@ -133,14 +154,64 @@ def test_output_digest(capsys, argv, digest):
     # (38 over GF(3), next to an exact o = 19 class of the same k = 18), as
     # recorded before --dimension-cap was removed; the last two pin odd-p
     # extension bases, GF(27) embedded in GF(3^6) and GF(49) in GF(7^10),
-    # before the field layer's irreducibility test was merged. A case without
-    # --format is read as JSON.
+    # before the field layer's irreducibility test was merged. The md and csv
+    # cases of subgroups, idempotents, verify and sweep, and the verify
+    # refused by its field hypothesis, pin the output before the four table
+    # commands shared one renderer. A case without --format is read as JSON.
     argv = argv.split()
     if "--format" not in argv:
         argv += ["--format", "json"]
-    status, out = capture(capsys, argv)
-    assert status == 0
+    got, out = capture(capsys, argv)
+    assert got == status
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("fmt,digest", [
+    ("md", "0599116360e7f862f83b5dfabec57c09d965e52f071a733a8c13c20e0168d767"),
+    ("csv", "088a4d4da57a97ca4f76a79827c16e7f580cb35339b816f3df0564ea9a77aa37"),
+    ("json", "238184de4e7c3d5cefeccc4e08cea3cc008e84ab84ecc9588b30573610c89584"),
+])
+def test_verify_with_a_failing_row_exits_1(capsys, monkeypatch, fmt, digest):
+    # with one primitive idempotent withheld, the code count, one
+    # primitivity row and the orbit partition of the 9,3 table fail
+    import abelian_codes.reference as reference
+
+    real = reference.primitive_idempotents
+    monkeypatch.setattr(reference, "primitive_idempotents", lambda G, F: real(G, F)[:-1])
+    status, out = capture(capsys, ["verify", "--group", "9,3", "--field", "2", "--format", fmt])
+    assert status == 1
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+_CORPUS_GROUPS = ("1", "3", "4", "5", "7", "9", "11", "13", "15", "21", "3,3", "5,5", "9,3",
+                  "2,2")
+_CORPUS_COMMANDS = ("subgroups", "idempotents", "verify", "classify",
+                    "classify --with-distributions")
+_FORMATS = ("md", "csv", "json")
+
+
+def _corpus():
+    for field in ("2", "3", "2^2", "5"):
+        for group in _CORPUS_GROUPS:
+            for command in _CORPUS_COMMANDS:
+                for fmt in _FORMATS:
+                    yield command.split() + ["--group", group, "--field", field, "--format", fmt]
+    for field in ("2", "3", "5"):
+        for fmt in _FORMATS:
+            yield ["sweep", "--field", field, "--max-order", "81", "--format", fmt]
+
+
+def test_corpus_digest(capsys):
+    # one sha256 over (argv, exit status, stdout) of 849 runs: every command
+    # in every format over 14 groups and 4 fields, domain errors included
+    # (231 runs exit 1), and the sweep over 3 fields; recorded before the
+    # four table commands shared one renderer
+    digest = hashlib.sha256()
+    for argv in _corpus():
+        status, out = capture(capsys, argv)
+        digest.update(("%s\0%d\0%s\0" % (" ".join(argv), status, out)).encode())
+    assert digest.hexdigest() \
+        == "399ab43bb1de84b1510a6d6d34952e46a5e2bf80386671b1f5512a0a3daf2df5"
 
 
 def test_usage_error_exit_code(capsys):
@@ -425,3 +496,30 @@ def test_classify_with_large_code_dimension_finishes(capsys):
         "classify", "--group", "11", "--field", "7", "--format", "json"])
     assert status == 0
     assert [c["min_weight"] for c in json.loads(out)["codes"]] == [11, 2]
+
+
+@pytest.mark.parametrize("command", ["classify", "idempotents"])
+@pytest.mark.parametrize("group,codes", [
+    ("3,3,3,3,3,3,3,3", 3281), ("7,7,7,7,7", 5603), ("1001,1001", 17371)])
+def test_codes_times_group_order_above_the_bound_is_refused_quickly(
+        capsys, command, group, codes):
+    # 3^8 took 18 s to classify; the other two ran past 20 s
+    from abelian_codes.group_algebra import _IDEMPOTENT_WORK_BOUND
+
+    start = time.perf_counter()
+    status, out = capture(capsys, [command, "--group", group, "--field", "2"])
+    assert time.perf_counter() - start < 1
+    assert status == 1
+    record = json.loads(out)
+    assert record["error_code"] == "GroupTooLarge"
+    order = group_make([int(d) for d in group.split(",")]).order
+    assert record["context"] == {"codes": codes, "order": order, "bound": _IDEMPOTENT_WORK_BOUND}
+    assert codes * order > _IDEMPOTENT_WORK_BOUND
+
+
+def test_codes_times_group_order_below_the_bound_classifies(capsys):
+    # 3^7 over GF(2): 1,094 codes times 2,187 elements
+    status, out = capture(capsys, [
+        "classify", "--group", "3,3,3,3,3,3,3", "--field", "2", "--format", "json"])
+    assert status == 0
+    assert len(json.loads(out)["codes"]) == 1094

@@ -682,3 +682,12 @@ def test_factorization_composite_homocyclic():
         assert K.invariant_factors() == (6,) and h.order() == 6
         e = ide.element
         assert e * e_h == e  # e lies in the ideal generated by e_h
+
+
+def test_the_dimension_cap_alone_bounds_gf2():
+    # under the cap k <= 24 a GF(2) code costs at most 2^min(k, o - k) <= 2^24
+    # words, below the work bound 2^25, so every such o is exact
+    orders = [o for o in range(3, 20000, 2) if mul_order(2, o) <= 24]
+    assert len(orders) == 150
+    for o in orders:
+        assert _route(F2, o, mul_order(2, o))[0] in ("span", "dual", "walk", "step"), o

@@ -351,3 +351,12 @@ def test_is_prime_accepts_a_mersenne_prime_quickly():
     assert is_prime(2 ** 61 - 1) and is_prime(2 ** 31 - 1)
     assert not is_prime(2 ** 61 + 1)
     assert time.perf_counter() - start < 0.1
+
+
+@pytest.mark.parametrize("p,m", [(5, 1), (2, 3), (3, 2)])
+def test_elements_in_lex_order_of_their_coefficients(p, m):
+    F = field_make(p, m)
+    raws = list(F.elements())
+    assert len(raws) == F.order
+    assert raws == [F.raw_from_coeffs(c) for c in itertools.product(range(p), repeat=m)]
+    assert [F.coeffs(raw) for raw in raws] == sorted(F.coeffs(raw) for raw in raws)

@@ -476,3 +476,27 @@ def _two_elements(draw):
 def test_convolution_matches_tuple_addition(pair):
     a, b = pair
     assert (a * b).coeffs == _convolution_by_adding(a, b)
+
+
+@pytest.mark.parametrize("p,m", [(2, 2), (3, 2)])
+def test_from_dict_round_trips_raw_values(p, m):
+    # the nonzero raws of GF(4) and GF(9) come back as given: from_int
+    # read 2 = x over GF(4) as 0, and a GF(9) tuple raised TypeError
+    F = field_make(p, m)
+    G = group_make([7])
+    picked = [raw for raw in F.elements() if raw != F.zero][:G.order]
+    element = get_algebra(G, F).from_dict({(i,): raw for i, raw in enumerate(picked)})
+    assert element.coeffs == tuple(picked) + (F.zero,) * (G.order - len(picked))
+    x = F.raw_from_coeffs((0, 1))
+    assert get_algebra(G, F).from_dict({(1,): x}).coeffs[1] == x
+
+
+@pytest.mark.parametrize("p,m", [(2, 1), (3, 1), (2, 2), (5, 1)])
+def test_code_count_closed_form_matches_the_idempotents(p, m):
+    from abelian_codes.group_algebra import _code_count
+
+    F = field_make(p, m)
+    for n in range(1, 46):
+        if n % p:
+            for G in abelian_groups_of_order(n):
+                assert _code_count(G, F.order) == len(primitive_idempotents(G, F)), G
