@@ -53,6 +53,8 @@ class AbelianGroup:
 
     def __init__(self, divisors):
         divisors = tuple(divisors)
+        if any(d < 1 for d in divisors):
+            raise BadDivisor("divisors must be at least 1", divisors=divisors)
         for a, b in zip(divisors, divisors[1:]):
             if b % a:
                 raise BadDivisor("divisors must form a divisibility chain", divisors=divisors)
@@ -287,7 +289,7 @@ class Subgroup:
         obj = object.__new__(cls)
         obj.group = group
         obj.indices = tuple(indices)
-        obj._set = frozenset(obj.indices)
+        obj._set = None
         obj._generators = generators
         obj._mask = None
         return obj
@@ -313,12 +315,19 @@ class Subgroup:
     def __contains__(self, item):
         exps = item.exps if isinstance(item, GroupElement) else tuple(item)
         try:
-            return self.group.index_of(exps) in self._set
+            return self.group.index_of(exps) in self.index_set
         except KeyError:
             return False
 
     def contains_subgroup(self, other):
-        return other._set <= self._set
+        return other.index_set <= self.index_set
+
+    @property
+    def index_set(self):
+        """Frozenset of the member indices, built on the first query."""
+        if self._set is None:
+            self._set = frozenset(self.indices)
+        return self._set
 
     @property
     def mask(self):
@@ -417,7 +426,7 @@ def quotient_type(group, H):
     """Invariant factors of G/H (empty tuple when H = G)."""
     if not isinstance(H, Subgroup) or H.group != group:
         raise NotASubgroup("H is not a subgroup of G")
-    return _peel_invariant_factors(group, range(group.order), H._set)
+    return _peel_invariant_factors(group, range(group.order), H.indices)
 
 
 def owner_type(group, k):

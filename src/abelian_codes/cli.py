@@ -137,12 +137,12 @@ def _rle(values):
 
 def _idempotents_dict(args):
     group, ctx = args.group, args.field
-    entries = [{
-        "orbit_rep": list(ide.orbit_rep),
-        "phi_subgroup": [list(g) for g in ide.phi_subgroup.generators],
-        "support_size": len(ide.element.support),
-        "coeffs": _rle([c if isinstance(c, int) else list(c) for c in ide.element.coeffs]),
-    } for ide in primitive_idempotents(group, ctx)]
+    entries = []
+    for ide in primitive_idempotents(group, ctx):
+        e = ide.element  # built on each read, so read once
+        entries.append({"orbit_rep": list(ide.orbit_rep),
+                        "phi_subgroup": [list(g) for g in ide.phi_subgroup.generators],
+                        "support_size": len(e.support), "coeffs": _rle(e.coeffs)})
     return {"group": group.spec_string(), "field": ctx.spec_string(), "idempotents": entries}
 
 

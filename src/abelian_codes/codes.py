@@ -572,9 +572,10 @@ def classify(group, ctx, with_distributions=False):
 
     A code's weight distribution depends only on the order o of its
     character (it is C_o with every coordinate repeated |G|/o times), so
-    it is computed once per distinct o that ``_route`` enumerates.  A code
-    of a class that ``_route`` bounds gets its own two-vector bound, which
-    depends on its basis: only such a code is row-reduced on its own."""
+    it is computed once per distinct o that ``_route`` enumerates.  A class
+    that ``_route`` bounds takes the two-vector bound of its first member,
+    which depends on that member's basis, for every member: equivalent
+    codes have one minimum weight, so a class prints one value."""
     algebra = get_algebra(group, ctx)
     codes = [minimal_code(algebra, ide) for ide in primitive_idempotents(group, ctx)]
     # in this order each class, and the list of classes, comes out sorted
@@ -586,19 +587,18 @@ def classify(group, ctx, with_distributions=False):
     classes = []
     by_order = {}
     for members in by_type.values():
-        o = len(members[0].row)
-        if _route(ctx, o, members[0].dimension)[0] not in ("bound", "refused"):
+        first, shared = members[0], None
+        o = len(first.row)
+        if _route(ctx, o, first.dimension)[0] not in ("bound", "refused"):
             if o not in by_order:
-                by_order[o] = weight_distribution(members[0])
+                by_order[o] = weight_distribution(first)
             dist = by_order[o]
-            mw = dist.min_nonzero()
-            shared = dist if with_distributions else None
-            members = [CodeRecord(c, mw, True, shared) for c in members]
+            mw, exact = dist.min_nonzero(), True
+            if with_distributions:
+                shared = dist
         else:
-            members = [
-                CodeRecord(c, *min_weight_or_bound(c), None)
-                for c in members
-            ]
+            mw, exact = min_weight_or_bound(first)
+        members = [CodeRecord(c, mw, exact, shared) for c in members]
         records.extend(members)
         classes.append(CodeClass(members[0], members))
     records.sort(key=lambda r: r.code.generator.orbit_rep)

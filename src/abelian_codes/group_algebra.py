@@ -68,7 +68,10 @@ class GroupAlgebra:
         coeffs = [self.ctx.zero] * self.group.order
         for key, val in assignment.items():
             exps = key.exps if isinstance(key, GroupElement) else tuple(key)
-            coeffs[self.group.index_of(exps)] = val
+            try:
+                coeffs[self.group.index_of(exps)] = val
+            except KeyError:
+                raise GroupMismatch("not an element of the group", element=exps) from None
         return AlgebraElement(self, coeffs)
 
     def __eq__(self, other):
@@ -172,27 +175,25 @@ class AlgebraElement:
 
 
 class PrimitiveIdempotent:
-    """A primitive idempotent with its owning co-cyclic subgroup, the
-    canonical representative of the character orbit that produced it, and
-    its length-o row T_o: the coefficient at g is row[t(g)]
+    """A primitive idempotent held as its length-o row T_o, with its owning
+    co-cyclic subgroup and the canonical representative of the character
+    orbit that produced it: the coefficient at g is row[t(g)]
     (``_character_values``), o the order of the orbit's characters."""
 
-    __slots__ = ("element", "orbit_rep", "phi_subgroup", "row")
+    __slots__ = ("algebra", "orbit_rep", "phi_subgroup", "row")
 
-    def __init__(self, element, orbit_rep, phi_subgroup, row):
-        self.element = element
+    def __init__(self, algebra, orbit_rep, phi_subgroup, row):
+        self.algebra = algebra
         self.orbit_rep = tuple(orbit_rep)
         self.phi_subgroup = phi_subgroup
         self.row = row
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, PrimitiveIdempotent)
-            and self.element == other.element
-        )
-
-    def __hash__(self):
-        return hash(self.element)
+    @property
+    def element(self):
+        """The dense AlgebraElement, built anew on each read."""
+        row = self.row
+        ts = _character_values(self.algebra.group, self.orbit_rep)[1]
+        return AlgebraElement(self.algebra, [row[t] for t in ts])
 
     def __repr__(self):
         return "PrimitiveIdempotent(orbit_rep=%r)" % (self.orbit_rep,)
@@ -310,10 +311,8 @@ def primitive_idempotents(group, ctx):
         o, ts = _character_values(group, rep)
         if o not in tables:
             tables[o] = table(o)
-        row = tables[o]
         owner = Subgroup._from_indices(group, [i for i, t in enumerate(ts) if not t])
-        out.append(PrimitiveIdempotent(
-            AlgebraElement(alg, [row[t] for t in ts]), rep, owner, row))
+        out.append(PrimitiveIdempotent(alg, rep, owner, tables[o]))
     return out
 
 

@@ -225,7 +225,7 @@ def _index_p_cover_within(group, container, H, p):
 
     elems = group.elements
     covers = []
-    tried = set(H._set)
+    tried = set(H.indices)
     for i in container:
         if i in tried or group.scale(p, elems[i]) not in H:
             continue
@@ -233,7 +233,7 @@ def _index_p_cover_within(group, container, H, p):
         for k in range(1, p):
             members.extend(coset(group.scale(k, elems[i])))
         L = Subgroup._from_indices(group, sorted(members))
-        tried |= L._set
+        tried.update(L.indices)
         covers.append(L)
     return sorted(covers)
 
@@ -503,7 +503,7 @@ def subgroup_orbits(group, subgroups):
     """Partition a subgroup list by the Aut(G) action; each orbit is sorted
     and led by its lexicographically minimal member."""
     perms = [psi.perm for psi in aut_generators(group)]
-    input_keys = {H._set: H for H in subgroups}
+    input_keys = {H.index_set: H for H in subgroups}
     remaining = set(input_keys)
     orbits = []
     for key in input_keys:
@@ -654,7 +654,7 @@ def equivalent(code1, code2, auts):
         raise AlgebraMismatch("codes lack owning subgroups")
     if H1.order != H2.order:
         return False  # bijections preserve subgroup order
-    return any(frozenset([psi.perm[i] for i in H1.indices]) == H2._set for psi in auts)
+    return any(frozenset([psi.perm[i] for i in H1.indices]) == H2.index_set for psi in auts)
 
 
 # ---------------------------------------------------------------------------
@@ -873,7 +873,7 @@ def homocyclic_factorization(group, ide, ctx):
     e = ide.element if isinstance(ide, PrimitiveIdempotent) else ide
     algebra = get_algebra(group, ctx)
     cyclic = group_make([n] if n > 1 else [])
-    cyclic_prims = primitive_idempotents(cyclic, ctx)
+    cyclic_coeffs = [f.element.coeffs for f in primitive_idempotents(cyclic, ctx)]
 
     target_type = tuple([n] * (m - 1))
     candidates_K = [
@@ -885,10 +885,10 @@ def homocyclic_factorization(group, ide, ctx):
         for h in order_n_elements:
             if any(group.scale(k, h) in K for k in range(1, n)):
                 continue  # <h> meets K, not a complement
-            for f in cyclic_prims:
+            for f in cyclic_coeffs:
                 embedded = [ctx.zero] * group.order
                 for k in range(n):
-                    embedded[group.index_of(group.scale(k, h))] = f.element.coeffs[
+                    embedded[group.index_of(group.scale(k, h))] = f[
                         cyclic.index_of((k,)) if n > 1 else 0
                     ]
                 e_h = AlgebraElement(algebra, embedded)

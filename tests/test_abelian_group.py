@@ -6,6 +6,7 @@ from math import gcd
 import pytest
 
 from abelian_codes import (
+    AbelianGroup,
     BadDivisor,
     GroupTooLarge,
     NoRootsOfUnity,
@@ -63,6 +64,15 @@ def test_group_make_trivial_and_errors():
         group_make([1, 3])
     with pytest.raises(BadDivisor):
         group_make([0])
+
+
+@pytest.mark.parametrize("divisors", [(2, 0), (-3,), (0,), (0, 2)])
+def test_abelian_group_rejects_divisors_below_one(divisors):
+    # (2, 0) satisfies the divisibility chain but would have order 0,
+    # (-3,) would have no elements, and (0, 2) would divide by zero
+    with pytest.raises(BadDivisor) as info:
+        AbelianGroup(divisors)
+    assert info.value.context == {"divisors": divisors}
 
 
 def test_element_arithmetic_and_order():

@@ -344,11 +344,11 @@ def test_early_stopped_basis_matches_full_reduction(p, m):
         for G in abelian_groups_of_order(n):
             algebra = get_algebra(G, ctx)
             for ide in primitive_idempotents(G, ctx):
-                full = row_reduce_raw(
-                    [ide.element.translated(g).coeffs for g in G.elements], ctx)
+                e = ide.element
+                full = row_reduce_raw([e.translated(g).coeffs for g in G.elements], ctx)
                 code = minimal_code(algebra, ide)
                 assert lifted_basis(code) == full, (G.divisors, ctx, ide.orbit_rep)
-                assert dense_basis(algebra, ide.element) == full
+                assert dense_basis(algebra, e) == full
 
 
 @pytest.mark.parametrize("o,q", [(11, 7), (17, 3), (19, 3), (23, 5)])
@@ -368,12 +368,13 @@ def test_sum_zero_code_distribution_closed_form(capsys, o, q):
 
 
 @pytest.mark.parametrize("divisors,p,m,reductions", [
-    ([15, 15], 2, 1, 4), ([13, 13], 3, 1, 2), ([11, 11], 2, 2, 2), ([81, 3], 2, 1, 7),
+    ([15, 15], 2, 1, 4), ([13, 13], 3, 1, 2), ([11, 11], 2, 2, 2), ([81, 3], 2, 1, 5),
 ])
 def test_classify_reduces_once_per_exact_order_and_bounded_code(
         monkeypatch, divisors, p, m, reductions):
-    # an exact class reads one basis of C_o per distinct o; only a code that
-    # gets the two-vector bound is row-reduced on its own
+    # an exact class reads one basis of C_o per distinct o; a bounded class
+    # row-reduces only its first member, whose two-vector bound every
+    # member prints (81,3 over GF(2): one bounded class of three codes)
     calls = []
     reduce = codes_module._reduce
     monkeypatch.setattr(codes_module, "_reduce",
@@ -382,8 +383,37 @@ def test_classify_reduces_once_per_exact_order_and_bounded_code(
     report = classify(G, field_make(p, m))
     orders = {G.element_order(r.code.generator.orbit_rep)
               for r in report.codes if r.min_weight_exact}
-    bounded = sum(not r.min_weight_exact for r in report.codes)
+    bounded = sum(not c.representative.min_weight_exact for c in report.classes)
     assert len(calls) == len(orders) + bounded == reductions
+
+
+def test_every_member_of_a_bounded_class_prints_the_class_value(capsys):
+    # the own two-vector bounds of the members [1], [2], [4] and [8] of one
+    # k = 14 class over GF(5) differ (48, 49, 51, 48), but G-equivalent
+    # codes have one minimum weight, so the class prints one value
+    from abelian_codes.cli import run
+
+    assert run(["classify", "--group", "87", "--field", "5", "--format", "json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    printed = {tuple(c["idempotent_ref"]): c["min_weight"] for c in report["codes"]}
+    assert any(not c["min_weight_exact"] for c in report["classes"])
+    for c in report["classes"]:
+        assert {printed[tuple(m)] for m in c["members"]} == {c["min_weight"]}, c
+    assert [printed[(k,)] for k in (1, 2, 4, 8)] == [48] * 4
+
+
+@pytest.mark.parametrize("divisors,p", [([9, 3], 2), ([3, 29], 2), ([5, 5, 5], 3)])
+def test_classify_builds_no_dense_element_and_no_member_set(monkeypatch, divisors, p):
+    # classify reads each idempotent's length-o row and each owner's index
+    # tuple: no |G|-length coefficient vector and no owner frozenset
+    built = []
+    init = AlgebraElement.__init__
+    monkeypatch.setattr(AlgebraElement, "__init__",
+                        lambda self, *args: built.append(args) or init(self, *args))
+    report = classify(group_make(divisors), field_make(p), with_distributions=True)
+    report.to_dict()
+    assert not built
+    assert all(r.code.generator.phi_subgroup._set is None for r in report.codes)
 
 
 def test_early_stop_rejects_rank_above_span():

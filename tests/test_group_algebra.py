@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from abelian_codes import (
     AlgebraElement,
     CharDividesOrder,
+    GroupMismatch,
     NoUniqueSubgroup,
     NotCocyclic,
     NotIdempotent,
@@ -489,6 +490,14 @@ def test_from_dict_round_trips_raw_values(p, m):
     assert element.coeffs == tuple(picked) + (F.zero,) * (G.order - len(picked))
     x = F.raw_from_coeffs((0, 1))
     assert get_algebra(G, F).from_dict({(1,): x}).coeffs[1] == x
+
+
+@pytest.mark.parametrize("key", [(4,), (0, 1), ()])
+def test_from_dict_rejects_a_key_outside_the_group(key):
+    alg = get_algebra(group_make([3]), field_make(2))
+    with pytest.raises(GroupMismatch) as info:
+        alg.from_dict({(1,): 1, key: 1})
+    assert info.value.record()["context"] == {"element": key}
 
 
 @pytest.mark.parametrize("p,m", [(2, 1), (3, 1), (2, 2), (5, 1)])

@@ -39,13 +39,14 @@ def test_traced_subgroups_matches_untraced(tmp_path):
 
 
 def test_traced_classify_on_the_bound_path_matches_untraced(tmp_path):
-    # the k = 28 class is over the dimension cap, so min_weight_or_bound runs
-    # under the tracer and reads DEFAULT_DIMENSION_CAP; the counts are those
-    # recorded before --dimension-cap was removed
+    # the two k = 28 classes are over the dimension cap, so min_weight_or_bound
+    # runs under the tracer and reads DEFAULT_DIMENSION_CAP, once per class
+    # (on its first member); the other counts are those recorded before
+    # --dimension-cap was removed
     argv = ["classify", "--group", "3,29", "--field", "2", "--format", "json"]
     traced, record, plain = _traced_and_plain(tmp_path, argv)
     assert traced.stdout == plain.stdout
     metrics = record["metrics"]
-    assert metrics["codes.bound_fallbacks"] == 3
+    assert metrics["codes.bound_fallbacks"] == 2
     assert metrics["codes.minimal_codes"] == 5
     assert metrics["codes.weight_enumerations"] == 2
