@@ -17,8 +17,6 @@ generated by a subgroup S and an element g is the union of the cosets
 S, S + g, S + 2g, ...  Everything is deterministic.
 """
 
-from __future__ import annotations
-
 import itertools
 from math import gcd, lcm, prod
 

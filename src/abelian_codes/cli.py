@@ -7,11 +7,13 @@ produce byte-identical output.  Exit status: 0 success, 1 domain error
 (with a machine-readable error record), 2 usage error.  ``subgroups`` and
 ``verify`` import the reference layer (``reference``) when they run; the
 other commands compile only the engine.
+
+The arguments are read from two tables, ``_COMMANDS`` and ``_OPTIONS``,
+by the rules of argparse: a unique prefix of an option selects it,
+``--opt=value`` attaches a value, the last of repeated options wins, and
+``-h``/``--help`` prints the help and exits 0.
 """
 
-from __future__ import annotations
-
-import argparse
 import json
 import sys
 from math import gcd
@@ -28,7 +30,7 @@ def _parse_group(spec):
         parts = [p.strip() for p in spec.split(",") if p.strip()]
         divisors = [int(p) for p in parts]
     except ValueError:
-        raise argparse.ArgumentTypeError("group spec must be comma-separated integers")
+        raise ValueError("group spec must be comma-separated integers")
     divisors = [d for d in divisors if d != 1]
     return group_make(divisors)
 
@@ -37,9 +39,9 @@ def _positive_int(text):
     try:
         value = int(text)
     except ValueError:
-        raise argparse.ArgumentTypeError("expected an integer, got %r" % text)
+        raise ValueError("expected an integer, got %r" % text)
     if value < 1:
-        raise argparse.ArgumentTypeError("must be at least 1, got %d" % value)
+        raise ValueError("must be at least 1, got %d" % value)
     return value
 
 
@@ -50,7 +52,13 @@ def _parse_field(spec):
             return field_make(int(p_str), int(m_str))
         return field_make(int(spec))
     except ValueError:
-        raise argparse.ArgumentTypeError("field spec must be p or p^m")
+        raise ValueError("field spec must be p or p^m")
+
+
+def _parse_format(text):
+    if text not in ("json", "csv", "md"):
+        raise ValueError("invalid choice: %r (choose from 'json', 'csv', 'md')" % text)
+    return text
 
 
 # ---------------------------------------------------------------------------
@@ -136,7 +144,7 @@ def _rle(values):
 
 
 def _idempotents_dict(args):
-    group, ctx = args.group, args.field
+    group, ctx = args["group"], args["field"]
     entries = []
     for ide in primitive_idempotents(group, ctx):
         e = ide.element  # built on each read, so read once
@@ -149,12 +157,12 @@ def _idempotents_dict(args):
 def _subgroups_dict(args):
     from .reference import all_subgroups
 
-    group, entries = args.group, []
+    group, entries = args["group"], []
     for H in all_subgroups(group):
         quotient = list(quotient_type(group, H))  # G/H cyclic: H is co-cyclic
         entries.append({"generators": [list(g) for g in H.generators], "order": H.order,
                         "quotient": quotient, "cocyclic": len(quotient) == 1})
-    return {"group": group.spec_string(), "field": args.field.spec_string(),
+    return {"group": group.spec_string(), "field": args["field"].spec_string(),
             "subgroups": entries}
 
 
@@ -164,7 +172,7 @@ _SWEEP_ORDER_BOUND = 100_000
 
 
 def _sweep_dict(args):
-    ctx, max_order = args.field, args.max_order
+    ctx, max_order = args["field"], args["max-order"]
     if max_order > _SWEEP_ORDER_BOUND:
         raise GroupTooLarge("sweep bounded", max_order=max_order, bound=_SWEEP_ORDER_BOUND)
     groups = [G for n in range(1, max_order + 1) if gcd(n, ctx.order) == 1
@@ -176,69 +184,200 @@ def _sweep_dict(args):
 
 
 def _classify_dict(args):
-    return classify(args.group, args.field,
-                    with_distributions=args.with_distributions).to_dict()
+    return classify(args["group"], args["field"],
+                    with_distributions=args["with-distributions"]).to_dict()
 
 
 def _verify_dict(args):
     from .reference import verify_tables
 
-    return verify_tables(args.group, args.field)
+    return verify_tables(args["group"], args["field"])
 
 
 # ---------------------------------------------------------------------------
 # entry point
 # ---------------------------------------------------------------------------
 
-# command -> (help, the data of its arguments, the renderer of that data)
+# option -> (converter of its value, or None for a flag; default, or None
+# for a required option; help)
+_OPTIONS = {
+    "--group": (_parse_group, None, "comma-separated divisor list, e.g. 9,3"),
+    "--field": (_parse_field, None, "field spec: p or p^m, e.g. 2 or 2^6"),
+    "--format": (_parse_format, "md", "json, csv or md (default md)"),
+    "--with-distributions": (None, False, "print each code's weight distribution"),
+    "--max-order": (_positive_int, 81, "largest group order swept (default 81)"),
+}
+_ALGEBRA = ("--group", "--field", "--format")
+
+# command -> (help, its options, the data of its arguments, the renderer of
+# that data)
 _COMMANDS = {
-    "subgroups": ("list the subgroup lattice", _subgroups_dict, _table(
+    "subgroups": ("list the subgroup lattice", _ALGEBRA, _subgroups_dict, _table(
         "subgroups", ["generators", "order", "quotient", "cocyclic"],
         "group: {group}  ({count} subgroups)\n\n")),
-    "idempotents": ("dump the primitive idempotents", _idempotents_dict, _table(
+    "idempotents": ("dump the primitive idempotents", _ALGEBRA, _idempotents_dict, _table(
         "idempotents", ["orbit_rep", "phi_subgroup", "support_size", "coeffs"],
         "group: {group}  field: GF({field})\n\n")),
-    "classify": ("classify the minimal codes", _classify_dict, _render_classification),
-    "sweep": ("class count vs tau(exponent) over all small groups", _sweep_dict, _table(
-        "rows", ["group", "class_count", "tau", "homocyclic", "thm56_match"],
-        "field: GF({field})  max order: {max_order}\n\n")),
-    "verify": ("check the built-in reference tables", _verify_dict, _table(
+    "classify": ("classify the minimal codes", _ALGEBRA + ("--with-distributions",),
+                 _classify_dict, _render_classification),
+    "sweep": ("class count vs tau(exponent) over all small groups",
+              ("--field", "--format", "--max-order"), _sweep_dict, _table(
+                  "rows", ["group", "class_count", "tau", "homocyclic", "thm56_match"],
+                  "field: GF({field})  max order: {max_order}\n\n")),
+    "verify": ("check the built-in reference tables", _ALGEBRA, _verify_dict, _table(
         "rows", ["label", "check", "expected", "actual", "pass"],
         "group: {group}  field: GF({field})  table: {table}\nall rows pass: {all_pass}\n\n")),
 }
 
+_HELP = ("-h", "--help")
 
-def _build_parser():
-    parser = argparse.ArgumentParser(
-        prog="abelian-codes",
-        description="Minimal abelian group codes and their equivalence classes.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    commands = {}
-    for name, (help_text, _, _) in _COMMANDS.items():
-        p = commands[name] = sub.add_parser(name, help=help_text)
-        if name != "sweep":
-            p.add_argument("--group", required=True, type=_parse_group,
-                           help="comma-separated divisor list, e.g. 9,3")
-        p.add_argument("--field", required=True, type=_parse_field,
-                       help="field spec: p or p^m, e.g. 2 or 2^6")
-        p.add_argument("--format", choices=["json", "csv", "md"], default="md")
-    commands["classify"].add_argument("--with-distributions", action="store_true")
-    commands["sweep"].add_argument("--max-order", type=_positive_int, default=81)
-    return parser
+
+class _UsageError(Exception):
+    pass
+
+
+def _spelled(name):
+    """The option with its value's placeholder: --group GROUP."""
+    return name if _OPTIONS[name][0] is None else name + " " + name[2:].upper().replace("-", "_")
+
+
+def _usage(command):
+    if command is None:
+        return "usage: abelian-codes [-h] {%s} ...\n" % ",".join(_COMMANDS)
+    return "usage: abelian-codes %s [-h] %s\n" % (command, " ".join(
+        _spelled(n) if _OPTIONS[n][1] is None else "[%s]" % _spelled(n)
+        for n in _COMMANDS[command][1]))
+
+
+def _help(command, name, value):
+    """Print the help of the command (or of the program) and exit 0.  An
+    attached value is refused, except that -hh is -h twice."""
+    if value is not None and (name == "--help" or not value or value.strip("h")):
+        raise _UsageError("argument -h/--help: ignored explicit argument %r" % value)
+    if command is None:
+        head = "Minimal abelian group codes and their equivalence classes.\n\ncommands:\n"
+        rows = [(c, entry[0]) for c, entry in _COMMANDS.items()]
+    else:
+        head = _COMMANDS[command][0] + "\n\noptions:\n"
+        rows = [("-h, --help", "show this help and exit")]
+        rows += [(_spelled(n), _OPTIONS[n][2]) for n in _COMMANDS[command][1]]
+    width = max(len(left) for left, _ in rows) + 2
+    sys.stdout.write(_usage(command) + "\n" + head + "".join(
+        "  %s%s\n" % (left.ljust(width), right) for left, right in rows))
+    raise SystemExit(0)
+
+
+def _is_negative_number(token):
+    """Whether "-" + rest matches argparse's -\\d+ or -\\d*.\\d+ (to the end
+    or to one final newline, as its regular expression does)."""
+    whole, dot, frac = token[1:].removesuffix("\n").partition(".")
+    if dot:
+        return frac.isdecimal() and (not whole or whole.isdecimal())
+    return whole.isdecimal()
+
+
+def _read(token, names):
+    """How argparse reads a token against the option names: None for a
+    value, else (name, the value attached with "=" or after -h, or None),
+    with name None for an unknown option.  A prefix of a long name selects
+    it when unique and is refused when it is not."""
+    if len(token) < 2 or token[0] != "-":
+        return None
+    if token in names:
+        return token, None
+    name, eq, value = token.partition("=")
+    if eq and name in names:
+        return name, value
+    if token[1] == "-":
+        hits = [(n, value if eq else None) for n in names if n.startswith(name)]
+    else:
+        hits = [("-h", token[2:])] if token.startswith("-h") else []
+    if len(hits) > 1:
+        raise _UsageError("ambiguous option: %s could match %s"
+                          % (token, ", ".join(n for n, _ in hits)))
+    if hits:
+        return hits[0]
+    if _is_negative_number(token) or " " in token:
+        return None
+    return None, None
+
+
+def _parse_command(command, tokens, extras):
+    """The option values of one command.  Every token is read before any
+    value is converted; values are converted in argv order; then a missing
+    option, and last an unrecognized token, is refused.  "--" ends the
+    options, so it and every token after it are unrecognized."""
+    options = _COMMANDS[command][1]
+    end = tokens.index("--") if "--" in tokens else len(tokens)
+    reads = [_read(token, _HELP + options) for token in tokens[:end]]
+    values, i = {}, 0
+    while i < end:
+        token, read = tokens[i], reads[i]
+        i += 1
+        if read is None or read[0] is None:
+            extras.append(token)
+            continue
+        name, value = read
+        if name in _HELP:
+            _help(command, name, value)
+        convert = _OPTIONS[name][0]
+        if convert is None:
+            if value is not None:
+                raise _UsageError("argument %s: ignored explicit argument %r" % (name, value))
+            values[name] = True
+            continue
+        if value is None:
+            if i == end or reads[i] is not None:
+                raise _UsageError("argument %s: expected one argument" % name)
+            value = tokens[i]
+            i += 1
+        try:
+            values[name] = convert(value)
+        except (TypeError, ValueError) as exc:
+            raise _UsageError("argument %s: %s" % (name, exc))
+    extras += tokens[end:]
+    missing = [name for name in options if _OPTIONS[name][1] is None and name not in values]
+    if missing:
+        raise _UsageError("the following arguments are required: " + ", ".join(missing))
+    if extras:
+        raise _UsageError("unrecognized arguments: " + " ".join(extras))
+    return {name[2:]: values.get(name, _OPTIONS[name][1]) for name in options}
+
+
+def _parse(argv):
+    """(command, {option without its dashes: value}) from argv.  A usage
+    error exits 2 with the usage on stderr; a domain error raised while a
+    value is converted (e.g. a non-prime characteristic) propagates."""
+    command, extras = None, []
+    try:
+        for i, token in enumerate(argv):
+            read = _read(token, _HELP) if token != "--" else None
+            if read is None:  # the command ("--" too, as argparse reads it); the
+                # tokens after it are the command's own
+                if token not in _COMMANDS:
+                    raise _UsageError("argument command: invalid choice: %r (choose from %s)"
+                                      % (token, ", ".join(map(repr, _COMMANDS))))
+                command = token
+                return command, _parse_command(command, argv[i + 1:], extras)
+            if read[0] is None:
+                extras.append(token)
+            else:
+                _help(None, *read)
+        raise _UsageError("the following arguments are required: command")
+    except _UsageError as exc:
+        prog = "abelian-codes" + (" " + command if command else "")
+        sys.stderr.write("%s%s: error: %s\n" % (_usage(command), prog, exc))
+        raise SystemExit(2)
 
 
 def run(argv):
     """Run one command; the exit status is 0, or 1 on a domain error or on
     a verify table with a failing row."""
     try:
-        # domain errors raised while converting --group/--field (e.g. a
-        # non-prime characteristic) fall through to the handler below;
-        # malformed syntax is a usage error handled by argparse itself
-        args = _build_parser().parse_args(argv)
-        _, build, render = _COMMANDS[args.command]
+        command, args = _parse(argv)
+        _, _, build, render = _COMMANDS[command]
         data = build(args)
-        sys.stdout.write(render(data, args.format))
+        sys.stdout.write(render(data, args["format"]))
         return 0 if data.get("all_pass", True) else 1
     except DomainError as exc:
         sys.stdout.write(_to_json(exc.record()))

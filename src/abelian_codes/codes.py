@@ -8,8 +8,6 @@ criterion.  The search form of that equivalence and the closed-form
 reference tables behind ``verify`` are in ``reference``.
 """
 
-from __future__ import annotations
-
 import itertools
 from collections import Counter
 from math import comb, lcm

@@ -13,8 +13,6 @@ GF(p^(m*s)) built the same way, with the base embedded through a root of
 its modulus (``splitting_field``).
 """
 
-from __future__ import annotations
-
 import itertools
 from math import gcd
 
@@ -624,8 +622,9 @@ def splitting_field(ctx, n):
     return big, embed, restrict
 
 
-def element_of_order(field, n):
-    """The lex-least field element of multiplicative order exactly n."""
+def _any_of_order(field, n):
+    """One field element of multiplicative order exactly n: the first
+    z^((|F| - 1)/n) of that order, z in ``_small_first`` order."""
     if n == 1:
         return field.one
     if (field.order - 1) % n != 0:
@@ -635,15 +634,32 @@ def element_of_order(field, n):
         )
     cofactor = (field.order - 1) // n
     prime_divisors = sorted(factorize(n))
-    found = None  # any one element of order n gives them all
     for z in _small_first(field):
         w = field.pow(z, cofactor)
-        if w == field.one:
-            continue
-        if all(field.pow(w, n // ell) != field.one for ell in prime_divisors):
-            found = w
-            break
-    # every element of order n is a coprime power of any one of them;
-    # walk found^k by a running product
-    powers = itertools.accumulate(itertools.repeat(found, n - 1), field.mul)
-    return min((w for k, w in enumerate(powers, 1) if gcd(k, n) == 1), key=field.coeffs)
+        if w != field.one and all(field.pow(w, n // ell) != field.one
+                                  for ell in prime_divisors):
+            return w
+
+
+def _powers(w, n, field):
+    """w^k for k = 0, 1, ..., n - 1, by a running product."""
+    return itertools.accumulate(itertools.repeat(w, n - 1), field.mul, initial=field.one)
+
+
+def element_of_order(field, n):
+    """The lex-least field element of multiplicative order exactly n.
+
+    Every element of order n is a power found^k, k prime to n, of any one
+    of them; the walk over k streams, since n may be as large as |F| - 1.
+    """
+    powers = enumerate(_powers(_any_of_order(field, n), n, field))
+    return min((w for k, w in powers if gcd(k, n) == 1), key=field.coeffs)
+
+
+def _root_powers(field, n):
+    """zeta^v for v < n, zeta = element_of_order(field, n), from one walk
+    of the powers of an element found of order n: zeta = found^k0 for the
+    k0 prime to n with the lex-least power, so zeta^v = found^(k0*v mod n)."""
+    walk = list(_powers(_any_of_order(field, n), n, field))
+    k0 = min((k for k in range(n) if gcd(k, n) == 1), key=lambda k: field.coeffs(walk[k]))
+    return [walk[k0 * v % n] for v in range(n)]

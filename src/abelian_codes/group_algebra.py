@@ -8,8 +8,6 @@ confined to primitive_idempotents and reduced back before anything is
 returned.
 """
 
-from __future__ import annotations
-
 from functools import lru_cache
 from math import gcd, prod
 
@@ -22,7 +20,7 @@ from .abelian_group import (
     _translation,
 )
 from .errors import CharDividesOrder, GroupMismatch, GroupTooLarge
-from .finite_field import divisors, element_of_order, mul_order, splitting_field
+from .finite_field import _root_powers, divisors, mul_order, splitting_field
 
 # The benchmark's tracer (perfbench/tracer.py) wraps these functions of
 # ``reference`` under this module's name; delete them and ``__getattr__``
@@ -281,10 +279,7 @@ def primitive_idempotents(group, ctx):
     if codes * group.order > _IDEMPOTENT_WORK_BOUND:
         raise GroupTooLarge("primitive idempotents bounded", codes=codes, order=group.order,
                             bound=_IDEMPOTENT_WORK_BOUND)
-    root = element_of_order(big, n)
-    powers = [big.one]
-    for _ in range(n - 1):
-        powers.append(big.mul(powers[-1], root))
+    powers = _root_powers(big, n)  # zeta^v, zeta = element_of_order(big, n)
     inv_order = ctx.inv(ctx.from_int(group.order))
     q = ctx.order
     tables = {}

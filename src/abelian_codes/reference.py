@@ -15,8 +15,6 @@ only, and the tests and demos use it as the definition side of each
 check.
 """
 
-from __future__ import annotations
-
 import itertools
 from functools import partial
 from math import gcd

@@ -1,10 +1,13 @@
 import hashlib
 import json
+import random
 import time
+from collections import Counter
 
+import cli_oracle
 import pytest
 
-from abelian_codes import group_make
+from abelian_codes import cli, group_make
 from abelian_codes.cli import run
 
 
@@ -523,3 +526,91 @@ def test_codes_times_group_order_below_the_bound_classifies(capsys):
         "classify", "--group", "3,3,3,3,3,3,3", "--field", "2", "--format", "json"])
     assert status == 0
     assert len(json.loads(out)["codes"]) == 1094
+
+
+# each option's spellings: exact, unique prefixes, and a prefix of two
+# options ("--f": --field or --format)
+_SPELLINGS = {
+    "--group": ("--group", "--gro", "--g", "--f"),
+    "--field": ("--field", "--fi", "--fiel", "--f"),
+    "--format": ("--format", "--fo", "--form", "--f"),
+    "--with-distributions": ("--with-distributions", "--with", "--w"),
+    "--max-order": ("--max-order", "--max", "--m"),
+}
+# good values first; the rest are refused, or raise a domain error
+_VALUES = {
+    "--group": ("3", "5", "3,3", "1", "9,3", "foo", "4,2", "0", "-5", "", "3,,3", "-", "-x",
+                "-3,3"),
+    "--field": ("2", "3", "2^2", "4", "2^x", "1", "-5", "", "-", "-2^2"),
+    "--format": ("json", "csv", "md", "xml", "-5", "", "JSON"),
+    "--max-order": ("5", "12", "-5", "0", "ten", "2.5", "100001", "-1", " 7"),
+}
+_GOOD = {"--group": 5, "--field": 3, "--format": 3, "--max-order": 2}
+_EXTRAS = ("extra", "-5", "-1.5", "-.5", "-5.", "-", "--", "-h", "--help", "--he", "-hh", "-hx",
+           "--help=1", "-x", "--bogus", "--=2", "9,3")
+
+
+def _oracle_corpus(count, seed=19):
+    """count argvs over the five commands and an unknown one: the command's
+    options, most of them present, in exact, abbreviated, ambiguous and
+    "=" forms, with good or bad values or none, shuffled among extra
+    tokens, which may also come before the command."""
+    rng = random.Random(seed)
+    commands = list(cli_oracle._COMMANDS) + ["frobnicate"]
+    for _ in range(count):
+        command = rng.choice(commands)
+        options = cli._COMMANDS.get(command, (None, tuple(_SPELLINGS)))[1]
+        items = []
+        for name in options + (rng.choice(list(_SPELLINGS)),) * rng.randrange(2):
+            if rng.random() < 0.08:
+                continue
+            spelling = rng.choice(_SPELLINGS[name]) if rng.random() < 0.4 else name
+            if name not in _VALUES:
+                items.append([spelling + "=1" if rng.random() < 0.1 else spelling])
+                continue
+            good = rng.random() < 0.85
+            values = _VALUES[name][:_GOOD[name]] if good else _VALUES[name][_GOOD[name]:]
+            value, form = rng.choice(values), rng.random()
+            if form < 0.15:
+                items.append([spelling + "=" + value])
+            elif form < 0.18:
+                items.append([spelling])  # its value is missing
+            else:
+                items.append([spelling, value])
+        items += [[rng.choice(_EXTRAS)] for _ in range(rng.choice((0, 0, 0, 0, 0, 1, 2)))]
+        rng.shuffle(items)
+        argv = [token for item in items for token in item]
+        head = [rng.choice(_EXTRAS)] if rng.random() < 0.05 else []
+        yield head + [command] + argv
+
+
+def _outcome(capsys, argv):
+    try:
+        status = run(argv)
+    except SystemExit as exc:
+        status = exc.code
+    return status, capsys.readouterr().out
+
+
+def test_parser_matches_the_argparse_oracle(capsys, monkeypatch):
+    # same exit status and stdout as the argparse parser the CLI used
+    # before, except the text of the help, whose status alone is compared
+    corpus = list(_oracle_corpus(2000))
+    got = [_outcome(capsys, argv) for argv in corpus]
+    monkeypatch.setattr(cli, "_parse", cli_oracle.parse)
+    want = [_outcome(capsys, argv) for argv in corpus]
+    for argv, (status, out), (oracle_status, oracle_out) in zip(corpus, got, want):
+        assert status == oracle_status, argv
+        assert out == oracle_out or status == 0 and out.startswith("usage: "), argv
+    statuses = Counter(status for status, _ in want)
+    assert statuses[0] >= 200 and statuses[1] >= 100 and statuses[2] >= 500, statuses
+    assert sum(out.startswith("usage: ") for _, out in got) >= 20
+
+
+def test_negative_numbers_read_as_argparse_reads_them():
+    import argparse
+
+    matcher = argparse.ArgumentParser()._negative_number_matcher
+    for token in ["-5", "-05", "-1.5", "-.5", "-5.", "-.", "-", "-x", "-5x", "-1.5.2",
+                  "-5\n", "-5\n\n", "-\n", "-.5\n", "-\u0665", "-\u00b2", "-1e3", "- 5"]:
+        assert cli._is_negative_number(token) == bool(matcher.match(token)), token

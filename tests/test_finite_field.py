@@ -21,6 +21,7 @@ from abelian_codes.finite_field import (
     _MR_EXACT_BELOW,
     _SPLITTING_DEGREE_BOUND,
     ExtField,
+    _root_powers,
     _first_irreducible,
     _pgcd,
     factorize,
@@ -162,6 +163,25 @@ def test_element_of_order_matches_pow_loop(p, m):
         if gcd(n, ctx.order) == 1:
             big = splitting_field(ctx, n)[0]
             assert element_of_order(big, n) == element_of_order_by_pow(big, n), (ctx, n)
+
+
+@pytest.mark.parametrize("p,m", [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2)])
+def test_root_powers_are_the_running_product_of_element_of_order(p, m):
+    # every n <= 200 prime to q <= 9 with q^s = 1 (mod n) in a field of
+    # degree m*s <= 12 over GF(p)
+    q, fields, checked = p ** m, {}, 0
+    for n in range(1, 201):
+        s = mul_order(q, n) if gcd(n, q) == 1 else 0
+        if not 0 < m * s <= 12:
+            continue
+        if s not in fields:
+            fields[s] = field_make(p, m * s)
+        big = fields[s]
+        zeta = element_of_order(big, n)
+        running = itertools.accumulate(itertools.repeat(zeta, n - 1), big.mul, initial=big.one)
+        assert _root_powers(big, n) == list(running), (q, n)
+        checked += 1
+    assert checked >= 10
 
 
 def test_splitting_field_prime_base():

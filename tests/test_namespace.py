@@ -98,6 +98,29 @@ def test_only_subgroups_and_verify_load_the_reference_layer(argv, loads):
     assert ("reference" in _loaded_after(statement)) == loads
 
 
+_PARSER_MODULES = ("argparse", "gettext", "locale")
+
+
+def _stdlib_loaded_after(statement):
+    code = (statement + "\nimport sys\n"
+            "print(' '.join(n for n in %r if n in sys.modules))" % (_PARSER_MODULES,))
+    env = dict(os.environ, PYTHONPATH=SRC)
+    return set(subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                              capture_output=True, text=True).stdout.split())
+
+
+def test_cli_loads_no_argument_parser_library():
+    # the CLI reads its arguments from its own tables: neither argparse nor
+    # the gettext and locale modules it pulls in load beyond a bare start
+    runs = "".join("    assert run(%r) == 0\n" % (argv,) for argv in [
+        ["classify", "--group", "9,3", "--field", "2", "--with-distributions"],
+        ["idempotents", "--group", "9,3", "--field", "2"],
+        ["sweep", "--field", "2", "--max-order", "20"]])
+    statement = ("import contextlib, io\nfrom abelian_codes.cli import run\n"
+                 "with contextlib.redirect_stdout(io.StringIO()):\n" + runs)
+    assert _stdlib_loaded_after(statement) <= _stdlib_loaded_after("pass")
+
+
 def _tracer_targets():
     spec = importlib.util.spec_from_file_location(
         "perfbench_tracer", os.path.join(ROOT, "perfbench", "tracer.py"))
