@@ -143,7 +143,9 @@ def _basis(ctx, row, k, columns=None):
     """The RREF of the shifts of the length-o row, columns in the given
     order of Z_o (by default Z_o order); a given k is the rank, asserted.
     With the values of t in the order they first appear in G, it reads back
-    through t as the RREF of all |G| translates of the idempotent."""
+    through t as the RREF of all |G| translates of the idempotent.  Read
+    by the walk tables, the two-vector bound and ``verify``'s rank check;
+    enumeration needs no basis (``weight_distribution``)."""
     o = len(row)
     shifts = ([row[(t - s) % o] for t in columns or range(o)] for s in range(o))
     return _reduce(shifts, ctx, o, k)
@@ -224,39 +226,39 @@ def _span_table(gens, add, p):
     return table
 
 
-def _span_weights(ctx, rows, n):
-    """Weight -> count over the GF(q)-span of independent raw rows of
-    length n, by enumerating every codeword once.
+def _span_weights(ctx, row, n):
+    """Weight -> count over the GF(q)-span of the first n shifts of the
+    length-o row, which must be independent, by enumerating every codeword
+    once.
 
-    Every codeword is one GF(p)-combination of the m * dim generators of
+    Every codeword is one GF(p)-combination of the m * n generators of
     ``_p_generators``, each packed into one int (``_packing``).  The span
     of the first generators is tabulated once (at most 4096 entries); the
-    others are walked in modular p-ary Gray order on the negated high part
-    nh, where step k adds the negation of the generator numbered v_p(k).
-    A coordinate of a codeword low - nh is zero exactly when its digits of
-    low and nh agree, so the weight is the number of coordinates of
-    nh ^ low with a nonzero slot, counted over the table in C.  Over GF(2)
-    this is a Gray-code walk with popcounts.
+    others are walked in modular p-ary Gray order on the high part h, where
+    step k adds the generator numbered v_p(k).  As h runs over a
+    GF(p)-space so does -h, so low - h meets every codeword once, and its
+    weight is the number of coordinates of h ^ low with a nonzero slot,
+    counted over the table in C.  Over GF(2) this is a Gray-code walk with
+    popcounts.
     """
-    p = ctx.p
-    pack, add, weights, width = _packing(ctx, n)
-    gens = _p_generators(ctx, rows, pack)
-    negs = _p_generators(ctx, ([ctx.neg(c) for c in b] for b in rows), pack)
+    o, p = len(row), ctx.p
+    pack, add, weights, width = _packing(ctx, o)
+    gens = _p_generators(ctx, ([row[(t - s) % o] for t in range(o)] for s in range(n)), pack)
     low = 0
     while low < len(gens) and p ** (low + 1) <= _LOW_TABLE_MAX:
         low += 1
     table = _span_table(gens[:low], add, p)
 
     hist = Counter(weights(table))
-    nh = 0
-    negs = negs[low:]
-    for step in range(1, p ** len(negs)):
+    h = 0
+    high = gens[low:]
+    for step in range(1, p ** len(high)):
         j = 0
         while step % p == 0:  # step k moves the digit v_p(k)
             step //= p
             j += 1
-        nh = add(nh, negs[j])
-        hist.update(weights(map(nh.__xor__, table)))
+        h = add(h, high[j])
+        hist.update(weights(map(h.__xor__, table)))
     return hist
 
 
@@ -354,20 +356,6 @@ def _coset_weights(ctx, row, k, tables):
     return hist
 
 
-def _dual_rows(rref, ctx, n):
-    """A basis of the dual of the span of the rows of an RREF: one vector
-    per free column f, 1 at f and minus column f at the pivots."""
-    pivots = [next(i for i, c in enumerate(r) if c != ctx.zero) for r in rref]
-    out = []
-    for f in sorted(set(range(n)) - set(pivots)):
-        v = [ctx.zero] * n
-        v[f] = ctx.one
-        for pc, r in zip(pivots, rref):
-            v[pc] = ctx.neg(r[f])
-        out.append(v)
-    return out
-
-
 def _macwilliams(dual_hist, n, q, dual_dim):
     """Weight -> count of a code of length n from the histogram of its
     dual of dimension dual_dim: A_w = q^-dual_dim * sum_i B_i K_w(i) with
@@ -438,10 +426,14 @@ def weight_distribution(code):
     weights are then scaled by ``repeat``.  The route is fixed by q, o and
     k (``_route``): the routes ``walk`` and ``step`` walk one word per
     coset of shifts times scalars (``_coset_weights``); ``span`` and
-    ``dual`` enumerate C_o or its dual, of dimension o - k, from the RREF
-    of the shifts of the row (``_span_weights``), and a dual's histogram is
-    carried back by the MacWilliams identity.  A code that ``_route`` bounds
-    or refuses raises DimensionTooLarge, with the work of that route.
+    ``dual`` enumerate (``_span_weights``) the first k shifts of the
+    idempotent e = (|G|/o) * row of C_o (p does not divide |G|), or the
+    first o - k shifts of its dual's idempotent 1 - e(x^-1) (MacWilliams
+    and Sloane, ch. 8), and a dual's histogram is carried back by the
+    MacWilliams identity.  The first n shifts of the idempotent of a cyclic
+    code of dimension n are independent: its annihilator is (1 - e), whose
+    generator polynomial has degree n.  A code that ``_route`` bounds or
+    refuses raises DimensionTooLarge, with the work of that route.
     """
     ctx, dim, o = code.algebra.ctx, code.dimension, len(code.row)
     route, work = _route(ctx, o, dim)
@@ -451,10 +443,12 @@ def weight_distribution(code):
     if route in ("walk", "step"):
         hist = _coset_weights(ctx, code.row, dim, route == "walk")
     elif route == "dual":
-        dual = _dual_rows(_basis(ctx, code.row, dim), ctx, o)
-        hist = _macwilliams(_span_weights(ctx, dual, o), o, ctx.order, len(dual))
+        e = ctx.from_int(code.repeat)
+        dual = [ctx.sub(ctx.zero if t else ctx.one, ctx.mul(e, code.row[-t % o]))
+                for t in range(o)]
+        hist = _macwilliams(_span_weights(ctx, dual, o - dim), o, ctx.order, o - dim)
     else:
-        hist = _span_weights(ctx, _basis(ctx, code.row, dim), o)
+        hist = _span_weights(ctx, code.row, dim)
     return WeightDistribution(
         {w * code.repeat: c for w, c in hist.items()}, dim, ctx.order)
 

@@ -541,10 +541,11 @@ def _modulus_root(ctx, big):
     """The lex-least root of ctx.modulus in big.
 
     The roots lie in the copy of GF(q)* inside big, q = ctx.order, so the
-    powers of one element of order q - 1 meet one of them; the others are
-    its p-power conjugates.
+    powers of any one element of order q - 1 (``_any_of_order``) meet one
+    of them; the others are its p-power conjugates.  The least of all m
+    roots is returned, so the generator the walk starts from is never read.
     """
-    g = element_of_order(big, ctx.order - 1)
+    g = _any_of_order(big, ctx.order - 1)
     z = g
     while True:
         acc = big.zero

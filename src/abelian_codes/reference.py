@@ -47,7 +47,7 @@ from .errors import (
     NotIdempotent,
     NoUniqueSubgroup,
 )
-from .finite_field import element_of_order, euler_phi, factorize, mul_order
+from .finite_field import _root_powers, euler_phi, factorize, mul_order
 from .group_algebra import (
     AlgebraElement,
     PrimitiveIdempotent,
@@ -289,11 +289,7 @@ def characters(group, ctx):
             exponent=n, field_order=ctx.order,
             needed_degree=mul_order(ctx.order, n),
         )
-    root = element_of_order(ctx, n)
-    powers = [ctx.one]
-    for _ in range(n - 1):
-        powers.append(ctx.mul(powers[-1], root))
-    powers = tuple(powers)
+    powers = tuple(_root_powers(ctx, n))
     return [Character(group, ctx, exps, powers) for exps in group.elements]
 
 

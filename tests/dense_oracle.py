@@ -4,6 +4,8 @@ kept only as test oracles.
 * ``orbit_sum_idempotents`` sums |orbit| root powers for every (orbit, g)
   pair, with the orbits found by ``group.scale`` on exponent tuples;
 * ``element_of_order_by_pow`` raises each coprime power with ``field.pow``;
+* ``modulus_root_by_lex_walk`` finds a root of the base modulus on the
+  powers of the lex-least element of order q - 1;
 * ``lifted_basis`` reads the length-o basis of a minimal code that its
   two-vector bound reduces back at length |G|, and ``dense_basis``
   row-reduces all |G| translates of an element.
@@ -32,6 +34,25 @@ def element_of_order_by_pow(field, n):
             break
     cands = [field.pow(found, k) for k in range(1, n) if gcd(k, n) == 1]
     return min(cands, key=field.coeffs)
+
+
+def modulus_root_by_lex_walk(ctx, big):
+    """The lex-least root of ctx.modulus in big: the first root among the
+    powers of ``element_of_order(big, q - 1)``, then the least of its m
+    p-power conjugates."""
+    g = element_of_order(big, ctx.order - 1)
+    z = g
+    while True:
+        acc = big.zero
+        for c in reversed(ctx.modulus):
+            acc = big.add(big.mul(acc, z), big.from_int(c))
+        if acc == big.zero:
+            break
+        z = big.mul(z, g)
+    roots = [z]
+    for _ in range(ctx.m - 1):
+        roots.append(big.pow(roots[-1], ctx.p))
+    return min(roots, key=big.coeffs)
 
 
 def orbit_sum_idempotents(group, ctx):

@@ -208,7 +208,7 @@ def test_coset_walk_matches_enumeration(p, m):
             continue
         for code in _cyclic_codes(ctx, o):
             assert _coset_weights(ctx, code.row, code.dimension, True) \
-                == _span_weights(ctx, _basis(ctx, code.row, code.dimension), o), (
+                == _span_weights(ctx, code.row, code.dimension), (
                 o, q, code.generator.orbit_rep)
             checked += 1
     assert checked >= 15
@@ -220,7 +220,7 @@ def test_coset_walk_without_tables_matches_enumeration(o, p, m):
     ctx = field_make(p, m)
     for code in _cyclic_codes(ctx, o):
         assert _coset_weights(ctx, code.row, code.dimension, False) \
-            == _span_weights(ctx, _basis(ctx, code.row, code.dimension), o), (
+            == _span_weights(ctx, code.row, code.dimension), (
             o, ctx.order, code.generator.orbit_rep)
 
 
@@ -333,6 +333,45 @@ def test_macwilliams_identity_with_dual_ideal(case, pick):
 
 
 @pytest.mark.parametrize("p,m", WEIGHT_FIELDS)
+def test_idempotent_shifts_span_the_code_and_its_dual(p, m):
+    # weight_distribution enumerates the first k shifts of a code's row, or
+    # the first o - k shifts of the dual idempotent 1 - e(x^-1) with
+    # e = (|G|/o) * row: each set is independent, the row's shifts span no
+    # more than k dimensions, and the two spans are orthogonal; each
+    # (row, e) pair is checked once
+    ctx = field_make(p, m)
+    checked, seen = 0, set()
+    for n in range(1, 41):
+        if gcd(n, ctx.order) != 1:
+            continue
+        for G in abelian_groups_of_order(n):
+            algebra = get_algebra(G, ctx)
+            for ide in primitive_idempotents(G, ctx):
+                code = minimal_code(algebra, ide)
+                row, k, o = code.row, code.dimension, len(code.row)
+                e = ctx.from_int(code.repeat)
+                checked += 1
+                if (tuple(row), e) in seen:
+                    continue
+                seen.add((tuple(row), e))
+                dual = [ctx.sub(ctx.one if t == 0 else ctx.zero, ctx.mul(e, row[-t % o]))
+                        for t in range(o)]
+                shifts = [[row[(t - s) % o] for t in range(o)] for s in range(o)]
+                dual_shifts = ([dual[(t - s) % o] for t in range(o)] for s in range(o - k))
+                assert len(row_reduce_raw(shifts[:k], ctx)) == k, (G.divisors, ide.orbit_rep)
+                assert len(_basis(ctx, row, None)) == k
+                assert len(row_reduce_raw(dual_shifts, ctx)) == o - k
+                # <x^a d, x^b row> = <d, x^(b-a) row>: d against every
+                # shift of the row covers every pair of shifts
+                for c in shifts:
+                    acc = ctx.zero
+                    for a, b in zip(dual, c):
+                        acc = ctx.add(acc, ctx.mul(a, b))
+                    assert acc == ctx.zero, (G.divisors, ide.orbit_rep)
+    assert checked >= 100
+
+
+@pytest.mark.parametrize("p,m", WEIGHT_FIELDS)
 def test_early_stopped_basis_matches_full_reduction(p, m):
     # the basis reduced at length o, read back through t, and the RREF of
     # all |G| translates of the idempotent (over GF(2) as bitmasks) are the
@@ -368,23 +407,27 @@ def test_sum_zero_code_distribution_closed_form(capsys, o, q):
 
 
 @pytest.mark.parametrize("divisors,p,m,reductions", [
-    ([15, 15], 2, 1, 4), ([13, 13], 3, 1, 2), ([11, 11], 2, 2, 2), ([81, 3], 2, 1, 5),
+    ([15, 15], 2, 1, 0), ([13, 13], 3, 1, 0), ([11, 11], 2, 2, 0), ([81, 3], 2, 1, 1),
+    ([23], 3, 1, 1),
 ])
-def test_classify_reduces_once_per_exact_order_and_bounded_code(
+def test_classify_reduces_once_per_walk_order_and_bounded_code(
         monkeypatch, divisors, p, m, reductions):
-    # an exact class reads one basis of C_o per distinct o; a bounded class
-    # row-reduces only its first member, whose two-vector bound every
-    # member prints (81,3 over GF(2): one bounded class of three codes)
+    # the routes span and dual enumerate idempotent shifts unreduced; the
+    # coset walk reads one basis of C_o per distinct o (23 over GF(3)), and
+    # a bounded class row-reduces only its first member, whose two-vector
+    # bound every member prints (81,3 over GF(2): one bounded class of
+    # three codes)
     calls = []
     reduce = codes_module._reduce
     monkeypatch.setattr(codes_module, "_reduce",
                         lambda *args: calls.append(args) or reduce(*args))
-    G = group_make(divisors)
-    report = classify(G, field_make(p, m))
+    G, ctx = group_make(divisors), field_make(p, m)
+    report = classify(G, ctx)
     orders = {G.element_order(r.code.generator.orbit_rep)
               for r in report.codes if r.min_weight_exact}
+    walks = [o for o in orders if _route(ctx, o, mul_order(ctx.order, o))[0] == "walk"]
     bounded = sum(not c.representative.min_weight_exact for c in report.classes)
-    assert len(calls) == len(orders) + bounded == reductions
+    assert len(calls) == len(walks) + bounded == reductions
 
 
 def test_every_member_of_a_bounded_class_prints_the_class_value(capsys):

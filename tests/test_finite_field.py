@@ -3,7 +3,7 @@ import time
 from math import gcd
 
 import pytest
-from dense_oracle import element_of_order_by_pow
+from dense_oracle import element_of_order_by_pow, modulus_root_by_lex_walk
 
 from abelian_codes import (
     DegreeMismatch,
@@ -23,6 +23,7 @@ from abelian_codes.finite_field import (
     ExtField,
     _root_powers,
     _first_irreducible,
+    _modulus_root,
     _pgcd,
     factorize,
     is_prime,
@@ -182,6 +183,23 @@ def test_root_powers_are_the_running_product_of_element_of_order(p, m):
         assert _root_powers(big, n) == list(running), (q, n)
         checked += 1
     assert checked >= 10
+
+
+def test_modulus_root_matches_the_lex_walk():
+    # every base GF(p^m), m >= 2, q <= 1024, in each field of degree
+    # m * s <= 16 over GF(p): the least of the m conjugate roots does not
+    # depend on the element of order q - 1 that the walk starts from
+    checked = 0
+    for p in (p for p in range(2, 32) if is_prime(p)):
+        for m in range(2, 11):
+            if p ** m > 1024:
+                break
+            ctx = field_make(p, m)
+            for s in range(1, 16 // m + 1):
+                big = field_make(p, m * s)
+                assert _modulus_root(ctx, big) == modulus_root_by_lex_walk(ctx, big), (p, m, s)
+                checked += 1
+    assert checked >= 100
 
 
 def test_splitting_field_prime_base():
