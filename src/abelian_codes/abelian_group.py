@@ -122,25 +122,6 @@ class GroupElement:
         self.group = group
         self.exps = tuple(exps)
 
-    def _check(self, other):
-        if not isinstance(other, GroupElement) or other.group != self.group:
-            raise ValueError("elements belong to different groups")
-        return other
-
-    def __add__(self, other):
-        other = self._check(other)
-        return GroupElement(self.group, self.group.add(self.exps, other.exps))
-
-    def __neg__(self):
-        return GroupElement(self.group, self.group.neg(self.exps))
-
-    def __sub__(self, other):
-        other = self._check(other)
-        return self + (-other)
-
-    def __rmul__(self, k):
-        return GroupElement(self.group, self.group.scale(k, self.exps))
-
     def order(self):
         return self.group.element_order(self.exps)
 

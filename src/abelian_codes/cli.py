@@ -16,13 +16,14 @@ by the rules of argparse: a unique prefix of an option selects it,
 
 import json
 import sys
+from itertools import groupby
 from math import gcd
 
 from .abelian_group import abelian_groups_of_order, group_make, quotient_type
 from .codes import classify, tau_sweep
 from .errors import DomainError, GroupTooLarge
 from .finite_field import field_make
-from .group_algebra import primitive_idempotents
+from .group_algebra import _character_values, primitive_idempotents
 
 
 def _parse_group(spec):
@@ -133,24 +134,15 @@ def _render_classification(report_dict, fmt):
             + _md_table(class_headers, class_rows))
 
 
-def _rle(values):
-    runs = []
-    for v in values:
-        if runs and runs[-1][0] == v:
-            runs[-1][1] += 1
-        else:
-            runs.append([v, 1])
-    return runs
-
-
 def _idempotents_dict(args):
     group, ctx = args["group"], args["field"]
     entries = []
     for ide in primitive_idempotents(group, ctx):
-        e = ide.element  # built on each read, so read once
+        ts = _character_values(group, ide.orbit_rep)[1]  # the coefficient at g is row[t(g)]
+        runs = [[v, len(list(run))] for v, run in groupby(ide.row[t] for t in ts)]
         entries.append({"orbit_rep": list(ide.orbit_rep),
                         "phi_subgroup": [list(g) for g in ide.phi_subgroup.generators],
-                        "support_size": len(e.support), "coeffs": _rle(e.coeffs)})
+                        "support_size": sum(n for v, n in runs if v != ctx.zero), "coeffs": runs})
     return {"group": group.spec_string(), "field": ctx.spec_string(), "idempotents": entries}
 
 

@@ -8,7 +8,6 @@ confined to primitive_idempotents and reduced back before anything is
 returned.
 """
 
-from functools import lru_cache
 from math import gcd, prod
 
 from .abelian_group import (
@@ -39,7 +38,6 @@ def __getattr__(name):
     return value
 
 
-@lru_cache(maxsize=None)
 def get_algebra(group, ctx):
     return GroupAlgebra(group, ctx)
 

@@ -41,7 +41,10 @@ def _build_parser():
     return parser
 
 
+_PARSER = _build_parser()
+
+
 def parse(argv):
-    args = vars(_build_parser().parse_args(argv))
+    args = vars(_PARSER.parse_args(argv))
     command = args.pop("command")
     return command, {name.replace("_", "-"): value for name, value in args.items()}

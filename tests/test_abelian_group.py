@@ -33,7 +33,9 @@ from abelian_codes.reference import (
     _AUT_GROUP_ORDER_BOUND,
     _AUT_ORDER_BOUND,
     _SUBGROUPS_ORDER_BOUND,
+    _SUBGROUPS_WORK_BOUND,
     aut_order,
+    subgroup_count,
 )
 
 
@@ -77,12 +79,12 @@ def test_abelian_group_rejects_divisors_below_one(divisors):
 
 def test_element_arithmetic_and_order():
     G = group_make([9, 3])
-    a = G.element((0, 1))
-    b = G.element((1, 0))
-    assert (a + b).exps == (1, 1)
-    assert (-a).exps == (0, 8)
-    assert (3 * a).exps == (0, 3)
-    assert a.order() == 9 and b.order() == 3 and (a + b).order() == 9
+    a, b = (0, 1), (1, 0)
+    assert G.add(a, b) == (1, 1)
+    assert G.neg(a) == (0, 8)
+    assert G.scale(3, a) == (0, 3)
+    assert G.element(a).order() == 9 and G.element(b).order() == 3
+    assert G.element(G.add(a, b)).order() == 9
     assert G.identity.order() == 1
 
 
@@ -141,6 +143,18 @@ def test_all_subgroups_bound():
     with pytest.raises(GroupTooLarge) as exc:
         all_subgroups(group_make([4099]))
     assert exc.value.context == {"order": 4099, "bound": _SUBGROUPS_ORDER_BOUND}
+
+
+def test_subgroup_count_matches_the_enumeration():
+    # every abelian group of order <= 128 under the work bound: all but C_2^7
+    admitted = 0
+    for n in range(1, 129):
+        for G in abelian_groups_of_order(n):
+            count = subgroup_count(G)
+            if count * G.order <= _SUBGROUPS_WORK_BOUND:
+                assert len(all_subgroups(G)) == count, G.divisors
+                admitted += 1
+    assert admitted == 246
 
 
 def test_subgroup_validation():
@@ -350,11 +364,10 @@ def test_power_map_existence_for_every_element_and_exponent():
     power = _power_maps(G)
     power = [psi.perm for psi in automorphisms(G) if psi.perm in power]
     for i, exps in enumerate(G.elements):
-        g = G.element(exps)
-        o = g.order()
+        o = G.element(exps).order()
         for r in range(1, o + 1):
             if gcd(r, o) == 1:
-                assert any(G.elements[perm[i]] == (r * g).exps for perm in power)
+                assert any(G.elements[perm[i]] == G.scale(r, exps) for perm in power)
 
 
 # ---------------------------------------------------------------------------

@@ -379,6 +379,20 @@ def test_idempotents_dump(capsys):
         assert ones == entry["support_size"]
 
 
+@pytest.mark.parametrize("group,field", [("9,3", "2"), ("13", "3^2"), ("3,3", "2^2")])
+def test_engine_commands_build_no_algebra_element(capsys, monkeypatch, group, field):
+    # the engine holds each idempotent as its row, never as a dense element
+    from abelian_codes.group_algebra import AlgebraElement
+
+    def refuse(*args):
+        raise AssertionError("an AlgebraElement was built")
+
+    monkeypatch.setattr(AlgebraElement, "__init__", refuse)
+    for argv in (["classify", "--group", group, "--with-distributions"],
+                 ["idempotents", "--group", group], ["sweep", "--max-order", "27"]):
+        assert capture(capsys, argv + ["--field", field])[0] == 0, argv
+
+
 def test_subgroups_listing(capsys):
     status, out = capture(
         capsys, ["subgroups", "--group", "9,3", "--field", "2",
@@ -526,6 +540,25 @@ def test_codes_times_group_order_below_the_bound_classifies(capsys):
         "classify", "--group", "3,3,3,3,3,3,3", "--field", "2", "--format", "json"])
     assert status == 0
     assert len(json.loads(out)["codes"]) == 1094
+
+
+@pytest.mark.parametrize("group,subgroups", [
+    ("2,2,2,2,2,2,2,2", 417199), ("3,3,3,3,3,3", 56632), ("3,3,3,3,3,3,3", 2052656),
+    (",".join(["2"] * 12), 488176700923)])
+def test_subgroups_times_group_order_above_the_bound_is_refused_quickly(
+        capsys, group, subgroups):
+    # 2^8 and 3^6 ran past 60 s; the lattice is counted, not enumerated
+    from abelian_codes.reference import _SUBGROUPS_WORK_BOUND
+
+    start = time.perf_counter()
+    status, out = capture(capsys, ["subgroups", "--group", group, "--field", "5"])
+    assert time.perf_counter() - start < 1
+    assert status == 1
+    record = json.loads(out)
+    assert record["error_code"] == "GroupTooLarge"
+    order = group_make([int(d) for d in group.split(",")]).order
+    assert record["context"] == {"subgroups": subgroups, "order": order,
+                                 "bound": _SUBGROUPS_WORK_BOUND}
 
 
 # each option's spellings: exact, unique prefixes, and a prefix of two
