@@ -9,9 +9,11 @@ produce byte-identical output.  Exit status: 0 success, 1 domain error
 other commands compile only the engine.
 
 The arguments are read from two tables, ``_COMMANDS`` and ``_OPTIONS``,
-by the rules of argparse: a unique prefix of an option selects it,
-``--opt=value`` attaches a value, the last of repeated options wins, and
-``-h``/``--help`` prints the help and exits 0.
+by the rules of argparse.  A canonical argv (the command, then its
+options each spelled in full, each valued one followed by a value that
+does not start with "-") is read without loading argparse; any other
+argv (help, an abbreviated option, ``--opt=value``, a usage error) is
+read by argparse itself, from the same tables.
 """
 
 import json
@@ -54,12 +56,6 @@ def _parse_field(spec):
         return field_make(int(spec))
     except ValueError:
         raise ValueError("field spec must be p or p^m")
-
-
-def _parse_format(text):
-    if text not in ("json", "csv", "md"):
-        raise ValueError("invalid choice: %r (choose from 'json', 'csv', 'md')" % text)
-    return text
 
 
 # ---------------------------------------------------------------------------
@@ -190,14 +186,19 @@ def _verify_dict(args):
 # entry point
 # ---------------------------------------------------------------------------
 
-# option -> (converter of its value, or None for a flag; default, or None
-# for a required option; help)
+# option -> the keyword arguments of its argparse add_argument, which the
+# fast reader reads too: type, choices, action and required
 _OPTIONS = {
-    "--group": (_parse_group, None, "comma-separated divisor list, e.g. 9,3"),
-    "--field": (_parse_field, None, "field spec: p or p^m, e.g. 2 or 2^6"),
-    "--format": (_parse_format, "md", "json, csv or md (default md)"),
-    "--with-distributions": (None, False, "print each code's weight distribution"),
-    "--max-order": (_positive_int, 81, "largest group order swept (default 81)"),
+    "--group": {"type": _parse_group, "required": True,
+                "help": "comma-separated divisor list, e.g. 9,3"},
+    "--field": {"type": _parse_field, "required": True,
+                "help": "field spec: p or p^m, e.g. 2 or 2^6"},
+    "--format": {"choices": ("json", "csv", "md"), "default": "md",
+                 "help": "output format (default md)"},
+    "--with-distributions": {"action": "store_true",
+                             "help": "print each code's weight distribution"},
+    "--max-order": {"type": _positive_int, "default": 81,
+                    "help": "largest group order swept (default 81)"},
 }
 _ALGEBRA = ("--group", "--field", "--format")
 
@@ -221,145 +222,68 @@ _COMMANDS = {
         "group: {group}  field: GF({field})  table: {table}\nall rows pass: {all_pass}\n\n")),
 }
 
-_HELP = ("-h", "--help")
 
+def _argparse_parse(argv):
+    """What argparse reads from argv, with a parser built from the tables:
+    it prints the help and exits 0, or exits 2 with the usage on a usage
+    error.  A converter's ValueError is a usage error with its text."""
+    import argparse
 
-class _UsageError(Exception):
-    pass
+    def checked(convert):
+        def check(text):
+            try:
+                return convert(text)
+            except ValueError as exc:
+                raise argparse.ArgumentTypeError(str(exc))
+        return check
 
-
-def _spelled(name):
-    """The option with its value's placeholder: --group GROUP."""
-    return name if _OPTIONS[name][0] is None else name + " " + name[2:].upper().replace("-", "_")
-
-
-def _usage(command):
-    if command is None:
-        return "usage: abelian-codes [-h] {%s} ...\n" % ",".join(_COMMANDS)
-    return "usage: abelian-codes %s [-h] %s\n" % (command, " ".join(
-        _spelled(n) if _OPTIONS[n][1] is None else "[%s]" % _spelled(n)
-        for n in _COMMANDS[command][1]))
-
-
-def _help(command, name, value):
-    """Print the help of the command (or of the program) and exit 0.  An
-    attached value is refused, except that -hh is -h twice."""
-    if value is not None and (name == "--help" or not value or value.strip("h")):
-        raise _UsageError("argument -h/--help: ignored explicit argument %r" % value)
-    if command is None:
-        head = "Minimal abelian group codes and their equivalence classes.\n\ncommands:\n"
-        rows = [(c, entry[0]) for c, entry in _COMMANDS.items()]
-    else:
-        head = _COMMANDS[command][0] + "\n\noptions:\n"
-        rows = [("-h, --help", "show this help and exit")]
-        rows += [(_spelled(n), _OPTIONS[n][2]) for n in _COMMANDS[command][1]]
-    width = max(len(left) for left, _ in rows) + 2
-    sys.stdout.write(_usage(command) + "\n" + head + "".join(
-        "  %s%s\n" % (left.ljust(width), right) for left, right in rows))
-    raise SystemExit(0)
-
-
-def _is_negative_number(token):
-    """Whether "-" + rest matches argparse's -\\d+ or -\\d*.\\d+ (to the end
-    or to one final newline, as its regular expression does)."""
-    whole, dot, frac = token[1:].removesuffix("\n").partition(".")
-    if dot:
-        return frac.isdecimal() and (not whole or whole.isdecimal())
-    return whole.isdecimal()
-
-
-def _read(token, names):
-    """How argparse reads a token against the option names: None for a
-    value, else (name, the value attached with "=" or after -h, or None),
-    with name None for an unknown option.  A prefix of a long name selects
-    it when unique and is refused when it is not."""
-    if len(token) < 2 or token[0] != "-":
-        return None
-    if token in names:
-        return token, None
-    name, eq, value = token.partition("=")
-    if eq and name in names:
-        return name, value
-    if token[1] == "-":
-        hits = [(n, value if eq else None) for n in names if n.startswith(name)]
-    else:
-        hits = [("-h", token[2:])] if token.startswith("-h") else []
-    if len(hits) > 1:
-        raise _UsageError("ambiguous option: %s could match %s"
-                          % (token, ", ".join(n for n, _ in hits)))
-    if hits:
-        return hits[0]
-    if _is_negative_number(token) or " " in token:
-        return None
-    return None, None
-
-
-def _parse_command(command, tokens, extras):
-    """The option values of one command.  Every token is read before any
-    value is converted; values are converted in argv order; then a missing
-    option, and last an unrecognized token, is refused.  "--" ends the
-    options, so it and every token after it are unrecognized."""
-    options = _COMMANDS[command][1]
-    end = tokens.index("--") if "--" in tokens else len(tokens)
-    reads = [_read(token, _HELP + options) for token in tokens[:end]]
-    values, i = {}, 0
-    while i < end:
-        token, read = tokens[i], reads[i]
-        i += 1
-        if read is None or read[0] is None:
-            extras.append(token)
-            continue
-        name, value = read
-        if name in _HELP:
-            _help(command, name, value)
-        convert = _OPTIONS[name][0]
-        if convert is None:
-            if value is not None:
-                raise _UsageError("argument %s: ignored explicit argument %r" % (name, value))
-            values[name] = True
-            continue
-        if value is None:
-            if i == end or reads[i] is not None:
-                raise _UsageError("argument %s: expected one argument" % name)
-            value = tokens[i]
-            i += 1
-        try:
-            values[name] = convert(value)
-        except (TypeError, ValueError) as exc:
-            raise _UsageError("argument %s: %s" % (name, exc))
-    extras += tokens[end:]
-    missing = [name for name in options if _OPTIONS[name][1] is None and name not in values]
-    if missing:
-        raise _UsageError("the following arguments are required: " + ", ".join(missing))
-    if extras:
-        raise _UsageError("unrecognized arguments: " + " ".join(extras))
-    return {name[2:]: values.get(name, _OPTIONS[name][1]) for name in options}
+    parser = argparse.ArgumentParser(
+        prog="abelian-codes",
+        description="Minimal abelian group codes and their equivalence classes.")
+    subparsers = parser.add_subparsers(dest="command", required=True)
+    for command, (help_text, options, _, _) in _COMMANDS.items():
+        sub = subparsers.add_parser(command, help=help_text)
+        for name in options:
+            spec = dict(_OPTIONS[name])
+            if "type" in spec:
+                spec["type"] = checked(spec["type"])
+            sub.add_argument(name, **spec)
+    args = vars(parser.parse_args(argv))
+    return args.pop("command"), {name.replace("_", "-"): value for name, value in args.items()}
 
 
 def _parse(argv):
-    """(command, {option without its dashes: value}) from argv.  A usage
-    error exits 2 with the usage on stderr; a domain error raised while a
-    value is converted (e.g. a non-prime characteristic) propagates."""
-    command, extras = None, []
+    """(command, {option without its dashes: value}) from argv.  A canonical
+    argv, the command and then its options, each spelled in full and each
+    valued one followed by a value that does not start with "-" (one of its
+    choices, if it has them), is read here; any other argv, or one with a
+    value its converter refuses, is read by argparse.  A domain error raised while a value is converted
+    (e.g. a non-prime characteristic) propagates."""
+    if not argv or argv[0] not in _COMMANDS:
+        return _argparse_parse(argv)
+    options, given, tokens = _COMMANDS[argv[0]][1], [], iter(argv[1:])
+    for name in tokens:
+        if name not in options:
+            return _argparse_parse(argv)
+        spec = _OPTIONS[name]
+        if "action" in spec:
+            given.append((name, True))
+            continue
+        text = next(tokens, "-")
+        if text.startswith("-") or text not in spec.get("choices", (text,)):
+            return _argparse_parse(argv)
+        given.append((name, text))
+    if not {name for name in options if _OPTIONS[name].get("required")} <= dict(given).keys():
+        return _argparse_parse(argv)
+    # each option at its default (a flag's is False), then at its values
+    values = {name[2:]: _OPTIONS[name].get("default", False) for name in options}
     try:
-        for i, token in enumerate(argv):
-            read = _read(token, _HELP) if token != "--" else None
-            if read is None:  # the command ("--" too, as argparse reads it); the
-                # tokens after it are the command's own
-                if token not in _COMMANDS:
-                    raise _UsageError("argument command: invalid choice: %r (choose from %s)"
-                                      % (token, ", ".join(map(repr, _COMMANDS))))
-                command = token
-                return command, _parse_command(command, argv[i + 1:], extras)
-            if read[0] is None:
-                extras.append(token)
-            else:
-                _help(None, *read)
-        raise _UsageError("the following arguments are required: command")
-    except _UsageError as exc:
-        prog = "abelian-codes" + (" " + command if command else "")
-        sys.stderr.write("%s%s: error: %s\n" % (_usage(command), prog, exc))
-        raise SystemExit(2)
+        for name, text in given:  # in argv order, every occurrence, as argparse converts
+            convert = _OPTIONS[name].get("type")
+            values[name[2:]] = convert(text) if convert else text
+    except ValueError:
+        return _argparse_parse(argv)
+    return argv[0], values
 
 
 def run(argv):

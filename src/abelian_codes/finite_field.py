@@ -71,20 +71,58 @@ def is_prime(n):
     return True
 
 
+# factorize trial-divides below this bound, then splits what is left by
+# Pollard's rho, so no input costs a walk to its square root
+_TRIAL_BOUND = 100
+
+
+def _rho_factor(n):
+    """A proper factor of the odd composite n, by Brent's variant of
+    Pollard's rho on x -> x^2 + c, c = 1, 2, ... until one splits n."""
+    for c in itertools.count(1):
+        y, r, g = 2, 1, 1
+        while g == 1:
+            x, k = y, 0
+            for _ in range(r):
+                y = (y * y + c) % n
+            while k < r and g == 1:
+                ys, prod = y, 1
+                for _ in range(min(128, r - k)):
+                    y = (y * y + c) % n
+                    prod = prod * abs(x - y) % n
+                g, k = gcd(prod, n), k + 128
+            r *= 2
+        if g == n:  # the batch overshot: step it again one term at a time
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = gcd(abs(x - ys), n)
+        if g < n:
+            return g
+
+
 def factorize(n):
-    """Prime factorization of n >= 1 as {prime: exponent}."""
+    """Prime factorization of n >= 1 as {prime: exponent}, primes ascending.
+    A cofactor without a small factor past is_prime's bound raises
+    DegreeTooLarge."""
     if n < 1:
         raise ValueError("factorize expects n >= 1")
     out = {}
     d = 2
-    while d * d <= n:
+    while d * d <= n and d < _TRIAL_BOUND:
         while n % d == 0:
             out[d] = out.get(d, 0) + 1
             n //= d
         d += 1 if d == 2 else 2
-    if n > 1:
-        out[n] = out.get(n, 0) + 1
-    return out
+    rest = [n] if n > 1 else []
+    while rest:  # every prime factor left is at least d
+        m = rest.pop()
+        if d * d > m or is_prime(m):
+            out[m] = out.get(m, 0) + 1
+        else:
+            f = _rho_factor(m)
+            rest += [f, m // f]
+    return dict(sorted(out.items()))
 
 
 def euler_phi(n):

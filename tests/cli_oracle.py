@@ -1,9 +1,11 @@
-"""The argparse parser that ``cli`` used before it read its arguments from
-its own tables, kept as the oracle of ``cli._parse``.
+"""An argparse parser written independently of ``cli``'s tables, kept as
+the oracle of ``cli._parse``.  The tests check against it both the fast
+reader of canonical argv and the argparse parser that ``cli`` builds from
+its tables for every other argv.
 
 ``parse(argv)`` returns what ``cli._parse`` returns, (command, {option
 without its dashes: value}), or exits as argparse does.  The converters are
-the CLI's own; they raise ValueError where they raised ArgumentTypeError,
+the CLI's own; they raise ValueError where ``cli`` raises ArgumentTypeError,
 which argparse refuses the same way (exit 2, nothing on stdout).
 """
 

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import random
 import time
@@ -319,10 +320,14 @@ def test_walk_over_a_huge_field_is_bounded(capsys):
     ("classify --group 1000000007 --field 2", 500000003),
     ("idempotents --group 1000000007 --field 2", 500000003),
     ("verify --group 1000003 --field 2", 1000002),
+    ("classify --group 1000000000000000003 --field 2", 1000000000000000002),
+    ("idempotents --group 1000000000000000003 --field 2", 1000000000000000002),
+    ("classify --group 1000000007,1000000009 --field 2", 62500000875000003),
 ])
 def test_large_splitting_degree_is_refused_quickly(capsys, argv, degree):
     # ord_n(q) is read off phi(n), not stepped to; verify refuses before it
-    # builds the |G|-length reference idempotents
+    # builds the |G|-length reference idempotents.  n and phi(n) factor at
+    # once: Pollard's rho splits what the trial division leaves
     start = time.perf_counter()
     status, out = capture(capsys, argv.split() + ["--format", "json"])
     assert time.perf_counter() - start < 1
@@ -640,10 +645,36 @@ def test_parser_matches_the_argparse_oracle(capsys, monkeypatch):
     assert sum(out.startswith("usage: ") for _, out in got) >= 20
 
 
-def test_negative_numbers_read_as_argparse_reads_them():
-    import argparse
+def test_canonical_argv_is_read_without_argparse(monkeypatch):
+    # every command with its options in every order, each spelled in full,
+    # fields spelled p, p^1 and p^m, classify with and without
+    # --with-distributions: read by the fast reader, as argparse reads them
+    def refuse(argv):
+        raise AssertionError("handed to argparse: %r" % (argv,))
 
-    matcher = argparse.ArgumentParser()._negative_number_matcher
-    for token in ["-5", "-05", "-1.5", "-.5", "-5.", "-.", "-", "-x", "-5x", "-1.5.2",
-                  "-5\n", "-5\n\n", "-\n", "-.5\n", "-\u0665", "-\u00b2", "-1e3", "- 5"]:
-        assert cli._is_negative_number(token) == bool(matcher.match(token)), token
+    values = {"--group": "9,3", "--format": "json", "--max-order": "5"}
+    count = 0
+    for command, (_, options, _, _) in cli._COMMANDS.items():
+        for present in {options, tuple(n for n in options if n != "--with-distributions")}:
+            for order in itertools.permutations(present):
+                for field in ("2", "2^1", "2^3"):
+                    argv = [command] + [token for name in order for token in (
+                        [name] if name == "--with-distributions"
+                        else [name, values.get(name, field)])]
+                    with monkeypatch.context() as patch:
+                        patch.setattr(cli, "_argparse_parse", refuse)
+                        got = cli._parse(argv)
+                    assert got == cli_oracle.parse(argv), argv
+                    count += 1
+    assert count == 4 * 6 * 3 + (24 + 6) * 3
+
+
+def test_subgroups_of_a_large_prime_order_is_refused_quickly(capsys):
+    # the order, 10^18 + 3, is prime: factorize ran trial division to its
+    # square root before the order bound was checked
+    start = time.perf_counter()
+    status, out = capture(capsys, ["subgroups", "--group", "1000000000000000003", "--field", "2",
+                                   "--format", "json"])
+    assert time.perf_counter() - start < 2
+    assert status == 1
+    assert json.loads(out)["context"] == {"order": 1000000000000000003, "bound": 4096}

@@ -391,6 +391,32 @@ def test_is_prime_accepts_a_mersenne_prime_quickly():
     assert time.perf_counter() - start < 0.1
 
 
+def _factorize_by_trial_division(n):
+    out, d = {}, 2
+    while d * d <= n:
+        while n % d == 0:
+            out[d], n = out.get(d, 0) + 1, n // d
+        d += 1 if d == 2 else 2
+    if n > 1:
+        out[n] = out.get(n, 0) + 1
+    return out
+
+
+def test_factorize_matches_trial_division():
+    # the primes ascending; Pollard's rho splits every n < 2*10^5 whose
+    # prime factors are all past the trial bound (p^2 and p^3 among them)
+    for n in range(1, 2 * 10 ** 5):
+        assert list(factorize(n).items()) == list(_factorize_by_trial_division(n).items()), n
+
+
+def test_factorize_splits_large_cofactors_quickly():
+    start = time.perf_counter()
+    assert factorize(1000000000039 * 1000000000061) == {1000000000039: 1, 1000000000061: 1}
+    assert factorize((2 ** 31 - 1) ** 2 * 7) == {7: 1, 2 ** 31 - 1: 2}
+    assert factorize(2 ** 64 * (2 ** 61 - 1)) == {2: 64, 2 ** 61 - 1: 1}
+    assert time.perf_counter() - start < 2
+
+
 @pytest.mark.parametrize("p,m", [(5, 1), (2, 3), (3, 2)])
 def test_elements_in_lex_order_of_their_coefficients(p, m):
     F = field_make(p, m)

@@ -115,7 +115,11 @@ def test_cli_loads_no_argument_parser_library():
     runs = "".join("    assert run(%r) == 0\n" % (argv,) for argv in [
         ["classify", "--group", "9,3", "--field", "2", "--with-distributions"],
         ["idempotents", "--group", "9,3", "--field", "2"],
-        ["sweep", "--field", "2", "--max-order", "20"]])
+        ["sweep", "--field", "2", "--max-order", "20"],
+        # as the benchmark spells its jobs
+        ["classify", "--with-distributions", "--field", "2^1", "--group", "9,3",
+         "--format", "json"],
+        ["sweep", "--max-order", "20", "--field", "3^1", "--format", "json"]])
     statement = ("import contextlib, io\nfrom abelian_codes.cli import run\n"
                  "with contextlib.redirect_stdout(io.StringIO()):\n" + runs)
     assert _stdlib_loaded_after(statement) <= _stdlib_loaded_after("pass")
