@@ -16,10 +16,10 @@ argv (help, an abbreviated option, ``--opt=value``, a usage error) is
 read by argparse itself, from the same tables.
 """
 
-import json
 import sys
-from itertools import groupby
+from itertools import chain, groupby
 from math import gcd
+from types import GeneratorType
 
 from .abelian_group import abelian_groups_of_order, group_make, quotient_type
 from .codes import classify, tau_sweep
@@ -62,8 +62,58 @@ def _parse_field(spec):
 # renderers
 # ---------------------------------------------------------------------------
 
-def _to_json(obj):
-    return json.dumps(obj, indent=2) + "\n"
+def _json(obj, indent="\n"):
+    """json.dumps(obj, indent=2) of a value that starts at the given indent
+    (a newline and its spaces), for dict keys that are strings.  A list of
+    ints, or of nonempty lists of ints, is cut from its repr.  A float, or a
+    string with a character that JSON escapes, is left to ``json.dumps``."""
+    if obj is None or obj is True or obj is False:
+        return "null" if obj is None else "true" if obj else "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    if isinstance(obj, str) and obj.isascii() and obj.isprintable() \
+            and '"' not in obj and "\\" not in obj:
+        return '"' + obj + '"'
+    inner = indent + "  "
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        items = (_json(k) + ": " + _json(v, inner) for k, v in obj.items())
+        return "{" + inner + ("," + inner).join(items) + indent + "}"
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        types = set(map(type, obj))
+        if types == {int}:
+            return "[" + inner + repr(list(obj))[1:-1].replace(", ", "," + inner) + indent + "]"
+        if types == {list} and all(obj) and set(map(type, chain.from_iterable(obj))) == {int}:
+            inner2 = inner + "  "
+            body = repr(list(obj))[2:-2].replace("], [", "\0").replace(", ", "," + inner2)
+            return "[" + inner + "[" + inner2 + body.replace(
+                "\0", inner + "]," + inner + "[" + inner2) + inner + "]" + indent + "]"
+        return "[" + inner + ("," + inner).join(_json(x, inner) for x in obj) + indent + "]"
+    import json
+
+    return json.dumps(obj)
+
+
+def _json_pieces(data):
+    """The text of json.dumps(data, indent=2) plus a newline, for a dict
+    data, in pieces: each element of a list or generator at its top level
+    is one piece, so a generator is rendered one element at a time."""
+    head = "{"
+    for key, value in data.items():
+        if isinstance(value, (list, GeneratorType)):
+            yield head + "\n  " + _json(key) + ": ["
+            sep = "\n    "
+            for item in value:
+                yield sep + _json(item, "\n    ")
+                sep = ",\n    "
+            yield "]" if sep == "\n    " else "\n  ]"
+        else:
+            yield head + "\n  " + _json(key) + ": " + _json(value, "\n  ")
+        head = ","
+    yield "\n}\n" if data else "{}\n"
 
 
 def _csv_block(headers, rows):
@@ -87,6 +137,8 @@ def _fmt_cell(value):
     if isinstance(value, bool):
         return "yes" if value else "no"
     if isinstance(value, list):
+        import json
+
         return json.dumps(value)
     return value
 
@@ -101,18 +153,18 @@ def _table(key, headers, head):
     is formatted with the data's other cells and the row count."""
     def render(data, fmt):
         if fmt == "json":
-            return _to_json(data)
+            return _json_pieces(data)
         rows = _rows(headers, data[key])
         if fmt == "csv":
-            return _csv_block(headers, rows)
+            return [_csv_block(headers, rows)]
         cells = {k: _fmt_cell(v) for k, v in data.items() if k != key}
-        return head.format(count=len(rows), **cells) + _md_table(headers, rows)
+        return [head.format(count=len(rows), **cells) + _md_table(headers, rows)]
     return render
 
 
 def _render_classification(report_dict, fmt):
     if fmt == "json":
-        return _to_json(report_dict)
+        return _json_pieces(report_dict)
     code_headers = ["idempotent_ref", "phi_subgroup", "dimension", "min_weight",
                     "min_weight_exact", "distribution"]
     class_headers = ["representative", "members", "size", "dimension", "min_weight"]
@@ -121,25 +173,30 @@ def _render_classification(report_dict, fmt):
     class_rows = _rows(class_headers, report_dict["classes"])
     summary = [report_dict[h] for h in summary_headers]
     if fmt == "csv":
-        return (_csv_block(["section"] + code_headers, [["code"] + r for r in code_rows])
-                + _csv_block(["section"] + class_headers, [["class"] + r for r in class_rows])
-                + _csv_block(["section"] + summary_headers, [["summary"] + summary]))
-    return ("group: %s  field: GF(%s)  class_count: %d  tau: %d  homocyclic: %s  "
-            "thm56_match: %s\n\ncodes:\n" % tuple(map(_fmt_cell, summary))
-            + _md_table(code_headers, code_rows) + "\nclasses:\n"
-            + _md_table(class_headers, class_rows))
+        return [_csv_block(["section"] + code_headers, [["code"] + r for r in code_rows]),
+                _csv_block(["section"] + class_headers, [["class"] + r for r in class_rows]),
+                _csv_block(["section"] + summary_headers, [["summary"] + summary])]
+    return ["group: %s  field: GF(%s)  class_count: %d  tau: %d  homocyclic: %s  "
+            "thm56_match: %s\n\ncodes:\n" % tuple(map(_fmt_cell, summary)),
+            _md_table(code_headers, code_rows), "\nclasses:\n",
+            _md_table(class_headers, class_rows)]
 
 
 def _idempotents_dict(args):
+    """The idempotents' data, with the entries as a generator: every
+    refusal is raised here, and an entry is built only when it is read."""
     group, ctx = args["group"], args["field"]
-    entries = []
-    for ide in primitive_idempotents(group, ctx):
-        ts = _character_values(group, ide.orbit_rep)[1]  # the coefficient at g is row[t(g)]
-        runs = [[v, len(list(run))] for v, run in groupby(ide.row[t] for t in ts)]
-        entries.append({"orbit_rep": list(ide.orbit_rep),
-                        "phi_subgroup": [list(g) for g in ide.phi_subgroup.generators],
-                        "support_size": sum(n for v, n in runs if v != ctx.zero), "coeffs": runs})
-    return {"group": group.spec_string(), "field": ctx.spec_string(), "idempotents": entries}
+
+    def entries(ides):
+        for ide in ides:
+            ts = _character_values(group, ide.orbit_rep)[1]  # the coefficient at g is row[t(g)]
+            runs = [[v, len(list(run))] for v, run in groupby(map(ide.row.__getitem__, ts))]
+            yield {"orbit_rep": list(ide.orbit_rep),
+                   "phi_subgroup": [list(g) for g in ide.phi_subgroup.generators],
+                   "support_size": sum(n for v, n in runs if v != ctx.zero), "coeffs": runs}
+
+    return {"group": group.spec_string(), "field": ctx.spec_string(),
+            "idempotents": entries(primitive_idempotents(group, ctx))}
 
 
 def _subgroups_dict(args):
@@ -154,8 +211,9 @@ def _subgroups_dict(args):
             "subgroups": entries}
 
 
-# sweep --max-order above this is refused before any group is built: the
-# sweep takes about 9 s and 106 MB at 10^5, and grows linearly
+# sweep --max-order above this is refused before any group is built: on a
+# 2-vCPU VM the sweep takes 3.2-3.6 s and 59 MB at 10^5, mostly building
+# the groups, and grows linearly
 _SWEEP_ORDER_BOUND = 100_000
 
 
@@ -293,10 +351,18 @@ def run(argv):
         command, args = _parse(argv)
         _, _, build, render = _COMMANDS[command]
         data = build(args)
-        sys.stdout.write(render(data, args["format"]))
+        # whole pieces in batches: an unbuffered stdout makes each write a system call
+        batch, size = [], 0
+        for piece in render(data, args["format"]):
+            batch.append(piece)
+            size += len(piece)
+            if size >= 1 << 16:
+                sys.stdout.write("".join(batch))
+                batch, size = [], 0
+        sys.stdout.write("".join(batch))
         return 0 if data.get("all_pass", True) else 1
     except DomainError as exc:
-        sys.stdout.write(_to_json(exc.record()))
+        sys.stdout.write("".join(_json_pieces(exc.record())))
         return 1
 
 

@@ -8,7 +8,6 @@ criterion.  The search form of that equivalence and the closed-form
 reference tables behind ``verify`` are in ``reference``.
 """
 
-import itertools
 from collections import Counter
 from math import comb, lcm
 
@@ -18,7 +17,6 @@ from .finite_field import (
     _gf2_mask,
     _gf2_vector,
     divisor_count,
-    divisors,
     factorize,
     lex_tuples,
     mul_order,
@@ -602,17 +600,27 @@ def tau_sweep(groups, ctx):
     against tau(exp G), plus the homocyclic flag.
 
     By the paper's criterion the classes are the isomorphism types of the
-    owners annihilator(G, <k>) (G itself for k = 0): the count of distinct
-    ``owner_type(group, k)``.  Scaling each k_i by a unit is an automorphism,
-    so the prod tau(d_i) tuples with each k_i dividing d_i reach every type.
-    No element, subgroup, automorphism or idempotent is built.
+    owners G/<k>, and these split over the Sylow subgroups.  For a p-group
+    of type lambda they are the cotypes of its cyclic subgroups: the mu with
+    lambda/mu a horizontal strip (Pieri rule; Macdonald, ch. II), so there
+    are prod_i (lambda_i - lambda_(i+1) + 1) of them.  With e_1 <= ... <= e_t
+    the exponents of p in d_1 | ... | d_t that is prod_i (e_i - e_(i-1) + 1),
+    e_0 = 0.  It equals tau(p^e_t) = e_t + 1 exactly when the nonzero e_i
+    are equal: the count is tau(exp G) iff every Sylow subgroup is
+    homocyclic.  No character, element or subgroup is built.
     """
     rows = []
     for group in groups:
         _check_char(group, ctx)
-        reps = itertools.product(*[[c % d for c in divisors(d)] for d in group.divisors])
-        count = len({owner_type(group, k) for k in reps})
-        tau = divisor_count(group.exponent)
+        count = tau = 1
+        for p, top in factorize(group.exponent).items():
+            tau *= top + 1
+            low = 0
+            for d in group.divisors:
+                e = 0
+                while d % p == 0:
+                    d, e = d // p, e + 1
+                count, low = count * (e - low + 1), e
         rows.append({
             "group": group.spec_string(),
             "class_count": count,

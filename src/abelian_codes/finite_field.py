@@ -104,10 +104,10 @@ def _rho_factor(n):
 def factorize(n):
     """Prime factorization of n >= 1 as {prime: exponent}, primes ascending.
     A cofactor without a small factor past is_prime's bound raises
-    DegreeTooLarge."""
+    DegreeTooLarge, whose record names n."""
     if n < 1:
         raise ValueError("factorize expects n >= 1")
-    out = {}
+    out, number = {}, n
     d = 2
     while d * d <= n and d < _TRIAL_BOUND:
         while n % d == 0:
@@ -117,6 +117,8 @@ def factorize(n):
     rest = [n] if n > 1 else []
     while rest:  # every prime factor left is at least d
         m = rest.pop()
+        if m >= _MR_EXACT_BELOW:
+            raise DegreeTooLarge("factorization bounded", number=number, bound=_MR_EXACT_BELOW)
         if d * d > m or is_prime(m):
             out[m] = out.get(m, 0) + 1
         else:

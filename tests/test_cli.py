@@ -7,6 +7,7 @@ from collections import Counter
 
 import cli_oracle
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from abelian_codes import cli, group_make
 from abelian_codes.cli import run
@@ -218,6 +219,59 @@ def test_corpus_digest(capsys):
         == "399ab43bb1de84b1510a6d6d34952e46a5e2bf80386671b1f5512a0a3daf2df5"
 
 
+def test_json_writer_matches_json_dumps_on_the_corpus(capsys, monkeypatch):
+    # every JSON output of the corpus, error records included, rendered by
+    # the writer and by json.dumps(indent=2) from the same data
+    from types import GeneratorType
+
+    writer, compared = cli._json_pieces, []
+
+    def checked(data):
+        data = {k: list(v) if isinstance(v, GeneratorType) else v for k, v in data.items()}
+        text = "".join(writer(data))
+        assert text == json.dumps(data, indent=2) + "\n"
+        compared.append(text)
+        return [text]
+
+    monkeypatch.setattr(cli, "_json_pieces", checked)
+    for argv in _corpus():
+        if argv[-1] == "json":
+            capture(capsys, argv)
+    assert len(compared) == 283
+
+
+_JSON_SCALARS = (st.none() | st.booleans() | st.integers() | st.integers(min_value=-10 ** 40)
+            | st.floats() | st.text() | st.text(st.characters(max_codepoint=0x7f))
+            | st.text(st.sampled_from('"\\\x00\x1f\x7f\x80\xe9\u2028\U0001f600 a')))
+_JSON_VALUES = st.recursive(_JSON_SCALARS, lambda inner: (
+    st.lists(inner) | st.lists(inner).map(tuple) | st.dictionaries(st.text(), inner)
+    | st.lists(st.lists(st.integers(), min_size=1))), max_leaves=12)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(value=_JSON_VALUES)
+def test_json_writer_matches_json_dumps_on_drawn_values(value):
+    # the writer of one value, and the streamed one of a dict with the
+    # value at its top level and in a top-level list
+    data = {"value": value, "list": [value, value], "empty": []}
+    assert cli._json(value) == json.dumps(value, indent=2)
+    assert "".join(cli._json_pieces(data)) == json.dumps(data, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("argv", [
+    "sweep --field 2 --max-order 100001 --format json",
+    "classify --group 3,3,3,3,3,3,3,3 --field 2 --format json",
+    "idempotents --group 3,3,3,3,3,3,3,3 --field 2 --format json",
+])
+def test_refused_input_prints_only_its_error_record(capsys, argv):
+    # refusals are raised before the first byte of the output
+    status, out = capture(capsys, argv.split())
+    assert status == 1
+    record = json.loads(out)
+    assert list(record) == ["error_code", "message", "context"]
+    assert out == json.dumps(record, indent=2) + "\n"
+
+
 def test_usage_error_exit_code(capsys):
     with pytest.raises(SystemExit) as exc:
         run(["classify", "--group", "9,3"])  # missing --field
@@ -250,6 +304,20 @@ def test_characteristic_above_the_primality_bound_is_refused_quickly(capsys):
     assert record["error_code"] == "DegreeTooLarge"
     assert record["context"] == {"characteristic": 2 ** 89 - 1,
                                  "bound": 3317044064679887385961981}
+
+
+@pytest.mark.parametrize("argv,number", [
+    (["classify", "--group", "4951760154835678088235319297", "--field", "2"], 4951760154835678088235319297),
+    (["idempotents", "--group", "3", "--field", "2^127"], 2 ** 127 - 1),
+])
+def test_factorization_above_the_primality_bound_names_its_number(capsys, argv, number):
+    # a group divisor, or the p^m - 1 of a field, with a cofactor past the
+    # primality bound: the record names the number being factored
+    status, out = capture(capsys, argv + ["--format", "json"])
+    assert status == 1
+    record = json.loads(out)
+    assert record["message"] == "factorization bounded"
+    assert record["context"] == {"number": number, "bound": 3317044064679887385961981}
 
 
 def test_splitting_degree_above_bound_is_a_domain_error(capsys):

@@ -6,6 +6,7 @@ import pytest
 from dense_oracle import dense_basis, lifted_basis
 from hypothesis import given, settings, strategies as st
 from orbit_oracle import orbit_tau_sweep
+from owner_type_oracle import owner_type_class_count
 from weight_oracle import oracle_histogram, oracle_two_vector_bound
 
 from abelian_codes import (
@@ -652,6 +653,31 @@ def test_tau_sweep_sylow_homocyclic_exception():
     row = tau_sweep([group_make([3, 15])], F2)[0]
     assert row == {"group": "3,15", "class_count": 4, "tau": 4,
                    "homocyclic": False, "match": True}
+
+
+def test_tau_sweep_closed_form_matches_owner_type_enumeration():
+    # the Sylow-type product against the distinct owner_type over one
+    # character per unit scaling, on every group of order <= 1000 that
+    # each field admits
+    groups = [G for n in range(1, 1001) for G in abelian_groups_of_order(n)]
+    counts = {G: owner_type_class_count(G) for G in groups}
+    for ctx in (F2, field_make(3), field_make(2, 2), field_make(5)):
+        admitted = [G for G in groups if G.order % ctx.p]
+        rows = tau_sweep(admitted, ctx)
+        assert [r["class_count"] for r in rows] == [counts[G] for G in admitted], ctx.order
+    assert len(groups) == 2091
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(types=st.dictionaries(st.sampled_from((2, 3, 5)),
+                             st.lists(st.integers(min_value=1, max_value=4),
+                                      min_size=1, max_size=4)))
+def test_tau_criterion_is_sylow_homocyclic(types):
+    # class_count = tau(exp G) exactly when every Sylow subgroup is
+    # homocyclic: G is drawn as the prime powers p^e of its Sylow types
+    G = group_make([p ** e for p, exps in types.items() for e in exps])
+    row = tau_sweep([G], field_make(7))[0]
+    assert row["match"] == all(len(set(exps)) == 1 for exps in types.values()), types
 
 
 # ---------------------------------------------------------------------------

@@ -101,9 +101,9 @@ def test_only_subgroups_and_verify_load_the_reference_layer(argv, loads):
 _PARSER_MODULES = ("argparse", "gettext", "locale")
 
 
-def _stdlib_loaded_after(statement):
+def _stdlib_loaded_after(statement, modules=_PARSER_MODULES):
     code = (statement + "\nimport sys\n"
-            "print(' '.join(n for n in %r if n in sys.modules))" % (_PARSER_MODULES,))
+            "print(' '.join(n for n in %r if n in sys.modules))" % (modules,))
     env = dict(os.environ, PYTHONPATH=SRC)
     return set(subprocess.run([sys.executable, "-c", code], env=env, check=True,
                               capture_output=True, text=True).stdout.split())
@@ -123,6 +123,18 @@ def test_cli_loads_no_argument_parser_library():
     statement = ("import contextlib, io\nfrom abelian_codes.cli import run\n"
                  "with contextlib.redirect_stdout(io.StringIO()):\n" + runs)
     assert _stdlib_loaded_after(statement) <= _stdlib_loaded_after("pass")
+
+
+def test_json_output_loads_no_json_module():
+    # the CLI writes JSON with its own writer: a canonical --format json run
+    # of each engine command loads no json module
+    runs = "".join("    assert run(%r) == 0\n" % (argv + ["--format", "json"],) for argv in [
+        ["classify", "--group", "9,3", "--field", "2", "--with-distributions"],
+        ["idempotents", "--group", "9,3", "--field", "2^2"],
+        ["sweep", "--field", "2", "--max-order", "81"]])
+    statement = ("import contextlib, io\nfrom abelian_codes.cli import run\n"
+                 "with contextlib.redirect_stdout(io.StringIO()):\n" + runs)
+    assert _stdlib_loaded_after(statement, ("json",)) == set()
 
 
 def _tracer_targets():
