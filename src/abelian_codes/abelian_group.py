@@ -468,17 +468,10 @@ def _partitions(n):
 
 def abelian_groups_of_order(n):
     """All isomorphism types of abelian groups of order n, canonically
-    sorted by invariant factors."""
-    if n == 1:
-        return [group_make([])]
-    fact = factorize(n)
-    per_prime = []
-    for p, e in sorted(fact.items()):
-        per_prime.append([(p, part) for part in _partitions(e)])
-    out = []
-    for combo in itertools.product(*per_prime):
-        divisors = []
-        for p, part in combo:
-            divisors.extend(p ** k for k in part)
-        out.append(group_make(divisors))
-    return sorted(out, key=lambda g: g.divisors)
+    sorted by invariant factors.  The k-th largest invariant factor is the
+    product of the k-th largest prime power of each Sylow type."""
+    per_prime = [[[p ** k for k in part] for part in _partitions(e)]
+                 for p, e in factorize(n).items()]
+    divisors = [tuple(map(prod, itertools.zip_longest(*combo, fillvalue=1)))[::-1]
+                for combo in itertools.product(*per_prime)]
+    return [AbelianGroup(d) for d in sorted(divisors)]

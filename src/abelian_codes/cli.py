@@ -16,6 +16,8 @@ argv (help, an abbreviated option, ``--opt=value``, a usage error) is
 read by argparse itself, from the same tables.
 """
 
+import atexit
+import os
 import sys
 from itertools import chain, groupby
 from math import gcd
@@ -212,8 +214,8 @@ def _subgroups_dict(args):
 
 
 # sweep --max-order above this is refused before any group is built: on a
-# 2-vCPU VM the sweep takes 3.2-3.6 s and 59 MB at 10^5, mostly building
-# the groups, and grows linearly
+# 2-vCPU VM the sweep takes 1.8-2.3 s and 59 MB at 10^5, about 0.8 s of it
+# building the groups and 0.6 s counting their classes, and grows linearly
 _SWEEP_ORDER_BOUND = 100_000
 
 
@@ -367,7 +369,26 @@ def run(argv):
 
 
 def main():
-    sys.exit(run(sys.argv[1:]))
+    """Run the command of sys.argv and exit with its status.  A run that
+    returns ends as the interpreter would, running the atexit handlers and
+    then flushing stdout and stderr, but leaves through os._exit: module
+    teardown and the final collection (about 10 ms a process on a 2-vCPU
+    VM) are skipped.
+    A run that raises, a flush that fails (the interpreter's exit then
+    reports it), and a run under a profiler, a tracer or ``-i`` end
+    through the interpreter's own exit."""
+    status = run(sys.argv[1:])
+    if sys.getprofile() is None and sys.gettrace() is None and not sys.flags.inspect:
+        atexit._run_exitfuncs()
+        try:
+            for stream in (sys.stdout, sys.stderr):
+                if stream is not None:  # None when its descriptor was closed at start
+                    stream.flush()
+        except (OSError, ValueError):
+            pass
+        else:
+            os._exit(status)
+    sys.exit(status)
 
 
 if __name__ == "__main__":

@@ -28,6 +28,7 @@ from abelian_codes import (
     subgroup_orbits,
     sylow_decompose,
 )
+from abelian_codes.finite_field import factorize
 from abelian_codes.abelian_group import _induced_perm, _translation
 from abelian_codes.reference import (
     _AUT_GROUP_ORDER_BOUND,
@@ -468,6 +469,22 @@ def test_abelian_groups_of_order():
         == [(3, 3, 3), (3, 9), (27,)]
     assert len(abelian_groups_of_order(16)) == 5
     assert [g.divisors for g in abelian_groups_of_order(45)] == [(3, 15), (45,)]
+
+
+def test_abelian_groups_of_order_match_the_group_make_route():
+    # the invariant factors are assembled from the Sylow partitions;
+    # group_make reaches them by factoring each prime power list again
+    def partitions(e):
+        return [part for k in range(1, e + 1)
+                for part in itertools.combinations_with_replacement(range(e, 0, -1), k)
+                if sum(part) == e]
+
+    for n in range(1, 2001):
+        per_prime = [[[p ** k for k in part] for part in partitions(e)]
+                     for p, e in factorize(n).items()]
+        want = sorted(group_make([d for powers in combo for d in powers]).divisors
+                      for combo in itertools.product(*per_prime))
+        assert [G.divisors for G in abelian_groups_of_order(n)] == want, n
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,10 @@
 import hashlib
 import itertools
 import json
+import os
 import random
+import subprocess
+import sys
 import time
 from collections import Counter
 
@@ -746,3 +749,129 @@ def test_subgroups_of_a_large_prime_order_is_refused_quickly(capsys):
     assert time.perf_counter() - start < 2
     assert status == 1
     assert json.loads(out)["context"] == {"order": 1000000000000000003, "bound": 4096}
+
+
+# ---------------------------------------------------------------------------
+# how a python -m abelian_codes process ends
+# ---------------------------------------------------------------------------
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+_TEARDOWN_PROBE = ("class Probe:\n"
+                   "    def __del__(self):\n"
+                   "        sys.stderr.write('teardown ran\\n')\n"
+                   "probe = Probe()\n")
+
+
+def _process(args, stdout=subprocess.PIPE, stdin=b"", unbuffered=True):
+    """(status, stdout, stderr) of a fresh interpreter started with args;
+    stdout is captured unless a file descriptor is given."""
+    env = dict(os.environ, PYTHONPATH=SRC, COLUMNS="80")
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    proc = subprocess.run([sys.executable] + args, input=stdin, stdout=stdout,
+                          stderr=subprocess.PIPE, env=env)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def _main_with(argv, before=""):
+    """python -c code that runs the statements before, then cli.main on argv."""
+    return ["-c", "import sys\n" + before + "sys.argv[1:] = %r\n"
+            "from abelian_codes.cli import main\nmain()\n" % (argv,)]
+
+
+@pytest.mark.parametrize("argv,status", [
+    (["classify", "--group", "15,15", "--field", "2", "--format", "json"], 0),
+    (["sweep", "--field", "2", "--max-order", "81"], 0),
+    (["idempotents", "--group", "3,3", "--field", "2^2", "--format", "csv"], 0),
+    (["classify", "--group", "4,2", "--field", "2"], 1),
+    (["classify", "--group", "9,3", "--field", "2", "--format", "xml"], 2),
+    (["classify", "--help"], 0),
+    (["--help"], 0),
+])
+def test_a_process_prints_and_exits_as_run_does(capsys, monkeypatch, argv, status):
+    monkeypatch.setenv("COLUMNS", "80")  # the width argparse wraps its text to
+    try:
+        assert run(argv) == status
+    except SystemExit as exc:
+        assert exc.code == status
+    want = capsys.readouterr()
+    for unbuffered in (True, False):
+        assert _process(["-m", "abelian_codes"] + argv, unbuffered=unbuffered) \
+            == (status, want.out.encode(), want.err.encode())
+
+
+def test_a_returning_run_skips_teardown_after_the_atexit_handlers(capsys):
+    # the handlers run, and what they print is flushed; module teardown,
+    # which would delete the probe, is skipped
+    argv = ["classify", "--group", "3", "--field", "2", "--format", "json"]
+    assert run(argv) == 0
+    want = capsys.readouterr().out.encode() + b"handler ran\n"
+    before = "import atexit\natexit.register(print, 'handler ran')\n" + _TEARDOWN_PROBE
+    for unbuffered in (True, False):
+        assert _process(_main_with(argv, before), unbuffered=unbuffered) == (0, want, b"")
+    status, _, err = _process(_main_with(["classify", "--group", "4,2", "--field", "2"], before))
+    assert (status, err) == (1, b"")  # a domain error ends the same way
+
+
+@pytest.mark.parametrize("before,options,status", [
+    ("sys.setprofile(eval('lambda *args: None', {}))\n", [], 0),
+    ("sys.settrace(eval('lambda *args: None', {}))\n", [], 0),
+    ("", ["--format", "xml"], 2),
+])
+def test_a_profiled_traced_or_raising_run_ends_through_the_interpreter(before, options, status):
+    # the interpreter's own exit runs the module teardown, which deletes the
+    # probe (a profile or trace function defined in __main__ would keep it)
+    argv = ["classify", "--group", "3", "--field", "2"] + options
+    got = _process(_main_with(argv, _TEARDOWN_PROBE + before))
+    assert got[0] == status and got[2].endswith(b"teardown ran\n")
+
+
+def test_a_closed_stderr_is_skipped_by_the_exit_flush(capsys):
+    # started with descriptor 2 closed, sys.stderr is None, which the exit
+    # flush skips as the interpreter's own exit does
+    for argv, status in [(["classify", "--group", "3", "--field", "2"], 0),
+                         (["classify", "--group", "4,2", "--field", "2"], 1)]:
+        assert run(argv) == status
+        want = capsys.readouterr().out.encode()
+        proc = subprocess.run(["sh", "-c", 'exec "$@" 2>&-', "sh", sys.executable, "-m",
+                               "abelian_codes"] + argv, stdout=subprocess.PIPE,
+                              env=dict(os.environ, PYTHONPATH=SRC))
+        assert (proc.returncode, proc.stdout) == (status, want)
+
+
+def test_cprofile_and_trace_still_report_after_the_run():
+    argv = ["classify", "--group", "3", "--field", "2"]
+    status, out, err = _process(["-m", "cProfile", "-m", "abelian_codes"] + argv)
+    assert (status, err) == (0, b"") and b"function calls" in out.split(b"classes:")[1]
+    status, out, err = _process(["-m", "trace", "--listfuncs", "--module", "abelian_codes"] + argv)
+    assert (status, err) == (0, b"") and b"funcname: run" in out.split(b"functions called:")[1]
+
+
+def test_inspect_mode_still_enters_the_interpreter_after_the_run():
+    argv = ["classify", "--group", "3", "--field", "2"]
+    status, out, _ = _process(["-i", "-m", "abelian_codes"] + argv, stdin=b"print('inspected')\n")
+    assert status == 0 and out.endswith(b"inspected\n")
+
+
+def test_a_closed_stdout_pipe_ends_as_the_interpreter_reports_it():
+    # buffered, the output reaches the pipe only at the exit's flush, whose
+    # failure the interpreter reports in one line with status 120;
+    # unbuffered, the write in run raises
+    argv = ["classify", "--group", "3", "--field", "2", "--format", "json"]
+    for unbuffered in (False, True):
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            status, _, err = _process(["-m", "abelian_codes"] + argv, stdout=write,
+                                      unbuffered=unbuffered)
+        finally:
+            os.close(write)
+        if unbuffered:
+            assert status == 1 and err.startswith(b"Traceback (most recent call last):\n")
+            assert b", in run\n" in err and b"Exception ignored" not in err
+            assert err.endswith(b"\nBrokenPipeError: [Errno 32] Broken pipe\n")
+        else:
+            assert status == 120
+            assert err == (b"Exception ignored in: <_io.TextIOWrapper name='<stdout>' mode='w' "
+                           b"encoding='utf-8'>\nBrokenPipeError: [Errno 32] Broken pipe\n")

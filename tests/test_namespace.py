@@ -137,12 +137,37 @@ def test_json_output_loads_no_json_module():
     assert _stdlib_loaded_after(statement, ("json",)) == set()
 
 
-def _tracer_targets():
+def _perfbench(name):
     spec = importlib.util.spec_from_file_location(
-        "perfbench_tracer", os.path.join(ROOT, "perfbench", "tracer.py"))
-    tracer = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracer)
-    return tracer.TARGETS
+        "perfbench_" + name, os.path.join(ROOT, "perfbench", name + ".py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _imported(args):
+    """The modules a fresh interpreter started with args imports after it
+    starts, as ``-X importtime`` lists them."""
+    env = dict(os.environ, PYTHONPATH=SRC)
+    err = subprocess.run([sys.executable, "-X", "importtime"] + args, env=env, check=True,
+                         stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True).stderr
+    rows = [line.split("|") for line in err.splitlines() if line.startswith("import time:")]
+    return {row[2].strip() for row in rows if row[1].strip().isdigit()}
+
+
+def test_a_benchmark_job_imports_nothing_beyond_the_cli():
+    # a job's command and its exit load no module: its start-up cost is
+    # the interpreter's, runpy's and the CLI's imports alone
+    loaded = _imported(["-c", "import runpy, abelian_codes.cli"])
+    assert {"runpy", "abelian_codes.cli", "abelian_codes.codes"} <= loaded
+    argvs = [argv for _, argv in _perfbench("jobs").all_pin_keys().values()]
+    assert len(argvs) == 15
+    for argv in argvs:
+        assert _imported(["-m", "abelian_codes"] + argv) <= loaded, argv
+
+
+def _tracer_targets():
+    return _perfbench("tracer").TARGETS
 
 
 def test_old_paths_forward_exactly_the_traced_reference_names():
