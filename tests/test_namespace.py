@@ -161,13 +161,9 @@ def test_a_benchmark_job_imports_nothing_beyond_the_cli():
     loaded = _imported(["-c", "import runpy, abelian_codes.cli"])
     assert {"runpy", "abelian_codes.cli", "abelian_codes.codes"} <= loaded
     argvs = [argv for _, argv in _perfbench("jobs").all_pin_keys().values()]
-    assert len(argvs) == 15
+    assert argvs
     for argv in argvs:
         assert _imported(["-m", "abelian_codes"] + argv) <= loaded, argv
-
-
-def _tracer_targets():
-    return _perfbench("tracer").TARGETS
 
 
 def test_old_paths_forward_exactly_the_traced_reference_names():
@@ -175,7 +171,7 @@ def test_old_paths_forward_exactly_the_traced_reference_names():
     defined = {name for name, value in vars(reference).items()
                if getattr(value, "__module__", None) == reference.__name__}
     traced = {}
-    for module, attr, _ in _tracer_targets():
+    for module, attr, _ in _perfbench("tracer").TARGETS:
         traced.setdefault(module, set()).add(attr)
     for module in ("abelian_group", "group_algebra", "codes"):
         home = import_module("abelian_codes." + module)
