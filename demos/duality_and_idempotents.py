@@ -9,6 +9,7 @@ all owned by the same subgroup.
 """
 
 from abelian_codes import (
+    AlgebraElement,
     Subgroup,
     all_subgroups,
     annihilator,
@@ -40,7 +41,7 @@ print("\nco-cyclic subgroups =", len(cocyclic_subgroups(G)),
 
 F2 = field_make(2)
 fam = cocyclic_idempotent_family(G, F2)
-prims = {p.element for p in primitive_idempotents(G, F2)}
+prims = {AlgebraElement.from_idempotent(p) for p in primitive_idempotents(G, F2)}
 print("\nover GF(2): mul_order(2, 9) = %d = phi(9) = %d"
       % (mul_order(2, 9), euler_phi(9)))
 print("family size %d; family members that are primitive: %d"

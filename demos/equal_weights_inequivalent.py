@@ -10,6 +10,7 @@ Equal weight distributions therefore do not imply equivalence.
 """
 
 from abelian_codes import (
+    AlgebraElement,
     Subgroup,
     automorphisms,
     classify,
@@ -31,7 +32,7 @@ for p in (3, 5):
     a_span = Subgroup.generated(G, [(0, 1)])                 # <a>, order p^2
     mixed = Subgroup.generated(G, [(0, p), (1, 0)])          # <a^p> x <b>
 
-    prims = {ide.element: ide for ide in primitive_idempotents(G, F2)}
+    prims = {AlgebraElement.from_idempotent(ide): ide for ide in primitive_idempotents(G, F2)}
     e2 = prims[cocyclic_idempotent(G, a_span, F2)]
     e3 = prims[cocyclic_idempotent(G, mixed, F2)]
 

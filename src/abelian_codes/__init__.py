@@ -22,23 +22,22 @@ _HOMES = {
     ),
     "abelian_group": (
         "AbelianGroup", "GroupElement", "Subgroup", "abelian_groups_of_order",
-        "group_make", "owner_type", "quotient_type",
+        "group_make", "owner_type",
     ),
     "group_algebra": (
-        "AlgebraElement", "GroupAlgebra", "PrimitiveIdempotent", "get_algebra",
-        "primitive_idempotents",
+        "GroupAlgebra", "PrimitiveIdempotent", "get_algebra", "primitive_idempotents",
     ),
     "codes": (
         "ClassificationReport", "MinimalCode", "WeightDistribution", "classify",
         "min_weight_or_bound", "minimal_code", "tau_sweep", "weight_distribution",
     ),
     "reference": (
-        "Automorphism", "Character", "all_subgroups", "annihilator",
+        "AlgebraElement", "Automorphism", "Character", "all_subgroups", "annihilator",
         "apply_automorphism", "aut_generators", "automorphisms", "characters",
         "cocyclic_idempotent", "cocyclic_idempotent_family", "cocyclic_subgroups",
         "cyclic_subgroups", "equivalent", "hat", "homocyclic_factorization",
-        "idempotent_group", "phi_subgroup", "subgroup_orbits", "sylow_decompose",
-        "verify_tables",
+        "idempotent_group", "phi_subgroup", "quotient_type", "subgroup_orbits",
+        "sylow_decompose", "verify_tables",
     ),
 }
 

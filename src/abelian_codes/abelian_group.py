@@ -6,21 +6,21 @@ is lexicographic order on exponent tuples.  A subgroup's canonical form is
 its ascending tuple of element indices; equality, hashing and ordering use
 it, and its exponent tuples are a derived view.
 
-The module provides what the engine needs of a group: subgroups, the
-type of a quotient G/H, the owner type G/<k> that classes the minimal
-codes, the q-scaling permutation behind the character orbits, and the
-list of groups of one order, all computed on indices.  The subgroup
-lattice, character duality and the automorphism group are in
-``reference``.  A translation x -> g + x or a linear map is evaluated on
-all |G| indices by accumulating one axis at a time; the subgroup
-generated by a subgroup S and an element g is the union of the cosets
-S, S + g, S + 2g, ...  Everything is deterministic.
+The module provides what the engine needs of a group: subgroups by their
+generators, the owner type G/<k> that classes the minimal codes, the
+q-scaling permutation behind the character orbits, and the list of groups
+of one order, all computed on indices.  The subgroup lattice, the type of
+a quotient G/H, character duality and the automorphism group are in
+``reference``.  A linear map is evaluated on all |G| indices by
+accumulating one axis at a time; the subgroup generated by a subgroup S
+and an element g is the union of the cosets S, S + g, S + 2g, ...
+Everything is deterministic.
 """
 
 import itertools
 from math import gcd, lcm, prod
 
-from .errors import BadDivisor, NotASubgroup
+from .errors import BadDivisor
 from .finite_field import factorize
 
 # The benchmark's tracer (perfbench/tracer.py) wraps these functions of
@@ -28,7 +28,8 @@ from .finite_field import factorize
 # once spans are recorded inside the program (ROADMAP item 1).
 _TRACED_REFERENCE = frozenset({
     "_index_p_cover_within", "all_subgroups", "annihilator", "aut_generators",
-    "automorphisms", "cocyclic_subgroups", "cyclic_subgroups", "subgroup_orbits",
+    "automorphisms", "cocyclic_subgroups", "cyclic_subgroups", "quotient_type",
+    "subgroup_orbits",
 })
 
 
@@ -47,7 +48,7 @@ class AbelianGroup:
     divisor lists into this form."""
 
     __slots__ = ("divisors", "order", "exponent", "rank", "zero",
-                 "_elements", "_index", "_orders")
+                 "_elements", "_index", "_orders", "_primes")
 
     def __init__(self, divisors):
         divisors = tuple(divisors)
@@ -64,6 +65,15 @@ class AbelianGroup:
         self._elements = None
         self._index = None
         self._orders = None
+        self._primes = None
+
+    @property
+    def primes(self):
+        """The primes dividing the order, ascending: factorized on the first
+        read unless the group came with them (``abelian_groups_of_order``)."""
+        if self._primes is None:
+            self._primes = tuple(factorize(self.exponent))
+        return self._primes
 
     # -- element bookkeeping --------------------------------------------
 
@@ -198,15 +208,6 @@ def _orders(group):
     return group._orders
 
 
-def _translation(group, g):
-    """Index of g + x for every element x, in index order."""
-    vals = [0]
-    for x, d, s in zip(g, group.divisors, _strides(group)):
-        col = [(x + k) % d * s for k in range(d)]
-        vals = [v + c for v in vals for c in col]
-    return vals
-
-
 def _join(group, S, g):
     """Index set of the subgroup generated by the subgroup S (an index set)
     and the element g: S and its cosets S + k*g for 0 < k < m, m the least
@@ -227,33 +228,11 @@ def _join(group, S, g):
 class Subgroup:
     """A subgroup of a fixed group; equality and ordering use the ascending
     tuple of element indices (the canonical form), which orders subgroups
-    exactly as their sorted exponent tuples would."""
+    exactly as their sorted exponent tuples would.  It is built from its
+    generators or trusted indices; ``reference.checked_subgroup`` builds one
+    from a list of elements after checking that they form a subgroup."""
 
-    __slots__ = ("group", "indices", "_set", "_generators", "_mask")
-
-    def __init__(self, group, elements):
-        try:
-            members = frozenset(group.index_of(tuple(e)) for e in elements)
-        except KeyError as exc:
-            raise NotASubgroup("not an element of the group", element=exc.args[0]) from None
-        indices = tuple(sorted(members))
-        elems = group.elements
-        if 0 not in members:
-            raise NotASubgroup("missing identity")
-        for i in indices:
-            if group.index_of(group.neg(elems[i])) not in members:
-                raise NotASubgroup("not closed under inverses", element=elems[i])
-        for i in indices:
-            t = _translation(group, elems[i])
-            for j in indices:
-                if t[j] not in members:
-                    raise NotASubgroup(
-                        "not closed under addition", pair=(elems[i], elems[j]))
-        self.group = group
-        self.indices = indices
-        self._set = members
-        self._generators = None
-        self._mask = None
+    __slots__ = ("group", "indices", "_set", "_generators")
 
     @classmethod
     def generated(cls, group, gens):
@@ -270,7 +249,6 @@ class Subgroup:
         obj.indices = tuple(indices)
         obj._set = None
         obj._generators = generators
-        obj._mask = None
         return obj
 
     @classmethod
@@ -291,32 +269,12 @@ class Subgroup:
     def order(self):
         return len(self.indices)
 
-    def __contains__(self, item):
-        exps = item.exps if isinstance(item, GroupElement) else tuple(item)
-        try:
-            return self.group.index_of(exps) in self.index_set
-        except KeyError:
-            return False
-
-    def contains_subgroup(self, other):
-        return other.index_set <= self.index_set
-
     @property
     def index_set(self):
         """Frozenset of the member indices, built on the first query."""
         if self._set is None:
             self._set = frozenset(self.indices)
         return self._set
-
-    @property
-    def mask(self):
-        """Bitmask over canonical element indices; handy for subset tests."""
-        if self._mask is None:
-            m = 0
-            for i in self.indices:
-                m |= 1 << i
-            self._mask = m
-        return self._mask
 
     @property
     def generators(self):
@@ -337,16 +295,6 @@ class Subgroup:
             self._generators = tuple(gens)
         return self._generators
 
-    def sylow_part(self, p):
-        """Elements of p-power order (the p-Sylow subgroup of this subgroup)."""
-        orders = _orders(self.group)
-        return Subgroup._from_indices(
-            self.group, [i for i in self.indices if _is_p_power(orders[i], p)])
-
-    def invariant_factors(self):
-        """Abstract isomorphism type of the subgroup itself."""
-        return _peel_invariant_factors(self.group, self.indices, {0})
-
     def __eq__(self, other):
         return (
             isinstance(other, Subgroup)
@@ -365,48 +313,9 @@ class Subgroup:
         return "Subgroup<order %d, gens %s>" % (self.order, gens)
 
 
-def _is_p_power(n, p):
-    while n % p == 0:
-        n //= p
-    return n == 1
-
-
 # ---------------------------------------------------------------------------
 # quotients, owner types and linear maps
 # ---------------------------------------------------------------------------
-
-def _peel_invariant_factors(group, universe, start):
-    """Invariant factors of U/S, where U (ascending indices) is a subgroup
-    of `group` and S <= U (an index set).  Repeatedly peels the
-    canonical-first coset of maximal order.  The order of g mod S is the
-    least k with k*g in S, a divisor of o(g)."""
-    elems = group.elements
-    orders = _orders(group)
-    S = set(start)
-    out = []
-    while len(S) < len(universe):
-        best = None
-        best_order = 0
-        for i in universe:
-            o = orders[i]
-            if i in S or o <= best_order:
-                continue
-            k = next(k for k in range(2, o + 1)
-                     if o % k == 0 and group.index_of(group.scale(k, elems[i])) in S)
-            if k > best_order:
-                best, best_order = elems[i], k
-        S = _join(group, S, best)
-        out.append(best_order)
-    out.reverse()
-    return tuple(out)
-
-
-def quotient_type(group, H):
-    """Invariant factors of G/H (empty tuple when H = G)."""
-    if not isinstance(H, Subgroup) or H.group != group:
-        raise NotASubgroup("H is not a subgroup of G")
-    return _peel_invariant_factors(group, range(group.order), H.indices)
-
 
 def owner_type(group, k):
     """Invariant factors of G/<k>: the type of annihilator(G, <k>), owner of
@@ -469,9 +378,14 @@ def _partitions(n):
 def abelian_groups_of_order(n):
     """All isomorphism types of abelian groups of order n, canonically
     sorted by invariant factors.  The k-th largest invariant factor is the
-    product of the k-th largest prime power of each Sylow type."""
-    per_prime = [[[p ** k for k in part] for part in _partitions(e)]
-                 for p, e in factorize(n).items()]
-    divisors = [tuple(map(prod, itertools.zip_longest(*combo, fillvalue=1)))[::-1]
-                for combo in itertools.product(*per_prime)]
-    return [AbelianGroup(d) for d in sorted(divisors)]
+    product of the k-th largest prime power of each Sylow type.  Each group
+    carries the primes of n, so n is the only number factorized."""
+    factors = factorize(n)
+    primes = tuple(factors)
+    groups = []
+    for combo in itertools.product(*map(_partitions, factors.values())):
+        powers = [[p ** k for k in part] for p, part in zip(primes, combo)]
+        G = AbelianGroup(tuple(map(prod, itertools.zip_longest(*powers, fillvalue=1)))[::-1])
+        G._primes = primes
+        groups.append(G)
+    return sorted(groups, key=lambda G: G.divisors)

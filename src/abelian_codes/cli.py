@@ -6,7 +6,11 @@ given as comma-separated divisor lists (``9,3``), fields as ``p`` or
 produce byte-identical output.  Exit status: 0 success, 1 domain error
 (with a machine-readable error record), 2 usage error.  ``subgroups`` and
 ``verify`` import the reference layer (``reference``) when they run; the
-other commands compile only the engine.
+other commands compile only the engine.  The argparse reader, the data of
+``idempotents``, ``subgroups`` and ``verify`` and the CSV and Markdown
+renderers are in ``cli_extra``, which loads on the first call of one of
+them: a canonical ``--format json`` run of ``classify`` or ``sweep``
+compiles neither it nor ``reference``.
 
 The arguments are read from two tables, ``_COMMANDS`` and ``_OPTIONS``,
 by the rules of argparse.  A canonical argv (the command, then its
@@ -19,15 +23,14 @@ read by argparse itself, from the same tables.
 import atexit
 import os
 import sys
-from itertools import chain, groupby
+from itertools import chain
 from math import gcd
 from types import GeneratorType
 
-from .abelian_group import abelian_groups_of_order, group_make, quotient_type
+from .abelian_group import abelian_groups_of_order, group_make
 from .codes import classify, tau_sweep
 from .errors import DomainError, GroupTooLarge
 from .finite_field import field_make
-from .group_algebra import _character_values, primitive_idempotents
 
 
 def _parse_group(spec):
@@ -118,104 +121,9 @@ def _json_pieces(data):
     yield "\n}\n" if data else "{}\n"
 
 
-def _csv_block(headers, rows):
-    import csv
-    import io
-
-    buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerows([headers, *rows])
-    return buf.getvalue()
-
-
-def _md_table(headers, rows):
-    cells = [list(headers)] + [[str(c) for c in row] for row in rows]
-    widths = [max(map(len, column)) for column in zip(*cells)]
-    lines = ["| " + " | ".join(c.ljust(w) for c, w in zip(row, widths)) + " |" for row in cells]
-    lines.insert(1, "|" + "|".join("-" * (w + 2) for w in widths) + "|")
-    return "\n".join(lines) + "\n"
-
-
-def _fmt_cell(value):
-    if isinstance(value, bool):
-        return "yes" if value else "no"
-    if isinstance(value, list):
-        import json
-
-        return json.dumps(value)
-    return value
-
-
-def _rows(headers, entries):
-    return [[_fmt_cell(entry.get(h, "")) for h in headers] for entry in entries]
-
-
-def _table(key, headers, head):
-    """The renderer of a command whose data holds one table, data[key]: the
-    data as JSON, or the rows as CSV, or head plus a Markdown table.  head
-    is formatted with the data's other cells and the row count."""
-    def render(data, fmt):
-        if fmt == "json":
-            return _json_pieces(data)
-        rows = _rows(headers, data[key])
-        if fmt == "csv":
-            return [_csv_block(headers, rows)]
-        cells = {k: _fmt_cell(v) for k, v in data.items() if k != key}
-        return [head.format(count=len(rows), **cells) + _md_table(headers, rows)]
-    return render
-
-
-def _render_classification(report_dict, fmt):
-    if fmt == "json":
-        return _json_pieces(report_dict)
-    code_headers = ["idempotent_ref", "phi_subgroup", "dimension", "min_weight",
-                    "min_weight_exact", "distribution"]
-    class_headers = ["representative", "members", "size", "dimension", "min_weight"]
-    summary_headers = ["group", "field", "class_count", "tau", "homocyclic", "thm56_match"]
-    code_rows = _rows(code_headers, report_dict["codes"])
-    class_rows = _rows(class_headers, report_dict["classes"])
-    summary = [report_dict[h] for h in summary_headers]
-    if fmt == "csv":
-        return [_csv_block(["section"] + code_headers, [["code"] + r for r in code_rows]),
-                _csv_block(["section"] + class_headers, [["class"] + r for r in class_rows]),
-                _csv_block(["section"] + summary_headers, [["summary"] + summary])]
-    return ["group: %s  field: GF(%s)  class_count: %d  tau: %d  homocyclic: %s  "
-            "thm56_match: %s\n\ncodes:\n" % tuple(map(_fmt_cell, summary)),
-            _md_table(code_headers, code_rows), "\nclasses:\n",
-            _md_table(class_headers, class_rows)]
-
-
-def _idempotents_dict(args):
-    """The idempotents' data, with the entries as a generator: every
-    refusal is raised here, and an entry is built only when it is read."""
-    group, ctx = args["group"], args["field"]
-
-    def entries(ides):
-        for ide in ides:
-            ts = _character_values(group, ide.orbit_rep)[1]  # the coefficient at g is row[t(g)]
-            runs = [[v, len(list(run))] for v, run in groupby(map(ide.row.__getitem__, ts))]
-            yield {"orbit_rep": list(ide.orbit_rep),
-                   "phi_subgroup": [list(g) for g in ide.phi_subgroup.generators],
-                   "support_size": sum(n for v, n in runs if v != ctx.zero), "coeffs": runs}
-
-    return {"group": group.spec_string(), "field": ctx.spec_string(),
-            "idempotents": entries(primitive_idempotents(group, ctx))}
-
-
-def _subgroups_dict(args):
-    from .reference import all_subgroups
-
-    group, entries = args["group"], []
-    for H in all_subgroups(group):
-        quotient = list(quotient_type(group, H))  # G/H cyclic: H is co-cyclic
-        entries.append({"generators": [list(g) for g in H.generators], "order": H.order,
-                        "quotient": quotient, "cocyclic": len(quotient) == 1})
-    return {"group": group.spec_string(), "field": args["field"].spec_string(),
-            "subgroups": entries}
-
-
 # sweep --max-order above this is refused before any group is built: on a
-# 2-vCPU VM the sweep takes 1.8-2.3 s and 59 MB at 10^5, about 0.8 s of it
-# building the groups and 0.6 s counting their classes, and grows linearly
+# 2-vCPU VM the sweep takes 1.4-2.2 s and 71 MB at 10^5, about 1.2 s of it
+# building the groups and 0.3 s counting their classes, and grows linearly
 _SWEEP_ORDER_BOUND = 100_000
 
 
@@ -236,10 +144,24 @@ def _classify_dict(args):
                     with_distributions=args["with-distributions"]).to_dict()
 
 
-def _verify_dict(args):
-    from .reference import verify_tables
+def _extra(name):
+    """The function name of ``cli_extra``, which loads that module on its
+    first call."""
+    def call(*args):
+        from . import cli_extra
 
-    return verify_tables(args["group"], args["field"])
+        return getattr(cli_extra, name)(*args)
+    return call
+
+
+def _render(text, *spec):
+    """A renderer: the data as JSON, or as CSV or Markdown by the function
+    text of ``cli_extra``, called with the data, the format and spec."""
+    def render(data, fmt):
+        if fmt == "json":
+            return _json_pieces(data)
+        return _extra(text)(data, fmt, *spec)
+    return render
 
 
 # ---------------------------------------------------------------------------
@@ -265,51 +187,27 @@ _ALGEBRA = ("--group", "--field", "--format")
 # command -> (help, its options, the data of its arguments, the renderer of
 # that data)
 _COMMANDS = {
-    "subgroups": ("list the subgroup lattice", _ALGEBRA, _subgroups_dict, _table(
-        "subgroups", ["generators", "order", "quotient", "cocyclic"],
+    "subgroups": ("list the subgroup lattice", _ALGEBRA, _extra("subgroups_dict"), _render(
+        "table", "subgroups", ["generators", "order", "quotient", "cocyclic"],
         "group: {group}  ({count} subgroups)\n\n")),
-    "idempotents": ("dump the primitive idempotents", _ALGEBRA, _idempotents_dict, _table(
-        "idempotents", ["orbit_rep", "phi_subgroup", "support_size", "coeffs"],
-        "group: {group}  field: GF({field})\n\n")),
+    "idempotents": ("dump the primitive idempotents", _ALGEBRA, _extra("idempotents_dict"),
+                    _render("table", "idempotents",
+                            ["orbit_rep", "phi_subgroup", "support_size", "coeffs"],
+                            "group: {group}  field: GF({field})\n\n")),
     "classify": ("classify the minimal codes", _ALGEBRA + ("--with-distributions",),
-                 _classify_dict, _render_classification),
+                 _classify_dict, _render("classification")),
     "sweep": ("class count vs tau(exponent) over all small groups",
-              ("--field", "--format", "--max-order"), _sweep_dict, _table(
-                  "rows", ["group", "class_count", "tau", "homocyclic", "thm56_match"],
+              ("--field", "--format", "--max-order"), _sweep_dict, _render(
+                  "table", "rows", ["group", "class_count", "tau", "homocyclic", "thm56_match"],
                   "field: GF({field})  max order: {max_order}\n\n")),
-    "verify": ("check the built-in reference tables", _ALGEBRA, _verify_dict, _table(
-        "rows", ["label", "check", "expected", "actual", "pass"],
+    "verify": ("check the built-in reference tables", _ALGEBRA, _extra("verify_dict"), _render(
+        "table", "rows", ["label", "check", "expected", "actual", "pass"],
         "group: {group}  field: GF({field})  table: {table}\nall rows pass: {all_pass}\n\n")),
 }
 
-
-def _argparse_parse(argv):
-    """What argparse reads from argv, with a parser built from the tables:
-    it prints the help and exits 0, or exits 2 with the usage on a usage
-    error.  A converter's ValueError is a usage error with its text."""
-    import argparse
-
-    def checked(convert):
-        def check(text):
-            try:
-                return convert(text)
-            except ValueError as exc:
-                raise argparse.ArgumentTypeError(str(exc))
-        return check
-
-    parser = argparse.ArgumentParser(
-        prog="abelian-codes",
-        description="Minimal abelian group codes and their equivalence classes.")
-    subparsers = parser.add_subparsers(dest="command", required=True)
-    for command, (help_text, options, _, _) in _COMMANDS.items():
-        sub = subparsers.add_parser(command, help=help_text)
-        for name in options:
-            spec = dict(_OPTIONS[name])
-            if "type" in spec:
-                spec["type"] = checked(spec["type"])
-            sub.add_argument(name, **spec)
-    args = vars(parser.parse_args(argv))
-    return args.pop("command"), {name.replace("_", "-"): value for name, value in args.items()}
+# what argparse reads from an argv that is not canonical: it prints the help
+# and exits 0, or exits 2 with the usage on a usage error
+_argparse_parse = _extra("argparse_parse")
 
 
 def _parse(argv):
@@ -368,6 +266,14 @@ def run(argv):
         return 1
 
 
+def _closed_pipe():
+    """Status 1 for a run whose reader closed stdout (``| head``): what is
+    left of the output goes to os.devnull, so that no later flush fails
+    again (the recipe of Python's note on SIGPIPE)."""
+    os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    return 1
+
+
 def main():
     """Run the command of sys.argv and exit with its status.  A run that
     returns ends as the interpreter would, running the atexit handlers and
@@ -376,18 +282,28 @@ def main():
     VM) are skipped.
     A run that raises, a flush that fails (the interpreter's exit then
     reports it), and a run under a profiler, a tracer or ``-i`` end
-    through the interpreter's own exit."""
-    status = run(sys.argv[1:])
-    if sys.getprofile() is None and sys.gettrace() is None and not sys.flags.inspect:
-        atexit._run_exitfuncs()
+    through the interpreter's own exit.  A closed stdout pipe, met by a
+    write of the run or by the flush, ends with status 1 and no
+    traceback."""
+    try:
+        status = run(sys.argv[1:])
+    except BrokenPipeError:
+        status = _closed_pipe()
+    else:
+        fast = sys.getprofile() is None and sys.gettrace() is None and not sys.flags.inspect
+        if fast:
+            atexit._run_exitfuncs()
         try:
             for stream in (sys.stdout, sys.stderr):
                 if stream is not None:  # None when its descriptor was closed at start
                     stream.flush()
+        except BrokenPipeError:
+            status = _closed_pipe()
         except (OSError, ValueError):
             pass
         else:
-            os._exit(status)
+            if fast:
+                os._exit(status)
     sys.exit(status)
 
 

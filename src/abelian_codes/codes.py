@@ -613,14 +613,14 @@ def tau_sweep(groups, ctx):
     for group in groups:
         _check_char(group, ctx)
         count = tau = 1
-        for p, top in factorize(group.exponent).items():
-            tau *= top + 1
+        for p in group.primes:
             low = 0
             for d in group.divisors:
                 e = 0
                 while d % p == 0:
                     d, e = d // p, e + 1
                 count, low = count * (e - low + 1), e
+            tau *= low + 1  # low is now the exponent of p in exp G
         rows.append({
             "group": group.spec_string(),
             "class_count": count,

@@ -1,7 +1,8 @@
-"""The group algebra F_qG: convolution arithmetic and the primitive
-idempotents obtained from q-power orbits of characters.  The averaging
-idempotents, the co-cyclic idempotent family and the automorphism action
-are in ``reference``.
+"""The group algebra F_qG and its primitive idempotents, obtained from
+q-power orbits of characters.  An idempotent is held as a row indexed by
+character values, never as a dense vector: the dense ``AlgebraElement``
+with its convolution arithmetic, the averaging idempotents, the co-cyclic
+idempotent family and the automorphism action are in ``reference``.
 
 Coefficients always live in the base field; splitting-field arithmetic is
 confined to primitive_idempotents and reduced back before anything is
@@ -10,22 +11,17 @@ returned.
 
 from math import gcd, prod
 
-from .abelian_group import (
-    GroupElement,
-    Subgroup,
-    _basis_exps,
-    _induced_perm,
-    _linear_values,
-    _translation,
-)
-from .errors import CharDividesOrder, GroupMismatch, GroupTooLarge
+from .abelian_group import Subgroup, _basis_exps, _induced_perm, _linear_values
+from .errors import CharDividesOrder, GroupTooLarge
 from .finite_field import _root_powers, divisors, mul_order, splitting_field
 
 # The benchmark's tracer (perfbench/tracer.py) wraps these functions of
-# ``reference`` under this module's name; delete them and ``__getattr__``
+# ``reference`` under this module's name, and the ``__mul__`` of
+# ``AlgebraElement`` imported from here; delete them and ``__getattr__``
 # once spans are recorded inside the program (ROADMAP item 1).
 _TRACED_REFERENCE = frozenset({
-    "cocyclic_idempotent", "cocyclic_idempotent_family", "hat", "phi_subgroup",
+    "AlgebraElement", "cocyclic_idempotent", "cocyclic_idempotent_family", "hat",
+    "phi_subgroup",
 })
 
 
@@ -51,25 +47,6 @@ class GroupAlgebra:
         self.group = group
         self.ctx = ctx
 
-    def zero(self):
-        return AlgebraElement(self, (self.ctx.zero,) * self.group.order)
-
-    def one(self):
-        coeffs = [self.ctx.zero] * self.group.order
-        coeffs[0] = self.ctx.one  # the identity has index 0
-        return AlgebraElement(self, coeffs)
-
-    def from_dict(self, assignment):
-        """Build an element from {exps tuple or GroupElement: raw value}."""
-        coeffs = [self.ctx.zero] * self.group.order
-        for key, val in assignment.items():
-            exps = key.exps if isinstance(key, GroupElement) else tuple(key)
-            try:
-                coeffs[self.group.index_of(exps)] = val
-            except KeyError:
-                raise GroupMismatch("not an element of the group", element=exps) from None
-        return AlgebraElement(self, coeffs)
-
     def __eq__(self, other):
         return (
             isinstance(other, GroupAlgebra)
@@ -82,92 +59,6 @@ class GroupAlgebra:
 
     def __repr__(self):
         return "GroupAlgebra(%r, %r)" % (self.group, self.ctx)
-
-
-class AlgebraElement:
-    """Dense coefficient vector over the canonical element enumeration."""
-
-    __slots__ = ("algebra", "coeffs", "_support")
-
-    def __init__(self, algebra, coeffs):
-        self.algebra = algebra
-        self.coeffs = tuple(coeffs)
-        self._support = None
-
-    @property
-    def support(self):
-        """Indices of nonzero coefficients."""
-        if self._support is None:
-            zero = self.algebra.ctx.zero
-            self._support = tuple(i for i, c in enumerate(self.coeffs) if c != zero)
-        return self._support
-
-    def is_zero(self):
-        return not self.support
-
-    def _check(self, other):
-        if not isinstance(other, AlgebraElement) or other.algebra != self.algebra:
-            raise GroupMismatch("elements of different group algebras")
-        return other
-
-    def __add__(self, other):
-        other = self._check(other)
-        add = self.algebra.ctx.add
-        return AlgebraElement(
-            self.algebra, [add(a, b) for a, b in zip(self.coeffs, other.coeffs)]
-        )
-
-    def __sub__(self, other):
-        other = self._check(other)
-        sub = self.algebra.ctx.sub
-        return AlgebraElement(
-            self.algebra, [sub(a, b) for a, b in zip(self.coeffs, other.coeffs)]
-        )
-
-    def __neg__(self):
-        neg = self.algebra.ctx.neg
-        return AlgebraElement(self.algebra, [neg(a) for a in self.coeffs])
-
-    def __mul__(self, other):
-        """Group convolution: (ab)_x = sum over y+z=x of a_y b_z."""
-        other = self._check(other)
-        alg = self.algebra
-        ctx = alg.ctx
-        group = alg.group
-        res = [ctx.zero] * group.order
-        elems = group.elements
-        sc, oc = self.coeffs, other.coeffs
-        for i in self.support:
-            a = sc[i]
-            row = _translation(group, elems[i])
-            for j in other.support:
-                k = row[j]
-                res[k] = ctx.add(res[k], ctx.mul(a, oc[j]))
-        return AlgebraElement(alg, res)
-
-    def translated(self, g):
-        """Left translation by a group element (a permutation of coefficients)."""
-        exps = g.exps if isinstance(g, GroupElement) else tuple(g)
-        alg = self.algebra
-        group = alg.group
-        res = [alg.ctx.zero] * group.order
-        row = _translation(group, exps)
-        for j in self.support:
-            res[row[j]] = self.coeffs[j]
-        return AlgebraElement(alg, res)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, AlgebraElement)
-            and self.algebra == other.algebra
-            and self.coeffs == other.coeffs
-        )
-
-    def __hash__(self):
-        return hash((self.algebra.group.divisors, self.algebra.ctx, self.coeffs))
-
-    def __repr__(self):
-        return "AlgebraElement(support=%d/%d)" % (len(self.support), len(self.coeffs))
 
 
 class PrimitiveIdempotent:
@@ -183,13 +74,6 @@ class PrimitiveIdempotent:
         self.orbit_rep = tuple(orbit_rep)
         self.phi_subgroup = phi_subgroup
         self.row = row
-
-    @property
-    def element(self):
-        """The dense AlgebraElement, built anew on each read."""
-        row = self.row
-        ts = _character_values(self.algebra.group, self.orbit_rep)[1]
-        return AlgebraElement(self.algebra, [row[t] for t in ts])
 
     def __repr__(self):
         return "PrimitiveIdempotent(orbit_rep=%r)" % (self.orbit_rep,)

@@ -4,12 +4,14 @@ stated, which the engine's fast routes are checked against.
 The engine (``classify``, ``idempotents``, ``sweep``) decides
 G-equivalence by the paper's criterion, the type of G/<k>, and never
 builds a subgroup lattice, an automorphism or a co-cyclic idempotent.
-This module holds those constructions: the Sylow decomposition, the
-subgroup lattice with its co-cyclic members and index-p covers,
-characters and annihilator duality, the automorphism group with its
-orbits on subgroups, the co-cyclic idempotent family with ``phi_subgroup``
-and the automorphism action on F_qG, the search form of G-equivalence,
-and the closed-form reference tables behind ``verify``.  Nothing in the
+This module holds those constructions: the Sylow decomposition, subgroups
+checked from their elements with their Sylow parts, types and quotient
+types, the subgroup lattice with its co-cyclic members and index-p
+covers, characters and annihilator duality, the automorphism group with
+its orbits on subgroups, the dense ``AlgebraElement`` with the
+convolution of F_qG, the co-cyclic idempotent family with
+``phi_subgroup`` and the automorphism action on F_qG, the search form of
+G-equivalence, and the closed-form reference tables behind ``verify``.  Nothing in the
 engine imports it; the CLI loads it for ``subgroups`` and ``verify``
 only, and the tests and demos use it as the definition side of each
 check.
@@ -28,10 +30,10 @@ from .abelian_group import (
     _induced_perm,
     _join,
     _linear_values,
+    _orders,
     _strides,
     group_make,
     owner_type,
-    quotient_type,
 )
 from .codes import _basis, min_weight_or_bound, minimal_code
 from .errors import (
@@ -49,8 +51,8 @@ from .errors import (
 )
 from .finite_field import _root_powers, euler_phi, factorize, mul_order
 from .group_algebra import (
-    AlgebraElement,
     PrimitiveIdempotent,
+    _character_values,
     _check_char,
     get_algebra,
     primitive_idempotents,
@@ -116,11 +118,98 @@ class SylowDecomposition:
 
     def embed_component(self, p):
         """The Sylow p-subgroup of G itself (as a Subgroup of G)."""
-        return Subgroup.whole(self.group).sylow_part(p)
+        return sylow_part(Subgroup.whole(self.group), p)
 
 
 def sylow_decompose(group):
     return SylowDecomposition(group)
+
+
+# ---------------------------------------------------------------------------
+# subgroups from elements, their parts and types
+# ---------------------------------------------------------------------------
+
+def _translation(group, g):
+    """Index of g + x for every element x, in index order."""
+    vals = [0]
+    for x, d, s in zip(g, group.divisors, _strides(group)):
+        col = [(x + k) % d * s for k in range(d)]
+        vals = [v + c for v in vals for c in col]
+    return vals
+
+
+def checked_subgroup(group, elements):
+    """The subgroup of group whose members are the given exponent tuples;
+    NotASubgroup unless they hold the identity and are closed under
+    inverses and addition."""
+    try:
+        members = frozenset(group.index_of(tuple(e)) for e in elements)
+    except KeyError as exc:
+        raise NotASubgroup("not an element of the group", element=exc.args[0]) from None
+    indices = sorted(members)
+    elems = group.elements
+    if 0 not in members:
+        raise NotASubgroup("missing identity")
+    for i in indices:
+        if group.index_of(group.neg(elems[i])) not in members:
+            raise NotASubgroup("not closed under inverses", element=elems[i])
+    for i in indices:
+        t = _translation(group, elems[i])
+        for j in indices:
+            if t[j] not in members:
+                raise NotASubgroup(
+                    "not closed under addition", pair=(elems[i], elems[j]))
+    return Subgroup._from_indices(group, indices)
+
+
+def _is_p_power(n, p):
+    while n % p == 0:
+        n //= p
+    return n == 1
+
+
+def sylow_part(H, p):
+    """Elements of p-power order of H (the p-Sylow subgroup of H)."""
+    orders = _orders(H.group)
+    return Subgroup._from_indices(H.group, [i for i in H.indices if _is_p_power(orders[i], p)])
+
+
+def _peel_invariant_factors(group, universe, start):
+    """Invariant factors of U/S, where U (ascending indices) is a subgroup
+    of `group` and S <= U (an index set).  Repeatedly peels the
+    canonical-first coset of maximal order.  The order of g mod S is the
+    least k with k*g in S, a divisor of o(g)."""
+    elems = group.elements
+    orders = _orders(group)
+    S = set(start)
+    out = []
+    while len(S) < len(universe):
+        best = None
+        best_order = 0
+        for i in universe:
+            o = orders[i]
+            if i in S or o <= best_order:
+                continue
+            k = next(k for k in range(2, o + 1)
+                     if o % k == 0 and group.index_of(group.scale(k, elems[i])) in S)
+            if k > best_order:
+                best, best_order = elems[i], k
+        S = _join(group, S, best)
+        out.append(best_order)
+    out.reverse()
+    return tuple(out)
+
+
+def subgroup_type(H):
+    """Invariant factors of the subgroup H itself (its isomorphism type)."""
+    return _peel_invariant_factors(H.group, H.indices, {0})
+
+
+def quotient_type(group, H):
+    """Invariant factors of G/H (empty tuple when H = G)."""
+    if not isinstance(H, Subgroup) or H.group != group:
+        raise NotASubgroup("H is not a subgroup of G")
+    return _peel_invariant_factors(group, range(group.order), H.indices)
 
 
 # ---------------------------------------------------------------------------
@@ -266,7 +355,7 @@ def _index_p_cover_within(group, container, H, p):
     covers = []
     tried = set(H.indices)
     for i in container:
-        if i in tried or group.scale(p, elems[i]) not in H:
+        if i in tried or group.index_of(group.scale(p, elems[i])) not in H.index_set:
             continue
         members = list(H.indices)
         for k in range(1, p):
@@ -563,6 +652,128 @@ def subgroup_orbits(group, subgroups):
 
 
 # ---------------------------------------------------------------------------
+# the dense group algebra
+# ---------------------------------------------------------------------------
+
+class AlgebraElement:
+    """An element of F_qG as a dense coefficient vector over the canonical
+    element enumeration, with the convolution arithmetic of F_qG."""
+
+    __slots__ = ("algebra", "coeffs", "_support")
+
+    def __init__(self, algebra, coeffs):
+        self.algebra = algebra
+        self.coeffs = tuple(coeffs)
+        self._support = None
+
+    @classmethod
+    def zero(cls, algebra):
+        return cls(algebra, (algebra.ctx.zero,) * algebra.group.order)
+
+    @classmethod
+    def one(cls, algebra):
+        coeffs = [algebra.ctx.zero] * algebra.group.order
+        coeffs[0] = algebra.ctx.one  # the identity has index 0
+        return cls(algebra, coeffs)
+
+    @classmethod
+    def from_dict(cls, algebra, assignment):
+        """The element with the given raw value at each key, an exponent
+        tuple or a GroupElement, and zero elsewhere."""
+        group = algebra.group
+        coeffs = [algebra.ctx.zero] * group.order
+        for key, val in assignment.items():
+            exps = key.exps if isinstance(key, GroupElement) else tuple(key)
+            try:
+                coeffs[group.index_of(exps)] = val
+            except KeyError:
+                raise GroupMismatch("not an element of the group", element=exps) from None
+        return cls(algebra, coeffs)
+
+    @classmethod
+    def from_idempotent(cls, ide):
+        """The dense form of a PrimitiveIdempotent: row[t(g)] at each g."""
+        row = ide.row
+        ts = _character_values(ide.algebra.group, ide.orbit_rep)[1]
+        return cls(ide.algebra, [row[t] for t in ts])
+
+    @property
+    def support(self):
+        """Indices of nonzero coefficients."""
+        if self._support is None:
+            zero = self.algebra.ctx.zero
+            self._support = tuple(i for i, c in enumerate(self.coeffs) if c != zero)
+        return self._support
+
+    def is_zero(self):
+        return not self.support
+
+    def _check(self, other):
+        if not isinstance(other, AlgebraElement) or other.algebra != self.algebra:
+            raise GroupMismatch("elements of different group algebras")
+        return other
+
+    def __add__(self, other):
+        other = self._check(other)
+        add = self.algebra.ctx.add
+        return AlgebraElement(
+            self.algebra, [add(a, b) for a, b in zip(self.coeffs, other.coeffs)]
+        )
+
+    def __sub__(self, other):
+        other = self._check(other)
+        sub = self.algebra.ctx.sub
+        return AlgebraElement(
+            self.algebra, [sub(a, b) for a, b in zip(self.coeffs, other.coeffs)]
+        )
+
+    def __neg__(self):
+        neg = self.algebra.ctx.neg
+        return AlgebraElement(self.algebra, [neg(a) for a in self.coeffs])
+
+    def __mul__(self, other):
+        """Group convolution: (ab)_x = sum over y+z=x of a_y b_z."""
+        other = self._check(other)
+        alg = self.algebra
+        ctx = alg.ctx
+        group = alg.group
+        res = [ctx.zero] * group.order
+        elems = group.elements
+        sc, oc = self.coeffs, other.coeffs
+        for i in self.support:
+            a = sc[i]
+            row = _translation(group, elems[i])
+            for j in other.support:
+                k = row[j]
+                res[k] = ctx.add(res[k], ctx.mul(a, oc[j]))
+        return AlgebraElement(alg, res)
+
+    def translated(self, g):
+        """Left translation by a group element (a permutation of coefficients)."""
+        exps = g.exps if isinstance(g, GroupElement) else tuple(g)
+        alg = self.algebra
+        group = alg.group
+        res = [alg.ctx.zero] * group.order
+        row = _translation(group, exps)
+        for j in self.support:
+            res[row[j]] = self.coeffs[j]
+        return AlgebraElement(alg, res)
+
+    def __eq__(self, other):
+        return (
+            isinstance(other, AlgebraElement)
+            and self.algebra == other.algebra
+            and self.coeffs == other.coeffs
+        )
+
+    def __hash__(self):
+        return hash((self.algebra.group.divisors, self.algebra.ctx, self.coeffs))
+
+    def __repr__(self):
+        return "AlgebraElement(support=%d/%d)" % (len(self.support), len(self.coeffs))
+
+
+# ---------------------------------------------------------------------------
 # idempotents from subgroups: the co-cyclic family
 # ---------------------------------------------------------------------------
 
@@ -596,11 +807,11 @@ def cocyclic_idempotent(group, H, ctx):
         )
     dec = sylow_decompose(group)
     if not dec.primes:
-        return get_algebra(group, ctx).one()
+        return AlgebraElement.one(get_algebra(group, ctx))
     result = None
     for p in dec.primes:
         Gp = dec.embed_component(p)
-        Hp = H.sylow_part(p)
+        Hp = sylow_part(H, p)
         if Hp == Gp:
             factor = hat(Gp, ctx)
         else:
@@ -630,7 +841,7 @@ def phi_subgroup(e, family):
     for callers who want to verify an owner directly.
     """
     if isinstance(e, PrimitiveIdempotent):
-        e = e.element
+        e = AlgebraElement.from_idempotent(e)
     if e.is_zero() or e * e != e:
         raise NotIdempotent("phi_subgroup expects a nonzero idempotent")
     hits = []
@@ -666,7 +877,7 @@ def idempotent_group(e):
     """Invariant factors of the group {g*e : g in G} under convolution,
     computed from the translation stabilizer of e."""
     if isinstance(e, PrimitiveIdempotent):
-        e = e.element
+        e = AlgebraElement.from_idempotent(e)
     group = e.algebra.group
     stab = [i for i, g in enumerate(group.elements) if e.translated(g) == e]
     return quotient_type(group, Subgroup._from_indices(group, stab))
@@ -847,7 +1058,7 @@ def verify_tables(group, ctx):
     # a refusal such as DegreeTooLarge comes before the |G|-length table rows
     prims = primitive_idempotents(group, ctx)
     rows, expected_orbits, expected_classes = table_rows()
-    by_element = {ide.element: ide for ide in prims}
+    by_element = {AlgebraElement.from_idempotent(ide): ide for ide in prims}
     algebra = get_algebra(group, ctx)
 
     rank2 = result["table"].startswith("C_{p^n}")
@@ -905,20 +1116,21 @@ def homocyclic_factorization(group, ide, ctx):
         raise DomainError("group is not homocyclic", group=group.spec_string())
     n = divisors[0] if divisors else 1
     m = len(divisors)
-    e = ide.element if isinstance(ide, PrimitiveIdempotent) else ide
+    e = AlgebraElement.from_idempotent(ide) if isinstance(ide, PrimitiveIdempotent) else ide
     algebra = get_algebra(group, ctx)
     cyclic = group_make([n] if n > 1 else [])
-    cyclic_coeffs = [f.element.coeffs for f in primitive_idempotents(cyclic, ctx)]
+    cyclic_coeffs = [AlgebraElement.from_idempotent(f).coeffs
+                     for f in primitive_idempotents(cyclic, ctx)]
 
     target_type = tuple([n] * (m - 1))
     candidates_K = [
-        S for S in all_subgroups(group) if S.invariant_factors() == target_type
+        S for S in all_subgroups(group) if subgroup_type(S) == target_type
     ]
     order_n_elements = [g for g in group.elements if group.element_order(g) == n]
     for K in candidates_K:
         hatK = hat(K, ctx)
         for h in order_n_elements:
-            if any(group.scale(k, h) in K for k in range(1, n)):
+            if any(group.index_of(group.scale(k, h)) in K.index_set for k in range(1, n)):
                 continue  # <h> meets K, not a complement
             for f in cyclic_coeffs:
                 embedded = [ctx.zero] * group.order

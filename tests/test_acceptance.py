@@ -14,6 +14,7 @@ from math import comb
 import pytest
 
 from abelian_codes import (
+    AlgebraElement,
     Subgroup,
     abelian_groups_of_order,
     all_subgroups,
@@ -33,8 +34,15 @@ from abelian_codes import (
     tau_sweep,
     weight_distribution,
 )
+from abelian_codes.reference import subgroup_type
 
 F2 = field_make(2)
+dense = AlgebraElement.from_idempotent
+
+
+def _mask(H):
+    """The subgroup H as a bitmask over the element indices."""
+    return sum(1 << i for i in H.indices)
 
 
 def report(name, elapsed, budget):
@@ -105,14 +113,14 @@ def test_criterion_4_family_vs_primitive_set():
     G = group_make([9, 3])
     fam = cocyclic_idempotent_family(G, F2)
     alg = get_algebra(G, F2)
-    total = alg.zero()
+    total = AlgebraElement.zero(alg)
     for (H, e), (K, f) in itertools.combinations(fam, 2):
         assert (e * f).is_zero()
     for _, e in fam:
         total = total + e
-    assert total == alg.one()
+    assert total == AlgebraElement.one(alg)
     prims = primitive_idempotents(G, F2)
-    assert {p.element for p in prims} == {e for _, e in fam}
+    assert {dense(p) for p in prims} == {e for _, e in fam}
 
     C9 = group_make([9])
     F7 = field_make(7)
@@ -135,7 +143,7 @@ def test_criterion_5_duality_suite_up_to_64():
                 A = anns[H.elements]
                 assert annihilator(G, A) == H
                 assert A.order * H.order == G.order
-            masks = [(H.mask, anns[H.elements].mask) for H in subs]
+            masks = [(_mask(H), _mask(anns[H.elements])) for H in subs]
             for (h1, a1), (h2, a2) in itertools.combinations(masks, 2):
                 incl = (h1 | h2) == h2
                 rev = (a2 | a1) == a1
@@ -210,7 +218,7 @@ def test_criterion_7_oracle_equivalence_up_to_45():
             auts = automorphisms(G)
             # exhaustive oracle: all automorphism images of each idempotent
             # (GF(2): an element is exactly its support set)
-            supports = [frozenset(c.generator.element.support) for c in codes]
+            supports = [frozenset(dense(c.generator).support) for c in codes]
             images = [
                 {frozenset(psi.perm[i] for i in s) for psi in auts}
                 for s in supports
@@ -237,7 +245,7 @@ def test_criterion_8_translate_groups_and_factorization():
         result = homocyclic_factorization(C33, ide, F2)
         assert result is not None
         K, h, e_h = result
-        assert K.invariant_factors() == (3,)
+        assert subgroup_type(K) == (3,)
         assert h.order() == 3
     elapsed = time.perf_counter() - t0
     report("8 (translate groups match quotients; hat(K)*e_h factorization)",

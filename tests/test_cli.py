@@ -458,7 +458,7 @@ def test_idempotents_dump(capsys):
 @pytest.mark.parametrize("group,field", [("9,3", "2"), ("13", "3^2"), ("3,3", "2^2")])
 def test_engine_commands_build_no_algebra_element(capsys, monkeypatch, group, field):
     # the engine holds each idempotent as its row, never as a dense element
-    from abelian_codes.group_algebra import AlgebraElement
+    from abelian_codes.reference import AlgebraElement
 
     def refuse(*args):
         raise AssertionError("an AlgebraElement was built")
@@ -854,24 +854,20 @@ def test_inspect_mode_still_enters_the_interpreter_after_the_run():
     assert status == 0 and out.endswith(b"inspected\n")
 
 
-def test_a_closed_stdout_pipe_ends_as_the_interpreter_reports_it():
-    # buffered, the output reaches the pipe only at the exit's flush, whose
-    # failure the interpreter reports in one line with status 120;
-    # unbuffered, the write in run raises
-    argv = ["classify", "--group", "3", "--field", "2", "--format", "json"]
+@pytest.mark.parametrize("argv", [
+    ["classify", "--group", "3", "--field", "2", "--format", "json"],
+    # 83 KB: run writes a 64 K batch itself before the exit's flush
+    ["sweep", "--field", "2", "--max-order", "1000", "--format", "json"],
+])
+def test_a_closed_stdout_pipe_exits_1_without_a_traceback(argv):
+    # buffered, a short output meets the closed pipe at the exit's flush;
+    # unbuffered, or past the batch, a write in run meets it: either way
+    # the status is 1 and nothing is printed on stderr
     for unbuffered in (False, True):
         read, write = os.pipe()
         os.close(read)
         try:
-            status, _, err = _process(["-m", "abelian_codes"] + argv, stdout=write,
-                                      unbuffered=unbuffered)
+            got = _process(["-m", "abelian_codes"] + argv, stdout=write, unbuffered=unbuffered)
         finally:
             os.close(write)
-        if unbuffered:
-            assert status == 1 and err.startswith(b"Traceback (most recent call last):\n")
-            assert b", in run\n" in err and b"Exception ignored" not in err
-            assert err.endswith(b"\nBrokenPipeError: [Errno 32] Broken pipe\n")
-        else:
-            assert status == 120
-            assert err == (b"Exception ignored in: <_io.TextIOWrapper name='<stdout>' mode='w' "
-                           b"encoding='utf-8'>\nBrokenPipeError: [Errno 32] Broken pipe\n")
+        assert got == (1, None, b""), unbuffered

@@ -8,6 +8,8 @@ import json
 import os
 import subprocess
 import sys
+import tokenize
+from functools import lru_cache
 from importlib import import_module
 
 import pytest
@@ -148,11 +150,20 @@ def _perfbench(name):
 def _imported(args):
     """The modules a fresh interpreter started with args imports after it
     starts, as ``-X importtime`` lists them."""
+    return set(_imported_once(tuple(args)))
+
+
+@lru_cache(maxsize=None)
+def _imported_once(args):
     env = dict(os.environ, PYTHONPATH=SRC)
-    err = subprocess.run([sys.executable, "-X", "importtime"] + args, env=env, check=True,
+    err = subprocess.run([sys.executable, "-X", "importtime", *args], env=env, check=True,
                          stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True).stderr
     rows = [line.split("|") for line in err.splitlines() if line.startswith("import time:")]
-    return {row[2].strip() for row in rows if row[1].strip().isdigit()}
+    return frozenset(row[2].strip() for row in rows if row[1].strip().isdigit())
+
+
+def _benchmark_argvs():
+    return [argv for _, argv in _perfbench("jobs").all_pin_keys().values()]
 
 
 def test_a_benchmark_job_imports_nothing_beyond_the_cli():
@@ -160,17 +171,49 @@ def test_a_benchmark_job_imports_nothing_beyond_the_cli():
     # the interpreter's, runpy's and the CLI's imports alone
     loaded = _imported(["-c", "import runpy, abelian_codes.cli"])
     assert {"runpy", "abelian_codes.cli", "abelian_codes.codes"} <= loaded
-    argvs = [argv for _, argv in _perfbench("jobs").all_pin_keys().values()]
+    argvs = _benchmark_argvs()
     assert argvs
     for argv in argvs:
         assert _imported(["-m", "abelian_codes"] + argv) <= loaded, argv
 
 
+_SKIPPED_TOKENS = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
+                   tokenize.DEDENT, tokenize.ENDMARKER, tokenize.ENCODING}
+# the tokens of the modules every benchmark job compiles (15,562 before the
+# argparse reader, the idempotents, subgroups and verify data, the CSV and
+# Markdown renderers and the dense algebra left them)
+_JOB_PATH_TOKENS = 13_314
+
+
+def _tokens(module):
+    """The tokens of a module's source, without whitespace and comments."""
+    path = os.path.join(SRC, *module.split(".")) + ".py"
+    if not os.path.exists(path):
+        path = os.path.join(SRC, *module.split("."), "__init__.py")
+    with open(path, "rb") as fh:
+        return sum(t.type not in _SKIPPED_TOKENS for t in tokenize.tokenize(fh.readline))
+
+
+def test_a_benchmark_job_compiles_only_the_job_path():
+    # the job loads neither the CLI's rarely used part nor the reference
+    # layer, and what it compiles stays within 3% of the pinned count
+    argvs = _benchmark_argvs()
+    assert argvs
+    for argv in argvs:
+        loaded = {m for m in _imported(["-m", "abelian_codes"] + argv)
+                  if m.split(".")[0] == "abelian_codes"}
+        assert {"abelian_codes.cli", "abelian_codes.codes"} <= loaded, argv
+        assert not loaded & {"abelian_codes.cli_extra", "abelian_codes.reference"}, argv
+        assert sum(map(_tokens, loaded)) <= _JOB_PATH_TOKENS * 1.03, argv
+
+
 def test_old_paths_forward_exactly_the_traced_reference_names():
+    # the traced names are the tracer's targets and the two classes that
+    # tracer.install imports from the engine modules by name
     reference = import_module("abelian_codes.reference")
     defined = {name for name, value in vars(reference).items()
                if getattr(value, "__module__", None) == reference.__name__}
-    traced = {}
+    traced = {"abelian_group": {"Subgroup"}, "group_algebra": {"AlgebraElement"}}
     for module, attr, _ in _perfbench("tracer").TARGETS:
         traced.setdefault(module, set()).add(attr)
     for module in ("abelian_group", "group_algebra", "codes"):

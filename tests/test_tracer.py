@@ -6,6 +6,8 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
@@ -35,6 +37,16 @@ def test_traced_subgroups_matches_untraced(tmp_path):
     # subgroups runs the reference layer, which the tracer reaches only
     # under the engine modules' names
     traced, _, plain = _traced_and_plain(tmp_path, ["subgroups", "--group", "9,3", "--field", "2"])
+    assert traced.stdout == plain.stdout
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--field", "2", "--max-order", "30"],
+    # idempotents loads cli_extra after the tracer has wrapped the engine
+    ["idempotents", "--group", "9,3", "--field", "2"],
+])
+def test_traced_sweep_and_idempotents_match_untraced(tmp_path, argv):
+    traced, _, plain = _traced_and_plain(tmp_path, argv)
     assert traced.stdout == plain.stdout
 
 
