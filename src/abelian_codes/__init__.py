@@ -22,14 +22,14 @@ _HOMES = {
     ),
     "abelian_group": (
         "AbelianGroup", "GroupElement", "Subgroup", "abelian_groups_of_order",
-        "group_make", "owner_type",
+        "group_make", "owner_type", "tau_sweep",
     ),
     "group_algebra": (
         "GroupAlgebra", "PrimitiveIdempotent", "get_algebra", "primitive_idempotents",
     ),
     "codes": (
         "ClassificationReport", "MinimalCode", "WeightDistribution", "classify",
-        "min_weight_or_bound", "minimal_code", "tau_sweep", "weight_distribution",
+        "min_weight_or_bound", "minimal_code", "weight_distribution",
     ),
     "reference": (
         "AlgebraElement", "Automorphism", "Character", "all_subgroups", "annihilator",

@@ -15,12 +15,17 @@ a quotient G/H, character duality and the automorphism group are in
 accumulating one axis at a time; the subgroup generated by a subgroup S
 and an element g is the union of the cosets S, S + g, S + 2g, ...
 Everything is deterministic.
+
+``tau_sweep``, the class count of each group's minimal codes, lives here
+and not in ``codes``: it reads only the group's primes and divisors, so
+``sweep`` loads neither ``codes`` nor ``group_algebra``.  ``codes`` still
+forwards the name, for the benchmark's tracer.
 """
 
 import itertools
 from math import gcd, lcm, prod
 
-from .errors import BadDivisor
+from .errors import BadDivisor, CharDividesOrder
 from .finite_field import factorize
 
 # The benchmark's tracer (perfbench/tracer.py) wraps these functions of
@@ -389,3 +394,51 @@ def abelian_groups_of_order(n):
         G._primes = primes
         groups.append(G)
     return sorted(groups, key=lambda G: G.divisors)
+
+
+# ---------------------------------------------------------------------------
+# class counts from the group type
+# ---------------------------------------------------------------------------
+
+def _check_char(group, ctx):
+    if gcd(ctx.order, group.order) != 1:
+        raise CharDividesOrder(
+            "field characteristic divides the group order",
+            characteristic=ctx.p, group_order=group.order,
+        )
+
+
+def tau_sweep(groups, ctx):
+    """For each group: the equivalence-class count of its minimal codes
+    against tau(exp G), plus the homocyclic flag.
+
+    By the paper's criterion the classes are the isomorphism types of the
+    owners G/<k>, and these split over the Sylow subgroups.  For a p-group
+    of type lambda they are the cotypes of its cyclic subgroups: the mu with
+    lambda/mu a horizontal strip (Pieri rule; Macdonald, ch. II), so there
+    are prod_i (lambda_i - lambda_(i+1) + 1) of them.  With e_1 <= ... <= e_t
+    the exponents of p in d_1 | ... | d_t that is prod_i (e_i - e_(i-1) + 1),
+    e_0 = 0.  It equals tau(p^e_t) = e_t + 1 exactly when the nonzero e_i
+    are equal: the count is tau(exp G) iff every Sylow subgroup is
+    homocyclic.  No character, element or subgroup is built.
+    """
+    rows = []
+    for group in groups:
+        _check_char(group, ctx)
+        count = tau = 1
+        for p in group.primes:
+            low = 0
+            for d in group.divisors:
+                e = 0
+                while d % p == 0:
+                    d, e = d // p, e + 1
+                count, low = count * (e - low + 1), e
+            tau *= low + 1  # low is now the exponent of p in exp G
+        rows.append({
+            "group": group.spec_string(),
+            "class_count": count,
+            "tau": tau,
+            "homocyclic": len(set(group.divisors)) <= 1,
+            "match": count == tau,
+        })
+    return rows

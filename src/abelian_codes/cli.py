@@ -4,13 +4,19 @@ Commands: subgroups, idempotents, classify, sweep, verify.  Groups are
 given as comma-separated divisor lists (``9,3``), fields as ``p`` or
 ``p^m`` (``2``, ``2^6``).  Output is deterministic: identical invocations
 produce byte-identical output.  Exit status: 0 success, 1 domain error
-(with a machine-readable error record), 2 usage error.  ``subgroups`` and
-``verify`` import the reference layer (``reference``) when they run; the
-other commands compile only the engine.  The argparse reader, the data of
-``idempotents``, ``subgroups`` and ``verify`` and the CSV and Markdown
+(with a machine-readable error record), 2 usage error.
+
+Each command loads its layers when it runs.  At start-up this module
+loads only ``finite_field``, ``abelian_group`` and ``errors``, which is
+all that ``sweep`` needs.  ``classify`` imports ``codes`` (and with it
+``group_algebra``) in ``_classify_dict``.  The argparse reader, the data
+of ``idempotents``, ``subgroups`` and ``verify`` and the CSV and Markdown
 renderers are in ``cli_extra``, which loads on the first call of one of
-them: a canonical ``--format json`` run of ``classify`` or ``sweep``
-compiles neither it nor ``reference``.
+them and imports ``group_algebra``; ``subgroups`` and ``verify`` also
+import the reference layer (``reference``).  So a canonical ``--format
+json`` run of ``sweep`` compiles none of ``codes``, ``group_algebra``,
+``cli_extra`` and ``reference``, and one of ``classify`` neither of the
+last two.
 
 The arguments are read from two tables, ``_COMMANDS`` and ``_OPTIONS``,
 by the rules of argparse.  A canonical argv (the command, then its
@@ -27,8 +33,7 @@ from itertools import chain
 from math import gcd
 from types import GeneratorType
 
-from .abelian_group import abelian_groups_of_order, group_make
-from .codes import classify, tau_sweep
+from .abelian_group import abelian_groups_of_order, group_make, tau_sweep
 from .errors import DomainError, GroupTooLarge
 from .finite_field import field_make
 
@@ -140,6 +145,8 @@ def _sweep_dict(args):
 
 
 def _classify_dict(args):
+    from .codes import classify
+
     return classify(args["group"], args["field"],
                     with_distributions=args["with-distributions"]).to_dict()
 

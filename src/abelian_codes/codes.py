@@ -5,7 +5,10 @@ module computes dimensions, exact weight distributions or bounds on the
 minimum weight, and the grouping of codes into equivalence classes under
 linear extensions of group automorphisms, decided by the paper's
 criterion.  The search form of that equivalence and the closed-form
-reference tables behind ``verify`` are in ``reference``.
+reference tables behind ``verify`` are in ``reference``.  The class count
+from the group type alone, ``tau_sweep``, is in ``abelian_group``, so that
+``sweep`` loads neither this module nor ``group_algebra``; the name still
+resolves here through ``__getattr__``, for the benchmark's tracer.
 """
 
 from collections import Counter
@@ -23,7 +26,6 @@ from .finite_field import (
 )
 from .group_algebra import (
     _character_values,
-    _check_char,
     get_algebra,
     primitive_idempotents,
     row_reduce_raw,
@@ -33,6 +35,18 @@ from .group_algebra import (
 # (perfbench/tracer.py) imports it under this name; rename or delete the
 # name once bound hits are recorded inside the program (ROADMAP item 1).
 DEFAULT_DIMENSION_CAP = 24
+
+
+# The benchmark's tracer (perfbench/tracer.py) wraps ``tau_sweep`` of
+# ``abelian_group`` under this module's name; delete ``__getattr__`` once
+# spans are recorded inside the program (ROADMAP item 1).
+def __getattr__(name):
+    if name != "tau_sweep":
+        raise AttributeError("module %r has no attribute %r" % (__name__, name))
+    from . import abelian_group
+
+    value = globals()[name] = abelian_group.tau_sweep
+    return value
 
 
 class MinimalCode:
@@ -594,38 +608,3 @@ def classify(group, ctx, with_distributions=False):
     records.sort(key=lambda r: r.code.generator.orbit_rep)
     return ClassificationReport(group, ctx, records, classes)
 
-
-def tau_sweep(groups, ctx):
-    """For each group: the equivalence-class count of its minimal codes
-    against tau(exp G), plus the homocyclic flag.
-
-    By the paper's criterion the classes are the isomorphism types of the
-    owners G/<k>, and these split over the Sylow subgroups.  For a p-group
-    of type lambda they are the cotypes of its cyclic subgroups: the mu with
-    lambda/mu a horizontal strip (Pieri rule; Macdonald, ch. II), so there
-    are prod_i (lambda_i - lambda_(i+1) + 1) of them.  With e_1 <= ... <= e_t
-    the exponents of p in d_1 | ... | d_t that is prod_i (e_i - e_(i-1) + 1),
-    e_0 = 0.  It equals tau(p^e_t) = e_t + 1 exactly when the nonzero e_i
-    are equal: the count is tau(exp G) iff every Sylow subgroup is
-    homocyclic.  No character, element or subgroup is built.
-    """
-    rows = []
-    for group in groups:
-        _check_char(group, ctx)
-        count = tau = 1
-        for p in group.primes:
-            low = 0
-            for d in group.divisors:
-                e = 0
-                while d % p == 0:
-                    d, e = d // p, e + 1
-                count, low = count * (e - low + 1), e
-            tau *= low + 1  # low is now the exponent of p in exp G
-        rows.append({
-            "group": group.spec_string(),
-            "class_count": count,
-            "tau": tau,
-            "homocyclic": len(set(group.divisors)) <= 1,
-            "match": count == tau,
-        })
-    return rows

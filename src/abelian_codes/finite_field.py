@@ -41,6 +41,9 @@ _SPLITTING_DEGREE_BOUND = 512
 # refuses a number with no factor among them
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_EXACT_BELOW = 3317044064679887385961981
+# the bases 2, 3, 5 and 7 alone are exact below this bound, the least strong
+# pseudoprime to all four (Jaeschke 1993)
+_MR_FOUR_BASES_BELOW = 3215031751
 
 
 def is_prime(n):
@@ -58,7 +61,7 @@ def is_prime(n):
     d, r = n - 1, 0
     while d % 2 == 0:
         d, r = d // 2, r + 1
-    for a in _MR_BASES:
+    for a in _MR_BASES[:4] if n < _MR_FOUR_BASES_BELOW else _MR_BASES:
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
             continue

@@ -11,8 +11,8 @@ returned.
 
 from math import gcd, prod
 
-from .abelian_group import Subgroup, _basis_exps, _induced_perm, _linear_values
-from .errors import CharDividesOrder, GroupTooLarge
+from .abelian_group import Subgroup, _basis_exps, _check_char, _induced_perm, _linear_values
+from .errors import GroupTooLarge
 from .finite_field import _root_powers, divisors, mul_order, splitting_field
 
 # The benchmark's tracer (perfbench/tracer.py) wraps these functions of
@@ -77,14 +77,6 @@ class PrimitiveIdempotent:
 
     def __repr__(self):
         return "PrimitiveIdempotent(orbit_rep=%r)" % (self.orbit_rep,)
-
-
-def _check_char(group, ctx):
-    if gcd(ctx.order, group.order) != 1:
-        raise CharDividesOrder(
-            "field characteristic divides the group order",
-            characteristic=ctx.p, group_order=group.order,
-        )
 
 
 # ---------------------------------------------------------------------------

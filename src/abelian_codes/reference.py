@@ -26,6 +26,7 @@ from .abelian_group import (
     GroupElement,
     Subgroup,
     _basis_exps,
+    _check_char,
     _cycle,
     _induced_perm,
     _join,
@@ -53,7 +54,6 @@ from .finite_field import _root_powers, euler_phi, factorize, mul_order
 from .group_algebra import (
     PrimitiveIdempotent,
     _character_values,
-    _check_char,
     get_algebra,
     primitive_idempotents,
 )

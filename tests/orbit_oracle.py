@@ -9,7 +9,7 @@ subgroup and G itself) under the Aut(G) generators with
 
 from abelian_codes import Subgroup, cocyclic_subgroups, subgroup_orbits
 from abelian_codes.finite_field import divisor_count
-from abelian_codes.group_algebra import _check_char
+from abelian_codes.abelian_group import _check_char
 
 
 def orbit_tau_sweep(groups, ctx):

@@ -359,20 +359,49 @@ def _is_prime_by_trial_division(n):
 
 
 def test_is_prime_matches_trial_division():
-    assert [n for n in range(10 ** 5) if is_prime(n)] \
-        == [n for n in range(10 ** 5) if _is_prime_by_trial_division(n)]
+    # every n here is decided by the bases 2, 3, 5 and 7 alone
+    assert [n for n in range(2 * 10 ** 5) if is_prime(n)] \
+        == [n for n in range(2 * 10 ** 5) if _is_prime_by_trial_division(n)]
 
 
 @pytest.mark.parametrize("n", [
     561, 1105, 1729, 2465, 2821, 6601, 8911, 41041, 825265, 321197185,
     5394826801, 232250619601, 9746347772161,  # Carmichael numbers
     3215031751,  # a strong pseudoprime to the bases 2, 3, 5 and 7
-    3825123056546413051,  # a strong pseudoprime to the bases 2 .. 23
+    3825123056546413051,  # a strong pseudoprime to the bases 2 .. 31
     318665857834031151167461,  # a strong pseudoprime to the bases 2 .. 37
     41 ** 16,  # above the Miller-Rabin bound, but with a small factor
 ])
 def test_is_prime_rejects_pseudoprimes(n):
     assert not is_prime(n)
+
+
+def _strong_probable_prime(n, a):
+    d, r = n - 1, 0
+    while d % 2 == 0:
+        d, r = d // 2, r + 1
+    x = pow(a, d, n)
+    return x in (1, n - 1) or any(pow(x, 2 ** i, n) == n - 1 for i in range(1, r))
+
+
+@pytest.mark.parametrize("n,fooled,caught", [
+    (25326001, (2, 3, 5), 7),
+    # the least strong pseudoprime to 2, 3, 5 and 7: the four bases that
+    # decide every smaller n do not decide it (Jaeschke 1993)
+    (3215031751, (2, 3, 5, 7), 11),
+    (3825123056546413051, (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31), 37),
+])
+def test_is_prime_rejects_strong_pseudoprimes_to_its_first_bases(n, fooled, caught):
+    assert all(_strong_probable_prime(n, a) for a in fooled)
+    assert not _strong_probable_prime(n, caught)
+    assert not is_prime(n)
+
+
+def test_is_prime_at_the_four_base_bound():
+    # the primes nearest 3,215,031,751 on either side, and the composites
+    # between them, against trial division
+    for n in range(3215031733, 3215031768):
+        assert is_prime(n) == _is_prime_by_trial_division(n), n
 
 
 def test_is_prime_refuses_a_large_number_without_a_small_factor():

@@ -4,6 +4,7 @@ submodule keeps an import or a private definition that nothing uses."""
 import ast
 import glob
 import importlib.util
+import inspect
 import json
 import os
 import subprocess
@@ -77,9 +78,18 @@ def test_field_make_loads_only_its_home():
         == {"finite_field", "errors"}
 
 
-def test_cli_loads_every_layer():
-    assert _loaded_after("import abelian_codes.cli") >= {
+def test_the_tracer_imports_load_every_layer():
+    # perfbench/tracer.install wraps its targets in the modules that its
+    # imports load: the CLI alone loads neither codes nor group_algebra,
+    # but the AlgebraElement hook of group_algebra loads reference, and
+    # reference loads codes
+    install = ast.parse(inspect.getsource(_perfbench("tracer").install)).body[0]
+    imports = [ast.unparse(node) for node in install.body
+               if isinstance(node, (ast.Import, ast.ImportFrom))]
+    assert len(imports) == 3
+    assert _loaded_after("\n".join(imports)) >= {
         "finite_field", "abelian_group", "group_algebra", "codes"}
+    assert not _loaded_after(imports[0]) & {"group_algebra", "codes"}
 
 
 def test_cli_loads_no_reference_layer():
@@ -166,23 +176,37 @@ def _benchmark_argvs():
     return [argv for _, argv in _perfbench("jobs").all_pin_keys().values()]
 
 
-def test_a_benchmark_job_imports_nothing_beyond_the_cli():
-    # a job's command and its exit load no module: its start-up cost is
-    # the interpreter's, runpy's and the CLI's imports alone
-    loaded = _imported(["-c", "import runpy, abelian_codes.cli"])
-    assert {"runpy", "abelian_codes.cli", "abelian_codes.codes"} <= loaded
+# what a benchmark job of each command may import: runpy, the CLI and the
+# layers the command runs
+_COMMAND_IMPORTS = {
+    "sweep": "import runpy, abelian_codes.cli",
+    "classify": "import runpy, abelian_codes.cli, abelian_codes.codes",
+}
+
+
+def test_a_benchmark_job_imports_nothing_beyond_its_command():
+    # a job's command and its exit load no module beyond its command's
+    # layers: its start-up cost is the interpreter's, runpy's and those
+    # imports alone, and sweep's are runpy's and the CLI's
+    allowed = {command: _imported(["-c", statement])
+               for command, statement in _COMMAND_IMPORTS.items()}
+    assert {"runpy", "abelian_codes.cli"} <= allowed["sweep"]
+    assert not allowed["sweep"] & {"abelian_codes.codes", "abelian_codes.group_algebra"}
+    assert {"abelian_codes.codes", "abelian_codes.group_algebra"} <= allowed["classify"]
     argvs = _benchmark_argvs()
-    assert argvs
+    assert {argv[0] for argv in argvs} == set(_COMMAND_IMPORTS)
     for argv in argvs:
-        assert _imported(["-m", "abelian_codes"] + argv) <= loaded, argv
+        assert _imported(["-m", "abelian_codes"] + argv) <= allowed[argv[0]], argv
 
 
 _SKIPPED_TOKENS = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
                    tokenize.DEDENT, tokenize.ENDMARKER, tokenize.ENCODING}
-# the tokens of the modules every benchmark job compiles (15,562 before the
-# argparse reader, the idempotents, subgroups and verify data, the CSV and
-# Markdown renderers and the dense algebra left them)
-_JOB_PATH_TOKENS = 13_314
+# the tokens of the modules a benchmark job of each command compiles.
+# classify's 13,314 were every job's before sweep stopped loading codes and
+# group_algebra (15,562 before the argparse reader, the idempotents,
+# subgroups and verify data, the CSV and Markdown renderers and the dense
+# algebra left the job path)
+_JOB_PATH_TOKENS = {"classify": 13_314, "sweep": 8_515}
 
 
 def _tokens(module):
@@ -196,15 +220,21 @@ def _tokens(module):
 
 def test_a_benchmark_job_compiles_only_the_job_path():
     # the job loads neither the CLI's rarely used part nor the reference
-    # layer, and what it compiles stays within 3% of the pinned count
+    # layer, a sweep loads neither codes nor group_algebra, and what a job
+    # compiles stays within 3% of its command's pinned count
     argvs = _benchmark_argvs()
     assert argvs
     for argv in argvs:
         loaded = {m for m in _imported(["-m", "abelian_codes"] + argv)
                   if m.split(".")[0] == "abelian_codes"}
-        assert {"abelian_codes.cli", "abelian_codes.codes"} <= loaded, argv
+        assert "abelian_codes.cli" in loaded, argv
         assert not loaded & {"abelian_codes.cli_extra", "abelian_codes.reference"}, argv
-        assert sum(map(_tokens, loaded)) <= _JOB_PATH_TOKENS * 1.03, argv
+        algebra = {"abelian_codes.codes", "abelian_codes.group_algebra"}
+        if argv[0] == "sweep":
+            assert not loaded & algebra, argv
+        else:
+            assert algebra <= loaded, argv
+        assert sum(map(_tokens, loaded)) <= _JOB_PATH_TOKENS[argv[0]] * 1.03, argv
 
 
 def test_old_paths_forward_exactly_the_traced_reference_names():
@@ -224,6 +254,14 @@ def test_old_paths_forward_exactly_the_traced_reference_names():
             assert getattr(home, name) is getattr(reference, name)
         for name in defined - moved:
             assert not hasattr(home, name), (module, name)
+    # codes forwards the one traced name that moved to abelian_group
+    codes, abelian_group = (import_module("abelian_codes." + m)
+                            for m in ("codes", "abelian_group"))
+    assert codes.tau_sweep is abelian_group.tau_sweep
+    assert abelian_codes.tau_sweep is abelian_group.tau_sweep
+    for name in set(vars(abelian_group)) - set(vars(codes)) | {"no_such_name"}:
+        with pytest.raises(AttributeError):
+            getattr(codes, name)
 
 
 def test_unknown_name_raises_attribute_error():

@@ -62,3 +62,19 @@ def test_traced_classify_on_the_bound_path_matches_untraced(tmp_path):
     assert metrics["codes.bound_fallbacks"] == 2
     assert metrics["codes.minimal_codes"] == 5
     assert metrics["codes.weight_enumerations"] == 2
+
+
+@pytest.mark.parametrize("argv,spans", [
+    (["sweep", "--field", "2", "--max-order", "30", "--format", "json"],
+     {"codes.tau_sweep": 1}),
+    (["classify", "--group", "9,3", "--field", "2", "--format", "json"],
+     {"codes.classify": 1, "codes.minimal_code": 8}),
+])
+def test_traced_jobs_record_the_spans_of_each_commands_layers(tmp_path, argv, spans):
+    # the CLI holds tau_sweep from abelian_group and imports classify from
+    # codes only when classify runs: both must be the tracer's wrappers by
+    # then, or their spans vanish while stdout still matches
+    traced, record, plain = _traced_and_plain(tmp_path, argv)
+    assert traced.stdout == plain.stdout
+    names = [span[0] for span in record["spans"]]
+    assert {name: names.count(name) for name in spans} == spans
