@@ -17,15 +17,14 @@ _HOMES = {
         "NonPrimeP", "NotASubgroup", "NotCocyclic", "NotCoprime", "NotIdempotent",
     ),
     "finite_field": (
-        "FieldCtx", "divisor_count", "element_of_order", "euler_phi",
-        "field_make", "mul_order", "splitting_field",
+        "FieldCtx", "divisor_count", "euler_phi", "field_make", "mul_order",
     ),
     "abelian_group": (
-        "AbelianGroup", "GroupElement", "Subgroup", "abelian_groups_of_order",
-        "group_make", "owner_type", "tau_sweep",
+        "AbelianGroup", "abelian_groups_of_order", "group_make", "owner_type", "tau_sweep",
     ),
     "group_algebra": (
-        "GroupAlgebra", "PrimitiveIdempotent", "get_algebra", "primitive_idempotents",
+        "GroupAlgebra", "GroupElement", "PrimitiveIdempotent", "Subgroup",
+        "element_of_order", "get_algebra", "primitive_idempotents", "splitting_field",
     ),
     "codes": (
         "ClassificationReport", "MinimalCode", "WeightDistribution", "classify",

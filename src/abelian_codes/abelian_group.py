@@ -2,24 +2,21 @@
 
 Elements are exponent tuples at the API.  The element index of an exponent
 tuple is its mixed-radix position (last coordinate fastest), so index order
-is lexicographic order on exponent tuples.  A subgroup's canonical form is
-its ascending tuple of element indices; equality, hashing and ordering use
-it, and its exponent tuples are a derived view.
+is lexicographic order on exponent tuples.
 
-The module provides what the engine needs of a group: subgroups by their
-generators, the owner type G/<k> that classes the minimal codes, the
-q-scaling permutation behind the character orbits, and the list of groups
-of one order, all computed on indices.  The subgroup lattice, the type of
-a quotient G/H, character duality and the automorphism group are in
-``reference``.  A linear map is evaluated on all |G| indices by
-accumulating one axis at a time; the subgroup generated by a subgroup S
-and an element g is the union of the cosets S, S + g, S + 2g, ...
-Everything is deterministic.
-
-``tau_sweep``, the class count of each group's minimal codes, lives here
-and not in ``codes``: it reads only the group's primes and divisors, so
-``sweep`` loads neither ``codes`` nor ``group_algebra``.  ``codes`` still
-forwards the name, for the benchmark's tracer.
+The module holds what every command reads of a group and nothing it
+builds from one: ``AbelianGroup`` with its element bookkeeping,
+``group_make``, the owner type G/<k> that classes the minimal codes, the
+list of groups of one order, and ``tau_sweep``, the class count of each
+group's minimal codes from its type alone.  So ``sweep``, and the set-up
+``field_make(p)`` plus ``group_make``, load only this module,
+``finite_field`` and ``errors``.  ``tau_sweep`` lives here and not in
+``codes`` for that reason; ``codes`` still forwards the name, for the
+benchmark's tracer.  Subgroups (``Subgroup``, ``GroupElement``) and the
+linear maps evaluated on all |G| indices are in ``group_algebra``, which
+builds them; this module forwards ``Subgroup`` for the tracer.  The
+subgroup lattice, the type of a quotient G/H, character duality and the
+automorphism group are in ``reference``.  Everything is deterministic.
 """
 
 import itertools
@@ -29,8 +26,9 @@ from .errors import BadDivisor, CharDividesOrder
 from .finite_field import factorize
 
 # The benchmark's tracer (perfbench/tracer.py) wraps these functions of
-# ``reference`` under this module's name; delete them and ``__getattr__``
-# once spans are recorded inside the program (ROADMAP item 1).
+# ``reference``, and ``generated`` of ``group_algebra.Subgroup``, under this
+# module's name; delete them and ``__getattr__`` once spans are recorded
+# inside the program (ROADMAP item 1).
 _TRACED_REFERENCE = frozenset({
     "_index_p_cover_within", "all_subgroups", "annihilator", "aut_generators",
     "automorphisms", "cocyclic_subgroups", "cyclic_subgroups", "quotient_type",
@@ -39,11 +37,13 @@ _TRACED_REFERENCE = frozenset({
 
 
 def __getattr__(name):
-    if name not in _TRACED_REFERENCE:
+    if name == "Subgroup":
+        from . import group_algebra as home
+    elif name in _TRACED_REFERENCE:
+        from . import reference as home
+    else:
         raise AttributeError("module %r has no attribute %r" % (__name__, name))
-    from . import reference
-
-    value = globals()[name] = getattr(reference, name)
+    value = globals()[name] = getattr(home, name)
     return value
 
 
@@ -106,13 +106,6 @@ class AbelianGroup:
     def element_order(self, a):
         return lcm(*(d // gcd(x, d) for x, d in zip(a, self.divisors))) if self.rank else 1
 
-    def element(self, exps):
-        return GroupElement(self, tuple(x % d for x, d in zip(exps, self.divisors)))
-
-    @property
-    def identity(self):
-        return GroupElement(self, self.zero)
-
     def spec_string(self):
         return ",".join(str(d) for d in self.divisors) if self.divisors else "1"
 
@@ -126,32 +119,6 @@ class AbelianGroup:
         if not self.divisors:
             return "AbelianGroup(trivial)"
         return "AbelianGroup(%s)" % " x ".join("C%d" % d for d in self.divisors)
-
-
-class GroupElement:
-    """An element of a fixed AbelianGroup, as an exponent tuple."""
-
-    __slots__ = ("group", "exps")
-
-    def __init__(self, group, exps):
-        self.group = group
-        self.exps = tuple(exps)
-
-    def order(self):
-        return self.group.element_order(self.exps)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, GroupElement)
-            and self.group == other.group
-            and self.exps == other.exps
-        )
-
-    def __hash__(self):
-        return hash((self.group.divisors, self.exps))
-
-    def __repr__(self):
-        return "GroupElement%r" % (self.exps,)
 
 
 def group_make(divisors):
@@ -178,148 +145,7 @@ def group_make(divisors):
 
 
 # ---------------------------------------------------------------------------
-# subgroups
-# ---------------------------------------------------------------------------
-
-def _strides(group):
-    """Index weight of each coordinate: index = sum of exps[i] * strides[i]."""
-    out = []
-    s = 1
-    for d in reversed(group.divisors):
-        out.append(s)
-        s *= d
-    out.reverse()
-    return out
-
-
-def _cycle(group, g):
-    """Indices of 0, g, 2g, ..., (o-1)g for the element g of order o."""
-    o = group.element_order(g)
-    cols = [
-        [k * x % d * s for k in range(o)]
-        for x, d, s in zip(g, group.divisors, _strides(group)) if x
-    ]
-    return [sum(t) for t in zip(*cols)] if cols else [0]
-
-
-def _orders(group):
-    """Order of every element, in index order; built once per group."""
-    if group._orders is None:
-        vals = [1]
-        for d in group.divisors:
-            col = [d // gcd(x, d) for x in range(d)]
-            vals = [lcm(v, c) for v in vals for c in col]
-        group._orders = vals
-    return group._orders
-
-
-def _join(group, S, g):
-    """Index set of the subgroup generated by the subgroup S (an index set)
-    and the element g: S and its cosets S + k*g for 0 < k < m, m the least
-    k with k*g in S.  Only those cosets are built, and only along the axes
-    j where g_j != 0: there the index of h + k*g moves by
-    ((h_j + k*g_j) mod d_j - h_j) * stride_j."""
-    cyc = _cycle(group, g)
-    m = next((k for k in range(1, len(cyc)) if cyc[k] in S), len(cyc))
-    new = [h for _ in range(1, m) for h in S]
-    for x, d, s in zip(g, group.divisors, _strides(group)):
-        if x % d:
-            digits = [h // s % d for h in S]
-            step = [((y + k * x) % d - y) * s for k in range(1, m) for y in digits]
-            new = [a + b for a, b in zip(new, step)]
-    return set(S).union(new)
-
-
-class Subgroup:
-    """A subgroup of a fixed group; equality and ordering use the ascending
-    tuple of element indices (the canonical form), which orders subgroups
-    exactly as their sorted exponent tuples would.  It is built from its
-    generators or trusted indices; ``reference.checked_subgroup`` builds one
-    from a list of elements after checking that they form a subgroup."""
-
-    __slots__ = ("group", "indices", "_set", "_generators")
-
-    @classmethod
-    def generated(cls, group, gens):
-        span = {0}
-        for g in gens:
-            span = _join(group, span, g.exps if isinstance(g, GroupElement) else tuple(g))
-        return cls._from_indices(group, sorted(span))
-
-    @classmethod
-    def _from_indices(cls, group, indices, generators=None):
-        """Trusted subgroup from its element indices in ascending order."""
-        obj = object.__new__(cls)
-        obj.group = group
-        obj.indices = tuple(indices)
-        obj._set = None
-        obj._generators = generators
-        return obj
-
-    @classmethod
-    def trivial(cls, group):
-        return cls._from_indices(group, (0,))
-
-    @classmethod
-    def whole(cls, group):
-        return cls._from_indices(group, range(group.order))
-
-    @property
-    def elements(self):
-        """Exponent tuples of the members, in canonical order."""
-        elems = self.group.elements
-        return tuple([elems[i] for i in self.indices])
-
-    @property
-    def order(self):
-        return len(self.indices)
-
-    @property
-    def index_set(self):
-        """Frozenset of the member indices, built on the first query."""
-        if self._set is None:
-            self._set = frozenset(self.indices)
-        return self._set
-
-    @property
-    def generators(self):
-        """Deterministic small generating list: greedily peel the canonical
-        first element of maximal order outside the current span."""
-        if self._generators is None:
-            group = self.group
-            elems = group.elements
-            orders = _orders(group)
-            span = {0}
-            gens = []
-            while len(span) < len(self.indices):
-                # max keeps the first of the maximal orders
-                best = elems[max((i for i in self.indices if i not in span),
-                                 key=orders.__getitem__)]
-                gens.append(best)
-                span = _join(group, span, best)
-            self._generators = tuple(gens)
-        return self._generators
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Subgroup)
-            and self.group == other.group
-            and self.indices == other.indices
-        )
-
-    def __hash__(self):
-        return hash((self.group.divisors, self.indices))
-
-    def __lt__(self, other):
-        return self.indices < other.indices
-
-    def __repr__(self):
-        gens = ",".join(repr(list(g)) for g in self.generators)
-        return "Subgroup<order %d, gens %s>" % (self.order, gens)
-
-
-# ---------------------------------------------------------------------------
-# quotients, owner types and linear maps
+# owner types
 # ---------------------------------------------------------------------------
 
 def owner_type(group, k):
@@ -339,31 +165,6 @@ def owner_type(group, k):
             out.append(D // prev)
         head, prev = head * d[j], D
     return tuple(out)
-
-
-def _linear_values(group, coeffs, n):
-    """sum_i coeffs[i] * x_i mod n for every element x, in index order."""
-    vals = [0]
-    for c, d in zip(coeffs, group.divisors):
-        vals = [(v + c * x) % n for v in vals for x in range(d)]
-    return vals
-
-
-def _basis_exps(group, i):
-    return tuple(1 if j == i else 0 for j in range(group.rank))
-
-
-def _induced_perm(group, images):
-    """Index permutation of the homomorphism e_i -> images[i], or None when
-    it is not a bijection.  Coordinate j of the image is a linear form mod
-    d_j; scaling it by the stride keeps each column an index summand."""
-    perm = [0] * group.order
-    for j, (d, s) in enumerate(zip(group.divisors, _strides(group))):
-        col = _linear_values(group, [img[j] * s for img in images], d * s)
-        perm = [a + b for a, b in zip(perm, col)]
-    if len(set(perm)) != group.order:
-        return None
-    return tuple(perm)
 
 
 # ---------------------------------------------------------------------------

@@ -8,15 +8,18 @@ produce byte-identical output.  Exit status: 0 success, 1 domain error
 
 Each command loads its layers when it runs.  At start-up this module
 loads only ``finite_field``, ``abelian_group`` and ``errors``, which is
-all that ``sweep`` needs.  ``classify`` imports ``codes`` (and with it
-``group_algebra``) in ``_classify_dict``.  The argparse reader, the data
-of ``idempotents``, ``subgroups`` and ``verify`` and the CSV and Markdown
-renderers are in ``cli_extra``, which loads on the first call of one of
-them and imports ``group_algebra``; ``subgroups`` and ``verify`` also
-import the reference layer (``reference``).  So a canonical ``--format
-json`` run of ``sweep`` compiles none of ``codes``, ``group_algebra``,
-``cli_extra`` and ``reference``, and one of ``classify`` neither of the
-last two.
+all that ``sweep`` needs: number theory, the prime field and group types.
+A field GF(p^m) with m > 1 loads ``extension_field`` as it is built.
+``classify`` imports ``codes`` (and with it ``group_algebra``, home of
+the subgroup and splitting-field layers) in ``_classify_dict``.  The
+argparse reader, the data of ``idempotents``, ``subgroups`` and
+``verify`` and the CSV and Markdown renderers are in ``cli_extra``, which
+loads on the first call of one of them; ``idempotents`` imports
+``group_algebra`` there, and ``subgroups`` and ``verify`` the reference
+layer (``reference``).  So a ``sweep`` in any format compiles neither
+``codes`` nor ``group_algebra`` (nor, over a prime field,
+``extension_field``), and a canonical ``--format json`` run of
+``classify`` compiles neither ``cli_extra`` nor ``reference``.
 
 The arguments are read from two tables, ``_COMMANDS`` and ``_OPTIONS``,
 by the rules of argparse.  A canonical argv (the command, then its

@@ -2,13 +2,14 @@
 json`` run of ``classify`` or ``sweep`` never calls: the argparse reader
 of every other argv, the data of ``idempotents``, ``subgroups`` and
 ``verify``, and the CSV and Markdown renderers.  ``cli`` loads this module
-on the first call of one of them, so those runs never compile it.
+on the first call of one of them, so those runs never compile it.  The
+algebra is imported only inside ``idempotents_dict``, so a Markdown or CSV
+``sweep`` loads this module but neither ``group_algebra`` nor ``codes``.
 """
 
 from itertools import groupby
 
 from .cli import _COMMANDS, _OPTIONS
-from .group_algebra import _character_values, primitive_idempotents
 
 
 def argparse_parse(argv):
@@ -47,6 +48,8 @@ def argparse_parse(argv):
 def idempotents_dict(args):
     """The idempotents' data, with the entries as a generator: every
     refusal is raised here, and an entry is built only when it is read."""
+    from .group_algebra import _character_values, primitive_idempotents
+
     group, ctx = args["group"], args["field"]
 
     def entries(ides):

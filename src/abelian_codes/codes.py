@@ -16,14 +16,8 @@ from math import comb, lcm
 
 from .abelian_group import owner_type
 from .errors import DimensionTooLarge
-from .finite_field import (
-    _gf2_mask,
-    _gf2_vector,
-    divisor_count,
-    factorize,
-    lex_tuples,
-    mul_order,
-)
+from .extension_field import lex_tuples
+from .finite_field import _gf2_mask, _gf2_vector, divisor_count, factorize, mul_order
 from .group_algebra import (
     _character_values,
     get_algebra,

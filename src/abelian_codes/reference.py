@@ -21,21 +21,7 @@ import itertools
 from functools import partial
 from math import gcd
 
-from .abelian_group import (
-    AbelianGroup,
-    GroupElement,
-    Subgroup,
-    _basis_exps,
-    _check_char,
-    _cycle,
-    _induced_perm,
-    _join,
-    _linear_values,
-    _orders,
-    _strides,
-    group_make,
-    owner_type,
-)
+from .abelian_group import AbelianGroup, _check_char, group_make, owner_type
 from .codes import _basis, min_weight_or_bound, minimal_code
 from .errors import (
     AlgebraMismatch,
@@ -50,11 +36,10 @@ from .errors import (
     NotIdempotent,
     NoUniqueSubgroup,
 )
-from .finite_field import _root_powers, euler_phi, factorize, mul_order
+from .finite_field import euler_phi, factorize, mul_order
 from .group_algebra import (
-    PrimitiveIdempotent,
-    _character_values,
-    get_algebra,
+    GroupElement, PrimitiveIdempotent, Subgroup, _basis_exps, _character_values, _cycle,
+    _induced_perm, _join, _linear_values, _orders, _root_powers, _strides, get_algebra,
     primitive_idempotents,
 )
 
@@ -106,12 +91,12 @@ class SylowDecomposition:
             part_exps = part.exps if isinstance(part, GroupElement) else tuple(part)
             for i, m, x in zip(self._coords[p], self._mults[p], part_exps):
                 exps[i] = (exps[i] + x * m) % self.group.divisors[i]
-        return self.group.element(exps)
+        return GroupElement(self.group, exps)
 
     def merge_subgroup(self, parts):
         span = {0}
         for p in self.primes:
-            others = {pp: self.components[pp].identity for pp in self.primes if pp != p}
+            others = {pp: self.components[pp].zero for pp in self.primes if pp != p}
             for g in parts[p].generators:
                 span = _join(self.group, span, self.merge_element({p: g} | others).exps)
         return Subgroup._from_indices(self.group, sorted(span))
@@ -1140,5 +1125,5 @@ def homocyclic_factorization(group, ide, ctx):
                     ]
                 e_h = AlgebraElement(algebra, embedded)
                 if hatK * e_h == e:
-                    return K, group.element(h), e_h
+                    return K, GroupElement(group, h), e_h
     return None

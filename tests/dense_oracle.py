@@ -14,8 +14,8 @@ kept only as test oracles.
 from math import gcd
 
 from abelian_codes.codes import _basis, _reduce
-from abelian_codes.finite_field import element_of_order, factorize, splitting_field
-from abelian_codes.group_algebra import _character_values
+from abelian_codes.finite_field import factorize
+from abelian_codes.group_algebra import _character_values, element_of_order, splitting_field
 
 
 def element_of_order_by_pow(field, n):

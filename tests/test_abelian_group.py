@@ -8,6 +8,7 @@ import pytest
 from abelian_codes import (
     AbelianGroup,
     BadDivisor,
+    GroupElement,
     GroupTooLarge,
     NoRootsOfUnity,
     NotASubgroup,
@@ -29,7 +30,7 @@ from abelian_codes import (
     sylow_decompose,
 )
 from abelian_codes.finite_field import factorize
-from abelian_codes.abelian_group import _induced_perm
+from abelian_codes.group_algebra import _induced_perm
 from abelian_codes.reference import (
     _AUT_GROUP_ORDER_BOUND,
     _AUT_ORDER_BOUND,
@@ -88,9 +89,10 @@ def test_element_arithmetic_and_order():
     assert G.add(a, b) == (1, 1)
     assert G.neg(a) == (0, 8)
     assert G.scale(3, a) == (0, 3)
-    assert G.element(a).order() == 9 and G.element(b).order() == 3
-    assert G.element(G.add(a, b)).order() == 9
-    assert G.identity.order() == 1
+    assert GroupElement(G, a).order() == 9 and GroupElement(G, b).order() == 3
+    assert GroupElement(G, G.add(a, b)).order() == 9
+    assert GroupElement(G, G.zero).order() == 1
+    assert GroupElement(G, (3, 10)).exps == (0, 1)  # reduced mod the divisors (3, 9)
 
 
 # ---------------------------------------------------------------------------
@@ -373,7 +375,7 @@ def test_power_map_existence_for_every_element_and_exponent():
     power = _power_maps(G)
     power = [psi.perm for psi in automorphisms(G) if psi.perm in power]
     for i, exps in enumerate(G.elements):
-        o = G.element(exps).order()
+        o = GroupElement(G, exps).order()
         for r in range(1, o + 1):
             if gcd(r, o) == 1:
                 assert any(G.elements[perm[i]] == G.scale(r, exps) for perm in power)
@@ -711,7 +713,7 @@ def _subgroups_by_add_table(G):
                         seen.add(K)
                         nxt.append(K)
             frontier = nxt
-        identities = {pp: dec.components[pp].identity for pp in dec.primes if pp != p}
+        identities = {pp: dec.components[pp].zero for pp in dec.primes if pp != p}
         per_prime.append([
             [dec.merge_element({p: elems[i]} | identities).exps for i in S] for S in seen
         ])

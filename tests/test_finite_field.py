@@ -17,19 +17,15 @@ from abelian_codes import (
     mul_order,
     splitting_field,
 )
-from abelian_codes.finite_field import (
-    _MR_EXACT_BELOW,
-    _SPLITTING_DEGREE_BOUND,
+from abelian_codes.extension_field import (
     ExtField,
-    _root_powers,
     _first_irreducible,
-    _modulus_root,
     _pgcd,
-    factorize,
-    is_prime,
     lex_tuples,
     poly_is_irreducible,
 )
+from abelian_codes.finite_field import _MR_EXACT_BELOW, _SPLITTING_DEGREE_BOUND, factorize, is_prime
+from abelian_codes.group_algebra import _modulus_root, _root_powers
 
 
 def test_prime_field_basics():

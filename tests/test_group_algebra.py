@@ -33,7 +33,13 @@ from abelian_codes import (
     quotient_type,
 )
 from abelian_codes.finite_field import factorize
-from abelian_codes.group_algebra import _character_values, row_reduce_raw
+from abelian_codes.group_algebra import (
+    _character_values,
+    _join,
+    _orbit_reps,
+    _orders,
+    row_reduce_raw,
+)
 
 F2 = field_make(2)
 dense = AlgebraElement.from_idempotent
@@ -513,3 +519,43 @@ def test_code_count_closed_form_matches_the_idempotents(p, m):
         if n % p:
             for G in abelian_groups_of_order(n):
                 assert _code_count(G, F.order) == len(primitive_idempotents(G, F)), G
+
+
+def _peel_by_max_scan(H):
+    """H's generators as the peel found them before the single pass: at
+    each step, the first index of maximal order outside the span, by a scan
+    of every index of H."""
+    group, orders = H.group, _orders(H.group)
+    span, gens = {0}, []
+    while len(span) < H.order:
+        best = group.elements[max((i for i in H.indices if i not in span),
+                                  key=orders.__getitem__)]
+        gens.append(best)
+        span = _join(group, span, best)
+    return tuple(gens)
+
+
+def test_generators_match_the_max_scan_peel_on_every_subgroup():
+    # a fresh Subgroup of the same indices, since all_subgroups hands the
+    # cyclic ones over with their generators
+    for n in range(1, 65):
+        for G in abelian_groups_of_order(n):
+            for H in all_subgroups(G):
+                fresh = Subgroup._from_indices(G, H.indices)
+                assert fresh.generators == _peel_by_max_scan(H), (G.divisors, H.indices)
+
+
+@pytest.mark.parametrize("q", [2, 3, 5])
+def test_owner_generators_match_the_max_scan_peel(q):
+    # each owner as primitive_idempotents builds it, the kernel of its
+    # orbit's character, without the splitting field; every generator of an
+    # owner has the owner's exponent as its order
+    for n in range(1, 129):
+        for G in abelian_groups_of_order(n) if n % q else ():
+            orders = _orders(G)
+            for rep in _orbit_reps(G, q):
+                ts = _character_values(G, rep)[1]
+                H = Subgroup._from_indices(G, [i for i, t in enumerate(ts) if not t])
+                assert H.generators == _peel_by_max_scan(H), (G.divisors, rep)
+                top = max(orders[i] for i in H.indices)
+                assert {G.element_order(g) for g in H.generators} <= {top}

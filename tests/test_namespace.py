@@ -78,6 +78,14 @@ def test_field_make_loads_only_its_home():
         == {"finite_field", "errors"}
 
 
+def test_a_prime_field_and_a_group_load_only_their_homes():
+    # the set-up of a job over a prime field compiles neither GF(p^m)
+    # arithmetic nor the subgroup and splitting-field layers
+    statement = ("from abelian_codes import field_make, group_make\n"
+                 "field_make(3)\ngroup_make([9, 3])")
+    assert _loaded_after(statement) == {"finite_field", "abelian_group", "errors"}
+
+
 def test_the_tracer_imports_load_every_layer():
     # perfbench/tracer.install wraps its targets in the modules that its
     # imports load: the CLI alone loads neither codes nor group_algebra,
@@ -94,6 +102,21 @@ def test_the_tracer_imports_load_every_layer():
 
 def test_cli_loads_no_reference_layer():
     assert "reference" not in _loaded_after("import abelian_codes.cli")
+
+
+@pytest.mark.parametrize("fmt", ["md", "csv"])
+def test_a_markdown_or_csv_sweep_loads_no_algebra(fmt):
+    # cli_extra renders these formats and imports group_algebra only for the
+    # idempotents data, so the sweep loads neither codes nor the homes of
+    # the subgroup and splitting-field layers
+    argv = ["sweep", "--field", "2", "--max-order", "20", "--format", fmt]
+    statement = ("import contextlib, io\nfrom abelian_codes.cli import run\n"
+                 "with contextlib.redirect_stdout(io.StringIO()):\n"
+                 "    assert run(%r) == 0" % (argv,))
+    loaded = _loaded_after(statement)
+    assert "cli_extra" in loaded
+    homes = {abelian_codes._HOME[name] for name in ("Subgroup", "splitting_field")}
+    assert not loaded & ({"codes"} | homes)
 
 
 @pytest.mark.parametrize("argv,loads", [
@@ -176,37 +199,53 @@ def _benchmark_argvs():
     return [argv for _, argv in _perfbench("jobs").all_pin_keys().values()]
 
 
-# what a benchmark job of each command may import: runpy, the CLI and the
+def _job_kind(argv):
+    """A benchmark job's command, marked for a sweep over GF(p^m), m > 1,
+    which loads the GF(p^m) arithmetic as well."""
+    field = argv[argv.index("--field") + 1]
+    extension = argv[0] == "sweep" and int(field.partition("^")[2] or 1) > 1
+    return argv[0] + (" over GF(p^m)" if extension else "")
+
+
+# what a benchmark job of each kind may import: runpy, the CLI and the
 # layers the command runs
 _COMMAND_IMPORTS = {
     "sweep": "import runpy, abelian_codes.cli",
+    "sweep over GF(p^m)": "import runpy, abelian_codes.cli, abelian_codes.extension_field",
     "classify": "import runpy, abelian_codes.cli, abelian_codes.codes",
 }
+_ALGEBRA = {"abelian_codes.codes", "abelian_codes.group_algebra"}
+_EXTENSION = "abelian_codes.extension_field"
 
 
 def test_a_benchmark_job_imports_nothing_beyond_its_command():
     # a job's command and its exit load no module beyond its command's
     # layers: its start-up cost is the interpreter's, runpy's and those
-    # imports alone, and sweep's are runpy's and the CLI's
-    allowed = {command: _imported(["-c", statement])
-               for command, statement in _COMMAND_IMPORTS.items()}
+    # imports alone, and sweep's are runpy's and the CLI's, with the GF(p^m)
+    # arithmetic over an extension field
+    allowed = {kind: _imported(["-c", statement])
+               for kind, statement in _COMMAND_IMPORTS.items()}
     assert {"runpy", "abelian_codes.cli"} <= allowed["sweep"]
-    assert not allowed["sweep"] & {"abelian_codes.codes", "abelian_codes.group_algebra"}
-    assert {"abelian_codes.codes", "abelian_codes.group_algebra"} <= allowed["classify"]
+    assert not allowed["sweep"] & (_ALGEBRA | {_EXTENSION})
+    assert _EXTENSION in allowed["sweep over GF(p^m)"]
+    assert not allowed["sweep over GF(p^m)"] & _ALGEBRA
+    assert _ALGEBRA | {_EXTENSION} <= allowed["classify"]
     argvs = _benchmark_argvs()
-    assert {argv[0] for argv in argvs} == set(_COMMAND_IMPORTS)
+    assert {_job_kind(argv) for argv in argvs} == set(_COMMAND_IMPORTS)
     for argv in argvs:
-        assert _imported(["-m", "abelian_codes"] + argv) <= allowed[argv[0]], argv
+        assert _imported(["-m", "abelian_codes"] + argv) <= allowed[_job_kind(argv)], argv
 
 
 _SKIPPED_TOKENS = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
                    tokenize.DEDENT, tokenize.ENDMARKER, tokenize.ENCODING}
-# the tokens of the modules a benchmark job of each command compiles.
+# the tokens of the modules a benchmark job of each kind compiles.
 # classify's 13,314 were every job's before sweep stopped loading codes and
 # group_algebra (15,562 before the argparse reader, the idempotents,
 # subgroups and verify data, the CSV and Markdown renderers and the dense
-# algebra left the job path)
-_JOB_PATH_TOKENS = {"classify": 13_314, "sweep": 8_515}
+# algebra left the job path); sweep's were 8,515 before the GF(p^m)
+# arithmetic and the subgroup and splitting-field layers left the modules
+# it loads
+_JOB_PATH_TOKENS = {"classify": 13_314, "sweep": 4_952, "sweep over GF(p^m)": 6_465}
 
 
 def _tokens(module):
@@ -220,21 +259,25 @@ def _tokens(module):
 
 def test_a_benchmark_job_compiles_only_the_job_path():
     # the job loads neither the CLI's rarely used part nor the reference
-    # layer, a sweep loads neither codes nor group_algebra, and what a job
-    # compiles stays within 3% of its command's pinned count
+    # layer; a sweep, at each of the benchmark's fields, loads neither codes
+    # nor the subgroup and splitting-field layers of group_algebra, and over
+    # GF(2) not the GF(p^m) arithmetic either; what a job compiles stays
+    # within 3% of its kind's pinned count
     argvs = _benchmark_argvs()
-    assert argvs
+    assert {argv[argv.index("--field") + 1] for argv in argvs if argv[0] == "sweep"} \
+        == {"2", "2^2", "2^3"}
     for argv in argvs:
         loaded = {m for m in _imported(["-m", "abelian_codes"] + argv)
                   if m.split(".")[0] == "abelian_codes"}
         assert "abelian_codes.cli" in loaded, argv
         assert not loaded & {"abelian_codes.cli_extra", "abelian_codes.reference"}, argv
-        algebra = {"abelian_codes.codes", "abelian_codes.group_algebra"}
+        kind = _job_kind(argv)
         if argv[0] == "sweep":
-            assert not loaded & algebra, argv
+            assert not loaded & _ALGEBRA, argv
+            assert (_EXTENSION in loaded) == (kind != "sweep"), argv
         else:
-            assert algebra <= loaded, argv
-        assert sum(map(_tokens, loaded)) <= _JOB_PATH_TOKENS[argv[0]] * 1.03, argv
+            assert _ALGEBRA <= loaded, argv
+        assert sum(map(_tokens, loaded)) <= _JOB_PATH_TOKENS[kind] * 1.03, argv
 
 
 def test_old_paths_forward_exactly_the_traced_reference_names():
@@ -246,7 +289,7 @@ def test_old_paths_forward_exactly_the_traced_reference_names():
     traced = {"abelian_group": {"Subgroup"}, "group_algebra": {"AlgebraElement"}}
     for module, attr, _ in _perfbench("tracer").TARGETS:
         traced.setdefault(module, set()).add(attr)
-    for module in ("abelian_group", "group_algebra", "codes"):
+    for module in ("finite_field", "abelian_group", "group_algebra", "codes"):
         home = import_module("abelian_codes." + module)
         moved = traced.get(module, set()) & defined
         assert set(getattr(home, "_TRACED_REFERENCE", ())) == moved
@@ -262,6 +305,18 @@ def test_old_paths_forward_exactly_the_traced_reference_names():
     for name in set(vars(abelian_group)) - set(vars(codes)) | {"no_such_name"}:
         with pytest.raises(AttributeError):
             getattr(codes, name)
+    # finite_field and abelian_group forward the traced names that moved to
+    # group_algebra, and no other name of it
+    group_algebra, finite_field = (import_module("abelian_codes." + m)
+                                   for m in ("group_algebra", "finite_field"))
+    forwards = {finite_field: {"splitting_field", "element_of_order"},
+                abelian_group: {"Subgroup"}}
+    for module, names in forwards.items():
+        for name in names:
+            assert getattr(module, name) is getattr(group_algebra, name)
+        for name in set(vars(group_algebra)) - set(vars(module)) | {"no_such_name"}:
+            with pytest.raises(AttributeError):
+                getattr(module, name)
 
 
 def test_unknown_name_raises_attribute_error():
