@@ -9,9 +9,11 @@ produce byte-identical output.  Exit status: 0 success, 1 domain error
 Each command loads its layers when it runs.  At start-up this module
 loads only ``finite_field``, ``abelian_group`` and ``errors``, which is
 all that ``sweep`` needs: number theory, the prime field and group types.
-A field GF(p^m) with m > 1 loads ``extension_field`` as it is built.
-``classify`` imports ``codes`` (and with it ``group_algebra``, home of
-the subgroup and splitting-field layers) in ``_classify_dict``.  The
+A field GF(p^m) with m > 1 loads ``extension_field`` as it is built, and
+``odd_field`` as well when p is odd.  ``classify`` imports ``codes`` (and
+with it ``group_algebra``, home of the subgroup and splitting-field
+layers) in ``_classify_dict``, and ``codes`` imports ``basis`` only for a
+code that takes the coset walk or the two-vector bound.  The
 argparse reader, the data of ``idempotents``, ``subgroups`` and
 ``verify`` and the CSV and Markdown renderers are in ``cli_extra``, which
 loads on the first call of one of them; ``idempotents`` imports

@@ -1,10 +1,12 @@
-"""GF(p^m) for m > 1: polynomial arithmetic over GF(p), the lex-first
-irreducible modulus of each degree and the two extension-field contexts.
+"""GF(p^m) for m > 1: the lex-first irreducible modulus of each degree,
+GF(2^m) and ``lex_tuples``.
 
 The modulus of GF(p^m) is the lex-first monic irreducible of degree m,
-found by one Rabin test for every p (``poly_is_irreducible``).
-``finite_field.field_make`` imports this module only when m > 1, so a run
-over a prime field never compiles it.
+found by one Rabin test for every p (``poly_is_irreducible``) and kept per
+(p, m) once found.  ``finite_field.field_make`` imports this module only
+when m > 1, so a run over a prime field never compiles it.  The arithmetic
+of odd p, ``ExtField`` with its polynomial helpers, is in ``odd_field``,
+which ``field_make`` and ``poly_is_irreducible`` import only when p is odd.
 """
 
 from .errors import DegreeMismatch
@@ -12,40 +14,8 @@ from .finite_field import FieldCtx, _gf2_mask, _gf2_vector, factorize
 
 
 # ---------------------------------------------------------------------------
-# polynomial arithmetic over GF(p), coefficients low-to-high
+# polynomial arithmetic over GF(2), polynomials as bitmasks
 # ---------------------------------------------------------------------------
-
-def _ptrim(a):
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def _pmod(a, f, p):
-    """a mod f with f monic; lists low-to-high."""
-    a = list(a)
-    df = len(f) - 1
-    _ptrim(a)
-    while len(a) - 1 >= df:
-        lead = a[-1]
-        shift = len(a) - 1 - df
-        for i in range(df + 1):
-            a[shift + i] = (a[shift + i] - lead * f[i]) % p
-        _ptrim(a)
-    return a
-
-
-def _pgcd(a, b, p):
-    a, b = list(a), list(b)
-    _ptrim(a)
-    _ptrim(b)
-    while b:
-        # make b monic before reduction
-        inv_lead = pow(b[-1], p - 2, p)
-        bm = [(c * inv_lead) % p for c in b]
-        a, b = bm, _pmod(a, bm, p)
-    return a
-
 
 def _bmod(a, f):
     df, n = f.bit_length(), a.bit_length()
@@ -112,8 +82,8 @@ def poly_is_irreducible(poly, p):
     Over GF(2), f is an int and squaring spreads the bits: the square of a
     polynomial over GF(2) has the coefficient of x^i at x^2i, which is its
     binary numeral read in base 4.  Over odd p, x^(p^k) is computed in
-    ExtField(p, m, f), whose reduction holds for any monic f: the modulus
-    need not be irreducible there.
+    ``odd_field.ExtField(p, m, f)``, whose reduction holds for any monic
+    f: the modulus need not be irreducible there.
     """
     m = len(poly) - 1
     if m == 1:
@@ -125,6 +95,8 @@ def poly_is_irreducible(poly, p):
         x = 2
         has_factor = lambda a: _bgcd(a ^ x, f) != 1
     else:
+        from .odd_field import ExtField, _pgcd
+
         ring = ExtField(p, m, poly)
         frobenius = lambda a: ring.pow(a, p)
         x = (0, 1) + (0,) * (m - 2)
@@ -137,24 +109,31 @@ def poly_is_irreducible(poly, p):
     return frobenius(cur) == x
 
 
+_MODULI = {}
+
+
 def _first_irreducible(p, m):
     """Lexicographically first monic irreducible of degree m >= 2 over
-    GF(p), coefficients compared low-to-high.
+    GF(p), coefficients compared low-to-high; each (p, m) is searched once
+    per process (``_MODULI``).
 
     Candidates with zero constant term are divisible by x, so the scan
     starts at constant term 1 (otherwise the c_0 = 0 prefix block alone has
     p^(m-1) members).
     """
+    if (p, m) in _MODULI:
+        return _MODULI[p, m]
     for c0 in range(1, p):
         for tail in lex_tuples(range(p).__iter__, m - 1):
             poly = [c0] + list(tail) + [1]
             if poly_is_irreducible(poly, p):
-                return tuple(poly)
+                _MODULI[p, m] = tuple(poly)
+                return _MODULI[p, m]
     raise AssertionError("no irreducible polynomial found")  # unreachable
 
 
 # ---------------------------------------------------------------------------
-# extension-field contexts
+# GF(2^m)
 # ---------------------------------------------------------------------------
 
 class BinaryExtField(FieldCtx):
@@ -194,80 +173,3 @@ class BinaryExtField(FieldCtx):
         return _bmulmod(a, b, self._modint)
 
 
-class ExtField(FieldCtx):
-    """GF(p^m) for odd p: raw scalars are coefficient tuples of length m.
-
-    mul is Kronecker-packed: it puts each operand's coefficients in
-    ``bits``-bit slots of one int, multiplies once, and folds the high half
-    back through xk[k], the packed x^(m+k) mod the modulus.  That holds for
-    any monic modulus of degree m, irreducible or not."""
-
-    __slots__ = ("p", "m", "order", "modulus", "zero", "one", "bits", "mask", "xk")
-
-    def __init__(self, p, m, modulus):
-        self.p = p
-        self.m = m
-        self.order = p ** m
-        self.modulus = modulus = tuple(modulus)
-        self.zero = (0,) * m
-        self.one = (1,) + (0,) * (m - 1)
-        # largest digit during mul: a raw product digit is at most
-        # m(p-1)^2, and the reduction adds m-1 of those scaled by table
-        # digits below p
-        digit_bound = m * (p - 1) ** 2 * (1 + (m - 1) * (p - 1))
-        self.bits = max(32, digit_bound.bit_length() + 1)
-        self.mask = (1 << self.bits) - 1
-        # xk[k] = packed(x^(m+k) mod modulus) for k = 0..m-2
-        self.xk = []
-        cur = [(-c) % p for c in modulus[:m]]  # x^m mod modulus
-        for _ in range(max(m - 1, 1)):
-            self.xk.append(self._pack(cur))
-            lead = cur[-1]
-            cur = [0] + cur[:-1]
-            if lead:
-                for i in range(m):
-                    cur[i] = (cur[i] - lead * modulus[i]) % p
-
-    def from_int(self, k):
-        return (k % self.p,) + (0,) * (self.m - 1)
-
-    def raw_from_coeffs(self, coeffs):
-        if len(coeffs) != self.m:
-            raise DegreeMismatch("expected %d coefficients" % self.m, got=len(coeffs))
-        return tuple(c % self.p for c in coeffs)
-
-    def coeffs(self, a):
-        return a
-
-    def add(self, a, b):
-        p = self.p
-        return tuple((x + y) % p for x, y in zip(a, b))
-
-    def sub(self, a, b):
-        p = self.p
-        return tuple((x - y) % p for x, y in zip(a, b))
-
-    def neg(self, a):
-        p = self.p
-        return tuple(-x % p for x in a)
-
-    def _pack(self, coeffs):
-        out = 0
-        bits = self.bits
-        for i, c in enumerate(coeffs):
-            if c:
-                out |= c << (bits * i)
-        return out
-
-    def mul(self, a, b):
-        m = self.m
-        bits = self.bits
-        mask = self.mask
-        full = self._pack(a) * self._pack(b)
-        acc = full & ((1 << (bits * m)) - 1)
-        for k in range(m - 1):
-            d = (full >> (bits * (m + k))) & mask
-            if d:
-                acc += d * self.xk[k]
-        p = self.p
-        return tuple((acc >> (bits * i) & mask) % p for i in range(m))

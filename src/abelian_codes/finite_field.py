@@ -11,7 +11,8 @@ Every field is GF(p^m) over its prime field, with the lex-first monic
 irreducible of degree m as modulus.  This module holds what every command
 runs: number theory, ``FieldCtx``, ``PrimeField`` and ``field_make`` with
 all of its checks.  The arithmetic of GF(p^m) for m > 1 is in
-``extension_field``, which ``field_make`` imports only for such a field.
+``extension_field``, which ``field_make`` imports only for such a field,
+and that of odd p among them in ``odd_field``, imported only for odd p.
 A splitting field over a base GF(p^m) is GF(p^(m*s)) built the same way,
 with the base embedded through a root of its modulus; ``splitting_field``
 and the roots of unity are in ``group_algebra``, the one engine module
@@ -308,7 +309,10 @@ def field_make(p, m=1):
     The modulus is the lexicographically first irreducible monic
     polynomial of degree m (coefficients read low-to-high), so equal
     inputs always produce identical contexts.  A degree m above
-    _SPLITTING_DEGREE_BOUND raises DegreeTooLarge.
+    _SPLITTING_DEGREE_BOUND raises DegreeTooLarge.  Each check runs before
+    any import: m > 1 loads ``extension_field`` (the modulus search, kept
+    per (p, m), and GF(2^m)), and odd p with m > 1 loads ``odd_field`` as
+    well.
     """
     if not isinstance(p, int) or not is_prime(p):
         raise NonPrimeP("characteristic must be prime", p=p)
@@ -319,9 +323,11 @@ def field_make(p, m=1):
                              degree=m, bound=_SPLITTING_DEGREE_BOUND)
     if m == 1:
         return PrimeField(p)
-    from .extension_field import BinaryExtField, ExtField, _first_irreducible
+    from .extension_field import BinaryExtField, _first_irreducible
 
     modulus = _first_irreducible(p, m)
     if p == 2:
         return BinaryExtField(m, modulus)
+    from .odd_field import ExtField
+
     return ExtField(p, m, modulus)

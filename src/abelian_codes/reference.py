@@ -22,7 +22,8 @@ from functools import partial
 from math import gcd
 
 from .abelian_group import AbelianGroup, _check_char, group_make, owner_type
-from .codes import _basis, min_weight_or_bound, minimal_code
+from .basis import _basis
+from .codes import min_weight_or_bound, minimal_code
 from .errors import (
     AlgebraMismatch,
     CharDividesOrder,

@@ -13,7 +13,7 @@ kept only as test oracles.
 
 from math import gcd
 
-from abelian_codes.codes import _basis, _reduce
+from abelian_codes.basis import _basis, _reduce
 from abelian_codes.finite_field import factorize
 from abelian_codes.group_algebra import _character_values, element_of_order, splitting_field
 

@@ -36,14 +36,10 @@ from abelian_codes import (
     weight_distribution,
 )
 from abelian_codes.reference import aut_order, subgroup_type
+import abelian_codes.basis as basis_module
 import abelian_codes.codes as codes_module
-from abelian_codes.codes import (
-    _basis,
-    _coset_weights,
-    _route,
-    _span_weights,
-    _two_vector_bound,
-)
+from abelian_codes.basis import _basis, _coset_weights, _two_vector_bound
+from abelian_codes.codes import _route, _span_weights
 from abelian_codes.errors import DomainError
 from abelian_codes.group_algebra import row_reduce_raw
 
@@ -420,8 +416,8 @@ def test_classify_reduces_once_per_walk_order_and_bounded_code(
     # bound every member prints (81,3 over GF(2): one bounded class of
     # three codes)
     calls = []
-    reduce = codes_module._reduce
-    monkeypatch.setattr(codes_module, "_reduce",
+    reduce = basis_module._reduce
+    monkeypatch.setattr(basis_module, "_reduce",
                         lambda *args: calls.append(args) or reduce(*args))
     G, ctx = group_make(divisors), field_make(p, m)
     report = classify(G, ctx)

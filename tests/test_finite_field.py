@@ -17,15 +17,11 @@ from abelian_codes import (
     mul_order,
     splitting_field,
 )
-from abelian_codes.extension_field import (
-    ExtField,
-    _first_irreducible,
-    _pgcd,
-    lex_tuples,
-    poly_is_irreducible,
-)
+import abelian_codes.extension_field as extension_field
+from abelian_codes.extension_field import _first_irreducible, lex_tuples, poly_is_irreducible
 from abelian_codes.finite_field import _MR_EXACT_BELOW, _SPLITTING_DEGREE_BOUND, factorize, is_prime
 from abelian_codes.group_algebra import _modulus_root, _root_powers
+from abelian_codes.odd_field import ExtField, _pgcd
 
 
 def test_prime_field_basics():
@@ -41,6 +37,20 @@ def test_extension_field_first_irreducible_modulus():
     # coefficients low-to-high: 1 + x^5 + x^6
     assert F64.modulus == (1, 0, 0, 0, 0, 1, 1)
     assert poly_is_irreducible(list(F64.modulus), 2)
+
+
+def test_a_second_field_make_runs_no_irreducibility_test(monkeypatch):
+    # the modulus search runs once per (p, m) and process
+    calls = []
+    test = extension_field.poly_is_irreducible
+    monkeypatch.setattr(extension_field, "_MODULI", {})
+    monkeypatch.setattr(extension_field, "poly_is_irreducible",
+                        lambda poly, p: calls.append((poly, p)) or test(poly, p))
+    for p, m in [(2, 6), (3, 4), (5, 3)]:
+        first = field_make(p, m)
+        searched = len(calls)
+        assert searched > 0
+        assert field_make(p, m) == first and len(calls) == searched
 
 
 def test_field_make_rejects_non_prime():
@@ -300,9 +310,12 @@ def _rabin_at_milestones(f, p):
 
 @pytest.mark.parametrize("p,every_up_to,first_up_to", [
     (2, 10, 40), (3, 6, 24), (5, 4, 16), (7, 1, 12)])
-def test_modulus_search_matches_the_milestone_rabin_test(p, every_up_to, first_up_to):
+def test_modulus_search_matches_the_milestone_rabin_test(monkeypatch, p, every_up_to,
+                                                         first_up_to):
     # the test under field_make sieves small degrees and, over GF(2),
-    # squares by spreading bits; the oracle does neither
+    # squares by spreading bits; the oracle does neither.  The search runs
+    # afresh, not from the moduli earlier tests kept
+    monkeypatch.setattr(extension_field, "_MODULI", {})
     for m in range(2, every_up_to + 1):
         for tail in itertools.product(range(p), repeat=m):
             f = list(tail) + [1]

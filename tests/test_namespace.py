@@ -12,6 +12,7 @@ import sys
 import tokenize
 from functools import lru_cache
 from importlib import import_module
+from math import lcm
 
 import pytest
 
@@ -90,14 +91,16 @@ def test_the_tracer_imports_load_every_layer():
     # perfbench/tracer.install wraps its targets in the modules that its
     # imports load: the CLI alone loads neither codes nor group_algebra,
     # but the AlgebraElement hook of group_algebra loads reference, and
-    # reference loads codes
+    # reference loads basis, which loads codes; odd_field, which holds no
+    # traced name, loads later with a field of odd characteristic
     install = ast.parse(inspect.getsource(_perfbench("tracer").install)).body[0]
     imports = [ast.unparse(node) for node in install.body
                if isinstance(node, (ast.Import, ast.ImportFrom))]
     assert len(imports) == 3
-    assert _loaded_after("\n".join(imports)) >= {
-        "finite_field", "abelian_group", "group_algebra", "codes"}
-    assert not _loaded_after(imports[0]) & {"group_algebra", "codes"}
+    loaded = _loaded_after("\n".join(imports))
+    assert loaded >= {"finite_field", "abelian_group", "group_algebra", "codes", "basis"}
+    assert "odd_field" not in loaded
+    assert not _loaded_after(imports[0]) & {"group_algebra", "codes", "basis"}
 
 
 def test_cli_loads_no_reference_layer():
@@ -199,37 +202,62 @@ def _benchmark_argvs():
     return [argv for _, argv in _perfbench("jobs").all_pin_keys().values()]
 
 
+_BASIS_ROUTES = {"walk", "step", "bound"}
+
+
 def _job_kind(argv):
-    """A benchmark job's command, marked for a sweep over GF(p^m), m > 1,
-    which loads the GF(p^m) arithmetic as well."""
-    field = argv[argv.index("--field") + 1]
-    extension = argv[0] == "sweep" and int(field.partition("^")[2] or 1) > 1
-    return argv[0] + (" over GF(p^m)" if extension else "")
+    """A benchmark job's command, marked by the modules its input adds to
+    the command's layers: a sweep over GF(p^m), m > 1, loads the GF(p^m)
+    arithmetic; a classify job loads the basis routes when ``codes._route``
+    takes one for the order o of some character, and the odd-p arithmetic
+    when p is odd and its splitting field is not GF(p)."""
+    p, _, m = argv[argv.index("--field") + 1].partition("^")
+    p, m = int(p), int(m or 1)
+    if argv[0] == "sweep":
+        return "sweep" + (" over GF(p^m)" if m > 1 else "")
+    from abelian_codes.codes import _route
+    from abelian_codes.finite_field import divisors, mul_order
+
+    ctx, q = abelian_codes.field_make(p, m), p ** m
+    exponent = lcm(*map(int, argv[argv.index("--group") + 1].split(",")))
+    routes = {_route(ctx, o, mul_order(q, o))[0] for o in divisors(exponent)}
+    odd = p % 2 and m * mul_order(q, exponent) > 1
+    return ("classify" + (" on a basis route" if routes & _BASIS_ROUTES else "")
+            + (" over odd p" if odd else ""))
 
 
 # what a benchmark job of each kind may import: runpy, the CLI and the
 # layers the command runs
+_CLASSIFY = "import runpy, abelian_codes.cli, abelian_codes.codes"
 _COMMAND_IMPORTS = {
     "sweep": "import runpy, abelian_codes.cli",
     "sweep over GF(p^m)": "import runpy, abelian_codes.cli, abelian_codes.extension_field",
-    "classify": "import runpy, abelian_codes.cli, abelian_codes.codes",
+    "classify": _CLASSIFY,
+    "classify over odd p": _CLASSIFY + ", abelian_codes.odd_field",
+    "classify on a basis route": _CLASSIFY + ", abelian_codes.basis",
+    "classify on a basis route over odd p":
+        _CLASSIFY + ", abelian_codes.basis, abelian_codes.odd_field",
 }
 _ALGEBRA = {"abelian_codes.codes", "abelian_codes.group_algebra"}
 _EXTENSION = "abelian_codes.extension_field"
+_BASIS = "abelian_codes.basis"
+_ODD = "abelian_codes.odd_field"
 
 
 def test_a_benchmark_job_imports_nothing_beyond_its_command():
     # a job's command and its exit load no module beyond its command's
     # layers: its start-up cost is the interpreter's, runpy's and those
     # imports alone, and sweep's are runpy's and the CLI's, with the GF(p^m)
-    # arithmetic over an extension field
+    # arithmetic over an extension field; codes loads neither the basis
+    # routes nor the odd-p arithmetic
     allowed = {kind: _imported(["-c", statement])
                for kind, statement in _COMMAND_IMPORTS.items()}
     assert {"runpy", "abelian_codes.cli"} <= allowed["sweep"]
     assert not allowed["sweep"] & (_ALGEBRA | {_EXTENSION})
     assert _EXTENSION in allowed["sweep over GF(p^m)"]
-    assert not allowed["sweep over GF(p^m)"] & _ALGEBRA
+    assert not allowed["sweep over GF(p^m)"] & (_ALGEBRA | {_ODD})
     assert _ALGEBRA | {_EXTENSION} <= allowed["classify"]
+    assert not allowed["classify"] & {_BASIS, _ODD}
     argvs = _benchmark_argvs()
     assert {_job_kind(argv) for argv in argvs} == set(_COMMAND_IMPORTS)
     for argv in argvs:
@@ -239,13 +267,19 @@ def test_a_benchmark_job_imports_nothing_beyond_its_command():
 _SKIPPED_TOKENS = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
                    tokenize.DEDENT, tokenize.ENDMARKER, tokenize.ENCODING}
 # the tokens of the modules a benchmark job of each kind compiles.
-# classify's 13,314 were every job's before sweep stopped loading codes and
-# group_algebra (15,562 before the argparse reader, the idempotents,
-# subgroups and verify data, the CSV and Markdown renderers and the dense
-# algebra left the job path); sweep's were 8,515 before the GF(p^m)
-# arithmetic and the subgroup and splitting-field layers left the modules
-# it loads
-_JOB_PATH_TOKENS = {"classify": 13_314, "sweep": 4_952, "sweep over GF(p^m)": 6_465}
+# Every classify job compiled 13,439 before the basis routes and the odd-p
+# arithmetic left codes and extension_field; 13,314 was every job's before
+# sweep stopped loading codes and group_algebra (15,562 before the argparse
+# reader, the idempotents, subgroups and verify data, the CSV and Markdown
+# renderers and the dense algebra left the job path).  sweep's were 8,515
+# before the GF(p^m) arithmetic and the subgroup and splitting-field layers
+# left the modules it loads, and over GF(p^m) 6,465 before the odd-p
+# arithmetic left extension_field
+_JOB_PATH_TOKENS = {
+    "classify": 11_397, "classify over odd p": 12_215,
+    "classify on a basis route": 12_710, "classify on a basis route over odd p": 13_528,
+    "sweep": 4_952, "sweep over GF(p^m)": 5_700,
+}
 
 
 def _tokens(module):
@@ -261,22 +295,29 @@ def test_a_benchmark_job_compiles_only_the_job_path():
     # the job loads neither the CLI's rarely used part nor the reference
     # layer; a sweep, at each of the benchmark's fields, loads neither codes
     # nor the subgroup and splitting-field layers of group_algebra, and over
-    # GF(2) not the GF(p^m) arithmetic either; what a job compiles stays
-    # within 3% of its kind's pinned count
-    argvs = _benchmark_argvs()
-    assert {argv[argv.index("--field") + 1] for argv in argvs if argv[0] == "sweep"} \
+    # GF(2) not the GF(p^m) arithmetic either; a classify job whose codes
+    # are all enumerated (span or dual) loads no basis routes, and over
+    # p = 2 no odd-p arithmetic; what a job compiles stays within 3% of its
+    # kind's pinned count
+    jobs = {key: argv for key, (_, argv) in _perfbench("jobs").all_pin_keys().items()}
+    assert {argv[argv.index("--field") + 1] for argv in jobs.values() if argv[0] == "sweep"} \
         == {"2", "2^2", "2^3"}
-    for argv in argvs:
+    # the bound of the k = 54 code and the coset walk of C_23
+    assert _job_kind(jobs["classify 81,3 GF(2)"]) == "classify on a basis route"
+    assert _job_kind(jobs["classify 23 GF(3) dist"]) == "classify on a basis route over odd p"
+    for argv in jobs.values():
         loaded = {m for m in _imported(["-m", "abelian_codes"] + argv)
                   if m.split(".")[0] == "abelian_codes"}
         assert "abelian_codes.cli" in loaded, argv
         assert not loaded & {"abelian_codes.cli_extra", "abelian_codes.reference"}, argv
         kind = _job_kind(argv)
         if argv[0] == "sweep":
-            assert not loaded & _ALGEBRA, argv
+            assert not loaded & (_ALGEBRA | {_BASIS, _ODD}), argv
             assert (_EXTENSION in loaded) == (kind != "sweep"), argv
         else:
             assert _ALGEBRA <= loaded, argv
+            assert (_BASIS in loaded) == ("basis route" in kind), argv
+            assert (_ODD in loaded) == ("odd p" in kind), argv
         assert sum(map(_tokens, loaded)) <= _JOB_PATH_TOKENS[kind] * 1.03, argv
 
 

@@ -80,3 +80,22 @@ def test_traced_jobs_record_the_spans_of_each_commands_layers(tmp_path, argv, sp
     assert traced.stdout == plain.stdout
     names = [span[0] for span in record["spans"]]
     assert {name: names.count(name) for name in spans} == spans
+
+
+@pytest.mark.parametrize("argv,bound_fallbacks", [
+    # the coset walk of C_23 over GF(3), k = 11
+    (["classify", "--group", "23", "--field", "3", "--with-distributions", "--format",
+      "json"], 0),
+    # the two-vector bound of C_29 over GF(3), k = 28
+    (["classify", "--group", "29", "--field", "3", "--format", "json"], 1),
+])
+def test_traced_basis_routes_reduce_through_the_wrapper(tmp_path, argv, bound_fallbacks):
+    # codes imports the basis routes only when _route picks one; their
+    # row_reduce_raw must still be the tracer's wrapper, or the reductions
+    # vanish from group_algebra.row_reduce_s while stdout still matches
+    traced, record, plain = _traced_and_plain(tmp_path, argv)
+    assert traced.stdout == plain.stdout
+    metrics = record["metrics"]
+    assert metrics["group_algebra.row_reduce_s"] > 0
+    assert metrics["codes.bound_fallbacks"] == bound_fallbacks
+    assert (metrics["codes.bound_s"] > 0) == (bound_fallbacks > 0)
