@@ -53,7 +53,7 @@ class AbelianGroup:
     divisor lists into this form."""
 
     __slots__ = ("divisors", "order", "exponent", "rank", "zero",
-                 "_elements", "_index", "_orders", "_primes")
+                 "_elements", "_index", "_orders", "_primes", "_strides")
 
     def __init__(self, divisors):
         divisors = tuple(divisors)
@@ -71,6 +71,7 @@ class AbelianGroup:
         self._index = None
         self._orders = None
         self._primes = None
+        self._strides = None
 
     @property
     def primes(self):
@@ -121,27 +122,24 @@ class AbelianGroup:
         return "AbelianGroup(%s)" % " x ".join("C%d" % d for d in self.divisors)
 
 
+def _invariant_factors(ds):
+    """The divisibility chain of C_(d_1) x ... x C_(d_t), ones dropped:
+    C_a x C_b is C_gcd x C_lcm, and once d_i has met every later d_j this
+    way it divides each of them."""
+    ds = list(ds)
+    for i in range(len(ds)):
+        for j in range(i + 1, len(ds)):
+            ds[i], ds[j] = gcd(ds[i], ds[j]), lcm(ds[i], ds[j])
+    return tuple(d for d in ds if d > 1)
+
+
 def group_make(divisors):
     """Normalize an arbitrary list of cyclic orders (each >= 2) into
     invariant-factor form; the empty list gives the trivial group."""
-    per_prime = {}
     for d in divisors:
         if not isinstance(d, int) or d < 2:
             raise BadDivisor("divisors must be integers >= 2", divisor=d)
-        for p, e in factorize(d).items():
-            per_prime.setdefault(p, []).append(e)
-    for exps in per_prime.values():
-        exps.sort(reverse=True)
-    t = max((len(v) for v in per_prime.values()), default=0)
-    invariant = []
-    for k in range(t):
-        d = 1
-        for p, exps in sorted(per_prime.items()):
-            if k < len(exps):
-                d *= p ** exps[k]
-        invariant.append(d)
-    invariant.reverse()
-    return AbelianGroup(tuple(invariant))
+    return AbelianGroup(_invariant_factors(divisors))
 
 
 # ---------------------------------------------------------------------------

@@ -119,14 +119,11 @@ class GroupElement:
 
 
 def _strides(group):
-    """Index weight of each coordinate: index = sum of exps[i] * strides[i]."""
-    out = []
-    s = 1
-    for d in reversed(group.divisors):
-        out.append(s)
-        s *= d
-    out.reverse()
-    return out
+    """Index weight of each coordinate: index = sum of exps[i] * strides[i];
+    built once per group."""
+    if group._strides is None:
+        group._strides = tuple(prod(group.divisors[i + 1:]) for i in range(group.rank))
+    return group._strides
 
 
 def _cycle(group, g):

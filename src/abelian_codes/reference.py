@@ -21,7 +21,7 @@ import itertools
 from functools import partial
 from math import gcd
 
-from .abelian_group import AbelianGroup, _check_char, group_make, owner_type
+from .abelian_group import AbelianGroup, _check_char, _invariant_factors, group_make, owner_type
 from .basis import _basis
 from .codes import min_weight_or_bound, minimal_code
 from .errors import (
@@ -50,8 +50,9 @@ _AUT_ORDER_BOUND = 20000
 # |G| above these is refused by all_subgroups and by automorphisms
 _SUBGROUPS_ORDER_BOUND = 4096
 # all_subgroups refuses more than this many subgroups times |G|: each subgroup
-# costs about O(|G|); C_2^6 (180,800) takes 0.5 s, 2,4,512 (995,328) 11 s,
-# and 64,64 (1.5e6) took 10 s
+# costs about O(|G|), its index-p covers scanning every element; the costliest
+# admitted subgroups runs, 2,2,4,4,4 (1,036,032) and 2,4,8,8 (984,064), take
+# 2.2-3.1 s and 1.8-2.5 s as fresh processes on a 2-vCPU VM
 _SUBGROUPS_WORK_BOUND = 2 ** 20
 _AUT_GROUP_ORDER_BOUND = 512
 
@@ -59,6 +60,11 @@ _AUT_GROUP_ORDER_BOUND = 512
 # ---------------------------------------------------------------------------
 # Sylow decomposition
 # ---------------------------------------------------------------------------
+
+def _sylow_exponents(group, p):
+    """The exponent of p in each of d_1 | ... | d_t."""
+    return [next(e for e in itertools.count() if d % p ** (e + 1)) for d in group.divisors]
+
 
 class SylowDecomposition:
     """G as the direct product of its Sylow components, with the maps that
@@ -78,8 +84,9 @@ class SylowDecomposition:
         self._coords = {}
         self._mults = {}
         for p in self.primes:
-            coords = [i for i, d in enumerate(group.divisors) if d % p == 0]
-            parts = [p ** factorize(group.divisors[i])[p] for i in coords]
+            es = _sylow_exponents(group, p)
+            coords = [i for i, e in enumerate(es) if e]
+            parts = [p ** es[i] for i in coords]
             mults = [group.divisors[i] // pe for i, pe in zip(coords, parts)]
             self.components[p] = AbelianGroup(tuple(parts))
             self._coords[p] = coords
@@ -160,42 +167,35 @@ def sylow_part(H, p):
     return Subgroup._from_indices(H.group, [i for i in H.indices if _is_p_power(orders[i], p)])
 
 
-def _peel_invariant_factors(group, universe, start):
-    """Invariant factors of U/S, where U (ascending indices) is a subgroup
-    of `group` and S <= U (an index set).  Repeatedly peels the
-    canonical-first coset of maximal order.  The order of g mod S is the
-    least k with k*g in S, a divisor of o(g)."""
-    elems = group.elements
-    orders = _orders(group)
-    S = set(start)
-    out = []
-    while len(S) < len(universe):
-        best = None
-        best_order = 0
-        for i in universe:
-            o = orders[i]
-            if i in S or o <= best_order:
-                continue
-            k = next(k for k in range(2, o + 1)
-                     if o % k == 0 and group.index_of(group.scale(k, elems[i])) in S)
-            if k > best_order:
-                best, best_order = elems[i], k
-        S = _join(group, S, best)
-        out.append(best_order)
-    out.reverse()
-    return tuple(out)
-
-
 def subgroup_type(H):
-    """Invariant factors of the subgroup H itself (its isomorphism type)."""
-    return _peel_invariant_factors(H.group, H.indices, {0})
+    """Invariant factors of the subgroup H itself (its isomorphism type):
+    H is isomorphic to its character group, which is G / annihilator(G, H)."""
+    return quotient_type(H.group, annihilator(H.group, H))
 
 
 def quotient_type(group, H):
-    """Invariant factors of G/H (empty tuple when H = G)."""
+    """Invariant factors of G/H (empty tuple when H = G): G/H is Z^t modulo
+    the rows of diag(d_1..d_t) and the generators of H, and steps of Euclid
+    on rows and columns bring these to a diagonal of cyclic orders (Smith
+    normal form; Cohen, A Course in Computational Algebraic Number Theory,
+    2.4.4)."""
     if not isinstance(H, Subgroup) or H.group != group:
         raise NotASubgroup("H is not a subgroup of G")
-    return _peel_invariant_factors(group, range(group.order), H.indices)
+    t = group.rank
+    m = [[d * (i == j) for j in range(t)] for i, d in enumerate(group.divisors)]
+    m += [list(h) for h in H.generators]
+    for k in range(t):
+        while any(r[k] for r in m[k + 1:]) or any(m[k][k + 1:]):
+            for _ in "rows", "columns":  # the columns as rows of the transpose
+                m[k:] = sorted(m[k:], key=lambda r: not r[k])  # a nonzero pivot
+                for i in range(k + 1, len(m)):
+                    while m[i][k]:  # a nonzero remainder becomes the (smaller) pivot
+                        q = m[i][k] // m[k][k]
+                        m[i] = [a - q * b for a, b in zip(m[i], m[k])]
+                        if m[i][k]:
+                            m[k], m[i] = m[i], m[k]
+                m = [list(c) for c in zip(*m)]
+    return _invariant_factors(abs(m[k][k]) for k in range(t))
 
 
 # ---------------------------------------------------------------------------
@@ -242,7 +242,7 @@ def subgroup_count(group):
     partition; the product of these over the primes."""
     out = 1
     for p in factorize(group.order):
-        es = [factorize(d).get(p, 0) for d in group.divisors]
+        es = _sylow_exponents(group, p)
         lam = [sum(e > i for e in es) for i in range(max(es))]  # lam'
         total = 0
         for mu in itertools.product(*[range(n + 1) for n in lam]):  # mu' <= lam'
@@ -569,7 +569,7 @@ def aut_order(group):
     (p^d_k - p^(k-1)) * p^(e_k (n - d_k)) * p^((e_k - 1)(n - c_k + 1))."""
     out = 1
     for p in factorize(group.order):
-        es = [e for e in (factorize(d).get(p, 0) for d in group.divisors) if e]
+        es = [e for e in _sylow_exponents(group, p) if e]
         n = len(es)
         for k, ek in enumerate(es, 1):
             d = max(i for i, e in enumerate(es, 1) if e == ek)

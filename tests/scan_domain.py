@@ -1,4 +1,5 @@
-"""A seeded scan of the domain that ``classify`` and ``idempotents`` admit.
+"""A seeded scan of the domain that ``classify``, ``idempotents`` and
+``subgroups`` admit.
 
 It asserts nothing.  It draws argvs, runs each one in this process under a
 deadline with its output discarded, and prints one line per argv: the
@@ -7,7 +8,8 @@ escaped ``cli.run``) and the seconds it ran.  It starts no threads and no
 processes; the deadline is a ``signal.setitimer`` alarm.
 
 The box, for each argv:
-  * the command, ``classify`` or ``idempotents``, with equal odds;
+  * the command, ``classify``, ``idempotents`` or ``subgroups``, with
+    equal odds;
   * 1 to 3 cyclic factors, each drawn log-uniformly from 2 to 5,000 (the
     CLI normalizes them to invariant factors);
   * the characteristic p, the first prime at or above a number drawn
@@ -59,7 +61,7 @@ def _prime_at_or_above(n):
 
 def draw(rng):
     """One argv from the box of the module docstring."""
-    command = rng.choice(("classify", "idempotents"))
+    command = rng.choice(("classify", "idempotents", "subgroups"))
     factors = [_log_uniform(rng, 2, LARGEST_FACTOR) for _ in range(rng.randint(1, 3))]
     p = _prime_at_or_above(_log_uniform(rng, 2, LARGEST_PRIME))
     m = rng.choice(DEGREES)

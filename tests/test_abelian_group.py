@@ -1,7 +1,8 @@
 import itertools
+import random
 import time
 from functools import lru_cache
-from math import gcd
+from math import gcd, prod
 
 import pytest
 
@@ -72,6 +73,41 @@ def test_group_make_trivial_and_errors():
         group_make([1, 3])
     with pytest.raises(BadDivisor):
         group_make([0])
+
+
+def _group_make_per_prime(divisors):
+    """Invariant factors by factoring: the k-th largest factor is the
+    product over the primes of each one's k-th largest prime power."""
+    per_prime = {}
+    for d in divisors:
+        for p, e in factorize(d).items():
+            per_prime.setdefault(p, []).append(e)
+    t = max(map(len, per_prime.values()), default=0)
+    return tuple(prod(p ** sorted(exps, reverse=True)[k] for p, exps in per_prime.items()
+                      if k < len(exps)) for k in reversed(range(t)))
+
+
+def test_group_make_matches_the_per_prime_normalization():
+    rng = random.Random(29)
+    for _ in range(20000):
+        divisors = [rng.choice([rng.randint(2, 40), rng.randint(2, 10 ** 6)])
+                    for _ in range(rng.randint(0, 6))]
+        assert group_make(divisors).divisors == _group_make_per_prime(divisors), divisors
+
+
+def test_group_make_factors_nothing(monkeypatch):
+    # a divisor whose factorization is refused past the primality bound
+    import abelian_codes.abelian_group as abelian_group
+    import abelian_codes.finite_field as finite_field
+
+    def refuse(n):
+        raise AssertionError("factorize(%d)" % n)
+
+    monkeypatch.setattr(abelian_group, "factorize", refuse)
+    monkeypatch.setattr(finite_field, "factorize", refuse)
+    n = 4951760154835678088235319297
+    assert group_make([n]).divisors == (n,)
+    assert group_make([3, n, 6]).divisors == (3, 2 * 3 * n)
 
 
 @pytest.mark.parametrize("divisors", [(2, 0), (-3,), (0,), (0, 2)])
@@ -483,7 +519,7 @@ def test_abelian_groups_of_order():
 
 def test_abelian_groups_of_order_match_the_group_make_route():
     # the invariant factors are assembled from the Sylow partitions;
-    # group_make reaches them by factoring each prime power list again
+    # group_make reaches them by gcd and lcm of the prime powers
     def partitions(e):
         return [part for k in range(1, e + 1)
                 for part in itertools.combinations_with_replacement(range(e, 0, -1), k)
@@ -620,6 +656,14 @@ def test_owner_type_is_the_type_of_the_annihilator():
                 k = G.elements[i]
                 if G.element_order(k) == C.order:  # k generates C
                     assert owner_type(G, k) == ann, (G.divisors, k)
+
+
+def test_owner_type_is_the_quotient_type_of_each_element():
+    # the closed form of G/<k> against the Smith form of diag(d) and k
+    for n in range(1, 129):
+        for G in abelian_groups_of_order(n):
+            for k in G.elements:
+                assert owner_type(G, k) == quotient_type(G, gen(G, k)), (G.divisors, k)
 
 
 def test_owner_type_partition_equals_cocyclic_orbits():

@@ -144,13 +144,16 @@ def test_sweep_output_digest(capsys):
      "efc4ec4b315854cabefa8e879049a9e856c179dc5908d601fbe6f90e8a422c9b"),
     ("verify --group 49,7 --field 2 --format md", 1,
      "dec3a0429685f6e0e9837a582149929840d0f9f27c5bd5e2c757b06ca043c56b"),
+    ("subgroups --group 2,4,128 --field 5", 0,
+     "cb35c314acdb1b6cd257a64b3f7ca23ffda110ea133b29a6383eb8cc020cd137"),
 ], ids=["subgroups", "idempotents", "verify", "classify", "idempotents-extension",
         "subgroups-mixed-sylow", "subgroups-mixed-sylow-45", "idempotents-13-gf9",
         "idempotents-5x5", "classify-md", "classify-csv", "verify-9x9",
         "verify-3x3x3", "bound-38-gf3", "bound-3x29-gf2", "bound-23-gf8",
         "bound-25-gf9", "bound-29-gf5", "classify-7-gf27", "idempotents-11-gf49",
         "subgroups-md", "subgroups-csv", "idempotents-md", "idempotents-csv",
-        "verify-md", "verify-csv", "sweep-md", "sweep-csv", "verify-hypothesis-fails"])
+        "verify-md", "verify-csv", "sweep-md", "sweep-csv", "verify-hypothesis-fails",
+        "subgroups-2x4x128"])
 def test_output_digest(capsys, argv, status, digest):
     # sha256 of the stdout before subgroups moved to element indices; the
     # extension-base idempotents digest is that of GF(4) embedded in
@@ -165,7 +168,10 @@ def test_output_digest(capsys, argv, status, digest):
     # before the field layer's irreducibility test was merged. The md and csv
     # cases of subgroups, idempotents, verify and sweep, and the verify
     # refused by its field hypothesis, pin the output before the four table
-    # commands shared one renderer. A case without --format is read as JSON.
+    # commands shared one renderer. The quotient types of 2,4,128 (order
+    # 1,024), past the order-64 oracle of test_abelian_group, are pinned as
+    # they were peeled element by element, before the Smith normal form.
+    # A case without --format is read as JSON.
     argv = argv.split()
     if "--format" not in argv:
         argv += ["--format", "json"]
@@ -312,10 +318,13 @@ def test_characteristic_above_the_primality_bound_is_refused_quickly(capsys):
 @pytest.mark.parametrize("argv,number", [
     (["classify", "--group", "4951760154835678088235319297", "--field", "2"], 4951760154835678088235319297),
     (["idempotents", "--group", "3", "--field", "2^127"], 2 ** 127 - 1),
+    (["classify", "--group", "3,4951760154835678088235319297", "--field", "2"],
+     3 * 4951760154835678088235319297),
 ])
 def test_factorization_above_the_primality_bound_names_its_number(capsys, argv, number):
-    # a group divisor, or the p^m - 1 of a field, with a cofactor past the
-    # primality bound: the record names the number being factored
+    # a group exponent, or the p^m - 1 of a field, with a cofactor past the
+    # primality bound: the record names the number being factored, which
+    # for the group 3,n is its exponent 3n (group_make factors nothing)
     status, out = capture(capsys, argv + ["--format", "json"])
     assert status == 1
     record = json.loads(out)
@@ -749,6 +758,17 @@ def test_subgroups_of_a_large_prime_order_is_refused_quickly(capsys):
     assert time.perf_counter() - start < 2
     assert status == 1
     assert json.loads(out)["context"] == {"order": 1000000000000000003, "bound": 4096}
+
+
+def test_subgroups_of_an_unfactored_order_is_refused_by_the_order_bound(capsys):
+    # no factorization runs before the order bound: the order has a
+    # cofactor past the primality bound
+    status, out = capture(capsys, ["subgroups", "--group", "4951760154835678088235319297",
+                                   "--field", "2", "--format", "json"])
+    assert status == 1
+    record = json.loads(out)
+    assert record["error_code"] == "GroupTooLarge"
+    assert record["context"] == {"order": 4951760154835678088235319297, "bound": 4096}
 
 
 # ---------------------------------------------------------------------------
