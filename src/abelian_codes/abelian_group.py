@@ -53,7 +53,7 @@ class AbelianGroup:
     divisor lists into this form."""
 
     __slots__ = ("divisors", "order", "exponent", "rank", "zero",
-                 "_elements", "_index", "_orders", "_primes", "_strides")
+                 "_elements", "_index", "_multiples", "_orders", "_primes", "_strides")
 
     def __init__(self, divisors):
         divisors = tuple(divisors)
@@ -69,6 +69,7 @@ class AbelianGroup:
         self.zero = (0,) * self.rank
         self._elements = None
         self._index = None
+        self._multiples = {}
         self._orders = None
         self._primes = None
         self._strides = None

@@ -267,14 +267,22 @@ def _basis_exps(group, i):
     return tuple(1 if j == i else 0 for j in range(group.rank))
 
 
-def _induced_perm(group, images):
-    """Index permutation of the homomorphism e_i -> images[i], or None when
-    it is not a bijection.  Coordinate j of the image is a linear form mod
-    d_j; scaling it by the stride keeps each column an index summand."""
-    perm = [0] * group.order
+def _induced_map(group, images):
+    """Index of the image of every element under the homomorphism
+    e_i -> images[i], in index order.  Coordinate j of the image is a linear
+    form mod d_j; scaling it by the stride keeps each column an index
+    summand."""
+    out = [0] * group.order
     for j, (d, s) in enumerate(zip(group.divisors, _strides(group))):
         col = _linear_values(group, [img[j] * s for img in images], d * s)
-        perm = [a + b for a, b in zip(perm, col)]
+        out = [a + b for a, b in zip(out, col)]
+    return out
+
+
+def _induced_perm(group, images):
+    """Index permutation of the homomorphism e_i -> images[i], or None when
+    it is not a bijection."""
+    perm = _induced_map(group, images)
     if len(set(perm)) != group.order:
         return None
     return tuple(perm)
@@ -351,28 +359,19 @@ def splitting_field(ctx, n):
                 acc = big.add(acc, big.mul(big.from_int(ci), b))
         return acc
 
-    # Gauss-Jordan on [digits of beta^i | I]: row i becomes (r_i, t_i), the
-    # r_i in reduced echelon form with pivots in columns pivots[i]; a value
-    # with digits d * r then has beta-coordinates d * t, and d is read off
-    # its pivot digits
+    # every pivot of the RREF of [digits of beta^i | I] is a digit column, as
+    # 1, beta, ..., beta^(m-1) are independent; a row pairs a value's digits,
+    # 1 at the row's pivot and 0 at the others, with its beta-coordinates, so
+    # a base value's are the sum of its pivot digits times those of the rows
     width = big.m
-    aug = [list(big.coeffs(b)) + [int(i == k) for k in range(m)]
-           for i, b in enumerate(powers)]
-    pivots = []
-    for i in range(m):
-        col = next(j for j in range(width) if aug[i][j])
-        inv = pow(aug[i][col], p - 2, p)
-        row = aug[i] = [x * inv % p for x in aug[i]]
-        for k in range(m):
-            f = aug[k][col]
-            if k != i and f:
-                aug[k] = [(x - f * y) % p for x, y in zip(aug[k], row)]
-        pivots.append(col)
+    rref = row_reduce_raw([list(big.coeffs(b)) + [int(i == k) for k in range(m)]
+                           for i, b in enumerate(powers)], field_make(p))
+    pivots = [next(j for j, x in enumerate(r) if x) for r in rref]
 
     def restrict(z):
         digits = big.coeffs(z)
         a = ctx.raw_from_coeffs([
-            sum(digits[col] * r[width + k] for col, r in zip(pivots, aug))
+            sum(digits[col] * r[width + k] for col, r in zip(pivots, rref))
             for k in range(m)])
         if embed(a) != z:
             raise ArithmeticError("value outside the base field")

@@ -40,8 +40,8 @@ from .errors import (
 from .finite_field import euler_phi, factorize, mul_order
 from .group_algebra import (
     GroupElement, PrimitiveIdempotent, Subgroup, _basis_exps, _character_values, _cycle,
-    _induced_perm, _join, _linear_values, _orders, _root_powers, _strides, get_algebra,
-    primitive_idempotents,
+    _induced_map, _induced_perm, _join, _linear_values, _orders, _root_powers, _strides,
+    get_algebra, primitive_idempotents,
 )
 
 # |Aut(G)| above this is refused before the closure starts: it builds one
@@ -51,8 +51,8 @@ _AUT_ORDER_BOUND = 20000
 _SUBGROUPS_ORDER_BOUND = 4096
 # all_subgroups refuses more than this many subgroups times |G|: each subgroup
 # costs about O(|G|), its index-p covers scanning every element; the costliest
-# admitted subgroups runs, 2,2,4,4,4 (1,036,032) and 2,4,8,8 (984,064), take
-# 2.2-3.1 s and 1.8-2.5 s as fresh processes on a 2-vCPU VM
+# admitted subgroups runs, 2,2,2,2,2,4 (675,328) and 2,2,4,4,4 (1,036,032),
+# take 1.4-1.7 s and 1.0-1.2 s as fresh processes on a 2-vCPU VM
 _SUBGROUPS_WORK_BOUND = 2 ** 20
 _AUT_GROUP_ORDER_BOUND = 512
 
@@ -319,36 +319,24 @@ def cocyclic_subgroups(group):
 
 def _index_p_cover_within(group, container, H, p):
     """Distinct overgroups L = <H, g> with [L:H] = p, over the g outside H
-    with p*g in H in the container (ascending indices).  L is the union of
-    the cosets H + k*g, k < p; coordinate j of H + c has the digits
-    (h_j + c_j) mod d_j, a column built once per (j, c_j) and call.  Every
-    g in L outside H gives the same L, so the members of a cover found are
+    with p*g in H in the container (ascending indices).  The index of p*g
+    for every g is built once per group and p.  For such g the least m with
+    m*g in H is p, so ``_join`` builds L from H and p - 1 cosets.  Every g
+    in L outside H gives the same L, so the members of a cover found are
     not tried again."""
-    strides = _strides(group)
-    digits = list(zip(*H.elements))
-    columns = {}
-
-    def coset(shift):
-        out = [0] * H.order
-        for j, c in enumerate(shift):
-            if (j, c) not in columns:
-                d, s = group.divisors[j], strides[j]
-                columns[j, c] = [(h + c) % d * s for h in digits[j]]
-            out = [a + b for a, b in zip(out, columns[j, c])]
-        return out
-
-    elems = group.elements
+    times_p = group._multiples.get(p)
+    if times_p is None:
+        times_p = group._multiples[p] = _induced_map(
+            group, [group.scale(p, _basis_exps(group, i)) for i in range(group.rank)])
+    elems, members = group.elements, H.index_set
     covers = []
-    tried = set(H.indices)
+    tried = set(members)
     for i in container:
-        if i in tried or group.index_of(group.scale(p, elems[i])) not in H.index_set:
+        if i in tried or times_p[i] not in members:
             continue
-        members = list(H.indices)
-        for k in range(1, p):
-            members.extend(coset(group.scale(k, elems[i])))
-        L = Subgroup._from_indices(group, sorted(members))
-        tried.update(L.indices)
-        covers.append(L)
+        L = _join(group, members, elems[i])
+        tried.update(L)
+        covers.append(Subgroup._from_indices(group, sorted(L)))
     return sorted(covers)
 
 # ---------------------------------------------------------------------------

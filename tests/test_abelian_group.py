@@ -32,11 +32,13 @@ from abelian_codes import (
 )
 from abelian_codes.finite_field import factorize
 from abelian_codes.group_algebra import _induced_perm
+from abelian_codes import reference
 from abelian_codes.reference import (
     _AUT_GROUP_ORDER_BOUND,
     _AUT_ORDER_BOUND,
     _SUBGROUPS_ORDER_BOUND,
     _SUBGROUPS_WORK_BOUND,
+    _index_p_cover_within,
     _translation,
     aut_order,
     checked_subgroup,
@@ -779,6 +781,49 @@ def test_translation_matches_tuple_addition():
 def test_all_subgroups_match_add_table_route():
     for G in GROUPS_TO_64:
         assert [H.elements for H in _subgroups(G)] == _subgroups_by_add_table(G), G.divisors
+
+
+def test_index_p_covers_match_tuple_closure():
+    # every subgroup H and prime p, the container the whole group or the
+    # Sylow p-part (as cocyclic_idempotent passes it): the distinct spans of
+    # H and one g of the container outside H with p*g in H
+    for G in GROUPS_TO_64:
+        add = _sums(G)
+        dec = sylow_decompose(G)
+        for p in dec.primes:
+            containers = {tuple(range(G.order)), dec.embed_component(p).indices}
+            for H in _subgroups(G):
+                members = set(H.elements)
+                for container in containers:
+                    expected = sorted({
+                        tuple(sorted({add[a][c] for a in H.elements
+                                      for c in _cyclic_by_adding(G, g)}))
+                        for g in (G.elements[i] for i in container)
+                        if g not in members and G.scale(p, g) in members})
+                    covers = _index_p_cover_within(G, container, H, p)
+                    assert [L.elements for L in covers] == expected, (G.divisors, H.indices, p)
+
+
+def test_index_p_covers_look_up_no_element_and_scale_rank_times_per_call(monkeypatch):
+    # p*g is read off one linear map per call: at most rank scale calls per
+    # call, and no element is looked up by its exponent tuple
+    calls = {"covers": 0, "index_of": 0, "scale": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(reference, "_index_p_cover_within",
+                        counted("covers", reference._index_p_cover_within))
+    monkeypatch.setattr(AbelianGroup, "index_of", counted("index_of", AbelianGroup.index_of))
+    monkeypatch.setattr(AbelianGroup, "scale", counted("scale", AbelianGroup.scale))
+    G = group_make([2, 4, 32])
+    assert len(all_subgroups(G)) == subgroup_count(G)
+    assert calls["covers"] > 0
+    assert calls["index_of"] == 0
+    assert calls["scale"] <= G.rank * calls["covers"]
 
 
 def test_joins_match_tuple_closure():
