@@ -23,7 +23,7 @@ _HOMES = {
         "AbelianGroup", "abelian_groups_of_order", "group_make", "owner_type", "tau_sweep",
     ),
     "group_algebra": (
-        "GroupAlgebra", "GroupElement", "PrimitiveIdempotent", "Subgroup",
+        "GroupAlgebra", "PrimitiveIdempotent", "Subgroup",
         "element_of_order", "get_algebra", "primitive_idempotents", "splitting_field",
     ),
     "codes": (
@@ -31,12 +31,12 @@ _HOMES = {
         "min_weight_or_bound", "minimal_code", "weight_distribution",
     ),
     "reference": (
-        "AlgebraElement", "Automorphism", "Character", "all_subgroups", "annihilator",
-        "apply_automorphism", "aut_generators", "automorphisms", "characters",
-        "cocyclic_idempotent", "cocyclic_idempotent_family", "cocyclic_subgroups",
-        "cyclic_subgroups", "equivalent", "hat", "homocyclic_factorization",
-        "idempotent_group", "phi_subgroup", "quotient_type", "subgroup_orbits",
-        "sylow_decompose", "verify_tables",
+        "AlgebraElement", "Automorphism", "Character", "GroupElement", "all_subgroups",
+        "annihilator", "apply_automorphism", "aut_generators", "automorphisms",
+        "characters", "cocyclic_idempotent", "cocyclic_idempotent_family",
+        "cocyclic_subgroups", "cyclic_subgroups", "equivalent", "hat",
+        "homocyclic_factorization", "idempotent_group", "phi_subgroup", "quotient_type",
+        "subgroup_orbits", "sylow_decompose", "verify_tables",
     ),
 }
 

@@ -12,11 +12,11 @@ group's minimal codes from its type alone.  So ``sweep``, and the set-up
 ``field_make(p)`` plus ``group_make``, load only this module,
 ``finite_field`` and ``errors``.  ``tau_sweep`` lives here and not in
 ``codes`` for that reason; ``codes`` still forwards the name, for the
-benchmark's tracer.  Subgroups (``Subgroup``, ``GroupElement``) and the
-linear maps evaluated on all |G| indices are in ``group_algebra``, which
-builds them; this module forwards ``Subgroup`` for the tracer.  The
-subgroup lattice, the type of a quotient G/H, character duality and the
-automorphism group are in ``reference``.  Everything is deterministic.
+benchmark's tracer.  Subgroups (``Subgroup``) and the linear maps
+evaluated on all |G| indices are in ``group_algebra``, which builds them;
+this module forwards ``Subgroup`` for the tracer.  The subgroup lattice,
+the type of a quotient G/H, character duality, the automorphism group and
+``GroupElement`` are in ``reference``.  Everything is deterministic.
 """
 
 import itertools

@@ -425,11 +425,16 @@ def classify(group, ctx, with_distributions=False):
     codes have one minimum weight, so a class prints one value."""
     algebra = get_algebra(group, ctx)
     codes = [minimal_code(algebra, ide) for ide in primitive_idempotents(group, ctx)]
-    # in this order each class, and the list of classes, comes out sorted
+    # in this order each class, and the list of classes, comes out sorted; the
+    # codes of one owner share its Subgroup (``_owners``), so they sit side by
+    # side, compare their keys' index tuples by identity, and take its type once
     codes.sort(key=lambda c: (c.generator.phi_subgroup.indices, c.generator.orbit_rep))
-    by_type = {}
+    by_type, owner = {}, None
     for c in codes:
-        by_type.setdefault(owner_type(group, c.generator.orbit_rep), []).append(c)
+        if c.generator.phi_subgroup is not owner:
+            owner = c.generator.phi_subgroup
+            members = by_type.setdefault(owner_type(group, c.generator.orbit_rep), [])
+        members.append(c)
     records = []
     classes = []
     by_order = {}

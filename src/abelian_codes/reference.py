@@ -4,17 +4,17 @@ stated, which the engine's fast routes are checked against.
 The engine (``classify``, ``idempotents``, ``sweep``) decides
 G-equivalence by the paper's criterion, the type of G/<k>, and never
 builds a subgroup lattice, an automorphism or a co-cyclic idempotent.
-This module holds those constructions: the Sylow decomposition, subgroups
-checked from their elements with their Sylow parts, types and quotient
-types, the subgroup lattice with its co-cyclic members and index-p
-covers, characters and annihilator duality, the automorphism group with
-its orbits on subgroups, the dense ``AlgebraElement`` with the
-convolution of F_qG, the co-cyclic idempotent family with
-``phi_subgroup`` and the automorphism action on F_qG, the search form of
-G-equivalence, and the closed-form reference tables behind ``verify``.  Nothing in the
-engine imports it; the CLI loads it for ``subgroups`` and ``verify``
-only, and the tests and demos use it as the definition side of each
-check.
+This module holds those constructions: group elements as objects
+(``GroupElement``), the Sylow decomposition, subgroups checked from their
+elements with their Sylow parts, types and quotient types, the subgroup
+lattice with its co-cyclic members and index-p covers, characters and
+annihilator duality, the automorphism group with its orbits on
+subgroups, the dense ``AlgebraElement`` with the convolution of F_qG, the
+co-cyclic idempotent family with ``phi_subgroup`` and the automorphism
+action on F_qG, the search form of G-equivalence, and the closed-form
+reference tables behind ``verify``.  Nothing in the engine imports it;
+the CLI loads it for ``subgroups`` and ``verify`` only, and the tests and
+demos use it as the definition side of each check.
 """
 
 import itertools
@@ -39,9 +39,9 @@ from .errors import (
 )
 from .finite_field import euler_phi, factorize, mul_order
 from .group_algebra import (
-    GroupElement, PrimitiveIdempotent, Subgroup, _basis_exps, _character_values, _cycle,
-    _induced_map, _induced_perm, _join, _linear_values, _orders, _root_powers, _strides,
-    get_algebra, primitive_idempotents,
+    PrimitiveIdempotent, Subgroup, _basis_exps, _character_values, _cycle, _induced_map,
+    _induced_perm, _join, _linear_values, _orders, _root_powers, _strides, get_algebra,
+    primitive_idempotents,
 )
 
 # |Aut(G)| above this is refused before the closure starts: it builds one
@@ -55,6 +55,34 @@ _SUBGROUPS_ORDER_BOUND = 4096
 # take 1.4-1.7 s and 1.0-1.2 s as fresh processes on a 2-vCPU VM
 _SUBGROUPS_WORK_BOUND = 2 ** 20
 _AUT_GROUP_ORDER_BOUND = 512
+
+
+class GroupElement:
+    """An element of a fixed AbelianGroup, as its exponent tuple reduced
+    mod the divisors: ``GroupElement(G, G.zero)`` is the identity.  The
+    engine builds none; ``Subgroup.generated`` takes one as its ``exps``."""
+
+    __slots__ = ("group", "exps")
+
+    def __init__(self, group, exps):
+        self.group = group
+        self.exps = tuple(x % d for x, d in zip(exps, group.divisors))
+
+    def order(self):
+        return self.group.element_order(self.exps)
+
+    def __eq__(self, other):
+        return (
+            isinstance(other, GroupElement)
+            and self.group == other.group
+            and self.exps == other.exps
+        )
+
+    def __hash__(self):
+        return hash((self.group.divisors, self.exps))
+
+    def __repr__(self):
+        return "GroupElement%r" % (self.exps,)
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ from math import gcd
 import pytest
 from dense_oracle import orbit_sum_idempotents
 from hypothesis import given, settings, strategies as st
+from owner_oracle import classes_by_owner_sort, owner_by_character_values, peel_by_joins
 
 from abelian_codes import (
     AlgebraElement,
@@ -17,6 +18,7 @@ from abelian_codes import (
     all_subgroups,
     apply_automorphism,
     automorphisms,
+    classify,
     cocyclic_idempotent,
     cocyclic_idempotent_family,
     cocyclic_subgroups,
@@ -28,18 +30,24 @@ from abelian_codes import (
     hat,
     idempotent_group,
     mul_order,
+    owner_type,
     phi_subgroup,
     primitive_idempotents,
     quotient_type,
 )
 from abelian_codes.finite_field import factorize
 from abelian_codes.group_algebra import (
+    PrimitiveIdempotent,
     _character_values,
     _join,
     _orbit_reps,
     _orders,
+    _owners,
     row_reduce_raw,
 )
+import abelian_codes.cli_extra as cli_extra
+import abelian_codes.codes as codes_module
+import abelian_codes.group_algebra as group_algebra
 
 F2 = field_make(2)
 dense = AlgebraElement.from_idempotent
@@ -310,6 +318,96 @@ def test_phi_subgroup_of_whole_group_hat():
     G = group_make([9, 3])
     fam = cocyclic_idempotent_family(G, F2)
     assert phi_subgroup(hat(Subgroup.whole(G), F2), fam) == Subgroup.whole(G)
+
+
+def _field_free_idempotents(G, F):
+    """primitive_idempotents without the splitting field: each orbit
+    representative with its owner from ``_owners`` and a zero row."""
+    alg = get_algebra(G, F)
+    return [PrimitiveIdempotent(alg, k, H, (F.zero,) * G.element_order(k))
+            for k, H in _owners(G, F.order)]
+
+
+def test_owners_match_the_per_code_oracle(monkeypatch):
+    # every abelian group of order <= 128 (the trivial group and its o = 1
+    # code included) over each of GF(2), GF(3), GF(4) and GF(5) it admits:
+    # each owner's indices, generators and type equal the per-code path's
+    # (owner_oracle), the codes of one cyclic subgroup <k> share one
+    # Subgroup and the others do not, and classify groups and orders the
+    # codes as the per-code sort did.  classify runs on field-free
+    # idempotents, every class bounded and its minimum stubbed, so no
+    # splitting field or weight is computed
+    monkeypatch.setattr(codes_module, "primitive_idempotents", _field_free_idempotents)
+    monkeypatch.setattr(codes_module, "_route", lambda ctx, o, k: ("bound", 0))
+    monkeypatch.setattr(codes_module, "min_weight_or_bound", lambda code: (0, False))
+    fields = [field_make(2), field_make(3), field_make(2, 2), field_make(5)]
+    checked = 0
+    for n in range(1, 129):
+        for G in abelian_groups_of_order(n):
+            cyclic, types = {}, {}  # (q, indices of <k>) -> owner, id(owner) -> type
+            for F in fields:
+                if n % F.p == 0:
+                    continue
+                report = classify(G, F)
+                assert [r.code.generator.orbit_rep for r in report.codes] == _orbit_reps(G, F.order)
+                for rec in report.codes:
+                    k, H = rec.code.generator.orbit_rep, rec.code.generator.phi_subgroup
+                    oracle = owner_by_character_values(G, k)
+                    assert H.indices == oracle.indices, (G.divisors, F, k)
+                    assert H.generators == peel_by_joins(oracle), (G.divisors, F, k)
+                    assert types.setdefault(id(H), owner_type(G, k)) == owner_type(G, k)
+                    span = Subgroup.generated(G, [k]).indices
+                    assert cyclic.setdefault((F.order, span), H) is H, (G.divisors, F, k)
+                    checked += 1
+                assert len({id(H) for H in cyclic.values()}) == len(cyclic)
+                assert [[m.code.generator.orbit_rep for m in c.members]
+                        for c in report.classes] \
+                    == classes_by_owner_sort(G, _orbit_reps(G, F.order)), (G.divisors, F)
+    assert checked == 8790
+
+
+def test_owner_work_runs_once_per_owner_and_character_values_once_per_code(monkeypatch):
+    # _from_indices runs once per distinct owner, one per cyclic subgroup
+    # <k>, whose peel joins once per generator unless the owner is cyclic;
+    # classify reads the |G|-length list t(g) of _character_values only for
+    # the columns of a bounded class, and idempotents once per code
+    calls = {"_character_values": 0, "_from_indices": 0, "_join": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    for module in (group_algebra, codes_module):
+        monkeypatch.setattr(module, "_character_values",
+                            counted("_character_values", _character_values))
+    monkeypatch.setattr(group_algebra, "_join", counted("_join", _join))
+    monkeypatch.setattr(Subgroup, "_from_indices",
+                        classmethod(counted("_from_indices", Subgroup._from_indices.__func__)))
+    # 15,15 over GF(2): 59 codes, 35 owners, no class bounded; 81,3: 14
+    # codes of 14 owners (2 is a primitive root mod 81), and the k = 54 code
+    # of C_81 is bounded
+    for divisors, codes, owners, bounded in [([15, 15], 59, 35, 0), ([81, 3], 14, 14, 1)]:
+        G = group_make(divisors)
+        calls.update(dict.fromkeys(calls, 0))
+        report = classify(G, F2)
+        built, read = calls["_from_indices"], calls["_character_values"]
+        assert built == len({id(r.code.generator.phi_subgroup) for r in report.codes})
+        assert built == len({Subgroup.generated(G, [k]).indices for k in _orbit_reps(G, 2)})
+        assert (len(report.codes), built) == (codes, owners)
+        assert sum(not c.representative.min_weight_exact for c in report.classes) == bounded
+        assert read == bounded
+        distinct = {id(r.code.generator.phi_subgroup): r.code.generator.phi_subgroup
+                    for r in report.codes}.values()
+        calls["_join"] = 0
+        report.to_dict()  # peels every owner
+        assert calls["_join"] == sum(len(H.generators) for H in distinct if len(H.generators) > 1)
+        assert any(len(H.generators) == 1 for H in distinct)
+        calls.update(dict.fromkeys(calls, 0))
+        data = cli_extra.idempotents_dict({"group": G, "field": F2})
+        assert len(list(data["idempotents"])) == len(report.codes)
+        assert calls["_character_values"] == len(report.codes)
 
 
 @pytest.mark.parametrize("p,m", [(2, 1), (3, 1), (7, 1), (2, 2), (2, 3), (3, 2)])

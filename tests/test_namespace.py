@@ -267,6 +267,9 @@ def test_a_benchmark_job_imports_nothing_beyond_its_command():
 _SKIPPED_TOKENS = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
                    tokenize.DEDENT, tokenize.ENDMARKER, tokenize.ENCODING}
 # the tokens of the modules a benchmark job of each kind compiles.
+# Building each owner once per cyclic subgroup took the four classify kinds
+# from 11,295, 12,113, 12,608 and 13,426 to 11,356, 12,174, 12,669 and
+# 13,487 (GroupElement left group_algebra for reference in the same change).
 # Every classify job compiled 13,439 before the basis routes and the odd-p
 # arithmetic left codes and extension_field; 13,314 was every job's before
 # sweep stopped loading codes and group_algebra (15,562 before the argparse
