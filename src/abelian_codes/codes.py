@@ -19,7 +19,7 @@ from math import comb, lcm
 
 from .abelian_group import owner_type
 from .errors import DimensionTooLarge
-from .finite_field import _gf2_mask, divisor_count, mul_order
+from .finite_field import _gf2_mask, divisor_count
 from .group_algebra import _character_values, get_algebra, primitive_idempotents
 
 # The largest dimension ``_route`` enumerates.  The benchmark's tracer
@@ -102,11 +102,9 @@ def minimal_code(algebra, e):
     on t(g) in Z_o (``_character_values``), so the ideal is the cyclic
     code C_o spanned by the shifts of the idempotent's length-o row
     (``PrimitiveIdempotent.row``), with coordinate t standing for the
-    |G|/o elements g with t(g) = t.  Its dimension is ord_o(q); nothing is
-    row-reduced here."""
-    o = len(e.row)
-    return MinimalCode(algebra, e, mul_order(algebra.ctx.order, o), algebra.group.order // o,
-                       e.row)
+    |G|/o elements g with t(g) = t.  Its dimension is ord_o(q), read off
+    ``e.dimension``; nothing is row-reduced here."""
+    return MinimalCode(algebra, e, e.dimension, algebra.group.order // len(e.row), e.row)
 
 
 _LOW_TABLE_MAX = 4096
@@ -426,8 +424,9 @@ def classify(group, ctx, with_distributions=False):
     algebra = get_algebra(group, ctx)
     codes = [minimal_code(algebra, ide) for ide in primitive_idempotents(group, ctx)]
     # in this order each class, and the list of classes, comes out sorted; the
-    # codes of one owner share its Subgroup (``_owners``), so they sit side by
-    # side, compare their keys' index tuples by identity, and take its type once
+    # codes of one cyclic subgroup share one owner Subgroup (``_owners``), so they
+    # sit side by side, compare their keys' index tuples by identity, and take
+    # its type once
     codes.sort(key=lambda c: (c.generator.phi_subgroup.indices, c.generator.orbit_rep))
     by_type, owner = {}, None
     for c in codes:

@@ -1,8 +1,9 @@
 """The group algebra F_qG and its primitive idempotents, obtained from
 q-power orbits of characters, with the two layers that only the algebra
 builds: subgroups of G (canonical form: the ascending tuple of element
-indices) with the linear maps evaluated on all |G| indices, and the
-splitting field GF(p^(m*s)) of the base GF(p^m) with its roots of unity.
+indices) with the one walk over the cyclic subgroups (``_cyclic_subgroups``)
+that yields every code with its owner, and the splitting field
+GF(p^(m*s)) of the base GF(p^m) with its roots of unity.
 They live here so that ``sweep``, which runs neither, compiles neither;
 ``abelian_group`` and ``finite_field`` forward ``Subgroup``,
 ``splitting_field`` and ``element_of_order`` for the benchmark's tracer.
@@ -16,6 +17,7 @@ primitive_idempotents and reduced back before anything is returned.
 """
 
 import itertools
+from functools import cache
 from math import gcd, lcm, prod
 
 from .abelian_group import _check_char
@@ -71,16 +73,17 @@ class GroupAlgebra:
 
 class PrimitiveIdempotent:
     """A primitive idempotent held as its length-o row T_o, with its owning
-    co-cyclic subgroup and the canonical representative of the character
-    orbit that produced it: the coefficient at g is row[t(g)]
-    (``_character_values``), o the order of the orbit's characters."""
+    co-cyclic subgroup, the canonical representative of the character orbit
+    that produced it and that orbit's size ord_o(q), its code's dimension:
+    the coefficient at g is row[t(g)] (``_character_values``), o the order."""
 
-    __slots__ = ("algebra", "orbit_rep", "phi_subgroup", "row")
+    __slots__ = ("algebra", "orbit_rep", "phi_subgroup", "dimension", "row")
 
-    def __init__(self, algebra, orbit_rep, phi_subgroup, row):
+    def __init__(self, algebra, orbit_rep, phi_subgroup, dimension, row):
         self.algebra = algebra
         self.orbit_rep = tuple(orbit_rep)
         self.phi_subgroup = phi_subgroup
+        self.dimension = dimension
         self.row = row
 
     def __repr__(self):
@@ -109,6 +112,21 @@ def _cycle(group, g):
     return [sum(t) for t in zip(*cols)] if cols else [0]
 
 
+def _cyclic_subgroups(group):
+    """(cyc, units) for every cyclic subgroup <g> once, at its least
+    generator g, in index order: cyc = ``_cycle(group, g)`` and units the
+    j < o prime to o, ascending (cyc[units[0]] is g).  Each j*g, j a unit,
+    is marked when <g> is met, so no later generator of <g> is walked."""
+    seen = bytearray(group.order)
+    for i in range(group.order):
+        if not seen[i]:
+            cyc = _cycle(group, group.elements[i])
+            units = [j for j in range(len(cyc)) if gcd(j, len(cyc)) == 1]
+            for j in units:
+                seen[cyc[j]] = 1
+            yield cyc, units
+
+
 def _orders(group):
     """Order of every element, in index order; built once per group."""
     if group._orders is None:
@@ -123,17 +141,16 @@ def _orders(group):
 def _join(group, S, g):
     """Index set of the subgroup generated by the subgroup S (an index set)
     and the element g: S and its cosets S + k*g for 0 < k < m, m the least
-    k with k*g in S.  Only those cosets are built, and only along the axes
-    j where g_j != 0: there the index of h + k*g moves by
-    ((h_j + k*g_j) mod d_j - h_j) * stride_j."""
-    cyc = _cycle(group, g)
-    m = next((k for k in range(1, len(cyc)) if cyc[k] in S), len(cyc))
+    k with k*g in S (S holds 0, so m is at most the order of g).  Only
+    those cosets are built, and only along the axes j where g_j != 0: there
+    the index of h + k*g moves by ((h_j + k*g_j) mod d_j - h_j) * stride_j."""
+    axes = [(x, d, s) for x, d, s in zip(g, group.divisors, _strides(group)) if x % d]
+    m = next(k for k in itertools.count(1) if sum(k * x % d * s for x, d, s in axes) in S)
     new = [h for _ in range(1, m) for h in S]
-    for x, d, s in zip(g, group.divisors, _strides(group)):
-        if x % d:
-            digits = [h // s % d for h in S]
-            step = [((y + k * x) % d - y) * s for k in range(1, m) for y in digits]
-            new = [a + b for a, b in zip(new, step)]
+    for x, d, s in axes:
+        digits = [h // s % d for h in S]
+        step = [((y + k * x) % d - y) * s for k in range(1, m) for y in digits]
+        new = [a + b for a, b in zip(new, step)]
     return set(S).union(new)
 
 
@@ -236,31 +253,6 @@ def _linear_values(group, coeffs, n):
     for c, d in zip(coeffs, group.divisors):
         vals = [(v + c * x) % n for v in vals for x in range(d)]
     return vals
-
-
-def _basis_exps(group, i):
-    return tuple(1 if j == i else 0 for j in range(group.rank))
-
-
-def _induced_map(group, images):
-    """Index of the image of every element under the homomorphism
-    e_i -> images[i], in index order.  Coordinate j of the image is a linear
-    form mod d_j; scaling it by the stride keeps each column an index
-    summand."""
-    out = [0] * group.order
-    for j, (d, s) in enumerate(zip(group.divisors, _strides(group))):
-        col = _linear_values(group, [img[j] * s for img in images], d * s)
-        out = [a + b for a, b in zip(out, col)]
-    return out
-
-
-def _induced_perm(group, images):
-    """Index permutation of the homomorphism e_i -> images[i], or None when
-    it is not a bijection."""
-    perm = _induced_map(group, images)
-    if len(set(perm)) != group.order:
-        return None
-    return tuple(perm)
 
 
 # ---------------------------------------------------------------------------
@@ -402,24 +394,6 @@ def _root_powers(field, n):
 # primitive idempotents via q-power character orbits
 # ---------------------------------------------------------------------------
 
-def _orbit_reps(group, q):
-    """The lex-least member of each orbit of characters under k -> q*k, in
-    order: indices are walked in order, so the first member met of an
-    orbit is its least exponent tuple."""
-    step = _induced_perm(group, [group.scale(q, _basis_exps(group, i))
-                                 for i in range(group.rank)])
-    seen = bytearray(group.order)
-    reps = []
-    for i in range(group.order):
-        if not seen[i]:
-            reps.append(group.elements[i])
-            j = i
-            while not seen[j]:
-                seen[j] = 1
-                j = step[j]
-    return reps
-
-
 def _character_values(group, rep):
     """(o, t): the order o of rep and, for every element g in index order,
     t(g) in Z_o with <rep, -g> = t(g) * (n/o) mod n, n = exp G.
@@ -432,31 +406,36 @@ def _character_values(group, rep):
     return o, _linear_values(group, [-x * o // d for x, d in zip(rep, group.divisors)], o)
 
 
-def _owners(group, q):
-    """(k, annihilator(G, <k>)) for each k of ``_orbit_reps``: the owner of
-    k's code, one Subgroup per cyclic subgroup <k>, shared by every j*k with
-    j a unit mod o, the order of k, so built and peeled (``generators``) once.
+def _owner(group, k, o):
+    """annihilator(G, <k>), k of order o: the kernel {x : sum_j c_j x_j = 0
+    mod o}, c_j = k_j * o / d_j (t(g) = 0 in ``_character_values``).  Over
+    each prefix of all coordinates but the last, in index order, of value
+    v, the last coordinate solves -c_r x = v mod o on one coset of step
+    o / gcd(c_r, o) in Z_(d_r), or nowhere: |G|/d_r + |H| steps, not |G|."""
+    *c, last = [x * o // d for x, d in zip(k, group.divisors)] or [0]
+    d, step = group.exponent, o // gcd(last, o)
+    coset = {-last * x % o: range(x, d, step) for x in range(step)}
+    return Subgroup._from_indices(group, [
+        i * d + x for i, v in enumerate(_linear_values(group, c, o))
+        for x in coset.get(v, ())])
 
-    The owner is the kernel {x : sum_j c_j x_j = 0 mod o}, c_j = k_j * o / d_j
-    (t(g) = 0 in ``_character_values``).  Over each prefix of all coordinates
-    but the last, in index order, of value v, the last coordinate solves
-    -c_r x = v mod o on one coset of step o / gcd(c_r, o) in Z_(d_r), or
-    nowhere: the indices come out ascending in |G|/d_r + |H| steps, not |G|."""
-    owners = {}
-    for k in _orbit_reps(group, q):
-        if k not in owners:
-            cyc = _cycle(group, k)  # the indices of j*k, j < o
-            o = len(cyc)
-            *c, last = [x * o // d for x, d in zip(k, group.divisors)] or [0]
-            d, step = group.exponent, o // gcd(last, o)
-            coset = {-last * x % o: range(x, d, step) for x in range(step)}
-            owner = Subgroup._from_indices(group, [
-                i * d + x for i, v in enumerate(_linear_values(group, c, o))
-                for x in coset.get(v, ())])
-            for j in range(o):
-                if gcd(j, o) == 1:
-                    owners[group.elements[cyc[j]]] = owner
-        yield k, owners[k]
+
+def _owners(group, q):
+    """(k, annihilator(G, <k>), o) for the least member k, of order o, of
+    each q-orbit of characters, in index order.  The orbits in <g> of
+    ``_cyclic_subgroups`` are those of j -> j*q mod o on its units j, met
+    at their least index, and share one owner, built and peeled once."""
+    out = []
+    for cyc, units in _cyclic_subgroups(group):
+        o = len(cyc)
+        owner, left = _owner(group, group.elements[cyc[units[0]]], o), set(units)
+        for j in sorted(units, key=cyc.__getitem__):
+            if j in left:
+                out.append((cyc[j], owner, o))
+                while j in left:
+                    left.remove(j)
+                    j = j * q % o
+    return [(group.elements[i], owner, o) for i, owner, o in sorted(out)]
 
 
 # primitive_idempotents refuses more than this many codes times |G|, the
@@ -490,7 +469,7 @@ def primitive_idempotents(group, ctx):
     co-cyclic subgroup: the kernel of the orbit's character,
     annihilator(G, <rep>) = {g : t(g) = 0}, which every character of the
     orbit shares (q is a unit mod exp G, so <q*k> = <k>), one object per
-    <rep> (``_owners``).  More than
+    <rep> (``_owners``), and k with T_o as its ``dimension``.  More than
     _IDEMPOTENT_WORK_BOUND codes times |G| raise GroupTooLarge, after the
     splitting field's own DegreeTooLarge check and before any product in it.
     """
@@ -505,8 +484,8 @@ def primitive_idempotents(group, ctx):
     powers = _root_powers(big, n)  # zeta^v, zeta = element_of_order(big, n)
     inv_order = ctx.inv(ctx.from_int(group.order))
     q = ctx.order
-    tables = {}
 
+    @cache
     def table(o):
         k, row = mul_order(q, o), []
         for t in range(o):
@@ -522,15 +501,9 @@ def primitive_idempotents(group, ctx):
                     "orbit partition is inconsistent"
                 ) from exc
             row.append(ctx.mul(raw, inv_order))
-        return tuple(row)
+        return k, tuple(row)
 
-    out = []
-    for rep, owner in _owners(group, q):
-        o = group.element_order(rep)
-        if o not in tables:
-            tables[o] = table(o)
-        out.append(PrimitiveIdempotent(alg, rep, owner, tables[o]))
-    return out
+    return [PrimitiveIdempotent(alg, rep, owner, *table(o)) for rep, owner, o in _owners(group, q)]
 
 
 # ---------------------------------------------------------------------------

@@ -7,14 +7,16 @@ builds a subgroup lattice, an automorphism or a co-cyclic idempotent.
 This module holds those constructions: group elements as objects
 (``GroupElement``), the Sylow decomposition, subgroups checked from their
 elements with their Sylow parts, types and quotient types, the subgroup
-lattice with its co-cyclic members and index-p covers, characters and
-annihilator duality, the automorphism group with its orbits on
-subgroups, the dense ``AlgebraElement`` with the convolution of F_qG, the
-co-cyclic idempotent family with ``phi_subgroup`` and the automorphism
-action on F_qG, the search form of G-equivalence, and the closed-form
-reference tables behind ``verify``.  Nothing in the engine imports it;
-the CLI loads it for ``subgroups`` and ``verify`` only, and the tests and
-demos use it as the definition side of each check.
+lattice with its index-p covers, its cyclic and co-cyclic members read
+off the engine's walk over cyclic subgroups, the linear maps evaluated
+on all |G| indices, characters and annihilator duality, the automorphism
+group with its orbits on subgroups, the dense ``AlgebraElement`` with the
+convolution of F_qG, the co-cyclic idempotent family with
+``phi_subgroup`` and the automorphism action on F_qG, the search form of
+G-equivalence, and the closed-form reference tables behind ``verify``.
+Nothing in the engine imports it; the CLI loads it for ``subgroups`` and
+``verify`` only, and the tests and demos use it as the definition side
+of each check.
 """
 
 import itertools
@@ -39,9 +41,8 @@ from .errors import (
 )
 from .finite_field import euler_phi, factorize, mul_order
 from .group_algebra import (
-    PrimitiveIdempotent, Subgroup, _basis_exps, _character_values, _cycle, _induced_map,
-    _induced_perm, _join, _linear_values, _orders, _root_powers, _strides, get_algebra,
-    primitive_idempotents,
+    PrimitiveIdempotent, Subgroup, _character_values, _cyclic_subgroups, _join,
+    _linear_values, _orders, _owner, _root_powers, _strides, get_algebra, primitive_idempotents,
 )
 
 # |Aut(G)| above this is refused before the closure starts: it builds one
@@ -307,42 +308,49 @@ def all_subgroups(group):
 
 
 def cyclic_subgroups(group):
-    """Every cyclic subgroup once, in canonical order.
-
-    Elements are walked in index order; <g> is built only for an element
-    not already marked as a generator of an earlier <h>, and then all its
-    phi(o) generators are marked.  The unmarked g met first is the
-    canonical least generator of <g>, which is what `generators` returns.
-    """
+    """Every cyclic subgroup once, in canonical order, each <g> with the
+    least generator g that ``_cyclic_subgroups`` meets it at, which is what
+    `generators` returns."""
     elems = group.elements
-    marked = bytearray(group.order)
-    out = []
-    for i, g in enumerate(elems):
-        if marked[i]:
-            continue
-        cyc = _cycle(group, g)
-        o = len(cyc)
-        for k in range(o):
-            if gcd(k, o) == 1:
-                marked[cyc[k]] = 1
-        gens = (g,) if o > 1 else ()
-        out.append(Subgroup._from_indices(group, sorted(cyc), gens))
-    out.sort()
-    return out
+    return sorted(Subgroup._from_indices(group, sorted(cyc), tuple(elems[i] for i in cyc[1:2]))
+                  for cyc, _ in _cyclic_subgroups(group))
 
 
 def cocyclic_subgroups(group):
     """All H with G/H cyclic and nontrivial (G itself excluded).
 
-    Computed as annihilators of the nontrivial cyclic subgroups; the
-    character duality makes this exactly the co-cyclic family.
+    These are the owners annihilator(G, <g>) of the nontrivial cyclic
+    subgroups <g> (``_owner``); the character duality makes this exactly
+    the co-cyclic family, each member once.
     """
-    out = {}
-    for C in cyclic_subgroups(group):
-        if C.order > 1:
-            H = annihilator(group, C)
-            out.setdefault(H.indices, H)
-    return sorted(out.values())
+    elems = group.elements
+    return sorted(_owner(group, elems[cyc[1]], len(cyc))
+                  for cyc, _ in _cyclic_subgroups(group) if len(cyc) > 1)
+
+
+def _basis_exps(group, i):
+    return tuple(1 if j == i else 0 for j in range(group.rank))
+
+
+def _induced_map(group, images):
+    """Index of the image of every element under the homomorphism
+    e_i -> images[i], in index order.  Coordinate j of the image is a linear
+    form mod d_j; scaling it by the stride keeps each column an index
+    summand."""
+    out = [0] * group.order
+    for j, (d, s) in enumerate(zip(group.divisors, _strides(group))):
+        col = _linear_values(group, [img[j] * s for img in images], d * s)
+        out = [a + b for a, b in zip(out, col)]
+    return out
+
+
+def _induced_perm(group, images):
+    """Index permutation of the homomorphism e_i -> images[i], or None when
+    it is not a bijection."""
+    perm = _induced_map(group, images)
+    if len(set(perm)) != group.order:
+        return None
+    return tuple(perm)
 
 
 def _index_p_cover_within(group, container, H, p):
@@ -366,6 +374,7 @@ def _index_p_cover_within(group, container, H, p):
         tried.update(L)
         covers.append(Subgroup._from_indices(group, sorted(L)))
     return sorted(covers)
+
 
 # ---------------------------------------------------------------------------
 # characters and duality

@@ -31,7 +31,6 @@ from abelian_codes import (
     sylow_decompose,
 )
 from abelian_codes.finite_field import factorize
-from abelian_codes.group_algebra import _induced_perm
 from abelian_codes import reference
 from abelian_codes.reference import (
     _AUT_GROUP_ORDER_BOUND,
@@ -39,6 +38,7 @@ from abelian_codes.reference import (
     _SUBGROUPS_ORDER_BOUND,
     _SUBGROUPS_WORK_BOUND,
     _index_p_cover_within,
+    _induced_perm,
     _translation,
     aut_order,
     checked_subgroup,
@@ -333,9 +333,15 @@ def test_annihilator_of_cyclic_is_cocyclic_with_matching_quotient():
 
 
 def test_cocyclic_equals_annihilators_of_cyclic():
-    G = group_make([4, 8])
-    anns = {annihilator(G, C) for C in cyclic_subgroups(G) if C.order > 1}
-    assert anns == set(cocyclic_subgroups(G))
+    # every abelian group of order <= 128: the owners of the cyclic-subgroup
+    # walk are the annihilators of the nontrivial cyclic subgroups, each
+    # once, in canonical order with the same generators
+    for n in range(1, 129):
+        for G in abelian_groups_of_order(n):
+            anns = sorted(annihilator(G, C) for C in cyclic_subgroups(G) if C.order > 1)
+            got = cocyclic_subgroups(G)
+            assert [H.indices for H in got] == [H.indices for H in anns], G.divisors
+            assert [H.generators for H in got] == [H.generators for H in anns], G.divisors
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,13 @@
 import itertools
+import sys
 from math import gcd
 
 import pytest
 from dense_oracle import orbit_sum_idempotents
 from hypothesis import given, settings, strategies as st
-from owner_oracle import classes_by_owner_sort, owner_by_character_values, peel_by_joins
+from owner_oracle import (
+    _orbit_reps, classes_by_owner_sort, owner_by_character_values, peel_by_joins,
+)
 
 from abelian_codes import (
     AlgebraElement,
@@ -39,14 +42,15 @@ from abelian_codes.finite_field import factorize
 from abelian_codes.group_algebra import (
     PrimitiveIdempotent,
     _character_values,
+    _cyclic_subgroups,
     _join,
-    _orbit_reps,
     _orders,
     _owners,
     row_reduce_raw,
 )
 import abelian_codes.cli_extra as cli_extra
 import abelian_codes.codes as codes_module
+import abelian_codes.finite_field as finite_field
 import abelian_codes.group_algebra as group_algebra
 
 F2 = field_make(2)
@@ -324,8 +328,8 @@ def _field_free_idempotents(G, F):
     """primitive_idempotents without the splitting field: each orbit
     representative with its owner from ``_owners`` and a zero row."""
     alg = get_algebra(G, F)
-    return [PrimitiveIdempotent(alg, k, H, (F.zero,) * G.element_order(k))
-            for k, H in _owners(G, F.order)]
+    return [PrimitiveIdempotent(alg, k, H, mul_order(F.order, o), (F.zero,) * o)
+            for k, H, o in _owners(G, F.order)]
 
 
 def test_owners_match_the_per_code_oracle(monkeypatch):
@@ -408,6 +412,49 @@ def test_owner_work_runs_once_per_owner_and_character_values_once_per_code(monke
         data = cli_extra.idempotents_dict({"group": G, "field": F2})
         assert len(list(data["idempotents"])) == len(report.codes)
         assert calls["_character_values"] == len(report.codes)
+
+
+def test_cyclic_subgroup_walk_meets_each_cyclic_subgroup_once_at_its_least_generator():
+    # every abelian group of order <= 128, the trivial group included: the
+    # closures <g> of all g, grouped by span in the index order of their
+    # least generator, are exactly the walk's subgroups in its order; each
+    # yielded cyc is the cycle of that least generator and its units give
+    # exactly the generators of <g>, ascending
+    for n in range(1, 129):
+        for G in abelian_groups_of_order(n):
+            closures = {}  # indices of <g> -> the indices of its generators
+            for i, g in enumerate(G.elements):
+                closures.setdefault(Subgroup.generated(G, [g]).indices, []).append(i)
+            walk = list(_cyclic_subgroups(G))
+            assert [tuple(sorted(cyc)) for cyc, _ in walk] == list(closures), G.divisors
+            for cyc, units in walk:
+                gens = closures[tuple(sorted(cyc))]
+                assert cyc[units[0]] == gens[0], G.divisors
+                assert len(cyc) == 1 or cyc[1] == gens[0], G.divisors
+                assert cyc == [G.index_of(G.scale(j, G.elements[gens[0]]))
+                               for j in range(len(cyc))], G.divisors
+                assert units == sorted(units)
+                assert sorted(cyc[j] for j in units) == gens, G.divisors
+
+
+def test_classify_computes_each_dimension_once_per_order(monkeypatch):
+    # ord_o(q) is computed by primitive_idempotents once per order o of a
+    # table, besides the code count's once per divisor of exp G and the
+    # splitting field's once; minimal_code reads it off the idempotent
+    calls = []
+
+    def counted(q, n):
+        calls.append(sys._getframe(1).f_globals["__name__"].rsplit(".", 1)[1])
+        return mul_order(q, n)
+
+    assert not hasattr(codes_module, "mul_order")
+    for module in (finite_field, group_algebra):
+        monkeypatch.setattr(module, "mul_order", counted)
+    # 15,15 over GF(2): 59 codes of the 4 orders 1, 3, 5 and 15
+    report = classify(group_make([15, 15]), F2)
+    assert len(report.codes) == 59
+    assert calls == ["group_algebra"] * (1 + 4 + 4)
+    assert all(r.code.dimension == mul_order(2, len(r.code.row)) for r in report.codes)
 
 
 @pytest.mark.parametrize("p,m", [(2, 1), (3, 1), (7, 1), (2, 2), (2, 3), (3, 2)])

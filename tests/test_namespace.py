@@ -267,6 +267,12 @@ def test_a_benchmark_job_imports_nothing_beyond_its_command():
 _SKIPPED_TOKENS = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
                    tokenize.DEDENT, tokenize.ENDMARKER, tokenize.ENCODING}
 # the tokens of the modules a benchmark job of each kind compiles.
+# One walk over the cyclic subgroups for the codes and their owners, with
+# each dimension read off its idempotent and the linear maps moved to
+# reference, took the four classify kinds from 11,356, 12,174, 12,669 and
+# 13,487 to 11,241, 12,059, 12,554 and 13,372 (pins of 11,397, 12,215,
+# 12,710 and 13,528 lowered to these; the sweep pins of 4,952 and 5,700 to
+# their counts, 4,928 and 5,674).
 # Building each owner once per cyclic subgroup took the four classify kinds
 # from 11,295, 12,113, 12,608 and 13,426 to 11,356, 12,174, 12,669 and
 # 13,487 (GroupElement left group_algebra for reference in the same change).
@@ -279,9 +285,9 @@ _SKIPPED_TOKENS = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.IND
 # left the modules it loads, and over GF(p^m) 6,465 before the odd-p
 # arithmetic left extension_field
 _JOB_PATH_TOKENS = {
-    "classify": 11_397, "classify over odd p": 12_215,
-    "classify on a basis route": 12_710, "classify on a basis route over odd p": 13_528,
-    "sweep": 4_952, "sweep over GF(p^m)": 5_700,
+    "classify": 11_241, "classify over odd p": 12_059,
+    "classify on a basis route": 12_554, "classify on a basis route over odd p": 13_372,
+    "sweep": 4_928, "sweep over GF(p^m)": 5_674,
 }
 
 
