@@ -445,14 +445,14 @@ def _owners(group, q):
 _IDEMPOTENT_WORK_BOUND = 2 ** 23
 
 
-def _code_count(group, q):
-    """The number of q-orbits of characters: sum over o | exp G of N_o /
-    ord_o(q), N_o the number of elements (so of characters) of order o."""
+def _code_count(group, dims):
+    """The number of q-orbits of characters: the sum of N_o / dims[o] over
+    o | exp G, dims[o] = ord_o(q), N_o the number of elements of order o."""
     exact = {}
-    for o in sorted(divisors(group.exponent)):
+    for o in sorted(dims):
         exact[o] = prod(gcd(o, d) for d in group.divisors) - sum(
             n for e, n in exact.items() if o % e == 0)
-    return sum(n // mul_order(q, o) for o, n in exact.items())
+    return sum(n // dims[o] for o, n in exact.items())
 
 
 def primitive_idempotents(group, ctx):
@@ -477,17 +477,18 @@ def primitive_idempotents(group, ctx):
     alg = get_algebra(group, ctx)
     n = group.exponent
     big, _embed, restrict = splitting_field(ctx, n)
-    codes = _code_count(group, ctx.order)
+    q = ctx.order
+    dims = {o: mul_order(q, o) for o in divisors(n)}
+    codes = _code_count(group, dims)
     if codes * group.order > _IDEMPOTENT_WORK_BOUND:
         raise GroupTooLarge("primitive idempotents bounded", codes=codes, order=group.order,
                             bound=_IDEMPOTENT_WORK_BOUND)
     powers = _root_powers(big, n)  # zeta^v, zeta = element_of_order(big, n)
     inv_order = ctx.inv(ctx.from_int(group.order))
-    q = ctx.order
 
     @cache
     def table(o):
-        k, row = mul_order(q, o), []
+        k, row = dims[o], []
         for t in range(o):
             s, v = big.zero, t * (n // o)
             for _ in range(k):

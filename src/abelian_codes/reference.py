@@ -5,15 +5,16 @@ The engine (``classify``, ``idempotents``, ``sweep``) decides
 G-equivalence by the paper's criterion, the type of G/<k>, and never
 builds a subgroup lattice, an automorphism or a co-cyclic idempotent.
 This module holds those constructions: group elements as objects
-(``GroupElement``), the Sylow decomposition, subgroups checked from their
-elements with their Sylow parts, types and quotient types, the subgroup
-lattice with its index-p covers, its cyclic and co-cyclic members read
-off the engine's walk over cyclic subgroups, the linear maps evaluated
-on all |G| indices, characters and annihilator duality, the automorphism
-group with its orbits on subgroups, the dense ``AlgebraElement`` with the
-convolution of F_qG, the co-cyclic idempotent family with
-``phi_subgroup`` and the automorphism action on F_qG, the search form of
-G-equivalence, and the closed-form reference tables behind ``verify``.
+(``GroupElement``), the Sylow decomposition, subgroups checked from
+their elements with their Sylow parts, types and quotient types, the
+subgroup lattice by Hermite normal forms, the index-p covers of a
+subgroup, the cyclic and co-cyclic subgroups read off the engine's walk
+over cyclic subgroups, the linear maps evaluated on all |G| indices,
+characters and annihilator duality, the automorphism group with its
+orbits on subgroups, the dense ``AlgebraElement`` with the convolution
+of F_qG, the co-cyclic idempotent family with ``phi_subgroup`` and the
+automorphism action on F_qG, the search form of G-equivalence, and the
+closed-form reference tables behind ``verify``.
 Nothing in the engine imports it; the CLI loads it for ``subgroups`` and
 ``verify`` only, and the tests and demos use it as the definition side
 of each check.
@@ -39,7 +40,7 @@ from .errors import (
     NotIdempotent,
     NoUniqueSubgroup,
 )
-from .finite_field import euler_phi, factorize, mul_order
+from .finite_field import divisors, euler_phi, factorize, mul_order
 from .group_algebra import (
     PrimitiveIdempotent, Subgroup, _character_values, _cyclic_subgroups, _join,
     _linear_values, _orders, _owner, _root_powers, _strides, get_algebra, primitive_idempotents,
@@ -51,9 +52,9 @@ _AUT_ORDER_BOUND = 20000
 # |G| above these is refused by all_subgroups and by automorphisms
 _SUBGROUPS_ORDER_BOUND = 4096
 # all_subgroups refuses more than this many subgroups times |G|: each subgroup
-# costs about O(|G|), its index-p covers scanning every element; the costliest
+# costs about O(|G|), its t joins and its quotient type's peel; the costliest
 # admitted subgroups runs, 2,2,2,2,2,4 (675,328) and 2,2,4,4,4 (1,036,032),
-# take 1.4-1.7 s and 1.0-1.2 s as fresh processes on a 2-vCPU VM
+# take 1.0-1.6 s and 0.8-1.3 s as fresh processes on a 2-vCPU VM
 _SUBGROUPS_WORK_BOUND = 2 ** 20
 _AUT_GROUP_ORDER_BOUND = 512
 
@@ -96,8 +97,8 @@ def _sylow_exponents(group, p):
 
 
 class SylowDecomposition:
-    """G as the direct product of its Sylow components, with the maps that
-    merge component elements and subgroups into G.
+    """G as the direct product of its Sylow components, with the map that
+    merges component elements into G.
 
     Per prime p, the abstract component has divisors equal to the p-parts
     of G's invariant factors; coordinate i of G embeds the component
@@ -129,14 +130,6 @@ class SylowDecomposition:
             for i, m, x in zip(self._coords[p], self._mults[p], part_exps):
                 exps[i] = (exps[i] + x * m) % self.group.divisors[i]
         return GroupElement(self.group, exps)
-
-    def merge_subgroup(self, parts):
-        span = {0}
-        for p in self.primes:
-            others = {pp: self.components[pp].zero for pp in self.primes if pp != p}
-            for g in parts[p].generators:
-                span = _join(self.group, span, self.merge_element({p: g} | others).exps)
-        return Subgroup._from_indices(self.group, sorted(span))
 
     def embed_component(self, p):
         """The Sylow p-subgroup of G itself (as a Subgroup of G)."""
@@ -231,28 +224,30 @@ def quotient_type(group, H):
 # subgroup lattice
 # ---------------------------------------------------------------------------
 
-def _p_group_subgroups(group):
-    """All subgroups of a p-group (or the trivial group), breadth-first by
-    index-p covers <H, g> with p*g in H.
-
-    Every subgroup is reachable this way: for H < K, any x in K outside H
-    yields g = p^(t-1) * x with p*g in H.
-    """
-    if group.order == 1:
-        return [Subgroup.trivial(group)]
-    p = min(factorize(group.order))
-    everything = range(group.order)
-    frontier = [Subgroup.trivial(group)]
-    seen = set(frontier)
-    while frontier:
-        nxt = []
-        for H in frontier:
-            for K in _index_p_cover_within(group, everything, H, p):
-                if K not in seen:
-                    seen.add(K)
-                    nxt.append(K)
-        frontier = nxt
-    return sorted(seen)
+def _hermite_bases(group):
+    """The Hermite normal form of every lattice L with diag(d)Z^t <= L <= Z^t,
+    each once (Hart and Forcade, Phys. Rev. B 77, 224115, 2008; Cohen, 2.4):
+    upper-triangular rows, row i = h_i e_i + sum_{j > i} a_ij e_j with
+    h_i | d_i and 0 <= a_ij < h_j, built from the last row up.  L holds
+    d_i e_i exactly when (d_i/h_i) times the tail (a_ij) lies in the span of
+    the rows below, which reduction by them in order decides: each entry
+    must be a multiple of that row's pivot."""
+    bases = [()]
+    for i in reversed(range(group.rank)):
+        d, grown = group.divisors[i], []
+        for below in bases:
+            for h in divisors(d):
+                for tail in itertools.product(*[range(r[j]) for j, r in enumerate(below, i + 1)]):
+                    v = [0] * (i + 1) + [d // h * a for a in tail]
+                    for j, r in enumerate(below, i + 1):
+                        c, rem = divmod(v[j], r[j])
+                        if rem:
+                            break
+                        v = [a - c * b for a, b in zip(v, r)]
+                    else:
+                        grown.append(((0,) * i + (h,) + tail,) + below)
+        bases = grown
+    return bases
 
 
 def _gaussian_binomial(n, k, p):
@@ -286,9 +281,10 @@ def subgroup_count(group):
 
 
 def all_subgroups(group):
-    """Complete duplicate-free subgroup list, computed per Sylow component
-    and recombined (subgroups of abelian groups split over Sylow parts).
-    More than _SUBGROUPS_ORDER_BOUND elements, or more than
+    """Every subgroup once, in canonical order: H = L/diag(d)Z^t for exactly
+    one lattice L between diag(d)Z^t and Z^t, built by t joins from the
+    rows of L's Hermite basis (``_hermite_bases``; ``_join`` reduces them
+    mod d).  More than _SUBGROUPS_ORDER_BOUND elements, or more than
     _SUBGROUPS_WORK_BOUND subgroups times |G|, raise GroupTooLarge before
     any subgroup is built."""
     if group.order > _SUBGROUPS_ORDER_BOUND:
@@ -299,12 +295,7 @@ def all_subgroups(group):
     if count * group.order > _SUBGROUPS_WORK_BOUND:
         raise GroupTooLarge("subgroup enumeration bounded", subgroups=count,
                             order=group.order, bound=_SUBGROUPS_WORK_BOUND)
-    dec = sylow_decompose(group)
-    if len(dec.primes) <= 1:
-        return _p_group_subgroups(group)
-    per_prime = [_p_group_subgroups(dec.components[p]) for p in dec.primes]
-    return sorted(dec.merge_subgroup(dict(zip(dec.primes, combo)))
-                  for combo in itertools.product(*per_prime))
+    return sorted(Subgroup.generated(group, basis) for basis in _hermite_bases(group))
 
 
 def cyclic_subgroups(group):

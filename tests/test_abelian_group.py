@@ -31,12 +31,12 @@ from abelian_codes import (
     sylow_decompose,
 )
 from abelian_codes.finite_field import factorize
-from abelian_codes import reference
 from abelian_codes.reference import (
     _AUT_GROUP_ORDER_BOUND,
     _AUT_ORDER_BOUND,
     _SUBGROUPS_ORDER_BOUND,
     _SUBGROUPS_WORK_BOUND,
+    _hermite_bases,
     _index_p_cover_within,
     _induced_perm,
     _translation,
@@ -44,7 +44,6 @@ from abelian_codes.reference import (
     checked_subgroup,
     subgroup_count,
     subgroup_type,
-    sylow_part,
 )
 
 
@@ -156,20 +155,6 @@ def test_sylow_split_merge_elements_lossless():
     assert sorted(merged) == list(G.elements)
 
 
-def test_sylow_split_merge_subgroups_lossless():
-    # merging one subgroup per component keeps each as the Sylow part of a
-    # distinct subgroup of G
-    G = group_make([45, 3])
-    dec = sylow_decompose(G)
-    combos = list(itertools.product(*[all_subgroups(dec.components[p])
-                                      for p in dec.primes]))
-    merged = [dec.merge_subgroup(dict(zip(dec.primes, combo))) for combo in combos]
-    assert len(set(merged)) == len(combos)
-    for combo, H in zip(combos, merged):
-        for p, K in zip(dec.primes, combo):
-            assert subgroup_type(sylow_part(H, p)) == subgroup_type(K)
-
-
 # ---------------------------------------------------------------------------
 # subgroup lattice
 # ---------------------------------------------------------------------------
@@ -200,6 +185,19 @@ def test_subgroup_count_matches_the_enumeration():
                 assert len(all_subgroups(G)) == count, G.divisors
                 admitted += 1
     assert admitted == 246
+
+
+def test_hermite_bases_count_every_subgroup():
+    # every abelian group of order <= 512 under the work bound: one Hermite
+    # basis per subgroup (Delsarte's count), checked without building one
+    admitted = 0
+    for n in range(1, 513):
+        for G in abelian_groups_of_order(n):
+            count = subgroup_count(G)
+            if count * G.order <= _SUBGROUPS_WORK_BOUND:
+                assert len(_hermite_bases(G)) == count, G.divisors
+                admitted += 1
+    assert admitted == 1036
 
 
 def test_subgroup_validation():
@@ -821,13 +819,14 @@ def test_index_p_covers_look_up_no_element_and_scale_rank_times_per_call(monkeyp
             return fn(*args)
         return wrapper
 
-    monkeypatch.setattr(reference, "_index_p_cover_within",
-                        counted("covers", reference._index_p_cover_within))
+    G = group_make([2, 4, 32])
+    subs = all_subgroups(G)
     monkeypatch.setattr(AbelianGroup, "index_of", counted("index_of", AbelianGroup.index_of))
     monkeypatch.setattr(AbelianGroup, "scale", counted("scale", AbelianGroup.scale))
-    G = group_make([2, 4, 32])
-    assert len(all_subgroups(G)) == subgroup_count(G)
-    assert calls["covers"] > 0
+    covers = counted("covers", _index_p_cover_within)
+    for H in subs:
+        covers(G, range(G.order), H, 2)
+    assert calls["covers"] == len(subs) == subgroup_count(G)
     assert calls["index_of"] == 0
     assert calls["scale"] <= G.rank * calls["covers"]
 

@@ -146,6 +146,8 @@ def test_sweep_output_digest(capsys):
      "dec3a0429685f6e0e9837a582149929840d0f9f27c5bd5e2c757b06ca043c56b"),
     ("subgroups --group 2,4,128 --field 5", 0,
      "cb35c314acdb1b6cd257a64b3f7ca23ffda110ea133b29a6383eb8cc020cd137"),
+    ("subgroups --group 6,6,6 --field 7", 0,
+     "48da9b669fc4cfc0241912098f1828055a6cc2aadbe4b63cb0b46315815cec26"),
 ], ids=["subgroups", "idempotents", "verify", "classify", "idempotents-extension",
         "subgroups-mixed-sylow", "subgroups-mixed-sylow-45", "idempotents-13-gf9",
         "idempotents-5x5", "classify-md", "classify-csv", "verify-9x9",
@@ -153,7 +155,7 @@ def test_sweep_output_digest(capsys):
         "bound-25-gf9", "bound-29-gf5", "classify-7-gf27", "idempotents-11-gf49",
         "subgroups-md", "subgroups-csv", "idempotents-md", "idempotents-csv",
         "verify-md", "verify-csv", "sweep-md", "sweep-csv", "verify-hypothesis-fails",
-        "subgroups-2x4x128"])
+        "subgroups-2x4x128", "subgroups-6x6x6"])
 def test_output_digest(capsys, argv, status, digest):
     # sha256 of the stdout before subgroups moved to element indices; the
     # extension-base idempotents digest is that of GF(4) embedded in
@@ -171,6 +173,8 @@ def test_output_digest(capsys, argv, status, digest):
     # commands shared one renderer. The quotient types of 2,4,128 (order
     # 1,024), past the order-64 oracle of test_abelian_group, are pinned as
     # they were peeled element by element, before the Smith normal form.
+    # 6,6,6, rank 3 with two primes, pins the lattice as it was merged from
+    # its Sylow parts, before the Hermite enumeration.
     # A case without --format is read as JSON.
     argv = argv.split()
     if "--format" not in argv:
