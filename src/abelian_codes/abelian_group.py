@@ -22,7 +22,7 @@ the type of a quotient G/H, character duality, the automorphism group and
 import itertools
 from math import gcd, lcm, prod
 
-from .errors import BadDivisor, CharDividesOrder
+from .errors import BadDivisor, CharDividesOrder, GroupMismatch
 from .finite_field import factorize
 
 # The benchmark's tracer (perfbench/tracer.py) wraps these functions of
@@ -53,7 +53,7 @@ class AbelianGroup:
     divisor lists into this form."""
 
     __slots__ = ("divisors", "order", "exponent", "rank", "zero",
-                 "_elements", "_index", "_multiples", "_orders", "_primes", "_strides")
+                 "_elements", "_index", "_orders", "_primes", "_strides")
 
     def __init__(self, divisors):
         divisors = tuple(divisors)
@@ -69,7 +69,6 @@ class AbelianGroup:
         self.zero = (0,) * self.rank
         self._elements = None
         self._index = None
-        self._multiples = {}
         self._orders = None
         self._primes = None
         self._strides = None
@@ -154,6 +153,8 @@ def owner_type(group, k):
     next, the gcd D_j of its j x j minors is that of d_1...d_j and of
     k_l d_1...d_(j-1) (l >= j) and k_l d_1...d_j / d_l (l < j), and
     s_j = D_j / D_(j-1)."""
+    if len(k) != group.rank:
+        raise GroupMismatch("not an element of the group", element=k)
     d = group.divisors
     out = []
     head = prev = 1  # d_1...d_(j-1) and D_(j-1)

@@ -21,7 +21,7 @@ from functools import cache
 from math import gcd, lcm, prod
 
 from .abelian_group import _check_char
-from .errors import DegreeTooLarge, GroupTooLarge, NoRootsOfUnity
+from .errors import DegreeTooLarge, GroupMismatch, GroupTooLarge, NoRootsOfUnity
 from .extension_field import lex_tuples
 from .finite_field import _SPLITTING_DEGREE_BOUND, divisors, factorize, field_make, mul_order
 
@@ -167,7 +167,10 @@ class Subgroup:
     def generated(cls, group, gens):
         span = {0}
         for g in gens:
-            span = _join(group, span, getattr(g, "exps", g))
+            g = getattr(g, "exps", g)
+            if len(g) != group.rank:
+                raise GroupMismatch("not an element of the group", element=g)
+            span = _join(group, span, g)
         return cls._from_indices(group, sorted(span))
 
     @classmethod

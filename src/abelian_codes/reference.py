@@ -6,13 +6,14 @@ G-equivalence by the paper's criterion, the type of G/<k>, and never
 builds a subgroup lattice, an automorphism or a co-cyclic idempotent.
 This module holds those constructions: group elements as objects
 (``GroupElement``), the Sylow decomposition, subgroups checked from
-their elements with their Sylow parts, types and quotient types, the
-subgroup lattice by Hermite normal forms, the index-p covers of a
-subgroup, the cyclic and co-cyclic subgroups read off the engine's walk
-over cyclic subgroups, the linear maps evaluated on all |G| indices,
-characters and annihilator duality, the automorphism group with its
-orbits on subgroups, the dense ``AlgebraElement`` with the convolution
-of F_qG, the co-cyclic idempotent family with ``phi_subgroup`` and the
+their elements, types and quotient types, the subgroup lattice by
+Hermite normal forms, the index-p overgroups of a subgroup, the cyclic
+and co-cyclic subgroups read off the engine's walk over cyclic
+subgroups, the linear maps evaluated on all |G| indices, characters and
+annihilator duality, the automorphism group with its orbits on
+subgroups, the dense ``AlgebraElement`` with the convolution of F_qG,
+the co-cyclic idempotent family (one product of hat differences per
+subgroup, over the primes of its index) with ``phi_subgroup`` and the
 automorphism action on F_qG, the search form of G-equivalence, and the
 closed-form reference tables behind ``verify``.
 Nothing in the engine imports it; the CLI loads it for ``subgroups`` and
@@ -43,7 +44,7 @@ from .errors import (
 from .finite_field import divisors, euler_phi, factorize, mul_order
 from .group_algebra import (
     PrimitiveIdempotent, Subgroup, _character_values, _cyclic_subgroups, _join,
-    _linear_values, _orders, _owner, _root_powers, _strides, get_algebra, primitive_idempotents,
+    _linear_values, _owner, _root_powers, _strides, get_algebra, primitive_idempotents,
 )
 
 # |Aut(G)| above this is refused before the closure starts: it builds one
@@ -97,43 +98,19 @@ def _sylow_exponents(group, p):
 
 
 class SylowDecomposition:
-    """G as the direct product of its Sylow components, with the map that
-    merges component elements into G.
+    """G as the direct product of its Sylow components: per prime p, the
+    abstract component has divisors equal to the p-parts of G's invariant
+    factors."""
 
-    Per prime p, the abstract component has divisors equal to the p-parts
-    of G's invariant factors; coordinate i of G embeds the component
-    coordinate via multiplication by d_i / p^{e_i}.
-    """
-
-    __slots__ = ("group", "primes", "components", "_coords", "_mults")
+    __slots__ = ("group", "primes", "components")
 
     def __init__(self, group):
         self.group = group
         self.primes = sorted(factorize(group.order)) if group.order > 1 else []
         self.components = {}
-        self._coords = {}
-        self._mults = {}
         for p in self.primes:
-            es = _sylow_exponents(group, p)
-            coords = [i for i, e in enumerate(es) if e]
-            parts = [p ** es[i] for i in coords]
-            mults = [group.divisors[i] // pe for i, pe in zip(coords, parts)]
+            parts = [p ** e for e in _sylow_exponents(group, p) if e]
             self.components[p] = AbelianGroup(tuple(parts))
-            self._coords[p] = coords
-            self._mults[p] = mults
-
-    def merge_element(self, parts):
-        exps = [0] * self.group.rank
-        for p in self.primes:
-            part = parts[p]
-            part_exps = part.exps if isinstance(part, GroupElement) else tuple(part)
-            for i, m, x in zip(self._coords[p], self._mults[p], part_exps):
-                exps[i] = (exps[i] + x * m) % self.group.divisors[i]
-        return GroupElement(self.group, exps)
-
-    def embed_component(self, p):
-        """The Sylow p-subgroup of G itself (as a Subgroup of G)."""
-        return sylow_part(Subgroup.whole(self.group), p)
 
 
 def sylow_decompose(group):
@@ -175,18 +152,6 @@ def checked_subgroup(group, elements):
                 raise NotASubgroup(
                     "not closed under addition", pair=(elems[i], elems[j]))
     return Subgroup._from_indices(group, indices)
-
-
-def _is_p_power(n, p):
-    while n % p == 0:
-        n //= p
-    return n == 1
-
-
-def sylow_part(H, p):
-    """Elements of p-power order of H (the p-Sylow subgroup of H)."""
-    orders = _orders(H.group)
-    return Subgroup._from_indices(H.group, [i for i in H.indices if _is_p_power(orders[i], p)])
 
 
 def subgroup_type(H):
@@ -344,21 +309,18 @@ def _induced_perm(group, images):
     return tuple(perm)
 
 
-def _index_p_cover_within(group, container, H, p):
+def _index_p_cover_within(group, H, p):
     """Distinct overgroups L = <H, g> with [L:H] = p, over the g outside H
-    with p*g in H in the container (ascending indices).  The index of p*g
-    for every g is built once per group and p.  For such g the least m with
-    m*g in H is p, so ``_join`` builds L from H and p - 1 cosets.  Every g
-    in L outside H gives the same L, so the members of a cover found are
-    not tried again."""
-    times_p = group._multiples.get(p)
-    if times_p is None:
-        times_p = group._multiples[p] = _induced_map(
-            group, [group.scale(p, _basis_exps(group, i)) for i in range(group.rank)])
+    with p*g in H (ascending indices).  The index of p*g for every g is one
+    linear map.  For such g the least m with m*g in H is p, so ``_join``
+    builds L from H and p - 1 cosets.  Every g in L outside H gives the
+    same L, so the members of a cover found are not tried again."""
+    times_p = _induced_map(
+        group, [group.scale(p, _basis_exps(group, i)) for i in range(group.rank)])
     elems, members = group.elements, H.index_set
     covers = []
     tried = set(members)
-    for i in container:
+    for i in range(group.order):
         if i in tried or times_p[i] not in members:
             continue
         L = _join(group, members, elems[i])
@@ -454,6 +416,8 @@ class Automorphism:
         images = tuple(tuple(x) for x in images)
         if len(images) != group.rank:
             raise ValueError("one image per canonical generator required")
+        if any(len(img) != group.rank for img in images):
+            raise ValueError("each image must be an element of the group")
         for img, d in zip(images, group.divisors):
             if group.element_order(img) and d % group.element_order(img):
                 raise ValueError("generator order not preserved")
@@ -796,10 +760,11 @@ def hat(H, ctx):
 
 
 def cocyclic_idempotent(group, H, ctx):
-    """The idempotent attached to a member of the extended co-cyclic family:
-    per Sylow component, hat(G_p) when the component of H fills it, else
-    hat(H_p) - hat(index-p cover of H_p); the result is the product of the
-    component factors (and hat(G) for H = G)."""
+    """The idempotent e_H attached to a member of the extended co-cyclic
+    family: hat(G) for H = G, else the product over the primes p dividing
+    [G:H] of hat(H) - hat(H_p), H_p the one overgroup of H of index p.
+    As hat(A) * hat(B) = hat(A + B), this is the sum over the sets S of
+    those primes of (-1)^|S| hat(H + sum of the H_p, p in S)."""
     _check_char(group, ctx)
     if not isinstance(H, Subgroup) or H.group != group:
         raise NotCocyclic("H is not a subgroup of G")
@@ -807,22 +772,17 @@ def cocyclic_idempotent(group, H, ctx):
         raise NotCocyclic(
             "quotient G/H is not cyclic", subgroup=[list(g) for g in H.generators]
         )
-    dec = sylow_decompose(group)
-    if not dec.primes:
-        return AlgebraElement.one(get_algebra(group, ctx))
-    result = None
-    for p in dec.primes:
-        Gp = dec.embed_component(p)
-        Hp = sylow_part(H, p)
-        if Hp == Gp:
-            factor = hat(Gp, ctx)
-        else:
-            covers = _index_p_cover_within(group, Gp.indices, Hp, p)
+    e = hat(H, ctx)
+    index = group.order // H.order
+    product = None
+    for p in group.primes:
+        if index % p == 0:
+            covers = _index_p_cover_within(group, H, p)
             if len(covers) != 1:
-                raise NotCocyclic("index-p cover not unique inside the Sylow component")
-            factor = hat(Hp, ctx) - hat(covers[0], ctx)
-        result = factor if result is None else result * factor
-    return result
+                raise NotCocyclic("index-p overgroup of H not unique")
+            factor = e - hat(covers[0], ctx)
+            product = factor if product is None else product * factor
+    return e if product is None else product
 
 
 def cocyclic_idempotent_family(group, ctx):
@@ -896,6 +856,9 @@ def equivalent(code1, code2, auts):
     classify uses); this search is the independent check."""
     if code1.algebra != code2.algebra:
         raise AlgebraMismatch("codes from different algebras")
+    auts = list(auts)
+    if any(psi.group != code1.algebra.group for psi in auts):
+        raise GroupMismatch("automorphism of a different group")
     H1 = code1.generator.phi_subgroup
     H2 = code2.generator.phi_subgroup
     if H1 is None or H2 is None:

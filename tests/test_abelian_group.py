@@ -8,8 +8,10 @@ import pytest
 
 from abelian_codes import (
     AbelianGroup,
+    Automorphism,
     BadDivisor,
     GroupElement,
+    GroupMismatch,
     GroupTooLarge,
     NoRootsOfUnity,
     NotASubgroup,
@@ -143,16 +145,6 @@ def test_sylow_components():
         == {3: (3, 9)}
     dec = sylow_decompose(group_make([45, 3]))
     assert {p: c.divisors for p, c in dec.components.items()} == {3: (3, 9), 5: (5,)}
-
-
-def test_sylow_split_merge_elements_lossless():
-    # merging one element per component reaches every element of G once
-    G = group_make([45, 3])
-    dec = sylow_decompose(G)
-    merged = [dec.merge_element(dict(zip(dec.primes, parts))).exps
-              for parts in itertools.product(*[dec.components[p].elements
-                                               for p in dec.primes])]
-    assert sorted(merged) == list(G.elements)
 
 
 # ---------------------------------------------------------------------------
@@ -364,6 +356,12 @@ def test_generator_closure_matches_brute_force(divisors):
                   for d in G.divisors]
     perms = (_induced_perm(G, images) for images in itertools.product(*candidates))
     assert closure == {perm for perm in perms if perm is not None}
+
+
+@pytest.mark.parametrize("images", [[(1, 0, 0), (0, 1, 0)], [(1,), (0, 1)]])
+def test_automorphism_rejects_images_of_the_wrong_length(images):
+    with pytest.raises(ValueError, match="element of the group"):
+        Automorphism(group_make([3, 9]), images)
 
 
 def test_automorphisms_bound():
@@ -664,6 +662,20 @@ def test_owner_type_is_the_type_of_the_annihilator():
                     assert owner_type(G, k) == ann, (G.divisors, k)
 
 
+@pytest.mark.parametrize("exps", [(1,), (1, 2, 3)])
+def test_generated_rejects_a_tuple_of_the_wrong_length(exps):
+    with pytest.raises(GroupMismatch) as info:
+        Subgroup.generated(group_make([3, 9]), [(0, 1), exps])
+    assert info.value.record()["context"] == {"element": exps}
+
+
+@pytest.mark.parametrize("k", [(1,), (1, 2, 3)])
+def test_owner_type_rejects_a_tuple_of_the_wrong_length(k):
+    with pytest.raises(GroupMismatch) as info:
+        owner_type(group_make([3, 9]), k)
+    assert info.value.record()["context"] == {"element": k}
+
+
 def test_owner_type_is_the_quotient_type_of_each_element():
     # the closed form of G/<k> against the Smith form of diag(d) and k
     for n in range(1, 129):
@@ -734,24 +746,29 @@ def _generators_by_adding(G, H):
     return tuple(gens)
 
 
+def _is_p_power(n, p):
+    while n % p == 0:
+        n //= p
+    return n == 1
+
+
 def _subgroups_by_add_table(G):
     """Sorted element tuples of every subgroup: breadth-first index-p
-    extensions over a tuple-built addition table per Sylow component, then
-    tuple sumsets of one embedded component subgroup per prime."""
-    dec = sylow_decompose(G)
+    extensions over a tuple-built addition table of each Sylow part, the
+    elements of G of p-power order, then tuple sumsets of one subgroup of
+    each part."""
     per_prime = []
-    for p in dec.primes:
-        C = dec.components[p]
-        elems = C.elements
+    for p in sylow_decompose(G).primes:
+        elems = [g for g in G.elements if _is_p_power(G.element_order(g), p)]
         index = {e: i for i, e in enumerate(elems)}
-        table = [[index[C.add(a, b)] for b in elems] for a in elems]
-        pmul = [index[C.scale(p, e)] for e in elems]
-        seen = {frozenset([0])}
+        table = [[index[G.add(a, b)] for b in elems] for a in elems]
+        pmul = [index[G.scale(p, e)] for e in elems]
+        seen = {frozenset([index[G.zero]])}
         frontier = list(seen)
         while frontier:
             nxt = []
             for H in frontier:
-                for gi in range(C.order):
+                for gi in range(len(elems)):
                     if gi in H or pmul[gi] not in H:
                         continue
                     K, coset = set(H), H
@@ -763,10 +780,7 @@ def _subgroups_by_add_table(G):
                         seen.add(K)
                         nxt.append(K)
             frontier = nxt
-        identities = {pp: dec.components[pp].zero for pp in dec.primes if pp != p}
-        per_prime.append([
-            [dec.merge_element({p: elems[i]} | identities).exps for i in S] for S in seen
-        ])
+        per_prime.append([[elems[i] for i in S] for S in seen])
     out = []
     for combo in itertools.product(*per_prime):
         span = {G.zero}
@@ -788,24 +802,20 @@ def test_all_subgroups_match_add_table_route():
 
 
 def test_index_p_covers_match_tuple_closure():
-    # every subgroup H and prime p, the container the whole group or the
-    # Sylow p-part (as cocyclic_idempotent passes it): the distinct spans of
-    # H and one g of the container outside H with p*g in H
+    # every subgroup H and prime p: the distinct spans of H and one g
+    # outside H with p*g in H
     for G in GROUPS_TO_64:
         add = _sums(G)
-        dec = sylow_decompose(G)
-        for p in dec.primes:
-            containers = {tuple(range(G.order)), dec.embed_component(p).indices}
+        for p in sylow_decompose(G).primes:
             for H in _subgroups(G):
                 members = set(H.elements)
-                for container in containers:
-                    expected = sorted({
-                        tuple(sorted({add[a][c] for a in H.elements
-                                      for c in _cyclic_by_adding(G, g)}))
-                        for g in (G.elements[i] for i in container)
-                        if g not in members and G.scale(p, g) in members})
-                    covers = _index_p_cover_within(G, container, H, p)
-                    assert [L.elements for L in covers] == expected, (G.divisors, H.indices, p)
+                expected = sorted({
+                    tuple(sorted({add[a][c] for a in H.elements
+                                  for c in _cyclic_by_adding(G, g)}))
+                    for g in G.elements
+                    if g not in members and G.scale(p, g) in members})
+                covers = _index_p_cover_within(G, H, p)
+                assert [L.elements for L in covers] == expected, (G.divisors, H.indices, p)
 
 
 def test_index_p_covers_look_up_no_element_and_scale_rank_times_per_call(monkeypatch):
@@ -825,7 +835,7 @@ def test_index_p_covers_look_up_no_element_and_scale_rank_times_per_call(monkeyp
     monkeypatch.setattr(AbelianGroup, "scale", counted("scale", AbelianGroup.scale))
     covers = counted("covers", _index_p_cover_within)
     for H in subs:
-        covers(G, range(G.order), H, 2)
+        covers(G, H, 2)
     assert calls["covers"] == len(subs) == subgroup_count(G)
     assert calls["index_of"] == 0
     assert calls["scale"] <= G.rank * calls["covers"]

@@ -14,6 +14,7 @@ from abelian_codes import (
     AlgebraMismatch,
     CharDividesOrder,
     DimensionTooLarge,
+    GroupMismatch,
     HypothesisFails,
     Subgroup,
     abelian_groups_of_order,
@@ -516,6 +517,18 @@ def test_equivalent_rejects_different_algebras(c9xc3):
     auts = automorphisms(G)
     with pytest.raises(AlgebraMismatch):
         equivalent(codes[Subgroup.whole(G)][0], some, auts)
+
+
+def test_equivalent_rejects_automorphisms_of_another_group():
+    # C_9 has as many elements as C_3 x C_3, so its permutations of
+    # indices would run without error and give a wrong answer
+    G = group_make([3, 3])
+    algebra = get_algebra(G, F2)
+    codes = [minimal_code(algebra, ide) for ide in primitive_idempotents(G, F2)]
+    assert len(codes) == 5
+    assert equivalent(codes[1], codes[2], automorphisms(G))
+    with pytest.raises(GroupMismatch):
+        equivalent(codes[1], codes[2], automorphisms(group_make([9])))
 
 
 def test_equivalent_classes_share_metrics():

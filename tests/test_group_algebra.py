@@ -138,6 +138,22 @@ def test_cocyclic_idempotent_char_error():
         cocyclic_idempotent_family(group_make([4]), F2)
 
 
+@pytest.mark.parametrize("p,m", [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1)])
+def test_cocyclic_idempotent_is_the_sum_of_the_primitives_it_owns(p, m):
+    # the character route: e_H is the sum of the primitive idempotents whose
+    # owner, the kernel of their character, is H; it builds no hat
+    ctx = field_make(p, m)
+    groups = [G for n in range(1, 49) if n % p for G in abelian_groups_of_order(n)]
+    for G in groups:
+        owned = {}
+        for ide in primitive_idempotents(G, ctx):
+            H = ide.phi_subgroup
+            owned[H] = owned[H] + dense(ide) if H in owned else dense(ide)
+        assert sorted(owned) == sorted(cocyclic_subgroups(G) + [Subgroup.whole(G)])
+        for H, e in owned.items():
+            assert cocyclic_idempotent(G, H, ctx) == e, (G.divisors, H.indices)
+
+
 def test_family_c9_members():
     C9 = group_make([9])
     fam = dict(cocyclic_idempotent_family(C9, F2))
