@@ -8,11 +8,13 @@ The module holds what every command reads of a group and nothing it
 builds from one: ``AbelianGroup`` with its element bookkeeping,
 ``group_make``, the owner type G/<k> that classes the minimal codes, the
 list of groups of one order, and ``tau_sweep``, the class count of each
-group's minimal codes from its type alone.  So ``sweep``, and the set-up
-``field_make(p)`` plus ``group_make``, load only this module,
+group's minimal codes from its type alone.  The last two read
+``finite_field``'s ``group_types`` and ``sweep_row``, which the
+``sweep`` command calls directly, so a sweep never loads this module.
+The set-up ``field_make(p)`` plus ``group_make`` loads only this module,
 ``finite_field`` and ``errors``.  ``tau_sweep`` lives here and not in
-``codes`` for that reason; ``codes`` still forwards the name, for the
-benchmark's tracer.  Subgroups (``Subgroup``) and the linear maps
+``codes``; ``codes`` still forwards the name, for the benchmark's
+tracer.  Subgroups (``Subgroup``) and the linear maps
 evaluated on all |G| indices are in ``group_algebra``, which builds them;
 this module forwards ``Subgroup`` for the tracer.  The subgroup lattice,
 the type of a quotient G/H, character duality, the automorphism group and
@@ -23,7 +25,7 @@ import itertools
 from math import gcd, lcm, prod
 
 from .errors import BadDivisor, CharDividesOrder, GroupMismatch
-from .finite_field import factorize
+from .finite_field import factorize, group_types, sweep_row, sylow_exponents
 
 # The benchmark's tracer (perfbench/tracer.py) wraps these functions of
 # ``reference``, and ``generated`` of ``group_algebra.Subgroup``, under this
@@ -63,7 +65,7 @@ class AbelianGroup:
             if b % a:
                 raise BadDivisor("divisors must form a divisibility chain", divisors=divisors)
         self.divisors = divisors
-        self.order = prod(divisors) if divisors else 1
+        self.order = prod(divisors)
         self.exponent = divisors[-1] if divisors else 1
         self.rank = len(divisors)
         self.zero = (0,) * self.rank
@@ -75,8 +77,8 @@ class AbelianGroup:
 
     @property
     def primes(self):
-        """The primes dividing the order, ascending: factorized on the first
-        read unless the group came with them (``abelian_groups_of_order``)."""
+        """The primes dividing the order, ascending, factorized on the first
+        read."""
         if self._primes is None:
             self._primes = tuple(factorize(self.exponent))
         return self._primes
@@ -168,38 +170,14 @@ def owner_type(group, k):
 
 
 # ---------------------------------------------------------------------------
-# enumeration of groups
+# enumeration of groups and their class counts
 # ---------------------------------------------------------------------------
-
-def _partitions(n):
-    if n == 0:
-        yield ()
-        return
-    for first in range(n, 0, -1):
-        for rest in _partitions(n - first):
-            if not rest or first >= rest[0]:
-                yield (first,) + rest
-
 
 def abelian_groups_of_order(n):
     """All isomorphism types of abelian groups of order n, canonically
-    sorted by invariant factors.  The k-th largest invariant factor is the
-    product of the k-th largest prime power of each Sylow type.  Each group
-    carries the primes of n, so n is the only number factorized."""
-    factors = factorize(n)
-    primes = tuple(factors)
-    groups = []
-    for combo in itertools.product(*map(_partitions, factors.values())):
-        powers = [[p ** k for k in part] for p, part in zip(primes, combo)]
-        G = AbelianGroup(tuple(map(prod, itertools.zip_longest(*powers, fillvalue=1)))[::-1])
-        G._primes = primes
-        groups.append(G)
-    return sorted(groups, key=lambda G: G.divisors)
+    sorted by invariant factors (``group_types``)."""
+    return [AbelianGroup(divisors) for divisors, _ in group_types(n)]
 
-
-# ---------------------------------------------------------------------------
-# class counts from the group type
-# ---------------------------------------------------------------------------
 
 def _check_char(group, ctx):
     if gcd(ctx.order, group.order) != 1:
@@ -211,35 +189,13 @@ def _check_char(group, ctx):
 
 def tau_sweep(groups, ctx):
     """For each group: the equivalence-class count of its minimal codes
-    against tau(exp G), plus the homocyclic flag.
-
-    By the paper's criterion the classes are the isomorphism types of the
-    owners G/<k>, and these split over the Sylow subgroups.  For a p-group
-    of type lambda they are the cotypes of its cyclic subgroups: the mu with
-    lambda/mu a horizontal strip (Pieri rule; Macdonald, ch. II), so there
-    are prod_i (lambda_i - lambda_(i+1) + 1) of them.  With e_1 <= ... <= e_t
-    the exponents of p in d_1 | ... | d_t that is prod_i (e_i - e_(i-1) + 1),
-    e_0 = 0.  It equals tau(p^e_t) = e_t + 1 exactly when the nonzero e_i
-    are equal: the count is tau(exp G) iff every Sylow subgroup is
-    homocyclic.  No character, element or subgroup is built.
-    """
+    against tau(exp G), plus the homocyclic flag, by the Sylow/Pieri
+    product of ``sweep_row``.  No character, element or subgroup is
+    built."""
     rows = []
     for group in groups:
         _check_char(group, ctx)
-        count = tau = 1
-        for p in group.primes:
-            low = 0
-            for d in group.divisors:
-                e = 0
-                while d % p == 0:
-                    d, e = d // p, e + 1
-                count, low = count * (e - low + 1), e
-            tau *= low + 1  # low is now the exponent of p in exp G
-        rows.append({
-            "group": group.spec_string(),
-            "class_count": count,
-            "tau": tau,
-            "homocyclic": len(set(group.divisors)) <= 1,
-            "match": count == tau,
-        })
+        sylow = (sylow_exponents(group.divisors, p) for p in group.primes)
+        rows.append(dict(zip(("group", "class_count", "tau", "homocyclic", "match"),
+                             sweep_row(group.divisors, sylow))))
     return rows

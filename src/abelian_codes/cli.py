@@ -7,9 +7,11 @@ produce byte-identical output.  Exit status: 0 success, 1 domain error
 (with a machine-readable error record), 2 usage error.
 
 Each command loads its layers when it runs.  At start-up this module
-loads only ``finite_field``, ``abelian_group`` and ``errors``, which is
-all that ``sweep`` needs: number theory, the prime field and group types.
-A field GF(p^m) with m > 1 loads ``extension_field`` as it is built, and
+loads only ``finite_field`` and ``errors``, which is all that ``sweep``
+needs: number theory, the prime field, and the group types of each order
+with the class counts of their codes, read from Sylow partitions with no
+group built.  A ``--group`` loads ``abelian_group`` as it is read.  A
+field GF(p^m) with m > 1 loads ``extension_field`` as it is built, and
 ``odd_field`` as well when p is odd.  ``classify`` imports ``codes`` (and
 with it ``group_algebra``, home of the subgroup and splitting-field
 layers) in ``_classify_dict``, and ``codes`` imports ``basis`` only for a
@@ -19,8 +21,8 @@ argparse reader, the data of ``idempotents``, ``subgroups`` and
 loads on the first call of one of them; ``idempotents`` imports
 ``group_algebra`` there, and ``subgroups`` and ``verify`` the reference
 layer (``reference``).  So a ``sweep`` in any format compiles neither
-``codes`` nor ``group_algebra`` (nor, over a prime field,
-``extension_field``), and a canonical ``--format json`` run of
+``abelian_group`` nor ``codes`` nor ``group_algebra`` (nor, over a prime
+field, ``extension_field``), and a canonical ``--format json`` run of
 ``classify`` compiles neither ``cli_extra`` nor ``reference``.
 
 The arguments are read from two tables, ``_COMMANDS`` and ``_OPTIONS``,
@@ -35,22 +37,20 @@ import atexit
 import os
 import sys
 from itertools import chain
-from math import gcd
 from types import GeneratorType
 
-from .abelian_group import abelian_groups_of_order, group_make, tau_sweep
 from .errors import DomainError, GroupTooLarge
-from .finite_field import field_make
+from .finite_field import field_make, group_types, sweep_row
 
 
 def _parse_group(spec):
+    from .abelian_group import group_make
+
     try:
-        parts = [p.strip() for p in spec.split(",") if p.strip()]
-        divisors = [int(p) for p in parts]
+        divisors = [int(p) for p in spec.split(",") if p.strip()]  # int() strips p itself
     except ValueError:
         raise ValueError("group spec must be comma-separated integers")
-    divisors = [d for d in divisors if d != 1]
-    return group_make(divisors)
+    return group_make([d for d in divisors if d != 1])
 
 
 def _positive_int(text):
@@ -65,10 +65,7 @@ def _positive_int(text):
 
 def _parse_field(spec):
     try:
-        if "^" in spec:
-            p_str, m_str = spec.split("^", 1)
-            return field_make(int(p_str), int(m_str))
-        return field_make(int(spec))
+        return field_make(*map(int, spec.split("^", 1)))
     except ValueError:
         raise ValueError("field spec must be p or p^m")
 
@@ -131,22 +128,42 @@ def _json_pieces(data):
     yield "\n}\n" if data else "{}\n"
 
 
-# sweep --max-order above this is refused before any group is built: on a
-# 2-vCPU VM the sweep takes 1.4-2.2 s and 71 MB at 10^5, about 1.2 s of it
-# building the groups and 0.3 s counting their classes, and grows linearly
+# sweep --max-order above this is refused before any row is built: on a
+# 2-vCPU VM the sweep takes 0.68-1.14 s and 24 MB at 10^5, in-process about
+# 0.28 s factorizing the orders, 0.2 s combining their Sylow partitions and
+# 0.15 s for the rows and their JSON, and grows about linearly
 _SWEEP_ORDER_BOUND = 100_000
+# one row of the sweep as json.dumps(indent=2) writes it in the rows list
+_SWEEP_ROW = ('{\n      "group": "%s",\n      "class_count": %d,\n      "tau": %d,\n'
+              '      "homocyclic": %s,\n      "thm56_match": %s\n    }')
 
 
 def _sweep_dict(args):
+    """The sweep's data, one ``sweep_row`` for each type from
+    ``group_types``: no group is built."""
     ctx, max_order = args["field"], args["max-order"]
     if max_order > _SWEEP_ORDER_BOUND:
         raise GroupTooLarge("sweep bounded", max_order=max_order, bound=_SWEEP_ORDER_BOUND)
-    groups = [G for n in range(1, max_order + 1) if gcd(n, ctx.order) == 1
-              for G in abelian_groups_of_order(n)]
-    rows = [{"group": r["group"], "class_count": r["class_count"], "tau": r["tau"],
-             "homocyclic": r["homocyclic"], "thm56_match": r["match"]}
-            for r in tau_sweep(groups, ctx)]
+    rows = [sweep_row(*t) for n in range(1, max_order + 1) if n % ctx.p for t in group_types(n)]
     return {"field": ctx.spec_string(), "max_order": max_order, "rows": rows}
+
+
+def _sweep_render(data, fmt):
+    """The sweep as JSON, or as CSV or Markdown by ``cli_extra``."""
+    return _sweep_json(data) if fmt == "json" else _extra("sweep_table")(data, fmt)
+
+
+def _sweep_json(data):
+    """The text of json.dumps(data, indent=2) plus a newline, one piece a
+    row, each from one template; rows is never empty, as n = 1 is coprime
+    to every q."""
+    yield '{\n  "field": "%s",\n  "max_order": %d,\n  "rows": [' % (
+        data["field"], data["max_order"])
+    sep = "\n    "
+    for group, count, tau, homocyclic, match in data["rows"]:
+        yield sep + _SWEEP_ROW % (group, count, tau, _json(homocyclic), _json(match))
+        sep = ",\n    "
+    yield "\n  ]\n}\n"
 
 
 def _classify_dict(args):
@@ -209,9 +226,7 @@ _COMMANDS = {
     "classify": ("classify the minimal codes", _ALGEBRA + ("--with-distributions",),
                  _classify_dict, _render("classification")),
     "sweep": ("class count vs tau(exponent) over all small groups",
-              ("--field", "--format", "--max-order"), _sweep_dict, _render(
-                  "table", "rows", ["group", "class_count", "tau", "homocyclic", "thm56_match"],
-                  "field: GF({field})  max order: {max_order}\n\n")),
+              ("--field", "--format", "--max-order"), _sweep_dict, _sweep_render),
     "verify": ("check the built-in reference tables", _ALGEBRA, _extra("verify_dict"), _render(
         "table", "rows", ["label", "check", "expected", "actual", "pass"],
         "group: {group}  field: GF({field})  table: {table}\nall rows pass: {all_pass}\n\n")),

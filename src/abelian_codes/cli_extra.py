@@ -128,6 +128,15 @@ def table(data, fmt, key, headers, head):
     return [head.format(count=len(rows), **cells) + _md_table(headers, rows)]
 
 
+def sweep_table(data, fmt):
+    """The sweep as CSV or Markdown: its tuple rows as the dicts that
+    ``table`` reads."""
+    headers = ["group", "class_count", "tau", "homocyclic", "thm56_match"]
+    rows = [dict(zip(headers, row)) for row in data["rows"]]
+    return table(dict(data, rows=rows), fmt, "rows", headers,
+                 "field: GF({field})  max order: {max_order}\n\n")
+
+
 def classification(report_dict, fmt):
     """classify's data as CSV, one block per section, or as Markdown."""
     code_headers = ["idempotent_ref", "phi_subgroup", "dimension", "min_weight",

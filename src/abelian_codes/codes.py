@@ -9,9 +9,10 @@ two-vector bound, are in ``basis``, imported where ``_route`` picks one,
 so a job whose codes are all enumerated never compiles them.  The search
 form of that equivalence and the closed-form reference tables behind
 ``verify`` are in ``reference``.  The class count
-from the group type alone, ``tau_sweep``, is in ``abelian_group``, so that
-``sweep`` loads neither this module nor ``group_algebra``; the name still
-resolves here through ``__getattr__``, for the benchmark's tracer.
+from the group type alone, ``tau_sweep``, is in ``abelian_group``, and
+``sweep`` reads it from ``finite_field.sweep_row`` without loading
+this module; the name still resolves here through ``__getattr__``, for
+the benchmark's tracer.
 """
 
 from collections import Counter

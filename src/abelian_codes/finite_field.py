@@ -10,7 +10,10 @@ lex-least element is chosen.
 Every field is GF(p^m) over its prime field, with the lex-first monic
 irreducible of degree m as modulus.  This module holds what every command
 runs: number theory, ``FieldCtx``, ``PrimeField`` and ``field_make`` with
-all of its checks.  The arithmetic of GF(p^m) for m > 1 is in
+all of its checks.  Its number theory includes the abelian group types of
+an order, from the Sylow partitions of its factorization, and the class
+count of their minimal codes (``group_types``, ``sweep_row``), which is
+all that ``sweep`` computes.  The arithmetic of GF(p^m) for m > 1 is in
 ``extension_field``, which ``field_make`` imports only for such a field,
 and that of odd p among them in ``odd_field``, imported only for odd p.
 A splitting field over a base GF(p^m) is GF(p^(m*s)) built the same way,
@@ -22,9 +25,10 @@ tracer.
 """
 
 import itertools
+from functools import cache
 from math import gcd
 
-from .errors import DegreeMismatch, DegreeTooLarge, NonPrimeP, NotCoprime
+from .errors import BadDivisor, DegreeMismatch, DegreeTooLarge, NonPrimeP, NotCoprime
 
 # Fields above this degree over GF(p), splitting fields among them, are
 # refused before the modulus search: field_make takes 0.45 s at GF(2^256)
@@ -183,6 +187,69 @@ def mul_order(q, n):
         while t % r == 0 and pow(q, t // r, n) == 1:
             t //= r
     return t
+
+
+# ---------------------------------------------------------------------------
+# abelian group types and the class counts of their minimal codes
+# ---------------------------------------------------------------------------
+
+@cache
+def _partitions(n, least=1):
+    """The partitions of n into parts >= least, each with its parts
+    ascending, as a tuple: the cache hands every caller the same one."""
+    if n == 0:
+        return ((),)
+    return tuple((first,) + rest for first in range(least, n + 1)
+                 for rest in _partitions(n - first, first))
+
+
+def group_types(n):
+    """The isomorphism types of abelian groups of order n, ascending by
+    their invariant factors, each as (d_1 | ... | d_t, sylow): sylow holds,
+    for each prime p of n in ascending order, the exponents of p in the d_i
+    (a partition of its exponent in n, parts ascending, zeros left out).
+    The k-th largest invariant factor is the product of the k-th largest
+    prime power of each Sylow type, so the parts of each p fill the last
+    of the d_i.  An order that is not an int >= 1 raises BadDivisor."""
+    if not isinstance(n, int) or n < 1:
+        raise BadDivisor("group order must be an integer >= 1", order=n)
+    factors = factorize(n)
+    types = []
+    for sylow in itertools.product(*map(_partitions, factors.values())):
+        divisors = [1] * max(map(len, sylow), default=0)
+        for p, es in zip(factors, sylow):
+            for i, e in enumerate(es, len(divisors) - len(es)):
+                divisors[i] *= p ** e
+        types.append((tuple(divisors), sylow))
+    return sorted(types)
+
+
+def sylow_exponents(divisors, p):
+    """The exponent of p in each of the divisors."""
+    return [next(e for e in itertools.count() if d % p ** (e + 1)) for d in divisors]
+
+
+def sweep_row(divisors, sylow):
+    """(spec, class count, tau(exp G), homocyclic, count == tau) of the
+    minimal codes of the abelian group G with invariant factors divisors
+    and, in sylow, the exponents e_1 <= ... <= e_t of each prime p in them
+    (one such sequence per p, with or without the zeros in front).
+
+    By the paper's criterion the classes are the isomorphism types of the
+    owners G/<k>, and these split over the Sylow subgroups.  For a p-group
+    of type lambda they are the cotypes of its cyclic subgroups: the mu with
+    lambda/mu a horizontal strip (Pieri rule; Macdonald, ch. II), so there
+    are prod_i (e_i - e_(i-1) + 1) of them, e_0 = 0.  It equals
+    tau(p^e_t) = e_t + 1 exactly when the nonzero e_i are equal: the count
+    is tau(exp G) iff every Sylow subgroup is homocyclic."""
+    count = tau = 1
+    for es in sylow:
+        low = 0
+        for e in es:
+            count *= e - low + 1
+            low = e
+        tau *= low + 1  # low is now the exponent of p in exp G
+    return ",".join(map(str, divisors)) or "1", count, tau, len(set(divisors)) <= 1, count == tau
 
 
 # int-packed polynomials over GF(2): bit i is the coefficient of x^i.  A

@@ -41,7 +41,7 @@ from .errors import (
     NotIdempotent,
     NoUniqueSubgroup,
 )
-from .finite_field import divisors, euler_phi, factorize, mul_order
+from .finite_field import divisors, euler_phi, factorize, mul_order, sylow_exponents
 from .group_algebra import (
     PrimitiveIdempotent, Subgroup, _character_values, _cyclic_subgroups, _join,
     _linear_values, _owner, _root_powers, _strides, get_algebra, primitive_idempotents,
@@ -68,6 +68,9 @@ class GroupElement:
     __slots__ = ("group", "exps")
 
     def __init__(self, group, exps):
+        exps = tuple(exps)
+        if len(exps) != group.rank:
+            raise GroupMismatch("not an element of the group", element=exps)
         self.group = group
         self.exps = tuple(x % d for x, d in zip(exps, group.divisors))
 
@@ -92,11 +95,6 @@ class GroupElement:
 # Sylow decomposition
 # ---------------------------------------------------------------------------
 
-def _sylow_exponents(group, p):
-    """The exponent of p in each of d_1 | ... | d_t."""
-    return [next(e for e in itertools.count() if d % p ** (e + 1)) for d in group.divisors]
-
-
 class SylowDecomposition:
     """G as the direct product of its Sylow components: per prime p, the
     abstract component has divisors equal to the p-parts of G's invariant
@@ -109,7 +107,7 @@ class SylowDecomposition:
         self.primes = sorted(factorize(group.order)) if group.order > 1 else []
         self.components = {}
         for p in self.primes:
-            parts = [p ** e for e in _sylow_exponents(group, p) if e]
+            parts = [p ** e for e in sylow_exponents(group.divisors, p) if e]
             self.components[p] = AbelianGroup(tuple(parts))
 
 
@@ -231,7 +229,7 @@ def subgroup_count(group):
     partition; the product of these over the primes."""
     out = 1
     for p in factorize(group.order):
-        es = _sylow_exponents(group, p)
+        es = sylow_exponents(group.divisors, p)
         lam = [sum(e > i for e in es) for i in range(max(es))]  # lam'
         total = 0
         for mu in itertools.product(*[range(n + 1) for n in lam]):  # mu' <= lam'
@@ -549,7 +547,7 @@ def aut_order(group):
     (p^d_k - p^(k-1)) * p^(e_k (n - d_k)) * p^((e_k - 1)(n - c_k + 1))."""
     out = 1
     for p in factorize(group.order):
-        es = [e for e in _sylow_exponents(group, p) if e]
+        es = [e for e in sylow_exponents(group.divisors, p) if e]
         n = len(es)
         for k, ek in enumerate(es, 1):
             d = max(i for i, e in enumerate(es, 1) if e == ek)
@@ -719,6 +717,8 @@ class AlgebraElement:
         exps = g.exps if isinstance(g, GroupElement) else tuple(g)
         alg = self.algebra
         group = alg.group
+        if len(exps) != group.rank:
+            raise GroupMismatch("not an element of the group", element=exps)
         res = [alg.ctx.zero] * group.order
         row = _translation(group, exps)
         for j in self.support:

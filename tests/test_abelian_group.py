@@ -134,6 +134,14 @@ def test_element_arithmetic_and_order():
     assert GroupElement(G, (3, 10)).exps == (0, 1)  # reduced mod the divisors (3, 9)
 
 
+@pytest.mark.parametrize("exps", [(1,), (1, 2, 3)])
+def test_group_element_rejects_a_tuple_of_the_wrong_length(exps):
+    # read truncated, (1, 2, 3) was the element (1, 2)
+    with pytest.raises(GroupMismatch) as info:
+        GroupElement(group_make([3, 9]), exps)
+    assert info.value.record()["context"] == {"element": exps}
+
+
 # ---------------------------------------------------------------------------
 # Sylow decomposition
 # ---------------------------------------------------------------------------
@@ -519,6 +527,15 @@ def test_abelian_groups_of_order():
         == [(3, 3, 3), (3, 9), (27,)]
     assert len(abelian_groups_of_order(16)) == 5
     assert [g.divisors for g in abelian_groups_of_order(45)] == [(3, 15), (45,)]
+
+
+@pytest.mark.parametrize("n", [12.0, 0, -12, "12", None])
+def test_abelian_groups_of_order_rejects_an_order_that_is_not_a_positive_int(n):
+    # 12.0 gave the groups (2, 6.0) and (12.0,), spec "2,6.0"; 0 and -12
+    # raised a bare ValueError from factorize
+    with pytest.raises(BadDivisor) as info:
+        abelian_groups_of_order(n)
+    assert info.value.context == {"order": n}
 
 
 def test_abelian_groups_of_order_match_the_group_make_route():

@@ -10,6 +10,7 @@ from collections import Counter
 
 import cli_oracle
 import pytest
+import sweep_oracle
 from hypothesis import given, settings, strategies as st
 
 from abelian_codes import cli, group_make
@@ -83,6 +84,30 @@ def test_sweep_output_digest(capsys):
     assert status == 0
     assert hashlib.sha256(out.encode()).hexdigest() \
         == "7b52fca8f7243e5d47ba415a36912ef70f01cc4c6a8aaef554e6d3457f420940"
+
+
+def test_sweep_over_gf3_to_3000_digest(capsys):
+    # sha256 of the stdout when each row came from a built group, its
+    # tau_sweep dict and the generic JSON writer
+    status, out = capture(
+        capsys, ["sweep", "--field", "3", "--max-order", "3000", "--format", "json"])
+    assert status == 0
+    assert hashlib.sha256(out.encode()).hexdigest() \
+        == "09b0bc36dddbc74ece197d2a8f5104727b2aa3b422ab09cb29ac7d2abd48d1d0"
+
+
+@pytest.mark.parametrize("field", ["2", "3", "2^2", "5", "7"])
+def test_sweep_matches_the_group_path_oracle(capsys, field):
+    # every max-order up to 300 in every format, byte for byte as the
+    # groups, their tau_sweep rows and the generic writers printed it
+    ctx = cli._parse_field(field)
+    rows = sweep_oracle.sweep_rows(ctx, 300)
+    for max_order in range(1, 301):
+        want = [row for n, row in rows if n <= max_order]
+        for fmt in ("json", "csv", "md"):
+            got = capture(capsys, ["sweep", "--field", field, "--max-order", str(max_order),
+                                   "--format", fmt])
+            assert got == (0, sweep_oracle.render(ctx, max_order, want, fmt)), (max_order, fmt)
 
 
 @pytest.mark.parametrize("argv,status,digest", [
@@ -234,7 +259,8 @@ def test_corpus_digest(capsys):
 
 def test_json_writer_matches_json_dumps_on_the_corpus(capsys, monkeypatch):
     # every JSON output of the corpus, error records included, rendered by
-    # the writer and by json.dumps(indent=2) from the same data
+    # the writer and by json.dumps(indent=2) from the same data; the sweep,
+    # which the writer does not render, against json.dumps of what it printed
     from types import GeneratorType
 
     writer, compared = cli._json_pieces, []
@@ -249,7 +275,10 @@ def test_json_writer_matches_json_dumps_on_the_corpus(capsys, monkeypatch):
     monkeypatch.setattr(cli, "_json_pieces", checked)
     for argv in _corpus():
         if argv[-1] == "json":
-            capture(capsys, argv)
+            out = capture(capsys, argv)[1]
+            if argv[0] == "sweep":  # written from its row template, not by the writer
+                assert out == json.dumps(json.loads(out), indent=2) + "\n"
+                compared.append(out)
     assert len(compared) == 283
 
 

@@ -3,6 +3,7 @@ from functools import lru_cache
 from math import comb, gcd
 
 import pytest
+import sweep_oracle
 from dense_oracle import dense_basis, lifted_basis
 from hypothesis import given, settings, strategies as st
 from orbit_oracle import orbit_tau_sweep
@@ -645,6 +646,21 @@ def test_tau_sweep_matches_orbit_count_oracle():
     F3 = field_make(3)
     coprime = [G for n in range(1, 244) if n % 3 for G in abelian_groups_of_order(n)]
     assert tau_sweep(coprime, F3) == orbit_tau_sweep(coprime, F3)
+
+
+def test_tau_sweep_and_groups_of_order_match_the_group_path_oracle():
+    # every order up to 2,000, the trivial group (row "1") included, over a
+    # field of characteristic above them all: the same groups, each with
+    # the primes of its order, and the same rows
+    F2003 = field_make(2003)
+    for n in range(1, 2001):
+        groups = abelian_groups_of_order(n)
+        want = sweep_oracle.abelian_groups_of_order(n)
+        assert [(G.divisors, G.primes) for G in groups] \
+            == [(G.divisors, G.primes) for G in want], n
+        assert tau_sweep(groups, F2003) == sweep_oracle.tau_sweep(want, F2003), n
+    assert tau_sweep(abelian_groups_of_order(1), F2) == [
+        {"group": "1", "class_count": 1, "tau": 1, "homocyclic": True, "match": True}]
 
 
 def test_tau_sweep_char_error_record_matches_classify():

@@ -671,6 +671,15 @@ def test_from_dict_rejects_a_key_outside_the_group(key):
     assert info.value.record()["context"] == {"element": key}
 
 
+@pytest.mark.parametrize("g", [(1,), (1, 2, 3)])
+def test_translated_rejects_a_tuple_of_the_wrong_length(g):
+    # read truncated, (1, 2, 3) translated the identity to index 11 = (1, 2)
+    alg = get_algebra(group_make([3, 9]), field_make(2))
+    with pytest.raises(GroupMismatch) as info:
+        AlgebraElement.one(alg).translated(g)
+    assert info.value.record()["context"] == {"element": g}
+
+
 @pytest.mark.parametrize("p,m", [(2, 1), (3, 1), (2, 2), (5, 1)])
 def test_code_count_closed_form_matches_the_idempotents(p, m):
     from abelian_codes.group_algebra import _code_count

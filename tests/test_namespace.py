@@ -110,8 +110,8 @@ def test_cli_loads_no_reference_layer():
 @pytest.mark.parametrize("fmt", ["md", "csv"])
 def test_a_markdown_or_csv_sweep_loads_no_algebra(fmt):
     # cli_extra renders these formats and imports group_algebra only for the
-    # idempotents data, so the sweep loads neither codes nor the homes of
-    # the subgroup and splitting-field layers
+    # idempotents data, so the sweep loads neither abelian_group nor codes
+    # nor the homes of the subgroup and splitting-field layers
     argv = ["sweep", "--field", "2", "--max-order", "20", "--format", fmt]
     statement = ("import contextlib, io\nfrom abelian_codes.cli import run\n"
                  "with contextlib.redirect_stdout(io.StringIO()):\n"
@@ -119,7 +119,7 @@ def test_a_markdown_or_csv_sweep_loads_no_algebra(fmt):
     loaded = _loaded_after(statement)
     assert "cli_extra" in loaded
     homes = {abelian_codes._HOME[name] for name in ("Subgroup", "splitting_field")}
-    assert not loaded & ({"codes"} | homes)
+    assert not loaded & ({"abelian_group", "codes"} | homes)
 
 
 @pytest.mark.parametrize("argv,loads", [
@@ -239,6 +239,7 @@ _COMMAND_IMPORTS = {
         _CLASSIFY + ", abelian_codes.basis, abelian_codes.odd_field",
 }
 _ALGEBRA = {"abelian_codes.codes", "abelian_codes.group_algebra"}
+_GROUP = "abelian_codes.abelian_group"
 _EXTENSION = "abelian_codes.extension_field"
 _BASIS = "abelian_codes.basis"
 _ODD = "abelian_codes.odd_field"
@@ -253,10 +254,10 @@ def test_a_benchmark_job_imports_nothing_beyond_its_command():
     allowed = {kind: _imported(["-c", statement])
                for kind, statement in _COMMAND_IMPORTS.items()}
     assert {"runpy", "abelian_codes.cli"} <= allowed["sweep"]
-    assert not allowed["sweep"] & (_ALGEBRA | {_EXTENSION})
+    assert not allowed["sweep"] & (_ALGEBRA | {_GROUP, _EXTENSION})
     assert _EXTENSION in allowed["sweep over GF(p^m)"]
-    assert not allowed["sweep over GF(p^m)"] & (_ALGEBRA | {_ODD})
-    assert _ALGEBRA | {_EXTENSION} <= allowed["classify"]
+    assert not allowed["sweep over GF(p^m)"] & (_ALGEBRA | {_GROUP, _ODD})
+    assert _ALGEBRA | {_GROUP, _EXTENSION} <= allowed["classify"]
     assert not allowed["classify"] & {_BASIS, _ODD}
     argvs = _benchmark_argvs()
     assert {_job_kind(argv) for argv in argvs} == set(_COMMAND_IMPORTS)
@@ -267,6 +268,11 @@ def test_a_benchmark_job_imports_nothing_beyond_its_command():
 _SKIPPED_TOKENS = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
                    tokenize.DEDENT, tokenize.ENDMARKER, tokenize.ENCODING}
 # the tokens of the modules a benchmark job of each kind compiles.
+# Sweep rows read from the Sylow partitions of each order, with no group
+# built, took the sweep kinds from 4,941 and 5,687 to 3,999 and 4,745
+# (pins of 4,928 and 5,674 lowered to these), as a sweep stopped loading
+# abelian_group, and the four classify kinds from 11,286, 12,104, 12,599
+# and 13,417 to 11,379, 12,197, 12,692 and 13,510 (pins unchanged).
 # One walk over the cyclic subgroups for the codes and their owners, with
 # each dimension read off its idempotent and the linear maps moved to
 # reference, took the four classify kinds from 11,356, 12,174, 12,669 and
@@ -287,7 +293,7 @@ _SKIPPED_TOKENS = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.IND
 _JOB_PATH_TOKENS = {
     "classify": 11_241, "classify over odd p": 12_059,
     "classify on a basis route": 12_554, "classify on a basis route over odd p": 13_372,
-    "sweep": 4_928, "sweep over GF(p^m)": 5_674,
+    "sweep": 3_999, "sweep over GF(p^m)": 4_745,
 }
 
 
@@ -302,8 +308,9 @@ def _tokens(module):
 
 def test_a_benchmark_job_compiles_only_the_job_path():
     # the job loads neither the CLI's rarely used part nor the reference
-    # layer; a sweep, at each of the benchmark's fields, loads neither codes
-    # nor the subgroup and splitting-field layers of group_algebra, and over
+    # layer; a sweep, at each of the benchmark's fields, loads neither the
+    # group layer (abelian_group) nor codes nor the subgroup and
+    # splitting-field layers of group_algebra, and over
     # GF(2) not the GF(p^m) arithmetic either; a classify job whose codes
     # are all enumerated (span or dual) loads no basis routes, and over
     # p = 2 no odd-p arithmetic; what a job compiles stays within 3% of its
@@ -321,7 +328,7 @@ def test_a_benchmark_job_compiles_only_the_job_path():
         assert not loaded & {"abelian_codes.cli_extra", "abelian_codes.reference"}, argv
         kind = _job_kind(argv)
         if argv[0] == "sweep":
-            assert not loaded & (_ALGEBRA | {_BASIS, _ODD}), argv
+            assert not loaded & (_ALGEBRA | {_GROUP, _BASIS, _ODD}), argv
             assert (_EXTENSION in loaded) == (kind != "sweep"), argv
         else:
             assert _ALGEBRA <= loaded, argv

@@ -66,13 +66,14 @@ def test_traced_classify_on_the_bound_path_matches_untraced(tmp_path):
 
 @pytest.mark.parametrize("argv,spans", [
     (["sweep", "--field", "2", "--max-order", "30", "--format", "json"],
-     {"codes.tau_sweep": 1}),
+     {"finite_field.field_make": 1, "codes.tau_sweep": 0}),
     (["classify", "--group", "9,3", "--field", "2", "--format", "json"],
      {"codes.classify": 1, "codes.minimal_code": 8, "finite_field.splitting_field": 1}),
 ])
 def test_traced_jobs_record_the_spans_of_each_commands_layers(tmp_path, argv, spans):
-    # the CLI holds tau_sweep from abelian_group and imports classify from
-    # codes only when classify runs, and group_algebra calls the
+    # the CLI holds field_make from finite_field (a sweep counts its rows
+    # with finite_field's helpers and calls no tau_sweep) and imports
+    # classify from codes only when classify runs, and group_algebra calls the
     # splitting_field it defines, which the tracer reaches through the
     # finite_field forward: each must be the tracer's wrapper by then, or
     # its spans vanish while stdout still matches
