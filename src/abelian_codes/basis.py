@@ -10,6 +10,7 @@ whose codes are all enumerated never compiles it.  ``reference`` reads
 """
 
 from collections import Counter
+from itertools import chain, repeat
 from math import lcm
 
 from .codes import _p_generators, _packing, _span_table
@@ -159,9 +160,11 @@ def _two_vector_bound(ctx, rows):
 
     weight(s*v_i + t*v_j) = weight(v_i + (t/s)*v_j), so the words v_i and
     v_i + t*v_j (i < j, t != 0) cover every such span; the q - 1 multiples
-    t*v_j are the nonzero GF(p)-combinations of ``_p_generators``."""
+    t*v_j are the nonzero GF(p)-combinations of ``_p_generators``.  The
+    minimum streams: one pair's q - 1 sums are held at a time, never all."""
     pack, add, weights, width = _packing(ctx, len(rows[0]))
     multiples = [_span_table(_p_generators(ctx, [b], pack), add, ctx.p)[1:] for b in rows]
     vectors = [ws[0] for ws in multiples]  # 1 * b comes first
-    sums = [add(v, w) for i, v in enumerate(vectors) for ws in multiples[i + 1:] for w in ws]
-    return min(weights(vectors + sums))
+    pairs = (weights(map(add, repeat(v), ws))
+             for i, v in enumerate(vectors) for ws in multiples[i + 1:])
+    return min(chain(weights(vectors), chain.from_iterable(pairs)))

@@ -51,14 +51,17 @@ def idempotents_dict(args):
     from .group_algebra import _character_values, primitive_idempotents
 
     group, ctx = args["group"], args["field"]
+    # a coefficient prints as its raw, over odd GF(p^m) as its digit list
+    shown = (lambda v: list(ctx.coeffs(v))) if ctx.p % 2 and ctx.m > 1 else (lambda v: v)
 
     def entries(ides):
         for ide in ides:
             ts = _character_values(group, ide.orbit_rep)[1]  # the coefficient at g is row[t(g)]
-            runs = [[v, len(list(run))] for v, run in groupby(map(ide.row.__getitem__, ts))]
+            runs = [(v, len(list(run))) for v, run in groupby(map(ide.row.__getitem__, ts))]
             yield {"orbit_rep": list(ide.orbit_rep),
                    "phi_subgroup": [list(g) for g in ide.phi_subgroup.generators],
-                   "support_size": sum(n for v, n in runs if v != ctx.zero), "coeffs": runs}
+                   "support_size": sum(n for v, n in runs if v != ctx.zero),
+                   "coeffs": [[shown(v), n] for v, n in runs]}
 
     return {"group": group.spec_string(), "field": ctx.spec_string(),
             "idempotents": entries(primitive_idempotents(group, ctx))}

@@ -20,6 +20,7 @@ from math import comb, lcm
 
 from .abelian_group import owner_type
 from .errors import DimensionTooLarge
+from .extension_field import slot_adder
 from .finite_field import _gf2_mask, divisor_count
 from .group_algebra import _character_values, get_algebra, primitive_idempotents
 
@@ -118,8 +119,7 @@ def _packing(ctx, n):
     a slot-wise sum up to 2p - 2 cannot carry into its neighbour.  Returns
     (pack, add, weights, width): pack maps a vector to its int (over GF(2)
     its bitmask, ``_gf2_mask``); add is the slot-wise sum mod p (xor over
-    GF(2); otherwise adding 2^(s+1) - p to every slot sets bit s + 1
-    exactly where the sum reached p); weights maps an iterable of packed
+    GF(2), otherwise ``slot_adder``); weights maps an iterable of packed
     ints to their numbers of coordinates with a nonzero digit, counted in
     C; width is the number of bits per coordinate."""
     p, m = ctx.p, ctx.m
@@ -137,12 +137,7 @@ def _packing(ctx, n):
         return out
 
     ones = sum(1 << (slot * i) for i in range(n * m))
-    pad = ones * ((1 << (s + 1)) - p)
-
-    def add(a, b):
-        t = a + b
-        return t - ((t + pad) >> (s + 1) & ones) * p
-
+    add = int.__xor__ if p == 2 else slot_adder(p, ones)
     starts = sum(1 << (k * width) for k in range(n))  # lowest bit per coordinate
     if width == 1:
         def weights(xs):
@@ -158,7 +153,7 @@ def _packing(ctx, n):
             lifted = map(rest.__add__, map(rest.__and__, xs))
             return map(int.bit_count, map(tops.__and__, map(int.__or__, lifted, xs)))
 
-    return _gf2_mask if width == 1 else pack, int.__xor__ if p == 2 else add, weights, width
+    return _gf2_mask if width == 1 else pack, add, weights, width
 
 
 def _p_generators(ctx, rows, pack):

@@ -1,11 +1,11 @@
 """GF(p^m) for m > 1: the lex-first irreducible modulus of each degree,
-GF(2^m) and ``lex_tuples``.
+GF(2^m), ``lex_tuples`` and the slot-wise sum mod p, ``slot_adder``.
 
 The modulus of GF(p^m) is the lex-first monic irreducible of degree m,
 found by one Rabin test for every p (``poly_is_irreducible``) and kept per
 (p, m) once found.  ``finite_field.field_make`` imports this module only
-when m > 1, so a run over a prime field never compiles it.  The arithmetic
-of odd p, ``ExtField`` with its polynomial helpers, is in ``odd_field``,
+when m > 1, so a run over a prime field never compiles it.  GF(2^m) is a
+bitmask and odd GF(p^m) an int of base-p slots, ``odd_field.ExtField``,
 which ``field_make`` and ``poly_is_irreducible`` import only when p is odd.
 """
 
@@ -39,6 +39,20 @@ def _bgcd(a, b):
     while b:
         a, b = b, _bmod(a, b)
     return a
+
+
+def slot_adder(p, ones):
+    """The slot-wise sum mod p of ints with a digit below p in each slot
+    whose lowest bit is set in ones, every slot at least s + 2 bits wide,
+    s = (p-1).bit_length(): a slot sum t < 2p, plus 2^(s+1) - p, sets the
+    slot's bit s + 1 exactly where t >= p, and there p is subtracted."""
+    s1 = (p - 1).bit_length() + 1
+    pad = ones * ((1 << s1) - p)
+
+    def add(a, b):
+        t = a + b
+        return t - ((t + pad) >> s1 & ones) * p
+    return add
 
 
 def lex_tuples(elements, d):
@@ -83,7 +97,7 @@ def poly_is_irreducible(poly, p):
     polynomial over GF(2) has the coefficient of x^i at x^2i, which is its
     binary numeral read in base 4.  Over odd p, x^(p^k) is computed in
     ``odd_field.ExtField(p, m, f)``, whose reduction holds for any monic
-    f: the modulus need not be irreducible there.
+    f: the modulus need not be irreducible there; its digits feed the gcd.
     """
     m = len(poly) - 1
     if m == 1:
@@ -99,8 +113,8 @@ def poly_is_irreducible(poly, p):
 
         ring = ExtField(p, m, poly)
         frobenius = lambda a: ring.pow(a, p)
-        x = (0, 1) + (0,) * (m - 2)
-        has_factor = lambda a: len(_pgcd(ring.sub(a, x), poly, p)) > 1
+        x = ring.raw_from_coeffs((0, 1) + (0,) * (m - 2))
+        has_factor = lambda a: len(_pgcd(ring.coeffs(ring.sub(a, x)), poly, p)) > 1
     cur = x
     for k in range(1, m):
         cur = frobenius(cur)
@@ -139,19 +153,14 @@ def _first_irreducible(p, m):
 class BinaryExtField(FieldCtx):
     """GF(2^m): raw scalars are ints whose bit i is the x^i coefficient."""
 
-    __slots__ = ("p", "m", "order", "modulus", "zero", "one", "_modint")
+    __slots__ = ("p", "m", "order", "modulus", "_modint")
 
     def __init__(self, m, modulus):
         self.p = 2
         self.m = m
         self.order = 1 << m
         self.modulus = tuple(modulus)
-        self.zero = 0
-        self.one = 1
         self._modint = _gf2_mask(self.modulus)
-
-    def from_int(self, k):
-        return k % 2
 
     def raw_from_coeffs(self, coeffs):
         if len(coeffs) != self.m:

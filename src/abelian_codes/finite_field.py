@@ -1,11 +1,12 @@
 """Exact arithmetic in GF(p), the field contexts, and small number-theory
 helpers.
 
-Field contexts are immutable value objects.  Scalars are plain "raw"
-values (an int for prime fields and binary extensions, a coefficient tuple
-otherwise), and all arithmetic on them goes through the context's methods.
-All arithmetic is exact.  A raw's ``coeffs`` tuple is its key wherever the
-lex-least element is chosen.
+Field contexts are immutable value objects.  A scalar is a plain "raw"
+int in every field: the residue in GF(p), the bitmask of the coefficients
+in GF(2^m), and over odd GF(p^m) one coefficient per slot; zero is 0 and
+one is 1.  All arithmetic on raws is exact and goes through the context's
+methods.  A raw's ``coeffs`` tuple is its key wherever the lex-least
+element is chosen.
 
 Every field is GF(p^m) over its prime field, with the lex-first monic
 irreducible of degree m as modulus.  This module holds what every command
@@ -277,10 +278,14 @@ def _gf2_vector(mask, width):
 class FieldCtx:
     """Shared surface of all field contexts.
 
-    Concrete classes store scalars in a raw form and expose arithmetic on raws.
+    Concrete classes store scalars as raw ints and expose arithmetic on raws.
     """
 
     __slots__ = ()
+    zero, one = 0, 1
+
+    def from_int(self, k):
+        return k % self.p
 
     def spec_string(self):
         return str(self.p) if self.m == 1 else "%d^%d" % (self.p, self.m)
@@ -327,18 +332,13 @@ class FieldCtx:
 class PrimeField(FieldCtx):
     """GF(p): raw scalars are ints in [0, p)."""
 
-    __slots__ = ("p", "m", "order", "modulus", "zero", "one")
+    __slots__ = ("p", "m", "order", "modulus")
 
     def __init__(self, p):
         self.p = p
         self.m = 1
         self.order = p
         self.modulus = (0, 1)
-        self.zero = 0
-        self.one = 1 % p
-
-    def from_int(self, k):
-        return k % self.p
 
     def raw_from_coeffs(self, coeffs):
         if len(coeffs) != 1:

@@ -1,5 +1,6 @@
-"""GF(p^m) for odd p and m > 1: polynomial arithmetic over GF(p) and the
-field context ``ExtField``.
+"""GF(p^m) for odd p and m > 1: the field context ``ExtField``, whose raw
+is one int with a base-p digit in each slot, and the gcd over GF(p) that
+the modulus search runs on coefficient lists.
 
 ``extension_field`` holds what every characteristic shares (the modulus
 search and ``lex_tuples``) and GF(2^m).  ``finite_field.field_make`` and
@@ -8,6 +9,7 @@ odd, so a job over GF(2) or GF(2^m) never compiles it.
 """
 
 from .errors import DegreeMismatch
+from .extension_field import slot_adder
 from .finite_field import FieldCtx
 
 
@@ -52,79 +54,66 @@ def _pgcd(a, b, p):
 # ---------------------------------------------------------------------------
 
 class ExtField(FieldCtx):
-    """GF(p^m) for odd p: raw scalars are coefficient tuples of length m.
+    """GF(p^m) for odd p: a raw is one int, holding the coefficient of x^i
+    in its slot i of ``bits`` bits.
 
-    mul is Kronecker-packed: it puts each operand's coefficients in
-    ``bits``-bit slots of one int, multiplies once, and folds the high half
-    back through xk[k], the packed x^(m+k) mod the modulus.  That holds for
-    any monic modulus of degree m, irreducible or not."""
+    add, sub and neg are ``slot_adder``'s carry trick; sub and neg first
+    add p to every slot.  mul is a Kronecker product: one product of the
+    two ints, whose high half is folded back through xk[k], the raw of
+    x^(m+k) mod the modulus, and then one pass takes every slot mod p.
+    That holds for any monic modulus of degree m, irreducible or not."""
 
-    __slots__ = ("p", "m", "order", "modulus", "zero", "one", "bits", "mask", "xk")
+    __slots__ = ("p", "m", "order", "modulus", "bits", "mask", "xk", "add", "sub", "neg",
+                 "_shifts", "_low")
 
     def __init__(self, p, m, modulus):
         self.p = p
         self.m = m
         self.order = p ** m
         self.modulus = modulus = tuple(modulus)
-        self.zero = (0,) * m
-        self.one = (1,) + (0,) * (m - 1)
-        # largest digit during mul: a raw product digit is at most
-        # m(p-1)^2, and the reduction adds m-1 of those scaled by table
-        # digits below p
+        # largest slot during mul: a product's slot is at most m(p-1)^2, and
+        # the fold adds m-1 of those scaled by digits below p
         digit_bound = m * (p - 1) ** 2 * (1 + (m - 1) * (p - 1))
-        self.bits = max(32, digit_bound.bit_length() + 1)
-        self.mask = (1 << self.bits) - 1
-        # xk[k] = packed(x^(m+k) mod modulus) for k = 0..m-2
+        self.bits = bits = max(32, digit_bound.bit_length() + 1)
+        self.mask = (1 << bits) - 1
+        self._shifts = range(0, bits * m, bits)
+        self._low = (1 << bits * m) - 1
+        ones = sum(1 << i for i in self._shifts)
+        self.add = add = slot_adder(p, ones)
+        lift = ones * p
+        self.sub = lambda a, b: add(a, lift - b)
+        self.neg = lambda a: add(lift - a, 0)
+        # xk[k] = x^(m+k) mod modulus for k = 0..m-2
         self.xk = []
-        cur = [(-c) % p for c in modulus[:m]]  # x^m mod modulus
-        for _ in range(max(m - 1, 1)):
-            self.xk.append(self._pack(cur))
+        cur = [-c % p for c in modulus[:m]]  # x^m mod modulus
+        for _ in range(m - 1):
+            self.xk.append(self.raw_from_coeffs(cur))
             lead = cur[-1]
             cur = [0] + cur[:-1]
             if lead:
-                for i in range(m):
-                    cur[i] = (cur[i] - lead * modulus[i]) % p
-
-    def from_int(self, k):
-        return (k % self.p,) + (0,) * (self.m - 1)
+                cur = [(c - lead * f) % p for c, f in zip(cur, modulus)]
 
     def raw_from_coeffs(self, coeffs):
         if len(coeffs) != self.m:
             raise DegreeMismatch("expected %d coefficients" % self.m, got=len(coeffs))
-        return tuple(c % self.p for c in coeffs)
+        p = self.p
+        return sum(c % p << i for c, i in zip(coeffs, self._shifts))
 
     def coeffs(self, a):
-        return a
-
-    def add(self, a, b):
-        p = self.p
-        return tuple((x + y) % p for x, y in zip(a, b))
-
-    def sub(self, a, b):
-        p = self.p
-        return tuple((x - y) % p for x, y in zip(a, b))
-
-    def neg(self, a):
-        p = self.p
-        return tuple(-x % p for x in a)
-
-    def _pack(self, coeffs):
-        out = 0
-        bits = self.bits
-        for i, c in enumerate(coeffs):
-            if c:
-                out |= c << (bits * i)
-        return out
+        mask = self.mask
+        return tuple(a >> i & mask for i in self._shifts)
 
     def mul(self, a, b):
-        m = self.m
-        bits = self.bits
-        mask = self.mask
-        full = self._pack(a) * self._pack(b)
-        acc = full & ((1 << (bits * m)) - 1)
-        for k in range(m - 1):
-            d = (full >> (bits * (m + k))) & mask
+        bits, mask, p = self.bits, self.mask, self.p
+        full = a * b
+        acc = full & self._low
+        full >>= self._shifts.stop
+        for x in self.xk:
+            d = full & mask
             if d:
-                acc += d * self.xk[k]
-        p = self.p
-        return tuple((acc >> (bits * i) & mask) % p for i in range(m))
+                acc += d * x
+            full >>= bits
+        out = 0
+        for i in reversed(self._shifts):
+            out = out << bits | (acc >> i & mask) % p
+        return out

@@ -173,6 +173,14 @@ def test_sweep_matches_the_group_path_oracle(capsys, field):
      "cb35c314acdb1b6cd257a64b3f7ca23ffda110ea133b29a6383eb8cc020cd137"),
     ("subgroups --group 6,6,6 --field 7", 0,
      "48da9b669fc4cfc0241912098f1828055a6cc2aadbe4b63cb0b46315815cec26"),
+    ("idempotents --group 13 --field 3^2 --format csv", 0,
+     "30cbe08887c267a970b071be5e1ff26ba3a041ec3a37bfb33e2198a3ce2bc87b"),
+    ("idempotents --group 13 --field 3^2 --format md", 0,
+     "a2582705893d5bca025528169b20d7db7fc6f163d9de429406a6c6f74392c7cd"),
+    ("idempotents --group 11 --field 7^2 --format csv", 0,
+     "08f69dfc5a646007bc9c84b48cdf3646d7e4c7febcea4382ac12be49bfb65e09"),
+    ("idempotents --group 11 --field 7^2 --format md", 0,
+     "4afbde9a6205bf130d3deb162aaa09b798e4b0397f0c93bc4020ccc6853fc42c"),
 ], ids=["subgroups", "idempotents", "verify", "classify", "idempotents-extension",
         "subgroups-mixed-sylow", "subgroups-mixed-sylow-45", "idempotents-13-gf9",
         "idempotents-5x5", "classify-md", "classify-csv", "verify-9x9",
@@ -180,7 +188,8 @@ def test_sweep_matches_the_group_path_oracle(capsys, field):
         "bound-25-gf9", "bound-29-gf5", "classify-7-gf27", "idempotents-11-gf49",
         "subgroups-md", "subgroups-csv", "idempotents-md", "idempotents-csv",
         "verify-md", "verify-csv", "sweep-md", "sweep-csv", "verify-hypothesis-fails",
-        "subgroups-2x4x128", "subgroups-6x6x6"])
+        "subgroups-2x4x128", "subgroups-6x6x6", "idempotents-13-gf9-csv",
+        "idempotents-13-gf9-md", "idempotents-11-gf49-csv", "idempotents-11-gf49-md"])
 def test_output_digest(capsys, argv, status, digest):
     # sha256 of the stdout before subgroups moved to element indices; the
     # extension-base idempotents digest is that of GF(4) embedded in
@@ -200,6 +209,9 @@ def test_output_digest(capsys, argv, status, digest):
     # they were peeled element by element, before the Smith normal form.
     # 6,6,6, rank 3 with two primes, pins the lattice as it was merged from
     # its Sylow parts, before the Hermite enumeration.
+    # The csv and md cases of 13 over GF(9) and 11 over GF(49) pin each odd-p
+    # coefficient printed as its digit list, as it was while the raws of odd
+    # GF(p^m) were digit tuples, before they became packed ints.
     # A case without --format is read as JSON.
     argv = argv.split()
     if "--format" not in argv:

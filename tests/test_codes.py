@@ -1,4 +1,6 @@
 import json
+import random
+import tracemalloc
 from functools import lru_cache
 from math import comb, gcd
 
@@ -259,6 +261,25 @@ def test_two_vector_bound_reaches_every_pair_and_scalar():
     F3 = field_make(3)
     rows = [(1, 1, 1, 0, 0), (1, 1, 0, 1, 0), (0, 0, 1, 1, 1)]
     assert _two_vector_bound(F3, rows) == 2 == oracle_two_vector_bound(F3, rows)
+
+
+def test_two_vector_bound_holds_one_pair_of_rows_at_a_time():
+    # 448 seeded words of length 24 over GF(2), spanning a code, give
+    # C(448, 2) = 100,128 pair sums.  Listed, as they were before the
+    # minimum streamed, the sums alone take a pointer each (800 KB) and an
+    # int each (2.8 MB); streamed, the peak is the rows' own multiples
+    rng = random.Random(7)
+    F2 = field_make(2)
+    rows = [[rng.randrange(2) for _ in range(24)] for _ in range(448)]
+    assert comb(len(rows), 2) >= 10 ** 5
+    tracemalloc.start()
+    try:
+        bound = _two_vector_bound(F2, rows)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < comb(len(rows), 2) * 8 // 4
+    assert bound == oracle_two_vector_bound(F2, rows)
 
 
 @pytest.mark.parametrize("p,m", WEIGHT_FIELDS)

@@ -1,9 +1,11 @@
 import itertools
+import random
 import time
 from math import gcd
 
 import pytest
 from dense_oracle import element_of_order_by_pow, modulus_root_by_lex_walk
+from field_oracle import TupleExtField, rabin_at_milestones
 
 from abelian_codes import (
     DegreeMismatch,
@@ -21,7 +23,7 @@ import abelian_codes.extension_field as extension_field
 from abelian_codes.extension_field import _first_irreducible, lex_tuples, poly_is_irreducible
 from abelian_codes.finite_field import _MR_EXACT_BELOW, _SPLITTING_DEGREE_BOUND, factorize, is_prime
 from abelian_codes.group_algebra import _modulus_root, _root_powers
-from abelian_codes.odd_field import ExtField, _pgcd
+from abelian_codes.odd_field import ExtField
 
 
 def test_prime_field_basics():
@@ -294,21 +296,6 @@ def test_poly_is_irreducible_matches_trial_division(p):
             assert poly_is_irreducible(f, p) == (not _has_monic_divisor(f, p)), f
 
 
-def _rabin_at_milestones(f, p):
-    """Rabin's test with the gcd only at k = m/l, l a prime divisor of m:
-    no sieve, and x^(p^k) computed in ExtField(p, m, f) for every p, GF(2)
-    included.  The slow route, kept as the oracle of poly_is_irreducible."""
-    m = len(f) - 1
-    ring = ExtField(p, m, f)
-    milestones = {m // ell for ell in factorize(m)}
-    x = cur = (0, 1) + (0,) * (m - 2)
-    for k in range(1, m + 1):
-        cur = ring.pow(cur, p)
-        if k in milestones and len(_pgcd(ring.sub(cur, x), f, p)) > 1:
-            return False
-    return cur == x
-
-
 @pytest.mark.parametrize("p,every_up_to,first_up_to", [
     (2, 10, 40), (3, 6, 24), (5, 4, 16), (7, 1, 12)])
 def test_modulus_search_matches_the_milestone_rabin_test(monkeypatch, p, every_up_to,
@@ -320,12 +307,69 @@ def test_modulus_search_matches_the_milestone_rabin_test(monkeypatch, p, every_u
     for m in range(2, every_up_to + 1):
         for tail in itertools.product(range(p), repeat=m):
             f = list(tail) + [1]
-            assert poly_is_irreducible(f, p) == _rabin_at_milestones(f, p), f
+            assert poly_is_irreducible(f, p) == rabin_at_milestones(f, p), f
     for m in range(2, first_up_to + 1):
         scan = ((c0, *tail, 1) for c0 in range(1, p)
                 for tail in lex_tuples(range(p).__iter__, m - 1))
-        first = next(f for f in scan if _rabin_at_milestones(list(f), p))
+        first = next(f for f in scan if rabin_at_milestones(list(f), p))
         assert _first_irreducible(p, m) == first, (p, m)
+
+
+# the lex-first moduli of the two largest fields below, which field_make
+# finds in about 3 s and 40 s: pinned here, so that no search runs (the
+# comparison holds for any monic modulus, irreducible or not)
+_PINNED_MODULI = {(101, 125): {0: 1, 123: 2, 124: 45, 125: 1},
+                  (11, 274): {0: 1, 271: 3, 272: 8, 273: 1, 274: 1}}
+
+
+@pytest.mark.parametrize("p,m", [(3, 2), (3, 6), (3, 11), (7, 2), (23, 4), (97, 8),
+                                 (371639, 3), (5, 40), (101, 125), (11, 274)])
+def test_packed_field_matches_the_tuple_oracle(p, m):
+    # the packed ints of ExtField, against the digit tuples that were its
+    # raws before, on seeded random pairs; each raw is compared through
+    # its digits, and an inverse of the largest fields costs about 1,400
+    # products, so those compare one
+    if (p, m) in _PINNED_MODULI:
+        modulus = tuple(_PINNED_MODULI[p, m].get(i, 0) for i in range(m + 1))
+    else:
+        modulus = field_make(p, m).modulus
+    F, T = ExtField(p, m, modulus), TupleExtField(p, m, modulus)
+    rng = random.Random(p * 1000 + m)
+    draws = [[rng.randrange(-p, 2 * p) for _ in range(m)] for _ in range(max(4, 64 // m))]
+    draws[0] = [0] * m
+    raws = [(F.raw_from_coeffs(c), T.raw_from_coeffs(c)) for c in draws]
+    for a, ta in raws:
+        assert F.coeffs(a) == ta
+    assert (F.zero, F.one) == (F.raw_from_coeffs(T.coeffs(T.zero)), F.raw_from_coeffs(T.one))
+    for k in [0, 1, -1, p - 1, p, -p, 2 * p + 3, rng.randrange(-p ** 3, p ** 3)]:
+        assert F.coeffs(F.from_int(k)) == T.from_int(k), k
+    for (a, ta), (b, tb) in zip(raws, raws[1:] + raws[:1]):
+        assert F.coeffs(F.add(a, b)) == T.add(ta, tb)
+        assert F.coeffs(F.sub(a, b)) == T.sub(ta, tb)
+        assert F.coeffs(F.neg(a)) == T.neg(ta)
+        assert F.coeffs(F.mul(a, b)) == T.mul(ta, tb)
+        e = rng.randrange(1 << 16)
+        assert F.coeffs(F.pow(a, e)) == T.pow(ta, e), e
+    inverses = [(a, ta) for a, ta in raws if a != F.zero]
+    for a, ta in inverses[:1] if m > 40 else inverses:
+        assert F.coeffs(F.inv(a)) == T.inv(ta)
+    with pytest.raises(ZeroDivisionError):
+        F.inv(F.zero)
+
+
+def test_first_irreducible_matches_the_rabin_test_on_the_tuple_ring(monkeypatch):
+    # every odd p and degree d >= 2 with p^d <= 10^4, searched afresh: the
+    # first candidate in the search's order that the tuple ring's Rabin
+    # test accepts
+    monkeypatch.setattr(extension_field, "_MODULI", {})
+    pairs = [(p, d) for p in range(3, 100) if is_prime(p)
+             for d in range(2, 9) if p ** d <= 10 ** 4]
+    assert len(pairs) == 39
+    for p, d in pairs:
+        scan = ((c0, *tail, 1) for c0 in range(1, p)
+                for tail in lex_tuples(range(p).__iter__, d - 1))
+        first = next(f for f in scan if rabin_at_milestones(list(f), p))
+        assert _first_irreducible(p, d) == first, (p, d)
 
 
 def test_field_make_large_prime_degree_six():
