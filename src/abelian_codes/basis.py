@@ -1,6 +1,7 @@
 """The basis routes of ``codes._route``: the coset walk (``walk`` and
 ``step``) and the two-vector bound (``bound``), with the RREF of C_o they
-read.
+read.  The walk tests its generator by one power per prime, and the bound
+holds the multiples of one row at a time.
 
 ``codes`` keeps the routes that need no basis (``span`` and ``dual``) and
 imports this module where a route needs one: ``weight_distribution`` on a
@@ -71,50 +72,41 @@ def _coset_weights(ctx, row, k, tables):
     x on I; H, of order h = lcm(o, q - 1), keeps weights and acts freely
     on its units.  So the weights of g(x)^t * row, t < N = (q^k - 1)/h,
     each count h times once g(x) generates I*/H: for every prime r | N,
-    g^(N/r) mod m is not a * x^j.  g is the first such monic polynomial, by
-    degree and then by its coefficients in product order.  The first k
-    coordinates of a cyclic code are an information set: m is read off
-    them (x^k row = sum_j c_j x^j row), and they are the pivots of the
-    RREF basis b_i of I.  A word w is then sum_i w_i b_i, so g(x) * w is
-    two lookups, keyed on the packed low and high halves of those
-    coordinates, into tables of the combinations of the g(x) * b_i, plus
-    one add.  Without ``tables`` (the route ``step`` of ``_route``), each
-    step multiplies by g(x) instead.
+    g^(N/r) is not in H.  As I* is cyclic, H/GF(q)* is the one subgroup of
+    order h' = h/(q - 1) of I*/GF(q)*, so that is one power: g^(N h'/r) mod
+    m is not a constant.  g is the first such monic polynomial, by degree
+    and then by its coefficients in product order.  The first k coordinates
+    of a cyclic code are an information set: m is read off them (x^k row =
+    sum_j c_j x^j row), and they are the pivots of the RREF basis b_i of I.
+    A word w is then sum_i w_i b_i, so g(x) * w is two lookups, keyed on
+    the packed low and high halves of those coordinates, into tables of the
+    combinations of the g(x) * b_i, plus one add.  Without ``tables`` (the
+    route ``step`` of ``_route``), each step multiplies by g(x) instead.
     """
     o, q, p, zero, one, mul, plus = len(row), ctx.order, ctx.p, ctx.zero, ctx.one, ctx.mul, ctx.add
     info = [[row[(t - j) % o] for j in range(k + 1)] for t in range(k)]
     c = [r[k] for r in row_reduce_raw(info, ctx)]
 
-    def reduce(w):  # w(x) mod m(x), by x^k = sum_j c_j x^j
-        for d in range(len(w) - 1, k - 1, -1):
+    def times(u, v):  # u(x) v(x) mod m(x), by x^k = sum_j c_j x^j
+        w = [zero] * (2 * k - 1)
+        for i, x in enumerate(u):
+            if x != zero:
+                w[i:i + k] = [plus(a, mul(x, b)) for a, b in zip(w[i:i + k], v)]
+        for d in range(2 * k - 2, k - 1, -1):
             w[d - k:d] = [plus(a, mul(w[d], b)) for a, b in zip(w[d - k:d], c)]
         return w[:k]
 
-    def times(u, v):
-        w = [zero] * (2 * k - 1)
-        for i, x in enumerate(u):
-            w[i:i + k] = [plus(a, mul(x, b)) for a, b in zip(w[i:i + k], v)]
-        return reduce(w)
-
-    def power(u, e):
-        r = [one] + [zero] * (k - 1)
-        while e:
-            r, u, e = times(r, u) if e & 1 else r, times(u, u), e >> 1
+    def power(u, e):  # e >= 1, by its binary digits from the top
+        r = u
+        for bit in bin(e)[3:]:
+            r = times(u, times(r, r)) if bit == "1" else times(r, r)
         return r
 
-    def normal(v):  # the multiple of v whose first nonzero coefficient is 1
-        s = ctx.inv(next(x for x in v if x != zero))
-        return tuple(mul(s, x) for x in v)
-
-    xj, h_polys = [one] + [zero] * (k - 1), set()  # H mod scalars: the x^j mod m
-    for _ in range(o):
-        h_polys.add(normal(xj))
-        xj = reduce([zero] + xj)
     h = lcm(o, q - 1)
     steps = (q ** k - 1) // h
     for g in (list(cs) + [one] + [zero] * (k - 1 - d)
               for d in range(k) for cs in lex_tuples(ctx.elements, d)):
-        if all(normal(power(g, steps // r)) not in h_polys for r in factorize(steps)):
+        if all(any(power(g, steps * h // (q - 1) // r)[1:]) for r in factorize(steps)):
             break
 
     def apply(w):  # g(x) * w
@@ -160,11 +152,17 @@ def _two_vector_bound(ctx, rows):
 
     weight(s*v_i + t*v_j) = weight(v_i + (t/s)*v_j), so the words v_i and
     v_i + t*v_j (i < j, t != 0) cover every such span; the q - 1 multiples
-    t*v_j are the nonzero GF(p)-combinations of ``_p_generators``.  The
-    minimum streams: one pair's q - 1 sums are held at a time, never all."""
+    t*v_j are the nonzero GF(p)-combinations of ``_p_generators``, built for
+    row j as it meets the rows before it: one row's are held at a time."""
     pack, add, weights, width = _packing(ctx, len(rows[0]))
-    multiples = [_span_table(_p_generators(ctx, [b], pack), add, ctx.p)[1:] for b in rows]
-    vectors = [ws[0] for ws in multiples]  # 1 * b comes first
-    pairs = (weights(map(add, repeat(v), ws))
-             for i, v in enumerate(vectors) for ws in multiples[i + 1:])
-    return min(chain(weights(vectors), chain.from_iterable(pairs)))
+
+    def weighed():  # each row's multiples plus each row before it, then the rows
+        vectors = []
+        for b in rows:
+            multiples = _span_table(_p_generators(ctx, [b], pack), add, ctx.p)[1:]
+            for v in vectors:
+                yield weights(map(add, repeat(v), multiples))
+            vectors.append(multiples[0])  # 1 * b comes first
+        yield weights(vectors)
+
+    return min(chain.from_iterable(weighed()))

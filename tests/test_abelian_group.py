@@ -24,6 +24,7 @@ from abelian_codes import (
     characters,
     cocyclic_subgroups,
     cyclic_subgroups,
+    element_of_order,
     euler_phi,
     field_make,
     group_make,
@@ -113,13 +114,17 @@ def test_group_make_factors_nothing(monkeypatch):
     assert group_make([3, n, 6]).divisors == (3, 2 * 3 * n)
 
 
-@pytest.mark.parametrize("divisors", [(2, 0), (-3,), (0,), (0, 2)])
+@pytest.mark.parametrize("divisors", [(2, 0), (-3,), (0,), (0, 2), (2, 3), (3, 9, 6)])
 def test_abelian_group_rejects_divisors_below_one(divisors):
     # (2, 0) satisfies the divisibility chain but would have order 0,
-    # (-3,) would have no elements, and (0, 2) would divide by zero
+    # (-3,) would have no elements, and (0, 2) would divide by zero;
+    # (2, 3) and (3, 9, 6) are at least 1 but no divisibility chain, which
+    # group_make would have made of them
     with pytest.raises(BadDivisor) as info:
         AbelianGroup(divisors)
     assert info.value.context == {"divisors": divisors}
+    assert info.value.message == ("divisors must be at least 1" if min(divisors) < 1
+                                  else "divisors must form a divisibility chain")
 
 
 def test_element_arithmetic_and_order():
@@ -210,6 +215,10 @@ def test_subgroup_validation():
         checked_subgroup(G, [(0, 3), (0, 6)])  # no identity
     with pytest.raises(NotASubgroup):
         checked_subgroup(G, [(0, 0), (1, 0), (2, 0), (0, 3), (1, 3), (2, 3)])  # no inverse
+    with pytest.raises(NotASubgroup) as info:
+        checked_subgroup(G, [(0, 0), (0, 1), (0, 8)])  # closed under inverses only
+    assert (info.value.message, info.value.context) \
+        == ("not closed under addition", {"pair": ((0, 1), (0, 1))})
     H = checked_subgroup(G, [(0, 6), (0, 0), (0, 3)])
     assert H.order == 3 and H == gen(G, (0, 3))
     assert H.elements == ((0, 0), (0, 3), (0, 6))
@@ -299,6 +308,21 @@ def test_characters_c9xc3_over_gf64():
 def test_characters_need_roots():
     with pytest.raises(NoRootsOfUnity):
         characters(group_make([9, 3]), field_make(2))
+    with pytest.raises(NoRootsOfUnity) as info:
+        element_of_order(field_make(7), 5)  # 5 does not divide 7 - 1
+    assert (info.value.message, info.value.context) \
+        == ("field has no elements of the requested order", {"field_order": 7, "n": 5})
+
+
+@pytest.mark.parametrize("H", [[(0, 0), (0, 3), (0, 6)], Subgroup.trivial(group_make([27]))])
+def test_quotient_type_and_annihilator_reject_what_is_not_a_subgroup_of_g(H):
+    # a list of the elements of a subgroup, and a subgroup of another group
+    # of the same order
+    G = group_make([9, 3])
+    for f in (quotient_type, annihilator):
+        with pytest.raises(NotASubgroup) as info:
+            f(G, H)
+        assert (info.value.message, info.value.context) == ("H is not a subgroup of G", {})
 
 
 def test_annihilator_extremes():
@@ -366,10 +390,29 @@ def test_generator_closure_matches_brute_force(divisors):
     assert closure == {perm for perm in perms if perm is not None}
 
 
-@pytest.mark.parametrize("images", [[(1, 0, 0), (0, 1, 0)], [(1,), (0, 1)]])
+@pytest.mark.parametrize("images", [[(1, 0, 0), (0, 1, 0)], [(1,), (0, 1)], [(1, 0)]])
 def test_automorphism_rejects_images_of_the_wrong_length(images):
-    with pytest.raises(ValueError, match="element of the group"):
+    # [(1, 0)] has one image for the two canonical generators
+    message = ("each image must be an element of the group" if len(images) == 2
+               else "one image per canonical generator required")
+    with pytest.raises(ValueError, match="^%s$" % message):
         Automorphism(group_make([3, 9]), images)
+
+
+@pytest.mark.parametrize("images,message", [
+    ([(0, 1), (0, 1)], "generator order not preserved"),
+    ([(1, 0), (1, 0)], "images do not induce a bijection")])
+def test_automorphism_rejects_images_that_give_no_automorphism(images, message):
+    # in C_3 x C_9, (0, 1) has order 9, too large for the order-3 generator;
+    # (1, 0) twice has orders dividing 3 and 9 but misses (0, 1)
+    with pytest.raises(ValueError, match="^%s$" % message):
+        Automorphism(group_make([3, 9]), images)
+
+
+def test_compose_rejects_an_automorphism_of_another_group():
+    psi = Automorphism.identity(group_make([3, 9]))
+    with pytest.raises(ValueError, match="^automorphisms of different groups$"):
+        psi.compose(Automorphism.identity(group_make([27])))
 
 
 def test_automorphisms_bound():

@@ -2,6 +2,7 @@ import json
 import random
 import tracemalloc
 from functools import lru_cache
+from itertools import islice, product
 from math import comb, gcd
 
 import pytest
@@ -10,7 +11,7 @@ from dense_oracle import dense_basis, lifted_basis
 from hypothesis import given, settings, strategies as st
 from orbit_oracle import orbit_tau_sweep
 from owner_type_oracle import owner_type_class_count
-from weight_oracle import oracle_histogram, oracle_two_vector_bound
+from weight_oracle import coset_generator_rules, oracle_histogram, oracle_two_vector_bound
 
 from abelian_codes import (
     AlgebraElement,
@@ -43,7 +44,7 @@ from abelian_codes.reference import aut_order, subgroup_type
 import abelian_codes.basis as basis_module
 import abelian_codes.codes as codes_module
 from abelian_codes.basis import _basis, _coset_weights, _two_vector_bound
-from abelian_codes.codes import _route, _span_weights
+from abelian_codes.codes import _p_generators, _packing, _route, _span_table, _span_weights
 from abelian_codes.errors import DomainError
 from abelian_codes.group_algebra import row_reduce_raw
 
@@ -226,6 +227,40 @@ def test_coset_walk_without_tables_matches_enumeration(o, p, m):
             o, ctx.order, code.generator.orbit_rep)
 
 
+@pytest.mark.parametrize("p,m", WEIGHT_FIELDS)
+def test_coset_generator_by_one_power_matches_the_table_of_h(monkeypatch, p, m):
+    # the walk's generator g is the first candidate passing the one-power
+    # test; the table of H up to scalars, the rule it replaced, must agree
+    # on every candidate through g and at least the first 32.  The walk's
+    # candidates are recorded as lex_tuples yields them
+    ctx = field_make(p, m)
+    q = ctx.order
+    seen, lex_tuples = [], basis_module.lex_tuples
+
+    def recording(elements, d):
+        for cs in lex_tuples(elements, d):
+            seen.append(cs)
+            yield cs
+
+    monkeypatch.setattr(basis_module, "lex_tuples", recording)
+    checked = 0
+    for o in range(2, 41):
+        if gcd(o, q) != 1 or q ** mul_order(q, o) > 2 ** 16:
+            continue
+        for code in _cyclic_codes(ctx, o):
+            k = code.dimension
+            seen.clear()
+            _coset_weights(ctx, code.row, k, True)
+            by_table, by_power = coset_generator_rules(ctx, code.row, k)
+            candidates = (list(cs) + [ctx.one] + [ctx.zero] * (k - 1 - d)
+                          for d in range(k) for cs in product(ctx.elements(), repeat=d))
+            rules = [(by_table(g), by_power(g)) for g in islice(candidates, max(len(seen), 32))]
+            assert all(a == b for a, b in rules), (o, q, code.generator.orbit_rep)
+            assert rules.index((True, True)) == len(seen) - 1, (o, q, code.generator.orbit_rep)
+            checked += 1
+    assert checked >= 15
+
+
 @pytest.mark.parametrize("o,p,m", [(17, 3, 2), (27, 7, 1)])
 def test_coset_walk_beyond_enumeration(o, p, m):
     # 9^8 and 7^9 words: the total and the dual distribution must hold
@@ -263,23 +298,43 @@ def test_two_vector_bound_reaches_every_pair_and_scalar():
     assert _two_vector_bound(F3, rows) == 2 == oracle_two_vector_bound(F3, rows)
 
 
+def _traced(f):
+    """f() and the peak of the memory traced while it ran."""
+    tracemalloc.start()
+    try:
+        value = f()
+        return value, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_two_vector_bound_holds_one_pair_of_rows_at_a_time():
     # 448 seeded words of length 24 over GF(2), spanning a code, give
     # C(448, 2) = 100,128 pair sums.  Listed, as they were before the
     # minimum streamed, the sums alone take a pointer each (800 KB) and an
-    # int each (2.8 MB); streamed, the peak is the rows' own multiples
-    rng = random.Random(7)
-    F2 = field_make(2)
-    rows = [[rng.randrange(2) for _ in range(24)] for _ in range(448)]
-    assert comb(len(rows), 2) >= 10 ** 5
-    tracemalloc.start()
-    try:
-        bound = _two_vector_bound(F2, rows)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < comb(len(rows), 2) * 8 // 4
-    assert bound == oracle_two_vector_bound(F2, rows)
+    # int each (2.8 MB).  24 words of length 40 over GF(23) have 24 * 22
+    # multiples, all held before each row's were built as it is paired; the
+    # bound now holds one row's multiples and one pair's sums beside the rows
+    for p, count, length in [(2, 448, 24), (23, 24, 40)]:
+        rng = random.Random(7)
+        ctx = field_make(p)
+        rows = [[rng.randrange(p) for _ in range(length)] for _ in range(count)]
+        if p == 2:
+            assert comb(count, 2) >= 10 ** 5
+            limit = comb(count, 2) * 8 // 4  # a quarter of the sums' pointers
+        else:
+            pack, add = _packing(ctx, length)[:2]
+
+            def multiples(b):
+                return _span_table(_p_generators(ctx, [b], pack), add, p)[1:]
+
+            one_row = _traced(lambda: multiples(rows[0]))[1]
+            every_row = _traced(lambda: list(map(multiples, rows)))[1]
+            assert every_row >= 10 * one_row
+            limit = every_row // 2  # half of every row's multiples
+        bound, peak = _traced(lambda: _two_vector_bound(ctx, rows))
+        assert peak < limit, (p, peak, limit)
+        assert bound == oracle_two_vector_bound(ctx, rows), p
 
 
 @pytest.mark.parametrize("p,m", WEIGHT_FIELDS)
@@ -804,6 +859,16 @@ def test_factorization_cyclic_case():
     for ide in primitive_idempotents(G, F2):
         K, h, e_h = homocyclic_factorization(G, ide, F2)
         assert K.order == 1 and h.order() == 9
+
+
+@pytest.mark.parametrize("divisors", [[3, 9], [2, 4, 4]])
+def test_factorization_rejects_a_group_that_is_not_homocyclic(divisors):
+    G, F5 = group_make(divisors), field_make(5)
+    with pytest.raises(DomainError) as info:
+        homocyclic_factorization(G, primitive_idempotents(G, F5)[0], F5)
+    assert info.value.record() == {"error_code": "DomainError",
+                                   "message": "group is not homocyclic",
+                                   "context": {"group": G.spec_string()}}
 
 
 def test_factorization_klein_over_gf3():

@@ -80,6 +80,8 @@ def test_euler_phi():
     for p in (2, 3, 5, 7, 11, 13):
         assert euler_phi(p) == p - 1
     assert euler_phi(45) == 24
+    with pytest.raises(ValueError, match="^euler_phi expects n >= 1$"):
+        euler_phi(0)
 
 
 def test_divisor_count():
@@ -120,14 +122,28 @@ def test_mul_order_matches_stepping():
                 assert mul_order(q, n) == _mul_order_by_steps(q, n), (q, n)
 
 
-@pytest.mark.parametrize("p,m", [(2, 6), (7, 2), (3, 4), (5, 2)])
+@pytest.mark.parametrize("p,m", [(2, 6), (7, 2), (3, 4), (5, 2), (7, 1)])
 def test_frobenius_fixed_points_and_inverses(p, m):
+    # a negative exponent is a power of the inverse: FieldCtx.pow over an
+    # extension, PrimeField.pow over GF(7)
     F = field_make(p, m)
     one = F.one
     for raw in F.elements():
         assert F.pow(raw, F.order) == raw
         if raw != F.zero:
             assert F.mul(raw, F.inv(raw)) == one
+            assert F.pow(raw, -3) == F.pow(F.inv(raw), 3)
+
+
+@pytest.mark.parametrize("p,m", [(5, 1), (2, 3), (3, 2)])
+def test_raw_from_coeffs_rejects_the_wrong_number_of_coefficients(p, m):
+    # PrimeField, BinaryExtField and ExtField each check the length
+    F = field_make(p, m)
+    for n in (m - 1, m + 1):
+        with pytest.raises(DegreeMismatch) as info:
+            F.raw_from_coeffs([1] * n)
+        assert (info.value.message, info.value.context) \
+            == ("expected 1 coefficient" if m == 1 else "expected %d coefficients" % m, {"got": n})
 
 
 def test_integer_embedding_and_zero_inverse():
@@ -490,6 +506,8 @@ def test_factorize_matches_trial_division():
     # prime factors are all past the trial bound (p^2 and p^3 among them)
     for n in range(1, 2 * 10 ** 5):
         assert list(factorize(n).items()) == list(_factorize_by_trial_division(n).items()), n
+    with pytest.raises(ValueError, match="^factorize expects n >= 1$"):
+        factorize(0)
 
 
 def test_factorize_splits_large_cofactors_quickly():

@@ -131,6 +131,10 @@ def test_cocyclic_idempotent_rejects_noncyclic_quotient():
     G = group_make([9, 3])
     with pytest.raises(NotCocyclic):
         cocyclic_idempotent(G, gen(G, (0, 3)), F2)  # G/<a^3> = C_3 x C_3
+    for H in ([(0, 0), (1, 0), (2, 0)], Subgroup.trivial(group_make([27]))):
+        with pytest.raises(NotCocyclic) as info:
+            cocyclic_idempotent(G, H, F2)  # a list, a subgroup of another group
+        assert (info.value.message, info.value.context) == ("H is not a subgroup of G", {})
 
 
 def test_cocyclic_idempotent_char_error():
@@ -527,6 +531,10 @@ def test_identity_automorphism_acts_trivially():
     from abelian_codes import Automorphism
     e = cocyclic_idempotent_family(G, F2)[2][1]
     assert apply_automorphism(Automorphism.identity(G), e) == e
+    # the identity of C_27 permutes as many indices, but of another group
+    with pytest.raises(GroupMismatch) as info:
+        apply_automorphism(Automorphism.identity(group_make([27])), e)
+    assert (info.value.message, info.value.context) == ("automorphism of a different group", {})
 
 
 def test_automorphism_maps_family_members_to_family_members():
@@ -555,6 +563,28 @@ def test_automorphism_is_ring_homomorphism():
                 == apply_automorphism(psi, x) * apply_automorphism(psi, y)
             assert apply_automorphism(psi, x + y) \
                 == apply_automorphism(psi, x) + apply_automorphism(psi, y)
+
+
+def test_negation_is_the_additive_inverse():
+    G = group_make([9, 3])
+    for ctx in (F2, field_make(3), field_make(3, 2)):
+        alg = get_algebra(G, ctx)
+        x = AlgebraElement(alg, [ctx.from_int(i * i + 1) for i in range(G.order)])
+        assert (x + -x).is_zero() and -x == AlgebraElement.zero(alg) - x
+
+
+@pytest.mark.parametrize("op", ["__add__", "__sub__", "__mul__"])
+def test_arithmetic_rejects_an_element_of_another_algebra(op):
+    # another field over the same group, another group of the same order,
+    # and a scalar
+    G = group_make([9, 3])
+    x = AlgebraElement.one(get_algebra(G, F2))
+    for y in (AlgebraElement.one(get_algebra(G, field_make(3, 2))),
+              AlgebraElement.one(get_algebra(group_make([27]), F2)), 1):
+        with pytest.raises(GroupMismatch) as info:
+            getattr(x, op)(y)
+        assert (info.value.message, info.value.context) \
+            == ("elements of different group algebras", {})
 
 
 # ---------------------------------------------------------------------------
